@@ -298,6 +298,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_predict(cfg: ExperimentConfig) -> int:
+    os.makedirs(cfg.out, exist_ok=True)
     f1s = []
     for seed in cfg.seeds:
         ds = experiment_dataset(cfg, seed)

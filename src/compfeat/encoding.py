@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ShapeMismatchError
+from .errors import DataError, ShapeMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .propagation import ConfidenceBlock
@@ -84,7 +84,7 @@ def encode_with_confidence(
 ) -> EncodedMatrix:
     """Append per-CF confidence rows scaled by sqrt(gamma) / sqrt(u)."""
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        raise DataError(f"gamma must lie in [0, 1], got {gamma}")
     parts = [base.values]
     blocks = dict(base.blocks)
     pos = base.dim

@@ -14,6 +14,13 @@ The full procedure runs two rounds: round 1 propagates on the OF-only
 encoding; round 2 rebuilds the graph with the round-1 confidences
 appended as gamma-weighted coordinates, resets the blocks to their
 initial state, and propagates again.
+
+Inside the procedures the CF blocks are stacked side by side into one
+(n, sum u_j) array with column offsets, so a step is one neighbor
+gather-and-sum for all CFs and the correction normalizes each CF's
+column segment with ``np.add.reduceat``.  ``ConfidenceBlock`` objects
+are built only at the boundary: results, hooks, and the public
+per-step functions, which wrap the same stacked kernel.
 """
 
 from __future__ import annotations
@@ -159,16 +166,15 @@ def init_marginal(ds: Dataset) -> list[ConfidenceBlock]:
 
 def propagate_step(graph: WeightGraph, blocks: Sequence[ConfidenceBlock]) -> list[ConfidenceBlock]:
     """One confidence-propagation step: Q_j <- H Q_j for every CF j."""
-    out = []
     for b in blocks:
         if b.n != graph.n:
             raise ShapeMismatchError(
                 f"block {b.name!r} has {b.n} rows, graph has {graph.n}"
             )
-        gathered = b.values[graph.neighbors]              # (n, k, u)
-        new_vals = (graph.weights[:, :, None] * gathered).sum(axis=1)
-        out.append(b.replace_values(new_vals))
-    return out
+    if not blocks:
+        return []
+    q, _ = _stack(blocks)
+    return _unstack(_propagate(graph, q), blocks)
 
 
 def correct(blocks: Sequence[ConfidenceBlock], init: Sequence[ConfidenceBlock]) -> list[ConfidenceBlock]:
@@ -176,22 +182,55 @@ def correct(blocks: Sequence[ConfidenceBlock], init: Sequence[ConfidenceBlock]) 
 
     Hadamard product with the initial blocks followed by row
     normalization; the entry at each observed value becomes exactly 0.
-    A row whose product vanishes entirely (cannot happen for u >= 3
-    under stochastic propagation, but guarded) falls back to its
-    initial row.
+    A row whose product vanishes entirely falls back to its initial
+    row.  That happens whenever every neighbor's mass sits on the
+    row's observed value, e.g. for u = 3 when the neighbors have
+    already collapsed onto it.
     """
-    out = []
     for b, b0 in zip(blocks, init, strict=True):
         if b.values.shape != b0.values.shape:
             raise ShapeMismatchError(f"block {b.name!r} shape mismatch with init")
-        prod = b.values * b0.values
-        sums = prod.sum(axis=1)
-        dead = sums <= 0.0
-        if dead.any():
-            prod[dead] = b0.values[dead]
-            sums[dead] = 1.0
-        out.append(b.replace_values(prod / sums[:, None]))
+    if not blocks:
+        return []
+    q, starts = _stack(blocks)
+    q0, _ = _stack(init)
+    return _unstack(_normalize(q * q0, q0, starts), blocks)
+
+
+def _stack(blocks: Sequence[ConfidenceBlock]) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks side by side as one (n, sum u) array, plus each block's first column."""
+    sizes = [b.u for b in blocks]
+    starts = np.cumsum([0] + sizes[:-1])
+    return np.hstack([b.values for b in blocks]), starts
+
+
+def _unstack(q: np.ndarray, blocks: Sequence[ConfidenceBlock]) -> list[ConfidenceBlock]:
+    """Split stacked columns back into blocks shaped and named like ``blocks``."""
+    out, pos = [], 0
+    for b in blocks:
+        out.append(b.replace_values(q[:, pos:pos + b.u]))
+        pos += b.u
     return out
+
+
+def _propagate(graph: WeightGraph, q: np.ndarray) -> np.ndarray:
+    """H @ q for stacked confidences: one gather-and-sum over all CFs."""
+    return np.einsum("nk,nku->nu", graph.weights, q[graph.neighbors])
+
+
+def _normalize(q: np.ndarray, q0: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Row-normalize each CF's column segment of ``q``.
+
+    A segment row whose sum is not positive becomes the matching
+    segment row of ``q0`` instead.
+    """
+    sums = np.add.reduceat(q, starts, axis=1)
+    dead = sums <= 0.0
+    sizes = np.diff(np.append(starts, q.shape[1]))
+    if dead.any():
+        q = np.where(np.repeat(dead, sizes, axis=1), q0, q)
+        sums[dead] = 1.0
+    return q / np.repeat(sums, sizes, axis=1)
 
 
 def hard_from_blocks(blocks: Sequence[ConfidenceBlock]) -> np.ndarray:
@@ -220,15 +259,18 @@ def run_proposed(
     """
     if T < 1:
         raise DataError("T must be >= 1")
+    if not 0.0 <= gamma <= 1.0:
+        raise DataError(f"gamma must lie in [0, 1], got {gamma}")
     init = init_marginal(ds)
+    q0, starts = _stack(init)
 
     def one_round(graph: WeightGraph, round_idx: int) -> list[ConfidenceBlock]:
-        blocks = init
+        q = q0
         for t in range(1, T + 1):
-            blocks = correct(propagate_step(graph, blocks), init)
+            q = _normalize(_propagate(graph, q) * q0, q0, starts)
             if hook is not None:
-                hook("iteration", round_idx, t, blocks)
-        return blocks
+                hook("iteration", round_idx, t, _unstack(q, init))
+        return _unstack(q, init)
 
     graph1 = build_graph(enc_of, k, cache_dir=cache_dir)
     if hook is not None:
@@ -290,13 +332,11 @@ def run_ipal(
         raise DataError("alpha must lie in (0, 1)")
     graph = build_graph(enc_of, k, cache_dir=cache_dir)
     init = init_marginal(ds)
-    blocks = init
+    q0, starts = _stack(init)
+    q = q0
     for _ in range(T):
-        propagated = propagate_step(graph, blocks)
-        blocks = [
-            b.replace_values(_renormalize(alpha * b.values + (1.0 - alpha) * b0.values))
-            for b, b0 in zip(propagated, init)
-        ]
+        q = _normalize(alpha * _propagate(graph, q) + (1.0 - alpha) * q0, q0, starts)
+    blocks = _unstack(q, init)
     return EstimationResult(
         confidences=tuple(blocks),
         hard_estimates=hard_from_blocks(blocks),
@@ -352,7 +392,3 @@ def run_ipal_split(
         method="ipal",
         hyperparams={"T": T, "k": k, "alpha": alpha, "split": True},
     )
-
-
-def _renormalize(vals: np.ndarray) -> np.ndarray:
-    return vals / vals.sum(axis=1, keepdims=True)

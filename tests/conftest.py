@@ -36,3 +36,30 @@ def build_dataset(schema, n, seed=0, cf_truth=None):
 @pytest.fixture
 def tiny_dataset(tiny_schema):
     return build_dataset(tiny_schema, 40, seed=1)
+
+
+@pytest.fixture(scope="session")
+def bank_like_rounds():
+    """Both estimation rounds on ``make_bank_like(300)`` at k=20, T=20.
+
+    Returns the dataset, the round-1 and round-2 encodings, the graph of
+    each round and the confidence blocks after the last step of each
+    round, as ``run_proposed`` reports them through its hook.
+    """
+    from compfeat.encoding import encode_of, encode_with_confidence
+    from compfeat.oracle import make_bank_like
+    from compfeat.propagation import run_proposed
+
+    ds, _ = make_bank_like(300, seed=0)
+    enc1 = encode_of(ds)
+    graphs, last = {}, {}
+
+    def hook(kind, round_idx, *payload):
+        if kind == "graph":
+            graphs[round_idx] = payload[0]
+        elif payload[0] == 20:
+            last[round_idx] = payload[1]
+
+    run_proposed(ds, enc1, T=20, k=20, gamma=0.25, hook=hook)
+    enc2 = encode_with_confidence(enc1, last[1], 0.25)
+    return ds, enc1, enc2, graphs, last

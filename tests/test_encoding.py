@@ -5,7 +5,7 @@ import pytest
 
 from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
 from compfeat.encoding import encode_of, encode_with_confidence
-from compfeat.errors import ShapeMismatchError
+from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.propagation import ConfidenceBlock, init_marginal
 
 from conftest import build_dataset
@@ -140,5 +140,7 @@ class TestEncodeWithConfidence:
 
     def test_rejects_bad_gamma(self):
         _, enc, blocks = self.make(n=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="gamma"):
             encode_with_confidence(enc, blocks, gamma=1.5)
+        with pytest.raises(DataError, match="gamma"):
+            encode_with_confidence(enc, blocks, gamma=-1.0)

@@ -6,6 +6,7 @@ import pytest
 from compfeat.errors import DataError
 from compfeat.graph import (
     WeightGraph,
+    _solve_simplex_qp,
     build_graph,
     content_hash,
     kkt_residual,
@@ -139,6 +140,33 @@ class TestSolveWeights:
         np.testing.assert_array_equal(a.weights, b.weights)
 
 
+    def test_warm_start_matches_cold_active_set(self, bank_like_rounds):
+        """make_bank_like(300) encodings at k=20 (rank-deficient Grams in
+        round 1, d=10), plus round 1 with 25 coincident rows: the
+        warm-started solve reaches the objective of the uniform-start
+        active set, and degenerate rows keep uniform weights."""
+        _, enc1, enc2, _, _ = bank_like_rounds
+        collapsed = np.array(enc1.values)
+        collapsed[:25] = collapsed[0]
+        degenerate_seen = 0
+        for x in (enc1.values, enc2.values, collapsed):
+            nb = knn(x, 20)
+            g = solve_weights(x, nb)
+            a = x[nb]
+            gram = a @ a.transpose(0, 2, 1)
+            c = (a * x[:, None, :]).sum(axis=-1)
+            for i in range(x.shape[0]):
+                cold = _solve_simplex_qp(gram[i], c[i])
+                warm_err = ((x[i] - g.weights[i] @ a[i]) ** 2).sum()
+                cold_err = ((x[i] - cold @ a[i]) ** 2).sum()
+                assert abs(warm_err - cold_err) <= 1e-12
+            assert optimality_gap(x, g).max() <= 1e-8
+            degenerate = (a.max(axis=1) == a.min(axis=1)).all(axis=1)
+            np.testing.assert_array_equal(g.weights[degenerate], 1.0 / 20)
+            degenerate_seen += int(degenerate.sum())
+        assert degenerate_seen > 0
+
+
 class TestWeightGraphType:
     def test_rejects_self_loops(self):
         with pytest.raises(DataError, match="self"):
@@ -155,6 +183,14 @@ class TestWeightGraphType:
         h /= h.sum(axis=1, keepdims=True)
         g = WeightGraph.from_dense(h)
         np.testing.assert_allclose(g.to_dense(), h, atol=1e-12)
+
+    def test_dense_round_trip_pads_with_unused_indices(self):
+        # Row 0 needs padding and its naive pad index (i+1) % n = 1 is
+        # already its neighbor.
+        h = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+        g = WeightGraph.from_dense(h)
+        assert g.k == 2
+        np.testing.assert_array_equal(g.to_dense(), h)
 
     def test_immutable(self):
         g = WeightGraph(neighbors=np.array([[1], [0]]), weights=np.array([[1.0], [1.0]]))

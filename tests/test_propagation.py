@@ -5,7 +5,8 @@ import pytest
 
 from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
 from compfeat.encoding import encode_of
-from compfeat.errors import ShapeMismatchError
+from compfeat import propagation
+from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.graph import WeightGraph
 from compfeat.propagation import (
     ConfidenceBlock,
@@ -36,6 +37,25 @@ def cf_schema(*cards, n_of=1):
 def observed_dataset(cards, n, seed=0):
     ds = build_dataset(cf_schema(*cards), n, seed=seed)
     return synthesize_cf(ds, seed=seed)
+
+
+def reference_round(graph, init_vals, T):
+    """T propagate+correct steps, one CF block and one neighbor slot at a time."""
+    qs = list(init_vals)
+    for _ in range(T):
+        nxt = []
+        for q, q0 in zip(qs, init_vals):
+            prop = np.zeros_like(q)
+            for slot in range(graph.k):
+                prop += graph.weights[:, slot, None] * q[graph.neighbors[:, slot]]
+            prod = prop * q0
+            sums = prod.sum(axis=1)
+            dead = sums <= 0.0
+            prod[dead] = q0[dead]
+            sums[dead] = 1.0
+            nxt.append(prod / sums[:, None])
+        qs = nxt
+    return qs
 
 
 def swap_graph():
@@ -98,6 +118,10 @@ class TestPropagateStep:
         with pytest.raises(ShapeMismatchError):
             propagate_step(swap_graph(), [block])
 
+    def test_no_blocks(self):
+        assert propagate_step(swap_graph(), []) == []
+        assert correct([], []) == []
+
 
 class TestCorrect:
     def test_worked_example(self):
@@ -137,6 +161,38 @@ class TestCorrect:
         out = correct(blocks, init)[0]
         np.testing.assert_array_equal(out.values, [[0.5, 0.0, 0.5]])
 
+    def test_vanishing_product_with_three_values(self):
+        """u=3, k=1 graph 0->1, 1->2, 2->1, observed codes 1, 2, 3: after
+        step 1 rows 1 and 2 are one-hot on code 1, row 0's observed
+        value, so at step 2 row 0's product sums to exactly 0."""
+        ds = Dataset(
+            schema=cf_schema(3),
+            of_values=(np.array([0.0, 2.0, 3.0]),),
+            labels=np.array([1, 2, 1]),
+            cf_truth=np.array([[2], [3], [1]]),
+            cf_observed=np.array([[1], [2], [3]]),
+        )
+        init = init_marginal(ds)
+        g = WeightGraph(neighbors=np.array([[1], [2], [1]]), weights=np.ones((3, 1)))
+        step1 = correct(propagate_step(g, init), init)
+        assert (propagate_step(g, step1)[0].values[0] * init[0].values[0]).sum() == 0.0
+        step2 = correct(propagate_step(g, step1), init)
+        np.testing.assert_array_equal(step2[0].values[0], init[0].values[0])
+
+        # The same case through run_proposed's stacked kernel: the 1-D OF
+        # positions 0, 2, 3 give exactly that k=1 graph in round 1.
+        seen = {}
+
+        def hook(kind, round_idx, *payload):
+            if round_idx == 1:
+                seen[(kind,) + payload[:-1]] = payload[-1]
+
+        run_proposed(ds, encode_of(ds), T=2, k=1, gamma=0.25, hook=hook)
+        np.testing.assert_array_equal(seen[("graph",)].neighbors, g.neighbors)
+        np.testing.assert_array_equal(seen[("iteration", 1)][0].values, step1[0].values)
+        np.testing.assert_array_equal(seen[("iteration", 2)][0].values[0],
+                                      init[0].values[0])
+
 
 class TestHardEstimates:
     def test_argmax_with_low_code_ties(self):
@@ -145,6 +201,32 @@ class TestHardEstimates:
 
 
 class TestRunProposed:
+    @pytest.mark.parametrize("gamma", [-0.5, 1.5, float("nan")])
+    def test_bad_gamma_rejected_before_any_graph(self, gamma, monkeypatch):
+        ds = observed_dataset([3], 20, seed=19)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built before gamma was checked")
+
+        monkeypatch.setattr(propagation, "build_graph", no_graph)
+        with pytest.raises(DataError, match="gamma"):
+            run_proposed(ds, encode_of(ds), T=3, k=4, gamma=gamma)
+
+    def test_stacked_kernel_matches_per_block_reference(self, bank_like_rounds):
+        """make_bank_like(300), both rounds, T=20: the stacked kernel and
+        the public per-step functions agree with a plain per-block loop."""
+        ds, _, _, graphs, last = bank_like_rounds
+        init = init_marginal(ds)
+        for round_idx in (1, 2):
+            g = graphs[round_idx]
+            expected = reference_round(g, [b.values for b in init], 20)
+            blocks = init
+            for _ in range(20):
+                blocks = correct(propagate_step(g, blocks), init)
+            for got, public, ref in zip(last[round_idx], blocks, expected, strict=True):
+                np.testing.assert_allclose(got.values, ref, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(public.values, ref, rtol=0, atol=1e-12)
+
     def test_gamma_zero_collapses_to_single_round(self):
         """With gamma=0 the second-round graph equals the first, and the
         restart makes the output identical to one T-iteration round."""
