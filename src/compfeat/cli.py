@@ -32,11 +32,12 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import oracle as oracle_mod
+from . import propagation
 from .data import Dataset, load_csv, load_schema, split_train_test, synthesize_cf, write_csv
 from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
-from .predictor import assemble, predict, train
+from .predictor import MODES, assemble, predict, train
 from .propagation import (
     EstimationResult,
     init_marginal,
@@ -47,7 +48,6 @@ from .propagation import (
 )
 
 METHODS = ("proposed", "comp", "ipal")
-MODES = ("ord", "comp", "soft", "hard")
 
 
 @dataclass
@@ -152,26 +152,44 @@ def _apply(cfg: ExperimentConfig, key: str, value, known):
 # Shared pipeline pieces
 
 
-def experiment_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
-    """Load, synthesize observations, and optionally subsample, per seed."""
+def load_source(cfg: ExperimentConfig) -> Dataset:
+    """Read the schema and the source CSV; done once per command."""
     if not cfg.data or not cfg.schema:
         raise ConfigError("config needs both 'data' and 'schema' paths")
-    schema = load_schema(cfg.schema)
-    ds = load_csv(cfg.data, schema)
-    ds = synthesize_cf(ds, seed)
-    if cfg.max_n and cfg.max_n < ds.n:
+    return load_csv(cfg.data, load_schema(cfg.schema))
+
+
+def subsamples(cfg: ExperimentConfig, source: Dataset) -> bool:
+    """Whether each seed draws its own subset of the source rows."""
+    return bool(cfg.max_n) and cfg.max_n < source.n
+
+
+def experiment_dataset(cfg: ExperimentConfig, source: Dataset, seed: int) -> Dataset:
+    """Synthesize observations, and optionally subsample, per seed."""
+    ds = synthesize_cf(source, seed)
+    if subsamples(cfg, source):
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(ds.n, size=cfg.max_n, replace=False))
         ds = ds.subset(keep)
     return ds
 
 
-def run_method(cfg: ExperimentConfig, ds: Dataset, seed: int) -> EstimationResult:
+def shared_of_graph(cfg: ExperimentConfig, source: Dataset,
+                    k: int) -> propagation.WeightGraph | None:
+    """The round-1 graph every seed shares (synthesis never changes the
+    OFs), or None when each seed subsamples its own rows."""
+    if subsamples(cfg, source):
+        return None
+    return propagation.build_graph(encode_of(source), k)
+
+
+def run_method(cfg: ExperimentConfig, ds: Dataset, seed: int,
+               of_graph: propagation.WeightGraph | None = None) -> EstimationResult:
     enc = encode_of(ds)
     if cfg.method == "proposed":
-        result = run_proposed(ds, enc, T=cfg.T, k=cfg.k, gamma=cfg.gamma)
+        result = run_proposed(ds, enc, T=cfg.T, k=cfg.k, gamma=cfg.gamma, of_graph=of_graph)
     elif cfg.method == "ipal":
-        result = run_ipal(ds, enc, T=cfg.T, k=cfg.k, alpha=cfg.alpha)
+        result = run_ipal(ds, enc, T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
     else:
         result = run_comp(ds, seed)
     if cfg.estimate_only:
@@ -238,9 +256,10 @@ def _sha256_file(path: str) -> str:
 
 def cmd_prepare(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
+    source = load_source(cfg)
     files = {}
     for seed in cfg.seeds:
-        ds = experiment_dataset(cfg, seed)
+        ds = experiment_dataset(cfg, source, seed)
         name = f"prepared_seed{seed}.csv"
         path = os.path.join(cfg.out, name)
         write_csv(ds, path, observed_columns=True)
@@ -258,9 +277,11 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
+    source = load_source(cfg)
+    of_graph = shared_of_graph(cfg, source, cfg.k) if cfg.method != "comp" else None
     for seed in cfg.seeds:
-        ds = experiment_dataset(cfg, seed)
-        result = run_method(cfg, ds, seed)
+        ds = experiment_dataset(cfg, source, seed)
+        result = run_method(cfg, ds, seed, of_graph)
         fingerprint = input_fingerprint(ds, {"seed": seed, "max_n": cfg.max_n})
         path = result_path(cfg, cfg.method, seed)
         result.save(path, include_confidences=cfg.save_confidences,
@@ -270,14 +291,15 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
+    source = load_source(cfg)
+    datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
     per_method: dict[str, list] = {}
     for method in METHODS:
         paths = [result_path(cfg, method, s) for s in cfg.seeds]
         if not all(os.path.exists(p) for p in paths):
             continue
         per_seed = []
-        for seed, path in zip(cfg.seeds, paths):
-            ds = experiment_dataset(cfg, seed)
+        for ds, path in zip(datasets, paths):
             result = EstimationResult.load(path)
             if not result.confidences:
                 raise DataError(
@@ -299,9 +321,10 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
 
 def cmd_predict(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
+    source = load_source(cfg)
     f1s = []
     for seed in cfg.seeds:
-        ds = experiment_dataset(cfg, seed)
+        ds = experiment_dataset(cfg, source, seed)
         result = None
         if cfg.mode in ("soft", "hard"):
             path = result_path(cfg, cfg.method, seed)
@@ -369,14 +392,18 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
     except ValueError:
         raise ConfigError(f"bad sweep value for axis {axis!r}") from None
 
+    source = load_source(cfg)
+    datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
+    encodings = [encode_of(ds) for ds in datasets]
+    of_graphs: dict[int, propagation.WeightGraph | None] = {}  # by k
     curve = []
     for value in points:
+        params = {"T": cfg.T, "k": cfg.k, "gamma": cfg.gamma, axis: value}
+        if params["k"] not in of_graphs:
+            of_graphs[params["k"]] = shared_of_graph(cfg, source, params["k"])
         accs = []
-        for seed in cfg.seeds:
-            ds = experiment_dataset(cfg, seed)
-            enc = encode_of(ds)
-            params = {"T": cfg.T, "k": cfg.k, "gamma": cfg.gamma, axis: value}
-            result = run_proposed(ds, enc, **params)
+        for ds, enc in zip(datasets, encodings):
+            result = run_proposed(ds, enc, **params, of_graph=of_graphs[params["k"]])
             scores = score_cf(result, ds.cf_truth)
             accs.append(float(np.mean([s.acc for s in scores])))
         curve.append({"value": value, "mean_acc": float(np.mean(accs)),

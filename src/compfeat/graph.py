@@ -19,15 +19,22 @@ its Gram and a sort-based projection onto the simplex.  The warm start
 is usually on or next to the optimal support, so the per-row loop
 mostly ends after one or two equality solves.
 
+Neighbors are ranked by the exact squared distances
+``((x_i - x_j) ** 2).sum()``, ties by ascending index.  Per block of 64
+rows, GEMM distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j pick 2k candidates,
+which a stable sort re-ranks by exact distance.  Both distances lie
+within (d + 2) u (|x_i| + |x_j|)^2 of the real one (u = eps / 2, any
+summation order), so the candidates hold the k nearest when the GEMM
+gap between the k-th and (2k+1)-th exceeds 2 (2d + 4) eps
+(|x_i| + max |x|)^2, a factor-2 margin; other rows (ties or near ties at
+the k-th place, large common offsets) rank all n rows exactly.
+
 The graph is row-stochastic with an empty diagonal and is computed once
 per propagation round, never per iteration.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +44,6 @@ from .errors import DataError, ShapeMismatchError
 
 _KNN_BLOCK = 64
 _WARM_STEPS = 200  # batched FISTA steps before the exact active-set solve
-
-_MAGIC = b"CFWG"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -106,24 +110,37 @@ class WeightGraph:
 def knn(enc: EncodedMatrix | np.ndarray, k: int) -> np.ndarray:
     """Exact Euclidean k-NN indices, self excluded.
 
-    Distance ties break by ascending index (stable sort).  The effective
-    k is min(k, n-1).
+    Distance ties break by ascending index (the module docstring gives
+    the exactness contract).  The effective k is min(k, n-1).
     """
     x = enc.values if isinstance(enc, EncodedMatrix) else x_arr(enc)
-    n = x.shape[0]
+    n, d = x.shape
     if n < 2:
         raise DataError("k-NN needs at least 2 instances")
     if k < 1:
         raise DataError("k must be positive")
     k_eff = min(k, n - 1)
+    c = min(2 * k_eff, n - 1)  # candidates per row
+    sq = np.einsum("ij,ij->i", x, x)
+    norms = np.sqrt(sq)
+    err = (2 * d + 4) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
     out = np.empty((n, k_eff), dtype=np.int64)
     for start in range(0, n, _KNN_BLOCK):
-        stop = min(start + _KNN_BLOCK, n)
-        diff = x[start:stop, None, :] - x[None, :, :]
-        d2 = (diff * diff).sum(axis=-1)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :k_eff]
+        rows = np.arange(start, min(start + _KNN_BLOCK, n))
+        local = rows - start
+        approx = sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
+        approx[local, rows] = np.inf
+        part = np.argpartition(approx, (k_eff - 1, c), axis=1)
+        # Every index outside the first c is farther, exactly, than the
+        # k-th nearest when the approximate gap exceeds twice the bound.
+        certified = approx[local, part[:, c]] - approx[local, part[:, k_eff - 1]] > 2.0 * err[rows]
+        cand = np.sort(part[:, :c], axis=1)
+        order = np.argsort(((x[rows, None, :] - x[cand]) ** 2).sum(axis=-1), axis=1, kind="stable")
+        out[rows] = np.take_along_axis(cand, order[:, :k_eff], axis=1)
+        for i in rows[~certified]:
+            d2 = ((x[i] - x) ** 2).sum(axis=-1)
+            d2[i] = np.inf
+            out[i] = np.argsort(d2, kind="stable")[:k_eff]
     return out
 
 
@@ -307,56 +324,6 @@ def _weight_gradients(enc, g: WeightGraph) -> np.ndarray:
     return gram_h - (a * x[:, None, :]).sum(axis=-1)
 
 
-def build_graph(enc: EncodedMatrix, k: int, cache_dir: str | None = None) -> WeightGraph:
-    """k-NN search followed by weight solving, with an optional file cache."""
-    if cache_dir is not None:
-        key = content_hash(enc)
-        path = os.path.join(cache_dir, f"graph_{key[:16]}_k{k}.bin")
-        if os.path.exists(path):
-            return load_graph(path, expected_hash=key)
-        g = solve_weights(enc, knn(enc, k))
-        os.makedirs(cache_dir, exist_ok=True)
-        save_graph(g, path, content_key=key)
-        return g
+def build_graph(enc: EncodedMatrix, k: int) -> WeightGraph:
+    """k-NN search followed by weight solving."""
     return solve_weights(enc, knn(enc, k))
-
-
-def content_hash(enc: EncodedMatrix) -> str:
-    """Hex digest identifying the encoded matrix contents and layout."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<QQ", enc.n, enc.dim))
-    for name in sorted(enc.blocks):
-        start, stop = enc.blocks[name]
-        h.update(name.encode("utf-8") + struct.pack("<QQ", start, stop))
-    h.update(np.ascontiguousarray(enc.values).tobytes())
-    return h.hexdigest()
-
-
-def save_graph(g: WeightGraph, path, content_key: str = ""):
-    """Write the little-endian binary layout: magic, version, key, n, k, data."""
-    key = bytes.fromhex(content_key) if content_key else b"\x00" * 32
-    if len(key) != 32:
-        raise DataError("content key must be a 32-byte hex digest")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", _VERSION))
-        fh.write(key)
-        fh.write(struct.pack("<QI", g.n, g.k))
-        fh.write(g.neighbors.astype("<u4").tobytes())
-        fh.write(g.weights.astype("<f8").tobytes())
-
-
-def load_graph(path, expected_hash: str | None = None) -> WeightGraph:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DataError(f"{path}: not a weight-graph file")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        key = fh.read(32).hex()
-        n, k = struct.unpack("<QI", fh.read(12))
-        if expected_hash is not None and key != expected_hash:
-            raise DataError(f"{path}: cache key mismatch")
-        nb = np.frombuffer(fh.read(4 * n * k), dtype="<u4").reshape(n, k)
-        w = np.frombuffer(fh.read(8 * n * k), dtype="<f8").reshape(n, k)
-    return WeightGraph(neighbors=nb.astype(np.int64), weights=w.astype(np.float64))

@@ -88,17 +88,7 @@ def init_joint(ds: Dataset, cap: int = JOINT_CARDINALITY_CAP) -> JointConfidence
     """Uniform mass over CF tuples componentwise different from the observation."""
     if ds.cf_observed is None:
         raise MissingTruthError("init_joint needs observed CF values")
-    cards = tuple(c.size for c in ds.schema.cf_columns)
-    card = int(np.prod(cards))
-    if card > cap:
-        raise CardinalityCapError(f"joint cardinality {card} exceeds cap {cap}")
-    mass = 1.0 / np.prod([u - 1 for u in cards])
-    values = np.full((ds.n, card), mass)
-    grid = np.stack(np.unravel_index(np.arange(card), cards), axis=1) + 1  # (card, F)
-    for j in range(len(cards)):
-        clash = grid[None, :, j] == ds.cf_observed[:, j, None]
-        values[clash] = 0.0
-    return JointConfidence(cards=cards, values=values)
+    return joint_init_from_codes(ds.cf_observed, [c.size for c in ds.schema.cf_columns], cap)
 
 
 def propagate_joint(graph: WeightGraph | np.ndarray, q: JointConfidence, T: int) -> JointConfidence:

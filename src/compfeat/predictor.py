@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .encoding import EncodedMatrix, encode_of
+from .encoding import EncodedMatrix, _one_hot, encode_of
 from .errors import DataError, ShapeMismatchError, SingleClassError
 from .propagation import EstimationResult, init_marginal
 
@@ -103,12 +103,6 @@ def assemble(
         blocks[col.name] = (pos, pos + col.size)
         pos += col.size
     return DesignMatrix(values=np.hstack(parts), blocks=blocks, mode=mode)
-
-
-def _one_hot(codes: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((codes.shape[0], size))
-    out[np.arange(codes.shape[0]), codes - 1] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------

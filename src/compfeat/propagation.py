@@ -13,7 +13,9 @@ initial matrix, then row normalization.
 The full procedure runs two rounds: round 1 propagates on the OF-only
 encoding; round 2 rebuilds the graph with the round-1 confidences
 appended as gamma-weighted coordinates, resets the blocks to their
-initial state, and propagates again.
+initial state, and propagates again.  The round-1 graph depends only on
+the OFs and k, so callers running several seeds on the same rows build
+it once and pass it in as ``of_graph``.
 
 Inside the procedures the CF blocks are stacked side by side into one
 (n, sum u_j) array with column offsets, so a step is one neighbor
@@ -116,8 +118,8 @@ class EstimationResult:
         if extra:
             doc.update(extra)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            # json.dumps, unlike json.dump, runs the C encoder.
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "EstimationResult":
@@ -199,6 +201,7 @@ def correct(blocks: Sequence[ConfidenceBlock], init: Sequence[ConfidenceBlock]) 
 
 def _stack(blocks: Sequence[ConfidenceBlock]) -> tuple[np.ndarray, np.ndarray]:
     """Blocks side by side as one (n, sum u) array, plus each block's first column."""
+    _require_cfs(blocks)
     sizes = [b.u for b in blocks]
     starts = np.cumsum([0] + sizes[:-1])
     return np.hstack([b.values for b in blocks]), starts
@@ -235,11 +238,27 @@ def _normalize(q: np.ndarray, q0: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def hard_from_blocks(blocks: Sequence[ConfidenceBlock]) -> np.ndarray:
     """Row argmax per CF as 1-based codes; ties go to the lowest code."""
+    _require_cfs(blocks)
     return np.column_stack([b.values.argmax(axis=1) + 1 for b in blocks])
+
+
+def _require_cfs(blocks: Sequence[ConfidenceBlock]):
+    if not blocks:
+        raise DataError("the schema has no CF columns to estimate")
 
 
 # ---------------------------------------------------------------------------
 # Full procedures
+
+
+def _of_graph(enc_of: EncodedMatrix, k: int, of_graph: WeightGraph | None) -> WeightGraph:
+    """``of_graph`` after a shape check, or the graph of ``enc_of`` when it is None."""
+    if of_graph is None:
+        return build_graph(enc_of, k)
+    if (of_graph.n, of_graph.k) != (enc_of.n, min(k, enc_of.n - 1)):
+        raise ShapeMismatchError(f"round-1 graph is {of_graph.n} x {of_graph.k}, "
+                                 f"expected {enc_of.n} x {min(k, enc_of.n - 1)}")
+    return of_graph
 
 
 def run_proposed(
@@ -248,11 +267,13 @@ def run_proposed(
     T: int,
     k: int,
     gamma: float,
-    cache_dir: str | None = None,
+    of_graph: WeightGraph | None = None,
     hook: TraceHook | None = None,
 ) -> EstimationResult:
     """Two-round graph-based estimation of every CF's exact value.
 
+    ``of_graph`` is the round-1 graph of ``enc_of`` at this ``k``, as
+    :func:`build_graph` returns it; it is built here when omitted.
     ``hook(event, ...)`` receives ``("graph", round_idx, graph)`` after
     each graph build and ``("iteration", round_idx, t, blocks)`` after
     each correction, for instrumentation.
@@ -272,13 +293,13 @@ def run_proposed(
                 hook("iteration", round_idx, t, _unstack(q, init))
         return _unstack(q, init)
 
-    graph1 = build_graph(enc_of, k, cache_dir=cache_dir)
+    graph1 = _of_graph(enc_of, k, of_graph)
     if hook is not None:
         hook("graph", 1, graph1)
     round1 = one_round(graph1, 1)
 
     enc2 = encode_with_confidence(enc_of, round1, gamma)
-    graph2 = build_graph(enc2, k, cache_dir=cache_dir)
+    graph2 = build_graph(enc2, k)
     if hook is not None:
         hook("graph", 2, graph2)
     round2 = one_round(graph2, 2)
@@ -319,20 +340,21 @@ def run_ipal(
     T: int,
     k: int,
     alpha: float,
-    cache_dir: str | None = None,
+    of_graph: WeightGraph | None = None,
 ) -> EstimationResult:
     """Re-anchored propagation baseline, run transductively.
 
     Single round on the OF graph with the affine update
     Q^(t) = alpha H Q^(t-1) + (1 - alpha) Q^(0) and no correction step;
     the affine map preserves row sums analytically, and the final blocks
-    are row-normalized to guard against drift.
+    are row-normalized to guard against drift.  ``of_graph`` is as in
+    :func:`run_proposed`.
     """
     if not 0.0 < alpha < 1.0:
         raise DataError("alpha must lie in (0, 1)")
-    graph = build_graph(enc_of, k, cache_dir=cache_dir)
     init = init_marginal(ds)
     q0, starts = _stack(init)
+    graph = _of_graph(enc_of, k, of_graph)
     q = q0
     for _ in range(T):
         q = _normalize(alpha * _propagate(graph, q) + (1.0 - alpha) * q0, q0, starts)

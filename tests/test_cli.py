@@ -1,8 +1,71 @@
+import json
 import os
 
+import numpy as np
+import pytest
+
+from compfeat import propagation
 from compfeat.cli import main
-from compfeat.data import save_schema, write_csv
+from compfeat.data import (
+    Column,
+    Dataset,
+    FeatureSchema,
+    load_csv,
+    load_schema,
+    save_schema,
+    synthesize_cf,
+    write_csv,
+)
+from compfeat.encoding import encode_of
+from compfeat.metrics import score_cf
 from compfeat.oracle import make_bank_like
+from compfeat.propagation import EstimationResult, run_proposed
+
+SEEDS = (0, 1, 2)
+SMALL = ("--k", "8", "--T", "5")
+
+
+@pytest.fixture
+def bank_csv(tmp_path):
+    """A make_bank_like(60) CSV and its schema; returns the common CLI flags."""
+    ds, _ = make_bank_like(60, seed=0)
+    data, schema = tmp_path / "data.csv", tmp_path / "data.schema"
+    write_csv(ds, data)
+    save_schema(ds.schema, schema)
+    return ["--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "out")]
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Counts every graph built through ``propagation.build_graph``."""
+    calls = []
+    build = propagation.build_graph
+
+    def counting(enc, k):
+        calls.append(k)
+        return build(enc, k)
+
+    monkeypatch.setattr(propagation, "build_graph", counting)
+    return calls
+
+
+def seed_dataset(flags, seed, max_n=0):
+    """The per-seed dataset, derived here without the CLI helpers."""
+    paths = dict(zip(flags[::2], flags[1::2]))
+    ds = synthesize_cf(load_csv(paths["--data"], load_schema(paths["--schema"])), seed)
+    if max_n:
+        keep = np.sort(np.random.default_rng(seed).choice(ds.n, size=max_n, replace=False))
+        ds = ds.subset(keep)
+    return ds
+
+
+def out_file(flags, name):
+    return os.path.join(flags[flags.index("--out") + 1], name)
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def test_predict_creates_output_directory(tmp_path):
@@ -15,3 +78,99 @@ def test_predict_creates_output_directory(tmp_path):
                  "--seed", "0", "--out", str(out)])
     assert code == 0
     assert os.path.exists(out / "prediction_ord.json")
+
+
+class TestRoundOneReuse:
+    @pytest.mark.parametrize("max_n, builds", [(0, 1 + len(SEEDS)), (40, 2 * len(SEEDS))])
+    def test_estimate_matches_per_seed_runs(self, bank_csv, graph_builds, max_n, builds):
+        """Without subsampling the seeds share one round-1 graph; with it
+        each seed builds its own.  Either way every file equals a
+        ``run_proposed`` call that builds both of its graphs itself."""
+        seeds = ",".join(map(str, SEEDS))
+        args = ["estimate", "--seed", seeds, "--max-n", str(max_n), *SMALL, *bank_csv]
+        assert main(args) == 0
+        assert len(graph_builds) == builds
+        for seed in SEEDS:
+            ds = seed_dataset(bank_csv, seed, max_n)
+            expected = run_proposed(ds, encode_of(ds), T=5, k=8, gamma=0.25)
+            got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.json"))
+            np.testing.assert_array_equal(got.hard_estimates, expected.hard_estimates)
+            for a, b in zip(got.confidences, expected.confidences, strict=True):
+                np.testing.assert_array_equal(a.values, b.values)
+
+    def test_sweep_gamma_curve_matches_per_seed_runs(self, bank_csv, graph_builds):
+        gammas = (0.0, 0.5)
+        args = ["sweep", "--axis", "gamma", "--values", "0,0.5", "--seed", "0,1", *SMALL,
+                *bank_csv]
+        assert main(args) == 0
+        assert len(graph_builds) == 1 + len(gammas) * 2
+        curve = read_json(out_file(bank_csv, "sweep_gamma.json"))["curve"]
+        for point, gamma in zip(curve, gammas, strict=True):
+            accs = []
+            for seed in (0, 1):
+                ds = seed_dataset(bank_csv, seed)
+                res = run_proposed(ds, encode_of(ds), T=5, k=8, gamma=gamma)
+                accs.append(float(np.mean([s.acc for s in score_cf(res, ds.cf_truth)])))
+            assert point["mean_acc"] == float(np.mean(accs))
+            assert point["std_acc"] == float(np.std(accs))
+
+
+class TestExitCodes:
+    PIPELINE = (
+        (["prepare"], "manifest.json"),
+        (["estimate", *SMALL], None),
+        (["evaluate"], "evaluation.json"),
+        (["predict", "--mode", "soft"], "prediction_soft.json"),
+        (["sweep", "--axis", "T", "--values", "2,4", "--k", "8"], "sweep_T.json"),
+    )
+
+    def test_pipeline_succeeds_with_identical_hashes(self, bank_csv):
+        hashes = []
+        for _ in range(2):
+            run = {}
+            for command, report in self.PIPELINE:
+                assert main([*command, "--seed", "0,1", *bank_csv]) == 0
+                if report:
+                    run[report] = read_json(out_file(bank_csv, report))["content_hash"]
+            hashes.append(run)
+        assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--T", "0"],
+        ["estimate", "--gamma", "1.5"],
+        ["sweep", "--axis", "alpha", "--values", "0.5"],
+        ["sweep", "--axis", "k", "--values", "five"],
+    ])
+    def test_configuration_errors_exit_2(self, bank_csv, command):
+        assert main([*command, *bank_csv]) == 2
+
+    def test_unknown_config_key_exits_2(self, bank_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("colour = blue\n")
+        assert main(["estimate", "--config", str(cfg), *bank_csv]) == 2
+
+    def test_data_errors_exit_3(self, bank_csv, tmp_path):
+        missing = list(bank_csv)
+        missing[1] = str(tmp_path / "absent.csv")
+        assert main(["estimate", *missing]) == 3
+        assert main(["evaluate", *bank_csv]) == 3
+        assert main(["predict", "--mode", "soft", *bank_csv]) == 3
+
+    def test_schema_without_cfs_exits_3(self, tmp_path):
+        schema = FeatureSchema((Column("x0", "quantitative", "OF"),
+                                Column("y", "binary", "label", ("n", "p"))))
+        ds = Dataset(schema=schema, of_values=(np.linspace(0.0, 1.0, 10),),
+                     labels=np.tile([1, 2], 5), cf_truth=np.zeros((10, 0), dtype=np.int64))
+        write_csv(ds, tmp_path / "d.csv")
+        save_schema(schema, tmp_path / "d.schema")
+        for method in ("proposed", "ipal"):
+            assert main(["estimate", "--method", method, "--k", "3", "--T", "2",
+                         "--data", str(tmp_path / "d.csv"),
+                         "--schema", str(tmp_path / "d.schema"),
+                         "--out", str(tmp_path / "out")]) == 3
+
+    def test_verification_failure_exits_4(self, tmp_path):
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("oracle_equivalence_instances = 2\noracle_monotone_instances = 2\n"
+                       "oracle_bound_instances = 2\noracle_slack = -1\n")
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4

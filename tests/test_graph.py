@@ -2,19 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compfeat.errors import DataError
 from compfeat.graph import (
     WeightGraph,
     _solve_simplex_qp,
     build_graph,
-    content_hash,
     kkt_residual,
     knn,
-    load_graph,
     optimality_gap,
     reconstruction_error,
-    save_graph,
     solve_weights,
 )
 from compfeat.encoding import EncodedMatrix
@@ -61,6 +59,56 @@ class TestKnn:
     def test_k_clipped_to_n_minus_one(self):
         x = np.random.default_rng(1).normal(size=(4, 2))
         assert knn(x, 10).shape == (4, 3)
+
+
+def stable_argsort_knn(x, k):
+    """Every pairwise exact distance, then a stable argsort of each row."""
+    diff = x[:, None, :] - x[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, : min(k, x.shape[0] - 1)]
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """Small matrices whose exact distances tie often, plus a k up to n + 2."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["binary", "one_hot", "duplicated", "sphere", "offset"]))
+    if kind == "binary":
+        x = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+    elif kind == "one_hot":
+        # Encoded categorical OFs: one-hot rows scaled by 1/sqrt(u).
+        x = np.eye(d)[rng.integers(0, d, size=n)] / np.sqrt(d)
+    elif kind == "duplicated":
+        distinct = rng.normal(size=(draw(st.integers(1, 4)), d))
+        x = distinct[rng.integers(0, distinct.shape[0], size=n)]
+    elif kind == "sphere":
+        # Row 0 at the centre of a unit sphere: exact distances to the
+        # other rows differ only by rounding, so they are near ties.
+        x = rng.normal(size=(n, d))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x[0] = 0.0
+        x += draw(st.sampled_from([0.0, 1e2, 1e6]))
+    else:
+        # A large common offset: the GEMM form cancels catastrophically.
+        step = draw(st.sampled_from([1e-3, 0.5, 1.0]))
+        x = draw(st.sampled_from([1e3, 1e6])) + step * rng.integers(0, 3, size=(n, d))
+    return x, draw(st.integers(1, n + 2))
+
+
+class TestKnnExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_rows())
+    def test_matches_stable_argsort_on_ties(self, case):
+        x, k = case
+        np.testing.assert_array_equal(knn(x, k), stable_argsort_knn(x, k))
+
+    def test_bank_like_rounds(self, bank_like_rounds):
+        _, enc1, enc2, _, _ = bank_like_rounds
+        for enc in (enc1, enc2):
+            np.testing.assert_array_equal(knn(enc, 20), stable_argsort_knn(enc.values, 20))
 
 
 class TestSolveWeights:
@@ -197,39 +245,3 @@ class TestWeightGraphType:
         with pytest.raises(ValueError):
             g.weights[0, 0] = 0.5
 
-
-class TestGraphCache:
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(20, 3))
-        enc = EncodedMatrix(values=x, blocks={"x": (0, 3)})
-        g = build_graph(enc, 4)
-        path = tmp_path / "g.bin"
-        save_graph(g, path, content_key=content_hash(enc))
-        loaded = load_graph(path, expected_hash=content_hash(enc))
-        np.testing.assert_array_equal(loaded.neighbors, g.neighbors)
-        np.testing.assert_array_equal(loaded.weights, g.weights)
-
-    def test_hash_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(11)
-        enc = EncodedMatrix(values=rng.normal(size=(10, 2)), blocks={})
-        g = build_graph(enc, 3)
-        path = tmp_path / "g.bin"
-        save_graph(g, path, content_key=content_hash(enc))
-        with pytest.raises(DataError, match="mismatch"):
-            load_graph(path, expected_hash="0" * 64)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(DataError, match="not a weight-graph"):
-            load_graph(path)
-
-    def test_build_graph_uses_cache(self, tmp_path):
-        rng = np.random.default_rng(12)
-        enc = EncodedMatrix(values=rng.normal(size=(30, 3)), blocks={})
-        a = build_graph(enc, 5, cache_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        b = build_graph(enc, 5, cache_dir=str(tmp_path))
-        np.testing.assert_array_equal(a.weights, b.weights)

@@ -7,7 +7,7 @@ from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
 from compfeat.encoding import encode_of
 from compfeat import propagation
 from compfeat.errors import DataError, ShapeMismatchError
-from compfeat.graph import WeightGraph
+from compfeat.graph import WeightGraph, build_graph
 from compfeat.propagation import (
     ConfidenceBlock,
     EstimationResult,
@@ -239,8 +239,6 @@ class TestRunProposed:
         np.testing.assert_array_equal(graphs[0][1].neighbors, graphs[1][1].neighbors)
         np.testing.assert_allclose(graphs[0][1].weights, graphs[1][1].weights, atol=1e-14)
 
-        from compfeat.graph import build_graph
-
         init = init_marginal(ds)
         blocks = init
         g = build_graph(enc, 5)
@@ -294,6 +292,37 @@ class TestRunProposed:
         res_p = run_proposed(permuted, encode_of(permuted), T=5, k=4, gamma=0.25)
         np.testing.assert_allclose(res_p.confidences[0].values,
                                    res.confidences[0].values[perm], atol=1e-9)
+
+
+    def test_of_graph_of_another_shape_rejected(self):
+        ds = observed_dataset([3], 30, seed=20)
+        enc = encode_of(ds)
+        with pytest.raises(ShapeMismatchError, match="round-1 graph"):
+            run_proposed(ds, enc, T=2, k=5, gamma=0.25, of_graph=build_graph(enc, 4))
+        with pytest.raises(ShapeMismatchError, match="round-1 graph"):
+            run_ipal(ds, enc, T=2, k=5, alpha=0.9, of_graph=build_graph(enc, 4))
+
+
+class TestNoCfSchema:
+    """A schema with one OF and no CF columns has nothing to estimate."""
+
+    def dataset(self):
+        schema = FeatureSchema((Column("x0", "quantitative", "OF"),
+                                Column("y", "binary", "label", ("n", "p"))))
+        none = np.zeros((10, 0), dtype=np.int64)
+        return Dataset(schema=schema, of_values=(np.linspace(0.0, 1.0, 10),),
+                       labels=np.tile([1, 2], 5), cf_truth=none, cf_observed=none)
+
+    def test_estimators_raise_data_error(self):
+        ds = self.dataset()
+        with pytest.raises(DataError, match="no CF columns"):
+            run_proposed(ds, encode_of(ds), T=2, k=3, gamma=0.25)
+        with pytest.raises(DataError, match="no CF columns"):
+            run_ipal(ds, encode_of(ds), T=2, k=3, alpha=0.9)
+
+    def test_hard_from_no_blocks_raises_data_error(self):
+        with pytest.raises(DataError, match="no CF columns"):
+            hard_from_blocks([])
 
 
 class TestRunComp:
