@@ -26,14 +26,12 @@ from .graph import WeightGraph, build_graph, knn, solve_weights
 from .metrics import CfScore, aggregate_cf_scores, macro_f1, score_cf, score_labels
 from .predictor import DesignMatrix, LrModel, assemble, predict, train
 from .propagation import (
-    ConfidenceBlock,
     EstimationResult,
     correct,
     init_marginal,
     propagate_step,
     run_comp,
     run_ipal,
-    run_ipal_split,
     run_proposed,
 )
 
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Column",
-    "ConfidenceBlock",
     "CfScore",
     "Dataset",
     "DesignMatrix",
@@ -65,7 +62,6 @@ __all__ = [
     "propagate_step",
     "run_comp",
     "run_ipal",
-    "run_ipal_split",
     "run_proposed",
     "save_schema",
     "score_cf",

@@ -40,7 +40,6 @@ from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_label
 from .predictor import MODES, assemble, predict, train
 from .propagation import (
     EstimationResult,
-    init_marginal,
     input_fingerprint,
     run_comp,
     run_ipal,
@@ -204,28 +203,43 @@ def restrict_to_subset(cfg: ExperimentConfig, ds: Dataset,
     Excluded CFs keep exactly their initial confidences and receive
     seeded random complement guesses as hard estimates.
     """
-    names = {c.name for c in ds.schema.cf_columns}
-    unknown = set(cfg.estimate_only) - names
+    cols = ds.schema.cf_columns
+    unknown = set(cfg.estimate_only) - {c.name for c in cols}
     if unknown:
         raise ConfigError(f"estimate_only names not in schema: {sorted(unknown)}")
     baseline = run_comp(ds, seed)
-    init = init_marginal(ds)
-    blocks = []
-    hard = np.array(result.hard_estimates, copy=True)
-    for j, block in enumerate(result.confidences):
-        if block.name in cfg.estimate_only:
-            blocks.append(block)
-        else:
-            blocks.append(init[j])
-            hard[:, j] = baseline.hard_estimates[:, j]
-    return EstimationResult(confidences=tuple(blocks), hard_estimates=hard,
-                            method=result.method,
-                            hyperparams={**result.hyperparams,
-                                         "estimate_only": sorted(cfg.estimate_only)})
+    kept = np.array([c.name in cfg.estimate_only for c in cols], dtype=bool)
+    return EstimationResult(
+        cf_names=result.cf_names, sizes=result.sizes,
+        confidences=np.where(np.repeat(kept, result.sizes), result.confidences,
+                             baseline.confidences),
+        hard_estimates=np.where(kept, result.hard_estimates, baseline.hard_estimates),
+        method=result.method,
+        hyperparams={**result.hyperparams, "estimate_only": sorted(cfg.estimate_only)})
 
 
 def result_path(cfg: ExperimentConfig, method: str, seed: int) -> str:
     return os.path.join(cfg.out, f"estimate_{method}_seed{seed}.json")
+
+
+def load_result(path: str, ds: Dataset, need_confidences: bool) -> EstimationResult:
+    """Read a saved estimation result and check it against the seed's dataset."""
+    if not os.path.exists(path):
+        raise DataError(f"missing estimation result {path}; run estimate first")
+    result = EstimationResult.load(path)
+    names, sizes = tuple(c.name for c in ds.schema.cf_columns), ds.schema.cf_sizes
+    if (result.cf_names, result.n) != (names, ds.n):
+        raise DataError(f"{path} estimates CFs {list(result.cf_names)} on {result.n} rows; "
+                        f"the dataset has CFs {list(names)} on {ds.n} rows")
+    if result.confidences is None and need_confidences:
+        raise DataError(f"{path} was saved without confidences; rerun estimate "
+                        "with save_confidences = true")
+    if result.sizes not in (None, sizes):
+        raise DataError(f"{path} has CF widths {list(result.sizes)}, the schema has {list(sizes)}")
+    hard = result.hard_estimates
+    if hard.size and (hard.min() < 1 or (hard > np.array(sizes)).any()):
+        raise DataError(f"{path} has hard estimates outside the CF codes")
+    return result
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
@@ -298,15 +312,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
         paths = [result_path(cfg, method, s) for s in cfg.seeds]
         if not all(os.path.exists(p) for p in paths):
             continue
-        per_seed = []
-        for ds, path in zip(datasets, paths):
-            result = EstimationResult.load(path)
-            if not result.confidences:
-                raise DataError(
-                    f"{path} was saved without confidences; rerun estimate "
-                    "with save_confidences = true"
-                )
-            per_seed.append(score_cf(result, ds.cf_truth))
+        per_seed = [score_cf(load_result(path, ds, need_confidences=True), ds.cf_truth)
+                    for ds, path in zip(datasets, paths)]
         per_method[method] = aggregate_cf_scores(per_seed)
     if not per_method:
         raise DataError(f"no estimation results for seeds {cfg.seeds} in {cfg.out}")
@@ -327,10 +334,8 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         ds = experiment_dataset(cfg, source, seed)
         result = None
         if cfg.mode in ("soft", "hard"):
-            path = result_path(cfg, cfg.method, seed)
-            if not os.path.exists(path):
-                raise DataError(f"missing estimation result {path}; run estimate first")
-            result = EstimationResult.load(path)
+            result = load_result(result_path(cfg, cfg.method, seed), ds,
+                                 need_confidences=cfg.mode == "soft")
         design = assemble(ds, cfg.mode, result=result)
         train_idx, test_idx = split_train_test(ds, cfg.fraction, seed)
         model = train(design.values[train_idx], ds.labels[train_idx],

@@ -112,6 +112,11 @@ class FeatureSchema:
         return tuple(c for c in self.columns if c.role == "CF")
 
     @property
+    def cf_sizes(self) -> tuple[int, ...]:
+        """Number of codes of each CF column, in schema order."""
+        return tuple(c.size for c in self.cf_columns)
+
+    @property
     def label_column(self) -> Column:
         return next(c for c in self.columns if c.role == "label")
 
@@ -244,8 +249,9 @@ def save_schema(schema: FeatureSchema, path):
 def load_csv(path, schema: FeatureSchema) -> Dataset:
     """Read an RFC-4180 CSV (UTF-8, header required) against ``schema``.
 
-    Raw values of CF columns populate ``cf_truth``; ``cf_observed`` is
-    left unset until :func:`synthesize_cf`.  Columns in the file but not
+    Raw values of CF columns populate ``cf_truth``, which is (n, 0) when
+    the schema has no CF columns; ``cf_observed`` is left unset until
+    :func:`synthesize_cf`.  Columns in the file but not
     in the schema are ignored.  Missing-value tokens such as ``?`` are
     ordinary vocabulary entries.
     """
@@ -295,11 +301,8 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
         of_values.append(out)
 
     cf_cols = schema.cf_columns
-    cf_truth = None
-    if cf_cols:
-        cf_truth = np.column_stack(
-            [_encode_column(rows, positions[c.name], c) for c in cf_cols]
-        )
+    cf_truth = (np.column_stack([_encode_column(rows, positions[c.name], c) for c in cf_cols])
+                if cf_cols else np.zeros((n, 0), dtype=np.int64))
     labels = _encode_column(rows, positions[schema.label_column.name], schema.label_column)
     return Dataset(schema=schema, of_values=tuple(of_values), labels=labels, cf_truth=cf_truth)
 

@@ -10,24 +10,22 @@ distance on a comparable scale:
 * categorical OF columns become one-hot vectors times 1/sqrt(u), so two
   rows differing only there sit at squared distance 2/u.
 
-For the second estimation round, per-CF confidence rows are appended
-with the same 1/sqrt(u) factor times sqrt(gamma); gamma = 1 reproduces
-one-hot scaling exactly and gamma = 0 contributes nothing to distances.
+For the second estimation round, the stacked per-CF confidence matrix
+is appended with the same 1/sqrt(u) factor per CF segment times
+sqrt(gamma); gamma = 1 reproduces one-hot scaling exactly and gamma = 0
+contributes nothing to distances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Column, Dataset
 from .errors import DataError, ShapeMismatchError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .propagation import ConfidenceBlock
 
 
 @dataclass(frozen=True)
@@ -79,34 +77,39 @@ def encode_of(ds: Dataset) -> EncodedMatrix:
 
 def encode_with_confidence(
     base: EncodedMatrix,
-    conf: Sequence["ConfidenceBlock"],
+    conf: np.ndarray,
+    cf_columns: Sequence[Column],
     gamma: float,
 ) -> EncodedMatrix:
-    """Append per-CF confidence rows scaled by sqrt(gamma) / sqrt(u)."""
+    """Append per-CF confidence rows scaled by sqrt(gamma) / sqrt(u).
+
+    ``conf`` is the stacked (n, sum u_j) confidence matrix: CF j of
+    ``cf_columns`` owns the next ``u_j`` columns, in order, and each of
+    its rows must be stochastic.  The appended block of each CF is
+    named after its column.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise DataError(f"gamma must lie in [0, 1], got {gamma}")
-    parts = [base.values]
+    conf = np.asarray(conf, dtype=np.float64)
+    width = sum(col.size for col in cf_columns)
+    if conf.shape != (base.n, width):
+        raise ShapeMismatchError(
+            f"confidences have shape {conf.shape}, expected ({base.n}, {width})"
+        )
     blocks = dict(base.blocks)
-    pos = base.dim
-    for block in conf:
-        vals = block.values
-        if vals.shape[0] != base.n:
-            raise ShapeMismatchError(
-                f"confidence block {block.name!r} has {vals.shape[0]} rows, "
-                f"encoding has {base.n}"
-            )
-        sums = vals.sum(axis=1)
-        if vals.min() < 0 or np.abs(sums - 1.0).max() > 1e-8:
-            raise ShapeMismatchError(
-                f"confidence block {block.name!r} is not row-stochastic"
-            )
-        if block.name in blocks:
-            raise ShapeMismatchError(f"duplicate block name {block.name!r}")
-        scaled = vals * (math.sqrt(gamma) / math.sqrt(block.u))
-        parts.append(scaled)
-        blocks[block.name] = (pos, pos + block.u)
-        pos += block.u
-    return EncodedMatrix(values=np.hstack(parts), blocks=blocks)
+    scale = np.empty(width)
+    start = 0
+    for col in cf_columns:
+        stop = start + col.size
+        vals = conf[:, start:stop]
+        if vals.min() < 0 or np.abs(vals.sum(axis=1) - 1.0).max() > 1e-8:
+            raise ShapeMismatchError(f"confidences of CF {col.name!r} are not row-stochastic")
+        if col.name in blocks:
+            raise ShapeMismatchError(f"duplicate block name {col.name!r}")
+        blocks[col.name] = (base.dim + start, base.dim + stop)
+        scale[start:stop] = math.sqrt(gamma) / math.sqrt(col.size)
+        start = stop
+    return EncodedMatrix(values=np.hstack([base.values, conf * scale]), blocks=blocks)
 
 
 def _one_hot(codes: np.ndarray, size: int) -> np.ndarray:

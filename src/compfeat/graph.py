@@ -113,7 +113,7 @@ def knn(enc: EncodedMatrix | np.ndarray, k: int) -> np.ndarray:
     Distance ties break by ascending index (the module docstring gives
     the exactness contract).  The effective k is min(k, n-1).
     """
-    x = enc.values if isinstance(enc, EncodedMatrix) else x_arr(enc)
+    x = _vectors(enc)
     n, d = x.shape
     if n < 2:
         raise DataError("k-NN needs at least 2 instances")
@@ -144,8 +144,11 @@ def knn(enc: EncodedMatrix | np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def x_arr(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _vectors(enc: EncodedMatrix | np.ndarray) -> np.ndarray:
+    """The (n, d) instance vectors of an encoding or a plain array."""
+    if isinstance(enc, EncodedMatrix):
+        return enc.values
+    arr = np.asarray(enc, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError("expected a 2-D array of instance vectors")
     return arr
@@ -165,7 +168,7 @@ def solve_weights(enc: EncodedMatrix | np.ndarray, neighbors: np.ndarray) -> Wei
     vectors identical) keep the uniform weights, which are optimal and
     permutation-symmetric there.
     """
-    x = enc.values if isinstance(enc, EncodedMatrix) else x_arr(enc)
+    x = _vectors(enc)
     nb = np.asarray(neighbors, dtype=np.int64)
     n, k = nb.shape
 
@@ -296,7 +299,7 @@ def _equality_solve(gram_s: np.ndarray, c_s: np.ndarray) -> np.ndarray:
 
 def reconstruction_error(enc: EncodedMatrix | np.ndarray, g: WeightGraph) -> np.ndarray:
     """Per-row squared residual ||x_i - sum_k w_ik x_nb||^2."""
-    x = enc.values if isinstance(enc, EncodedMatrix) else x_arr(enc)
+    x = _vectors(enc)
     recon = (g.weights[:, :, None] * x[g.neighbors]).sum(axis=1)
     return ((x - recon) ** 2).sum(axis=1)
 
@@ -318,7 +321,7 @@ def optimality_gap(enc: EncodedMatrix | np.ndarray, g: WeightGraph) -> np.ndarra
 
 
 def _weight_gradients(enc, g: WeightGraph) -> np.ndarray:
-    x = enc.values if isinstance(enc, EncodedMatrix) else x_arr(enc)
+    x = _vectors(enc)
     a = x[g.neighbors]
     gram_h = (a @ a.transpose(0, 2, 1) @ g.weights[..., None])[..., 0]
     return gram_h - (a * x[:, None, :]).sum(axis=-1)

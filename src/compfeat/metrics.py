@@ -9,11 +9,11 @@ entropy of the confidence rows.  Entropies are in nats.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingTruthError
+from .errors import DataError, MissingTruthError
 from .propagation import EstimationResult
 
 CE_CLIP = 1e-12
@@ -34,18 +34,21 @@ def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:
     """Score every CF of an estimation result against hidden truth codes."""
     if truth is None:
         raise MissingTruthError("score_cf needs ground-truth CF values")
+    if result.confidences is None:
+        raise DataError("score_cf needs a result saved with its confidences")
     truth = np.asarray(truth, dtype=np.int64)
     scores = []
-    for j, block in enumerate(result.confidences):
+    for j, name in enumerate(result.cf_names):
+        block = result.block(j)
         t = truth[:, j]
         hard = result.hard_estimates[:, j]
         acc = float(np.mean(hard == t))
-        f1 = macro_f1(hard, t, n_classes=block.u)
-        at_truth = block.values[np.arange(block.n), t - 1]
+        f1 = macro_f1(hard, t, n_classes=block.shape[1])
+        at_truth = block[np.arange(result.n), t - 1]
         clipped = int(np.sum(at_truth < CE_CLIP))
         ce = float(np.mean(-np.log(np.maximum(at_truth, CE_CLIP))))
-        se = float(np.mean(_row_entropy(block.values)))
-        scores.append(CfScore(cf_index=j, name=block.name, acc=acc,
+        se = float(np.mean(_row_entropy(block)))
+        scores.append(CfScore(cf_index=j, name=name, acc=acc,
                               macro_f1=f1, ce=ce, se=se, ce_clipped=clipped))
     return scores
 
@@ -109,10 +112,6 @@ def format_cf_table(aggregated: dict[str, list[dict]]) -> str:
             lines.append(f"{name:<16}{method:<10}" + "".join(f"{c:<18}" for c in cells))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def scores_to_json(scores: list[CfScore]) -> list[dict]:
-    return [asdict(s) for s in scores]
 
 
 def write_json(doc: dict, path):

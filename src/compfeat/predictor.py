@@ -81,25 +81,26 @@ def assemble(
 
     cf_cols = ds.schema.cf_columns
     if mode == "comp":
-        source = [b.values for b in init_marginal(ds)]
+        parts.append(init_marginal(ds))
     elif mode == "ord":
         if ds.cf_truth is None:
             raise DataError("ord mode needs ground-truth CF values")
-        source = [_one_hot(ds.cf_truth[:, j], c.size) for j, c in enumerate(cf_cols)]
+        parts += [_one_hot(ds.cf_truth[:, j], c.size) for j, c in enumerate(cf_cols)]
     else:
         if result is None:
             raise DataError(f"mode {mode!r} needs an estimation result")
-        if result.n != ds.n:
-            raise ShapeMismatchError("estimation result rows do not match the dataset")
+        if result.n != ds.n or result.cf_names != tuple(c.name for c in cf_cols):
+            raise ShapeMismatchError("estimation result rows or CF names do not match the dataset")
         if mode == "soft":
-            source = [result.block(c.name).values for c in cf_cols]
+            if result.sizes != ds.schema.cf_sizes:
+                raise ShapeMismatchError(
+                    f"soft mode needs confidences of CF widths {ds.schema.cf_sizes}, "
+                    f"got {result.sizes}")
+            parts.append(result.confidences)
         else:
-            source = [
-                _one_hot(result.hard_estimates[:, j], c.size)
-                for j, c in enumerate(cf_cols)
-            ]
-    for col, block in zip(cf_cols, source):
-        parts.append(block)
+            parts += [_one_hot(result.hard_estimates[:, j], c.size)
+                      for j, c in enumerate(cf_cols)]
+    for col in cf_cols:
         blocks[col.name] = (pos, pos + col.size)
         pos += col.size
     return DesignMatrix(values=np.hstack(parts), blocks=blocks, mode=mode)
@@ -147,7 +148,7 @@ def loss_and_grad(params: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: fl
     return loss, np.concatenate([grad_w, [grad_b]])
 
 
-def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500, seed: int = 0) -> LrModel:
+def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500) -> LrModel:
     """Deterministic full-batch training from zero-initialized weights.
 
     Each iteration takes a damped Newton (IRLS) step on the objective of
@@ -155,11 +156,7 @@ def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500, seed: int = 0) 
     ``epochs`` caps the number of iterations.  Training stops earlier at
     stationarity: once the gradient is at rounding level, or once no step
     of the line search lowers the loss any further.
-
-    ``seed`` is accepted for interface symmetry; with zero initialization
-    and full batches the result does not depend on it.
     """
-    del seed
     mat = x.values if isinstance(x, DesignMatrix) else np.asarray(x, dtype=np.float64)
     if not np.isfinite(mat).all():
         raise DataError("design matrix must be finite")

@@ -43,7 +43,7 @@ def bank_like_rounds():
     """Both estimation rounds on ``make_bank_like(300)`` at k=20, T=20.
 
     Returns the dataset, the round-1 and round-2 encodings, the graph of
-    each round and the confidence blocks after the last step of each
+    each round and the stacked confidences after the last step of each
     round, as ``run_proposed`` reports them through its hook.
     """
     from compfeat.encoding import encode_of, encode_with_confidence
@@ -61,5 +61,5 @@ def bank_like_rounds():
             last[round_idx] = payload[1]
 
     run_proposed(ds, enc1, T=20, k=20, gamma=0.25, hook=hook)
-    enc2 = encode_with_confidence(enc1, last[1], 0.25)
+    enc2 = encode_with_confidence(enc1, last[1], ds.schema.cf_columns, 0.25)
     return ds, enc1, enc2, graphs, last

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -95,8 +96,7 @@ class TestRoundOneReuse:
             expected = run_proposed(ds, encode_of(ds), T=5, k=8, gamma=0.25)
             got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.json"))
             np.testing.assert_array_equal(got.hard_estimates, expected.hard_estimates)
-            for a, b in zip(got.confidences, expected.confidences, strict=True):
-                np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(got.confidences, expected.confidences)
 
     def test_sweep_gamma_curve_matches_per_seed_runs(self, bank_csv, graph_builds):
         gammas = (0.0, 0.5)
@@ -125,15 +125,21 @@ class TestExitCodes:
     )
 
     def test_pipeline_succeeds_with_identical_hashes(self, bank_csv):
-        hashes = []
+        """Two runs give the same report hashes and byte-identical estimate files."""
+        runs = []
         for _ in range(2):
             run = {}
             for command, report in self.PIPELINE:
                 assert main([*command, "--seed", "0,1", *bank_csv]) == 0
                 if report:
                     run[report] = read_json(out_file(bank_csv, report))["content_hash"]
-            hashes.append(run)
-        assert hashes[0] == hashes[1]
+                else:
+                    for seed in (0, 1):
+                        name = f"estimate_proposed_seed{seed}.json"
+                        with open(out_file(bank_csv, name), "rb") as fh:
+                            run[name] = fh.read()
+            runs.append(run)
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("command", [
         ["estimate", "--T", "0"],
@@ -156,7 +162,27 @@ class TestExitCodes:
         assert main(["evaluate", *bank_csv]) == 3
         assert main(["predict", "--mode", "soft", *bank_csv]) == 3
 
-    def test_schema_without_cfs_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[: len(text) // 2],               # truncated JSON
+        lambda text: '{"method": "proposed"}',             # required keys missing
+        lambda text: text.replace('"job"', '"occupation"'),  # CF names off the schema
+        lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[99', text),
+    ], ids=["truncated", "keys_missing", "cf_renamed", "code_out_of_range"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["predict", "--mode", "soft"], ["predict", "--mode", "hard"],
+    ], ids=["evaluate", "predict_soft", "predict_hard"])
+    def test_malformed_estimate_file_exits_3(self, bank_csv, capsys, corrupt, command):
+        assert main(["estimate", "--seed", "0", *SMALL, *bank_csv]) == 0
+        path = out_file(bank_csv, "estimate_proposed_seed0.json")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(corrupt(text))
+        capsys.readouterr()
+        assert main([*command, "--seed", "0", *bank_csv]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}")
+
+    def test_schema_without_cfs_exits_3(self, tmp_path, capsys):
         schema = FeatureSchema((Column("x0", "quantitative", "OF"),
                                 Column("y", "binary", "label", ("n", "p"))))
         ds = Dataset(schema=schema, of_values=(np.linspace(0.0, 1.0, 10),),
@@ -168,6 +194,7 @@ class TestExitCodes:
                          "--data", str(tmp_path / "d.csv"),
                          "--schema", str(tmp_path / "d.schema"),
                          "--out", str(tmp_path / "out")]) == 3
+            assert "no CF columns" in capsys.readouterr().err
 
     def test_verification_failure_exits_4(self, tmp_path):
         cfg = tmp_path / "oracle.cfg"

@@ -6,7 +6,7 @@ import pytest
 from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
 from compfeat.encoding import encode_of, encode_with_confidence
 from compfeat.errors import DataError, ShapeMismatchError
-from compfeat.propagation import ConfidenceBlock, init_marginal
+from compfeat.propagation import init_marginal
 
 from conftest import build_dataset
 
@@ -88,8 +88,8 @@ class TestEncodeWithConfidence:
         return ds, encode_of(ds), init_marginal(ds)
 
     def test_gamma_zero_keeps_distances(self):
-        ds, enc, blocks = self.make()
-        ext = encode_with_confidence(enc, blocks, gamma=0.0)
+        ds, enc, q0 = self.make()
+        ext = encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=0.0)
         base_d = ((enc.values[0] - enc.values[5]) ** 2).sum()
         ext_d = ((ext.values[0] - ext.values[5]) ** 2).sum()
         assert ext_d == pytest.approx(base_d)
@@ -100,8 +100,7 @@ class TestEncodeWithConfidence:
         ds, enc, _ = self.make()
         one_hot = np.zeros((ds.n, 3))
         one_hot[np.arange(ds.n), ds.cf_truth[:, 0] - 1] = 1.0
-        block = ConfidenceBlock(cf_index=0, name="s", values=one_hot)
-        ext = encode_with_confidence(enc, [block], gamma=1.0)
+        ext = encode_with_confidence(enc, one_hot, ds.schema.cf_columns, gamma=1.0)
 
         as_of = FeatureSchema((
             Column("x", "quantitative", "OF"),
@@ -116,8 +115,7 @@ class TestEncodeWithConfidence:
         """sqrt(0.25) * (1/sqrt(3)) * 0.5 on each supported coordinate."""
         ds, enc, _ = self.make(n=2)
         rows = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-        block = ConfidenceBlock(cf_index=0, name="s", values=rows)
-        ext = encode_with_confidence(enc, [block], gamma=0.25)
+        ext = encode_with_confidence(enc, rows, ds.schema.cf_columns, gamma=0.25)
         expected = math.sqrt(0.25) * (1.0 / math.sqrt(3)) * 0.5
         assert expected == pytest.approx(0.14433756729740643)
         np.testing.assert_allclose(
@@ -126,21 +124,43 @@ class TestEncodeWithConfidence:
         )
 
     def test_l1_mass_of_block_rows(self):
-        ds, enc, blocks = self.make()
+        ds, enc, q0 = self.make()
         gamma = 0.3
-        ext = encode_with_confidence(enc, blocks, gamma=gamma)
+        ext = encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=gamma)
         sums = ext.block("s").sum(axis=1)
         np.testing.assert_allclose(sums, math.sqrt(gamma) / math.sqrt(3))
 
     def test_shape_mismatch(self):
-        _, enc, _ = self.make(n=5)
-        bad = ConfidenceBlock(cf_index=0, name="s", values=np.full((4, 3), 1 / 3))
+        ds, enc, _ = self.make(n=5)
+        cols = ds.schema.cf_columns
         with pytest.raises(ShapeMismatchError):
-            encode_with_confidence(enc, [bad], gamma=0.5)
+            encode_with_confidence(enc, np.full((4, 3), 1 / 3), cols, gamma=0.5)
+        with pytest.raises(ShapeMismatchError):
+            encode_with_confidence(enc, np.full((5, 4), 1 / 4), cols, gamma=0.5)
+
+    def test_rejects_non_stochastic_rows(self):
+        ds, enc, _ = self.make(n=5)
+        with pytest.raises(ShapeMismatchError, match="row-stochastic"):
+            encode_with_confidence(enc, np.full((5, 3), 0.5), ds.schema.cf_columns, gamma=0.5)
+
+    def test_segments_scaled_per_cf(self):
+        """Each CF segment gets its own 1/sqrt(u) factor and block name."""
+        schema = FeatureSchema((
+            Column("x", "quantitative", "OF"),
+            Column("s", "categorical", "CF", ("a", "b", "c")),
+            Column("t", "categorical", "CF", ("a", "b", "c", "d")),
+            Column("y", "binary", "label", ("n", "p")),
+        ))
+        ds = synthesize_cf(build_dataset(schema, 6, seed=4), seed=4)
+        enc, q0 = encode_of(ds), init_marginal(ds)
+        ext = encode_with_confidence(enc, q0, schema.cf_columns, gamma=0.5)
+        assert ext.blocks["s"] == (1, 4) and ext.blocks["t"] == (4, 8)
+        np.testing.assert_array_equal(ext.block("s"), q0[:, :3] * (math.sqrt(0.5) / math.sqrt(3)))
+        np.testing.assert_array_equal(ext.block("t"), q0[:, 3:] * (math.sqrt(0.5) / math.sqrt(4)))
 
     def test_rejects_bad_gamma(self):
-        _, enc, blocks = self.make(n=5)
+        ds, enc, q0 = self.make(n=5)
         with pytest.raises(DataError, match="gamma"):
-            encode_with_confidence(enc, blocks, gamma=1.5)
+            encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=1.5)
         with pytest.raises(DataError, match="gamma"):
-            encode_with_confidence(enc, blocks, gamma=-1.0)
+            encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=-1.0)

@@ -10,7 +10,7 @@ from compfeat.metrics import (
     score_cf,
     score_labels,
 )
-from compfeat.propagation import ConfidenceBlock, EstimationResult, run_comp
+from compfeat.propagation import EstimationResult, run_comp
 
 from test_propagation import observed_dataset
 
@@ -19,9 +19,8 @@ def one_hot_result(truth, u):
     n = truth.shape[0]
     vals = np.zeros((n, u))
     vals[np.arange(n), truth[:, 0] - 1] = 1.0
-    block = ConfidenceBlock(0, "s0", vals)
-    return EstimationResult(confidences=(block,), hard_estimates=truth,
-                            method="proposed", hyperparams={})
+    return EstimationResult(cf_names=("s0",), sizes=(u,), confidences=vals,
+                            hard_estimates=truth, method="proposed", hyperparams={})
 
 
 class TestScoreCf:
@@ -52,7 +51,7 @@ class TestScoreCf:
         truth = np.array([[1], [2]])
         vals = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         res = EstimationResult(
-            confidences=(ConfidenceBlock(0, "s0", vals),),
+            cf_names=("s0",), sizes=(3,), confidences=vals,
             hard_estimates=np.array([[2], [2]]),
             method="proposed", hyperparams={},
         )
@@ -66,8 +65,7 @@ class TestScoreCf:
         base = score_cf(res, ds.cf_truth)[0]
         perm = np.random.default_rng(0).permutation(40)
         permuted = EstimationResult(
-            confidences=(ConfidenceBlock(0, res.confidences[0].name,
-                                         res.confidences[0].values[perm]),),
+            cf_names=res.cf_names, sizes=res.sizes, confidences=res.confidences[perm],
             hard_estimates=res.hard_estimates[perm],
             method="comp", hyperparams={},
         )

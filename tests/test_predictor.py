@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compfeat.encoding import encode_of
-from compfeat.errors import DataError, SingleClassError
+from compfeat.errors import DataError, ShapeMismatchError, SingleClassError
 from compfeat.metrics import score_labels
 from compfeat.oracle import make_bank_like, make_smooth_synthetic
 from compfeat.predictor import (
@@ -33,8 +33,8 @@ class TestAssemble:
     def test_ord_equals_hard_with_perfect_estimates(self):
         ds = observed_dataset([3, 4], 12, seed=1)
         res = run_comp(ds, 0)
-        perfect = type(res)(confidences=res.confidences,
-                            hard_estimates=ds.cf_truth,
+        perfect = type(res)(cf_names=res.cf_names, sizes=res.sizes,
+                            confidences=res.confidences, hard_estimates=ds.cf_truth,
                             method="proposed", hyperparams={})
         np.testing.assert_array_equal(
             assemble(ds, "ord").values,
@@ -49,12 +49,21 @@ class TestAssemble:
             start, stop = design.blocks[name]
             np.testing.assert_allclose(design.values[:, start:stop].sum(axis=1), 1.0)
 
+    def test_result_of_another_schema_rejected(self):
+        ds = observed_dataset([3, 4], 12, seed=1)
+        fewer_cfs = run_comp(observed_dataset([3], 12, seed=1), 0)
+        for mode in ("soft", "hard"):
+            with pytest.raises(ShapeMismatchError, match="CF names"):
+                assemble(ds, mode, result=fewer_cfs)
+        wider_cf = run_comp(observed_dataset([3, 5], 12, seed=1), 0)
+        with pytest.raises(ShapeMismatchError, match="widths"):
+            assemble(ds, "soft", result=wider_cf)
+
     def test_comp_mode_uses_initial_confidences(self):
         ds = observed_dataset([4], 9, seed=3)
         design = assemble(ds, "comp")
         start, stop = design.blocks["s0"]
-        np.testing.assert_array_equal(design.values[:, start:stop],
-                                      init_marginal(ds)[0].values)
+        np.testing.assert_array_equal(design.values[:, start:stop], init_marginal(ds))
 
     def test_column_order_ofs_then_cfs(self):
         ds = observed_dataset([3], 8, seed=4)

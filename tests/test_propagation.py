@@ -9,7 +9,6 @@ from compfeat import propagation
 from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.graph import WeightGraph, build_graph
 from compfeat.propagation import (
-    ConfidenceBlock,
     EstimationResult,
     correct,
     hard_from_blocks,
@@ -17,7 +16,6 @@ from compfeat.propagation import (
     propagate_step,
     run_comp,
     run_ipal,
-    run_ipal_split,
     run_proposed,
 )
 
@@ -39,8 +37,14 @@ def observed_dataset(cards, n, seed=0):
     return synthesize_cf(ds, seed=seed)
 
 
+def segments(q, sizes):
+    """Split a stacked confidence matrix into its per-CF (n, u) matrices."""
+    return np.split(q, np.cumsum(sizes)[:-1], axis=1)
+
+
 def reference_round(graph, init_vals, T):
-    """T propagate+correct steps, one CF block and one neighbor slot at a time."""
+    """T propagate+correct steps, one CF's (n, u) matrix and one neighbor
+    slot at a time."""
     qs = list(init_vals)
     for _ in range(T):
         nxt = []
@@ -65,16 +69,17 @@ def swap_graph():
 class TestInitMarginal:
     def test_three_values(self):
         ds = observed_dataset([3], 5, seed=1)
-        blocks = init_marginal(ds)
+        q0 = init_marginal(ds)
+        assert q0.shape == (5, 3)
         for i in range(5):
             obs = ds.cf_observed[i, 0]
             expected = np.full(3, 0.5)
             expected[obs - 1] = 0.0
-            np.testing.assert_array_equal(blocks[0].values[i], expected)
+            np.testing.assert_array_equal(q0[i], expected)
 
     def test_twelve_values(self):
         ds = observed_dataset([12], 3, seed=2)
-        row = init_marginal(ds)[0].values[0]
+        row = init_marginal(ds)[0]
         obs = ds.cf_observed[0, 0]
         assert row[obs - 1] == 0.0
         np.testing.assert_allclose(np.delete(row, obs - 1), 1.0 / 11.0)
@@ -83,18 +88,17 @@ class TestInitMarginal:
 class TestPropagateStep:
     def test_identical_rows_are_fixed_point(self):
         v = np.array([0.2, 0.0, 0.8])
-        block = ConfidenceBlock(0, "s0", np.tile(v, (4, 1)))
         g = WeightGraph(
             neighbors=np.array([[1, 2], [0, 3], [0, 1], [2, 0]]),
             weights=np.full((4, 2), 0.5),
         )
-        out = propagate_step(g, [block])[0]
-        np.testing.assert_allclose(out.values, np.tile(v, (4, 1)), atol=1e-15)
+        out = propagate_step(g, np.tile(v, (4, 1)))
+        np.testing.assert_allclose(out, np.tile(v, (4, 1)), atol=1e-15)
 
     def test_two_rows_swap(self):
-        block = ConfidenceBlock(0, "s0", np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        out = propagate_step(swap_graph(), [block])[0]
-        np.testing.assert_array_equal(out.values, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        q = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        out = propagate_step(swap_graph(), q)
+        np.testing.assert_array_equal(out, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_matches_dense_multiply(self):
         rng = np.random.default_rng(3)
@@ -104,31 +108,36 @@ class TestPropagateStep:
         np.fill_diagonal(h, 0.0)
         h /= h.sum(axis=1, keepdims=True)
         g = WeightGraph.from_dense(h)
-        out = propagate_step(g, [ConfidenceBlock(0, "s0", vals)])[0]
+        out = propagate_step(g, vals)
         # independent triple-loop reference
         expected = np.zeros_like(vals)
         for i in range(n):
             for j in range(n):
                 for c in range(u):
                     expected[i, c] += h[i, j] * vals[j, c]
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
-        block = ConfidenceBlock(0, "s0", np.full((3, 3), 1 / 3))
         with pytest.raises(ShapeMismatchError):
-            propagate_step(swap_graph(), [block])
+            propagate_step(swap_graph(), np.full((3, 3), 1 / 3))
+        q = np.full((2, 3), 1 / 3)
+        with pytest.raises(ShapeMismatchError):
+            correct(q, np.full((2, 4), 1 / 4), (3,))
+        with pytest.raises(ShapeMismatchError):
+            correct(q, q, (4,))
 
     def test_no_blocks(self):
-        assert propagate_step(swap_graph(), []) == []
-        assert correct([], []) == []
+        """Zero CFs: the step maps (n, 0) to (n, 0); the correction has no
+        segment to normalize and says so."""
+        assert propagate_step(swap_graph(), np.zeros((2, 0))).shape == (2, 0)
+        with pytest.raises(DataError, match="no CF columns"):
+            correct(np.zeros((2, 0)), np.zeros((2, 0)), ())
 
 
 class TestCorrect:
     def test_worked_example(self):
-        blocks = [ConfidenceBlock(0, "s0", np.array([[0.2, 0.2, 0.6]]))]
-        init = [ConfidenceBlock(0, "s0", np.array([[0.5, 0.0, 0.5]]))]
-        out = correct(blocks, init)[0]
-        np.testing.assert_allclose(out.values, [[0.25, 0.0, 0.75]])
+        out = correct(np.array([[0.2, 0.2, 0.6]]), np.array([[0.5, 0.0, 0.5]]), (3,))
+        np.testing.assert_allclose(out, [[0.25, 0.0, 0.75]])
 
     def test_idempotent_on_already_corrected_rows(self):
         rng = np.random.default_rng(4)
@@ -137,10 +146,8 @@ class TestCorrect:
         vals /= vals.sum(axis=1, keepdims=True)
         init_vals = np.full((50, 4), 1 / 3)
         init_vals[:, 2] = 0.0
-        blocks = [ConfidenceBlock(0, "s0", vals)]
-        init = [ConfidenceBlock(0, "s0", init_vals)]
-        once = correct(blocks, init)
-        np.testing.assert_allclose(once[0].values, vals, atol=1e-12)
+        once = correct(vals, init_vals, (4,))
+        np.testing.assert_allclose(once, vals, atol=1e-12)
 
     def test_idempotence_random(self):
         rng = np.random.default_rng(5)
@@ -148,18 +155,21 @@ class TestCorrect:
         init_vals = np.full((1000, 5), 0.25)
         obs = rng.integers(0, 5, size=1000)
         init_vals[np.arange(1000), obs] = 0.0
-        blocks = [ConfidenceBlock(0, "s0", vals)]
-        init = [ConfidenceBlock(0, "s0", init_vals)]
-        once = correct(blocks, init)
-        twice = correct(once, init)
-        np.testing.assert_allclose(twice[0].values, once[0].values, atol=1e-12)
-        assert (once[0].values[np.arange(1000), obs] == 0.0).all()
+        once = correct(vals, init_vals, (5,))
+        twice = correct(once, init_vals, (5,))
+        np.testing.assert_allclose(twice, once, atol=1e-12)
+        assert (once[np.arange(1000), obs] == 0.0).all()
 
     def test_all_zero_row_falls_back_to_init(self):
-        blocks = [ConfidenceBlock(0, "s0", np.array([[0.0, 1.0, 0.0]]))]
-        init = [ConfidenceBlock(0, "s0", np.array([[0.5, 0.0, 0.5]]))]
-        out = correct(blocks, init)[0]
-        np.testing.assert_array_equal(out.values, [[0.5, 0.0, 0.5]])
+        out = correct(np.array([[0.0, 1.0, 0.0]]), np.array([[0.5, 0.0, 0.5]]), (3,))
+        np.testing.assert_array_equal(out, [[0.5, 0.0, 0.5]])
+
+    def test_dead_segment_falls_back_alone(self):
+        """Only the segment whose product vanishes takes its initial row;
+        the other is normalized on its own."""
+        q = np.array([[0.0, 1.0, 0.0, 0.2, 0.8]])
+        q0 = np.array([[0.5, 0.0, 0.5, 0.5, 0.5]])
+        np.testing.assert_allclose(correct(q, q0, (3, 2)), [[0.5, 0.0, 0.5, 0.2, 0.8]])
 
     def test_vanishing_product_with_three_values(self):
         """u=3, k=1 graph 0->1, 1->2, 2->1, observed codes 1, 2, 3: after
@@ -172,15 +182,15 @@ class TestCorrect:
             cf_truth=np.array([[2], [3], [1]]),
             cf_observed=np.array([[1], [2], [3]]),
         )
-        init = init_marginal(ds)
+        q0 = init_marginal(ds)
         g = WeightGraph(neighbors=np.array([[1], [2], [1]]), weights=np.ones((3, 1)))
-        step1 = correct(propagate_step(g, init), init)
-        assert (propagate_step(g, step1)[0].values[0] * init[0].values[0]).sum() == 0.0
-        step2 = correct(propagate_step(g, step1), init)
-        np.testing.assert_array_equal(step2[0].values[0], init[0].values[0])
+        step1 = correct(propagate_step(g, q0), q0, (3,))
+        assert (propagate_step(g, step1)[0] * q0[0]).sum() == 0.0
+        step2 = correct(propagate_step(g, step1), q0, (3,))
+        np.testing.assert_array_equal(step2[0], q0[0])
 
-        # The same case through run_proposed's stacked kernel: the 1-D OF
-        # positions 0, 2, 3 give exactly that k=1 graph in round 1.
+        # The same case through run_proposed's hook: the 1-D OF positions
+        # 0, 2, 3 give exactly that k=1 graph in round 1.
         seen = {}
 
         def hook(kind, round_idx, *payload):
@@ -189,15 +199,14 @@ class TestCorrect:
 
         run_proposed(ds, encode_of(ds), T=2, k=1, gamma=0.25, hook=hook)
         np.testing.assert_array_equal(seen[("graph",)].neighbors, g.neighbors)
-        np.testing.assert_array_equal(seen[("iteration", 1)][0].values, step1[0].values)
-        np.testing.assert_array_equal(seen[("iteration", 2)][0].values[0],
-                                      init[0].values[0])
+        np.testing.assert_array_equal(seen[("iteration", 1)], step1)
+        np.testing.assert_array_equal(seen[("iteration", 2)][0], q0[0])
 
 
 class TestHardEstimates:
     def test_argmax_with_low_code_ties(self):
-        block = ConfidenceBlock(0, "s0", np.array([[0.4, 0.4, 0.2], [0.1, 0.4, 0.5]]))
-        np.testing.assert_array_equal(hard_from_blocks([block])[:, 0], [1, 3])
+        q = np.array([[0.4, 0.4, 0.2, 0.5, 0.5], [0.1, 0.4, 0.5, 0.0, 1.0]])
+        np.testing.assert_array_equal(hard_from_blocks(q, (3, 2)), [[1, 1], [3, 2]])
 
 
 class TestRunProposed:
@@ -213,19 +222,33 @@ class TestRunProposed:
             run_proposed(ds, encode_of(ds), T=3, k=4, gamma=gamma)
 
     def test_stacked_kernel_matches_per_block_reference(self, bank_like_rounds):
-        """make_bank_like(300), both rounds, T=20: the stacked kernel and
-        the public per-step functions agree with a plain per-block loop."""
+        """make_bank_like(300), both rounds, T=20: the confidences that
+        run_proposed's hook reports equal T public propagate+correct
+        steps, and agree with a plain per-CF loop."""
         ds, _, _, graphs, last = bank_like_rounds
-        init = init_marginal(ds)
+        sizes = ds.schema.cf_sizes
+        q0 = init_marginal(ds)
         for round_idx in (1, 2):
             g = graphs[round_idx]
-            expected = reference_round(g, [b.values for b in init], 20)
-            blocks = init
+            expected = reference_round(g, segments(q0, sizes), 20)
+            q = q0
             for _ in range(20):
-                blocks = correct(propagate_step(g, blocks), init)
-            for got, public, ref in zip(last[round_idx], blocks, expected, strict=True):
-                np.testing.assert_allclose(got.values, ref, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(public.values, ref, rtol=0, atol=1e-12)
+                q = correct(propagate_step(g, q), q0, sizes)
+            np.testing.assert_array_equal(last[round_idx], q)
+            for got, ref in zip(segments(q, sizes), expected, strict=True):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_public_steps_are_the_ones_run(self, monkeypatch):
+        """run_proposed calls propagate_step and correct through the module,
+        once each per iteration and round."""
+        calls = []
+        for name in ("propagate_step", "correct"):
+            fn = getattr(propagation, name)
+            monkeypatch.setattr(propagation, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        ds = observed_dataset([3], 20, seed=21)
+        run_proposed(ds, encode_of(ds), T=3, k=4, gamma=0.25)
+        assert calls == ["propagate_step", "correct"] * 6
 
     def test_gamma_zero_collapses_to_single_round(self):
         """With gamma=0 the second-round graph equals the first, and the
@@ -239,13 +262,12 @@ class TestRunProposed:
         np.testing.assert_array_equal(graphs[0][1].neighbors, graphs[1][1].neighbors)
         np.testing.assert_allclose(graphs[0][1].weights, graphs[1][1].weights, atol=1e-14)
 
-        init = init_marginal(ds)
-        blocks = init
+        q0 = init_marginal(ds)
+        q = q0
         g = build_graph(enc, 5)
         for _ in range(7):
-            blocks = correct(propagate_step(g, blocks), init)
-        for got, manual in zip(res.confidences, blocks):
-            np.testing.assert_allclose(got.values, manual.values, atol=1e-12)
+            q = correct(propagate_step(g, q), q0, (3, 4))
+        np.testing.assert_allclose(res.confidences, q, atol=1e-12)
 
     def test_round_two_restarts_from_initial_blocks(self):
         ds = observed_dataset([3], 50, seed=7)
@@ -263,11 +285,11 @@ class TestRunProposed:
         def check(kind, *payload):
             if kind != "iteration":
                 return
-            _, _, blocks = payload
-            for j, b in enumerate(blocks):
-                at_obs = b.values[np.arange(ds.n), ds.cf_observed[:, j] - 1]
+            _, _, q = payload
+            for j, b in enumerate(segments(q, (3, 5))):
+                at_obs = b[np.arange(ds.n), ds.cf_observed[:, j] - 1]
                 assert (at_obs == 0.0).all()
-                assert np.abs(b.values.sum(axis=1) - 1.0).max() <= 1e-10
+                assert np.abs(b.sum(axis=1) - 1.0).max() <= 1e-10
 
         run_proposed(ds, enc, T=5, k=6, gamma=0.25, hook=check)
 
@@ -275,7 +297,7 @@ class TestRunProposed:
         ds = observed_dataset([3, 4], 30, seed=9)
         res = run_proposed(ds, encode_of(ds), T=4, k=5, gamma=0.25)
         np.testing.assert_array_equal(res.hard_estimates,
-                                      hard_from_blocks(res.confidences))
+                                      hard_from_blocks(res.confidences, res.sizes))
 
     def test_permutation_equivariance(self):
         ds = observed_dataset([3], 35, seed=10)
@@ -290,9 +312,7 @@ class TestRunProposed:
         )
         res = run_proposed(ds, encode_of(ds), T=5, k=4, gamma=0.25)
         res_p = run_proposed(permuted, encode_of(permuted), T=5, k=4, gamma=0.25)
-        np.testing.assert_allclose(res_p.confidences[0].values,
-                                   res.confidences[0].values[perm], atol=1e-9)
-
+        np.testing.assert_allclose(res_p.confidences, res.confidences[perm], atol=1e-9)
 
     def test_of_graph_of_another_shape_rejected(self):
         ds = observed_dataset([3], 30, seed=20)
@@ -322,15 +342,14 @@ class TestNoCfSchema:
 
     def test_hard_from_no_blocks_raises_data_error(self):
         with pytest.raises(DataError, match="no CF columns"):
-            hard_from_blocks([])
+            hard_from_blocks(np.zeros((3, 0)), ())
 
 
 class TestRunComp:
     def test_confidences_are_initial(self):
         ds = observed_dataset([3], 20, seed=11)
         res = run_comp(ds, seed=0)
-        expected = init_marginal(ds)[0].values
-        np.testing.assert_array_equal(res.confidences[0].values, expected)
+        np.testing.assert_array_equal(res.confidences, init_marginal(ds))
 
     def test_guess_never_equals_observed_and_hits_complement_rate(self):
         ds = observed_dataset([12], 20_000, seed=12)
@@ -352,48 +371,28 @@ class TestRunIpal:
         ds = observed_dataset([3], 25, seed=14)
         enc = encode_of(ds)
         res = run_ipal(ds, enc, T=10, k=4, alpha=1e-12)
-        np.testing.assert_allclose(res.confidences[0].values,
-                                   init_marginal(ds)[0].values, atol=1e-9)
+        np.testing.assert_allclose(res.confidences, init_marginal(ds), atol=1e-9)
 
     def test_two_instance_recursion_matches_hand_computation(self):
         ds = observed_dataset([3], 2, seed=15)
         alpha = 0.5
-        q0 = init_marginal(ds)[0].values
+        q0 = init_marginal(ds)
         # closed form for the swap graph: Q1 = a*swap(Q0)+(1-a)Q0,
         # Q2 = a*swap(Q1)+(1-a)Q0
         q1 = alpha * q0[::-1] + (1 - alpha) * q0
         q2 = alpha * q1[::-1] + (1 - alpha) * q0
 
-        blocks = init_marginal(ds)
         g = swap_graph()
-        out = blocks
+        out = q0
         for _ in range(2):
-            prop = propagate_step(g, out)
-            out = [b.replace_values(alpha * b.values + (1 - alpha) * b0.values)
-                   for b, b0 in zip(prop, blocks)]
-        np.testing.assert_allclose(out[0].values, q2, atol=1e-12)
+            out = alpha * propagate_step(g, out) + (1 - alpha) * q0
+        np.testing.assert_allclose(out, q2, atol=1e-12)
 
     def test_hard_estimates_are_argmax(self):
         ds = observed_dataset([4], 30, seed=16)
         res = run_ipal(ds, encode_of(ds), T=5, k=4, alpha=0.9)
         np.testing.assert_array_equal(res.hard_estimates,
-                                      hard_from_blocks(res.confidences))
-
-    def test_split_mode_transfers_nearest_training_estimate(self):
-        ds = observed_dataset([3], 30, seed=17)
-        enc = encode_of(ds)
-        train_idx = np.arange(0, 30, 2)
-        res = run_ipal_split(ds, enc, T=5, k=4, alpha=0.9, train_idx=train_idx)
-        assert res.hard_estimates.shape == (30, 1)
-        test_idx = np.setdiff1d(np.arange(30), train_idx)
-        x = enc.values
-        for i in test_idx[:5]:
-            d2 = ((x[train_idx] - x[i]) ** 2).sum(axis=1)
-            nearest = train_idx[np.argmin(d2)]
-            pos = list(train_idx).index(nearest)
-            assert res.hard_estimates[i, 0] == res.hard_estimates[train_idx[pos], 0]
-        np.testing.assert_array_equal(res.hard_estimates,
-                                      hard_from_blocks(res.confidences))
+                                      hard_from_blocks(res.confidences, res.sizes))
 
 
 class TestEstimationResultIo:
@@ -404,7 +403,57 @@ class TestEstimationResultIo:
         res.save(path, include_confidences=True, extra={"seed": 0})
         loaded = EstimationResult.load(path)
         np.testing.assert_array_equal(loaded.hard_estimates, res.hard_estimates)
-        for a, b in zip(loaded.confidences, res.confidences):
-            assert a.name == b.name
-            np.testing.assert_allclose(a.values, b.values, atol=1e-15)
+        assert loaded.cf_names == res.cf_names == ("s0", "s1")
+        assert loaded.sizes == res.sizes == (3, 4)
+        np.testing.assert_array_equal(loaded.confidences, res.confidences)
+        np.testing.assert_array_equal(loaded.block(1), res.confidences[:, 3:])
         assert loaded.method == "proposed"
+        assert loaded.hyperparams == res.hyperparams
+
+    def test_saved_without_confidences(self, tmp_path):
+        ds = observed_dataset([3, 4], 15, seed=18)
+        path = tmp_path / "r.json"
+        run_comp(ds, 0).save(path)
+        loaded = EstimationResult.load(path)
+        assert loaded.confidences is None and loaded.sizes is None
+        assert loaded.cf_names == ("s0", "s1")
+
+    @pytest.mark.parametrize("q", [
+        np.full((1, 5), 0.25),                      # segment sums 0.75 and 0.5
+        np.array([[1.5, -0.5, 0.0, 0.5, 0.5]]),     # negative entry
+        np.array([[np.nan, 0.5, 0.5, 0.5, 0.5]]),   # not a number
+    ])
+    def test_non_stochastic_confidences_rejected(self, q):
+        with pytest.raises(DataError, match="row-stochastic"):
+            EstimationResult(cf_names=("a", "b"), sizes=(3, 2), confidences=q,
+                             hard_estimates=np.ones((1, 2)), method="m", hyperparams={})
+
+    @pytest.mark.parametrize("sizes, shape, hard_shape", [
+        ((3, 2), (2, 6), (2, 2)),  # widths sum to 5, the matrix has 6 columns
+        ((3,), (2, 3), (2, 2)),    # one width for two CF names
+        ((3, 2), (3, 5), (2, 2)),  # more confidence rows than hard estimates
+        ((3, 2), (2, 5), (2, 3)),  # three hard-estimate columns for two CF names
+    ])
+    def test_wrong_shape_rejected(self, sizes, shape, hard_shape):
+        with pytest.raises(ShapeMismatchError):
+            EstimationResult(cf_names=("a", "b"), sizes=sizes, confidences=np.zeros(shape),
+                             hard_estimates=np.ones(hard_shape), method="m", hyperparams={})
+
+    @pytest.mark.parametrize("text", [
+        '{"cf_names": ["s0"], "hard_estimates": [[1], [2',
+        '{"method": "proposed"}',
+        '[1, 2, 3]',
+        '{"cf_names": ["s0"], "hard_estimates": [[1], [2, 3]], "method": "m",'
+        ' "hyperparams": {}}',
+        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
+        ' "confidences": {"s0": [[0.5, 0.5], [0.9, 0.9]]}}',
+        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
+        ' "confidences": {"other": [[0.5, 0.5], [0.5, 0.5]]}}',
+        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
+        ' "confidences": {"s0": [0.5, 0.5]}}',
+    ])
+    def test_malformed_file_raises_data_error(self, tmp_path, text):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed estimation result"):
+            EstimationResult.load(path)
