@@ -20,6 +20,7 @@ import numpy as np
 from .data import Column, Dataset, FeatureSchema, synthesize_cf
 from .errors import CardinalityCapError, InfeasibleKLError, MissingTruthError
 from .graph import WeightGraph
+from .propagation import propagate_step
 
 JOINT_CARDINALITY_CAP = 10**6
 
@@ -610,6 +611,10 @@ def run_equivalence_suite(count: int, seed0: int = 0, tol: float = 1e-10) -> dic
     Random instances: n <= 30, up to 3 CFs with 3-4 values each, random
     row-stochastic zero-diagonal graphs, T <= 5.  Both routes run pure
     propagation (no correction, which only the marginal path defines).
+    The marginal route is the production kernel,
+    :func:`compfeat.propagation.propagate_step`, on the stacked initial
+    confidences that :func:`marginal_init_from_codes` builds
+    independently of :func:`compfeat.propagation.init_marginal`.
     """
     worst = 0.0
     failures = []
@@ -626,9 +631,11 @@ def run_equivalence_suite(count: int, seed0: int = 0, tol: float = 1e-10) -> dic
 
         joint = joint_init_from_codes(observed, cards)
         joint_t = propagate_joint(h, joint, T)
-        marginals = marginal_init_from_codes(observed, cards)
+        graph = WeightGraph.from_dense(h)
+        q = np.hstack(marginal_init_from_codes(observed, cards))
         for _ in range(T):
-            marginals = [h @ q for q in marginals]
+            q = propagate_step(graph, q)
+        marginals = np.split(q, np.cumsum(cards)[:-1], axis=1)
         dev = max(
             float(np.abs(joint_t.marginal(j) - marginals[j]).max())
             for j in range(f_c)

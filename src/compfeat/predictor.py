@@ -15,7 +15,6 @@ reproducible without seed bookkeeping.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -49,19 +48,6 @@ class DesignMatrix:
     @property
     def dim(self) -> int:
         return int(self.values.shape[1])
-
-    def export_csv(self, path):
-        names = sorted(self.blocks, key=lambda k: self.blocks[k])
-        header = []
-        for name in names:
-            start, stop = self.blocks[name]
-            width = stop - start
-            header += [name] if width == 1 else [f"{name}_{i + 1}" for i in range(width)]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in self.values:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def assemble(

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from compfeat.errors import DataError
 from compfeat.graph import (
     WeightGraph,
-    _solve_simplex_qp,
     build_graph,
     kkt_residual,
     knn,
@@ -15,7 +14,8 @@ from compfeat.graph import (
     reconstruction_error,
     solve_weights,
 )
-from compfeat.encoding import EncodedMatrix
+from compfeat.encoding import EncodedMatrix, encode_of
+from compfeat.oracle import make_bank_like
 
 
 def brute_force_knn(x, k):
@@ -35,6 +35,65 @@ def simplex_grid(k, step):
     for cuts in itertools.combinations_with_replacement(range(ticks + 1), k - 1):
         h = np.diff((0,) + cuts + (ticks,)) / ticks
         yield h
+
+
+def reference_simplex_qp(gram, c, kkt_tol=1e-10, floor=1e-14):
+    """argmin 0.5 h'Gh - c'h over the probability simplex, one row at a time.
+
+    The unregularized reference for :func:`solve_weights`: a primal
+    active set from uniform weights whose equality-constrained steps use
+    a null-space parameterization with a least-norm solve, consistent
+    for the rank-deficient Grams of k > d neighbors.
+    """
+    k = c.shape[0]
+    h = np.full(k, 1.0 / k)
+    if np.ptp(gram @ h - c) <= kkt_tol:
+        return h  # flat objective on the simplex: uniform is optimal
+    support = h > 0
+    for _ in range(6 * k + 16):
+        idx = np.flatnonzero(support)
+        target = equality_solve(gram[np.ix_(idx, idx)], c[idx])
+        if (target >= -1e-12).all():
+            h = np.zeros(k)
+            h[idx] = np.maximum(target, 0.0)
+            h /= h.sum()
+            grad = gram @ h - c
+            mu = grad[idx] @ h[idx]  # = common multiplier on the support
+            off = np.flatnonzero(~support)
+            if off.size == 0 or grad[off].min() >= mu - kkt_tol:
+                return h
+            support[off[np.argmin(grad[off])]] = True
+        else:
+            cur = h[idx]
+            delta = target - cur
+            shrinking = delta < -floor
+            alpha = min(1.0, float(np.min(cur[shrinking] / -delta[shrinking])))
+            h = np.zeros(k)
+            h[idx] = np.maximum(cur + alpha * delta, 0.0)
+            h[h <= floor] = 0.0
+            if not h.any():
+                return np.full(k, 1.0 / k)
+            h /= h.sum()
+            support = h > 0
+    return h
+
+
+def equality_solve(gram_s, c_s):
+    """Least-norm minimizer of the QP restricted to sum(h) = 1."""
+    s = c_s.shape[0]
+    if s == 1:
+        return np.ones(1)
+    base = np.full(s, 1.0 / s)
+    basis = sum_zero_basis(s)
+    reduced = basis.T @ gram_s @ basis
+    rhs = -basis.T @ (gram_s @ base - c_s)
+    z = np.linalg.lstsq(reduced, rhs, rcond=None)[0]
+    return base + basis @ z
+
+
+def sum_zero_basis(s):
+    """Orthonormal basis of the sum-zero subspace of R^s."""
+    return np.linalg.qr(np.ones((s, 1)), mode="complete")[0][:, 1:]
 
 
 class TestKnn:
@@ -188,11 +247,11 @@ class TestSolveWeights:
         np.testing.assert_array_equal(a.weights, b.weights)
 
 
-    def test_warm_start_matches_cold_active_set(self, bank_like_rounds):
+    def test_matches_exact_reference_active_set(self, bank_like_rounds):
         """make_bank_like(300) encodings at k=20 (rank-deficient Grams in
-        round 1, d=10), plus round 1 with 25 coincident rows: the
-        warm-started solve reaches the objective of the uniform-start
-        active set, and degenerate rows keep uniform weights."""
+        round 1, d=10), plus round 1 with 25 coincident rows: the ridge
+        solve reaches the objective of the unregularized reference, and
+        degenerate rows keep uniform weights."""
         _, enc1, enc2, _, _ = bank_like_rounds
         collapsed = np.array(enc1.values)
         collapsed[:25] = collapsed[0]
@@ -204,16 +263,30 @@ class TestSolveWeights:
             gram = a @ a.transpose(0, 2, 1)
             c = (a * x[:, None, :]).sum(axis=-1)
             for i in range(x.shape[0]):
-                cold = _solve_simplex_qp(gram[i], c[i])
-                warm_err = ((x[i] - g.weights[i] @ a[i]) ** 2).sum()
-                cold_err = ((x[i] - cold @ a[i]) ** 2).sum()
-                assert abs(warm_err - cold_err) <= 1e-12
+                ref = reference_simplex_qp(gram[i], c[i])
+                solver_err = ((x[i] - g.weights[i] @ a[i]) ** 2).sum()
+                ref_err = ((x[i] - ref @ a[i]) ** 2).sum()
+                assert abs(solver_err - ref_err) <= 1e-12
             assert optimality_gap(x, g).max() <= 1e-8
             degenerate = (a.max(axis=1) == a.min(axis=1)).all(axis=1)
             np.testing.assert_array_equal(g.weights[degenerate], 1.0 / 20)
             degenerate_seen += int(degenerate.sum())
         assert degenerate_seen > 0
 
+    def test_neighbor_order_does_not_change_weights(self):
+        """Round 1 of make_bank_like(2000) at k=20 has rows inside their
+        neighbors' hull, where the unregularized optimum is not unique;
+        the ridge optimum is, so reordering a row's neighbors only
+        reorders its weights."""
+        ds, _ = make_bank_like(2000, seed=0)
+        x = encode_of(ds).values
+        nb = knn(x, 20)
+        g = solve_weights(x, nb)
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            perm = rng.permutation(20)
+            gp = solve_weights(x, nb[:, perm])
+            assert np.abs(gp.weights - g.weights[:, perm]).max() <= 1e-6
 
 class TestWeightGraphType:
     def test_rejects_self_loops(self):

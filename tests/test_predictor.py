@@ -72,16 +72,6 @@ class TestAssemble:
         assert design.dim == enc.dim + 3
         assert design.blocks["s0"] == (enc.dim, enc.dim + 3)
 
-    def test_csv_export(self, tmp_path):
-        ds = observed_dataset([3], 5, seed=5)
-        design = assemble(ds, "comp")
-        path = tmp_path / "design.csv"
-        design.export_csv(path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert len(header) == design.dim
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(data, design.values)
-
 
 class TestTrain:
     def test_separable_pair_drives_loss_down(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
 from compfeat.encoding import encode_of
@@ -207,6 +208,59 @@ class TestHardEstimates:
     def test_argmax_with_low_code_ties(self):
         q = np.array([[0.4, 0.4, 0.2, 0.5, 0.5], [0.1, 0.4, 0.5, 0.0, 1.0]])
         np.testing.assert_array_equal(hard_from_blocks(q, (3, 2)), [[1, 1], [3, 2]])
+
+
+@st.composite
+def propagation_cases(draw):
+    """A small random schema and dataset, a random graph on its rows and
+    a number of propagate+correct steps."""
+    cards = draw(st.lists(st.integers(3, 6), min_size=1, max_size=3))
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = synthesize_cf(build_dataset(cf_schema(*cards, n_of=draw(st.integers(1, 3))), n,
+                                     seed=int(rng.integers(2**31))), seed=int(rng.integers(2**31)))
+    k = draw(st.integers(1, n - 1))
+    others = np.array([rng.permutation(np.delete(np.arange(n), i))[:k] for i in range(n)])
+    weights = rng.gamma(draw(st.sampled_from([0.1, 1.0])), size=(n, k))
+    weights[weights.sum(axis=1) == 0.0] = 1.0
+    graph = WeightGraph(neighbors=others, weights=weights / weights.sum(axis=1, keepdims=True))
+    return ds, graph, draw(st.integers(0, 12))
+
+
+def lowest_code_argmax(q, sizes):
+    """Per segment, 1 + the first column index holding the row maximum."""
+    return np.column_stack([[1 + np.flatnonzero(row == row.max())[0] for row in seg]
+                            for seg in segments(q, sizes)])
+
+
+class TestNorthStarInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(propagation_cases())
+    def test_invariants_after_every_step(self, case):
+        ds, graph, steps = case
+        sizes = ds.schema.cf_sizes
+        q0 = init_marginal(ds)
+        q = q0
+        for t in range(steps + 1):
+            if t:
+                q = correct(propagate_step(graph, q), q0, sizes)
+            assert q.min() >= 0.0
+            for j, seg in enumerate(segments(q, sizes)):
+                assert np.abs(seg.sum(axis=1) - 1.0).max() <= 1e-10
+                assert (seg[np.arange(ds.n), ds.cf_observed[:, j] - 1] == 0.0).all()
+            # Rounding to one decimal creates ties beyond those of q0.
+            for ties in (q, np.round(q, 1)):
+                np.testing.assert_array_equal(hard_from_blocks(ties, sizes),
+                                              lowest_code_argmax(ties, sizes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(propagation_cases(), st.sampled_from([0.0, 0.25, 1.0]))
+    def test_run_proposed_is_bit_identical(self, case, gamma):
+        ds, graph, steps = case
+        enc = encode_of(ds)
+        runs = [run_proposed(ds, enc, T=steps + 1, k=graph.k, gamma=gamma) for _ in range(2)]
+        assert runs[0].confidences.tobytes() == runs[1].confidences.tobytes()
+        np.testing.assert_array_equal(runs[0].hard_estimates, runs[1].hard_estimates)
 
 
 class TestRunProposed:
