@@ -21,10 +21,10 @@ from .data import (
     synthesize_cf,
     write_csv,
 )
-from .encoding import EncodedMatrix, encode_of, encode_with_confidence
+from .encoding import encode_of, encode_with_confidence
 from .graph import WeightGraph, build_graph, knn, solve_weights
 from .metrics import CfScore, aggregate_cf_scores, macro_f1, score_cf, score_labels
-from .predictor import DesignMatrix, LrModel, assemble, predict, train
+from .predictor import LrModel, assemble, predict, train
 from .propagation import (
     EstimationResult,
     correct,
@@ -41,8 +41,6 @@ __all__ = [
     "Column",
     "CfScore",
     "Dataset",
-    "DesignMatrix",
-    "EncodedMatrix",
     "EstimationResult",
     "FeatureSchema",
     "LrModel",

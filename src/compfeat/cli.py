@@ -9,8 +9,9 @@ Subcommands::
     compfeat oracle   --config FILE    randomized verification report
     compfeat sweep    --config FILE --axis k --values 5,10,20
 
-Configuration is a flat ``key = value`` text file; every key can be
-overridden by the matching command-line flag (flags win).  Identical
+Configuration is a flat ``key = value`` text file.  A command-line flag
+overrides the key of the same name (flags win); ``fraction``, ``l2``,
+``epochs`` and the ``oracle_*`` keys have no flag.  Identical
 configurations produce byte-identical reports apart from the
 ``generated_at`` field, which is excluded from content hashes.
 
@@ -66,7 +67,6 @@ class ExperimentConfig:
     mode: str = "soft"
     l2: float = 1e-4
     epochs: int = 500
-    save_confidences: bool = True
     oracle_equivalence_instances: int = 200
     oracle_monotone_instances: int = 100
     oracle_bound_instances: int = 10_000
@@ -94,7 +94,6 @@ class ExperimentConfig:
 
 
 _LIST_KEYS = {"seeds": int, "estimate_only": str}
-_BOOL_KEYS = {"save_confidences"}
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -135,8 +134,6 @@ def _apply(cfg: ExperimentConfig, key: str, value, known):
                 parts = str(value).replace(",", " ").split()
                 parsed = tuple(conv(p) for p in parts)
             setattr(cfg, key, parsed)
-        elif key in _BOOL_KEYS:
-            setattr(cfg, key, str(value).strip().lower() in ("1", "true", "yes", "on"))
         elif isinstance(current, int):
             setattr(cfg, key, int(str(value)))
         elif isinstance(current, float):
@@ -204,9 +201,6 @@ def restrict_to_subset(cfg: ExperimentConfig, ds: Dataset,
     seeded random complement guesses as hard estimates.
     """
     cols = ds.schema.cf_columns
-    unknown = set(cfg.estimate_only) - {c.name for c in cols}
-    if unknown:
-        raise ConfigError(f"estimate_only names not in schema: {sorted(unknown)}")
     baseline = run_comp(ds, seed)
     kept = np.array([c.name in cfg.estimate_only for c in cols], dtype=bool)
     return EstimationResult(
@@ -222,7 +216,7 @@ def result_path(cfg: ExperimentConfig, method: str, seed: int) -> str:
     return os.path.join(cfg.out, f"estimate_{method}_seed{seed}.json")
 
 
-def load_result(path: str, ds: Dataset, need_confidences: bool) -> EstimationResult:
+def load_result(path: str, ds: Dataset) -> EstimationResult:
     """Read a saved estimation result and check it against the seed's dataset."""
     if not os.path.exists(path):
         raise DataError(f"missing estimation result {path}; run estimate first")
@@ -231,10 +225,7 @@ def load_result(path: str, ds: Dataset, need_confidences: bool) -> EstimationRes
     if (result.cf_names, result.n) != (names, ds.n):
         raise DataError(f"{path} estimates CFs {list(result.cf_names)} on {result.n} rows; "
                         f"the dataset has CFs {list(names)} on {ds.n} rows")
-    if result.confidences is None and need_confidences:
-        raise DataError(f"{path} was saved without confidences; rerun estimate "
-                        "with save_confidences = true")
-    if result.sizes not in (None, sizes):
+    if result.sizes != sizes:
         raise DataError(f"{path} has CF widths {list(result.sizes)}, the schema has {list(sizes)}")
     hard = result.hard_estimates
     if hard.size and (hard.min() < 1 or (hard > np.array(sizes)).any()):
@@ -292,14 +283,16 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     source = load_source(cfg)
+    unknown = set(cfg.estimate_only) - {c.name for c in source.schema.cf_columns}
+    if unknown:
+        raise ConfigError(f"estimate_only names not in schema: {sorted(unknown)}")
     of_graph = shared_of_graph(cfg, source, cfg.k) if cfg.method != "comp" else None
     for seed in cfg.seeds:
         ds = experiment_dataset(cfg, source, seed)
         result = run_method(cfg, ds, seed, of_graph)
         fingerprint = input_fingerprint(ds, {"seed": seed, "max_n": cfg.max_n})
         path = result_path(cfg, cfg.method, seed)
-        result.save(path, include_confidences=cfg.save_confidences,
-                    extra={"seed": seed, "input_hash": fingerprint})
+        result.save(path, extra={"seed": seed, "input_hash": fingerprint})
         print(f"wrote {path}")
     return 0
 
@@ -312,7 +305,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
         paths = [result_path(cfg, method, s) for s in cfg.seeds]
         if not all(os.path.exists(p) for p in paths):
             continue
-        per_seed = [score_cf(load_result(path, ds, need_confidences=True), ds.cf_truth)
+        per_seed = [score_cf(load_result(path, ds), ds.cf_truth)
                     for ds, path in zip(datasets, paths)]
         per_method[method] = aggregate_cf_scores(per_seed)
     if not per_method:
@@ -334,13 +327,11 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         ds = experiment_dataset(cfg, source, seed)
         result = None
         if cfg.mode in ("soft", "hard"):
-            result = load_result(result_path(cfg, cfg.method, seed), ds,
-                                 need_confidences=cfg.mode == "soft")
+            result = load_result(result_path(cfg, cfg.method, seed), ds)
         design = assemble(ds, cfg.mode, result=result)
         train_idx, test_idx = split_train_test(ds, cfg.fraction, seed)
-        model = train(design.values[train_idx], ds.labels[train_idx],
-                      l2=cfg.l2, epochs=cfg.epochs)
-        probs = predict(model, design.values[test_idx])
+        model = train(design[train_idx], ds.labels[train_idx], l2=cfg.l2, epochs=cfg.epochs)
+        probs = predict(model, design[test_idx])
         f1s.append(score_labels(probs, ds.labels[test_idx]))
     report = {
         "config": config_echo(cfg),
@@ -446,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("prepare", "estimate", "evaluate", "predict", "oracle", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", default=None,
+        p.add_argument("--seed", dest="seeds", default=None,
                        help="comma-separated seed list, overrides the config")
         p.add_argument("--method", default=None, choices=METHODS)
         p.add_argument("--T", default=None, type=int)
@@ -469,20 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seeds": args.seed,
-        "method": args.method,
-        "T": args.T,
-        "k": args.k,
-        "gamma": args.gamma,
-        "alpha": args.alpha,
-        "max_n": args.max_n,
-        "estimate_only": args.estimate_only,
-        "mode": args.mode,
-        "out": args.out,
-        "data": args.data,
-        "schema": args.schema,
-    }
+    keys = {f.name for f in fields(ExperimentConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in keys}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "prepare":

@@ -19,7 +19,6 @@ contributes nothing to distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,75 +27,48 @@ from .data import Column, Dataset
 from .errors import DataError, ShapeMismatchError
 
 
-@dataclass(frozen=True)
-class EncodedMatrix:
-    """Real-valued instance vectors plus the column -> coordinate map."""
+def encode_of(ds: Dataset) -> np.ndarray:
+    """Encode the OF columns of ``ds`` as a read-only (n, d) float64 array.
 
-    values: np.ndarray                     # (n, d) float64
-    blocks: dict[str, tuple[int, int]]     # source column -> [start, stop)
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[1])
-
-    def block(self, name: str) -> np.ndarray:
-        start, stop = self.blocks[name]
-        return self.values[:, start:stop]
-
-
-def encode_of(ds: Dataset) -> EncodedMatrix:
-    """Encode the OF columns of ``ds``; CF and label columns are excluded."""
+    Columns follow schema order; CF and label columns are excluded.
+    """
     parts = []
-    blocks = {}
-    pos = 0
     for col, arr in zip(ds.schema.of_columns, ds.of_values):
         if col.kind == "quantitative":
             lo, hi = float(arr.min()), float(arr.max())
             span = hi - lo
+            if math.isinf(span):  # finite extremes whose gap overflows; halving is exact
+                arr, lo, span = arr / 2, lo / 2, hi / 2 - lo / 2
             scaled = np.zeros(ds.n) if span == 0.0 else (arr - lo) / span
-            part = scaled[:, None]
+            parts.append(scaled[:, None])
         elif col.kind == "binary":
-            part = (arr - 1).astype(np.float64)[:, None]
+            parts.append((arr - 1).astype(np.float64)[:, None])
         else:
-            part = _one_hot(arr, col.size) / math.sqrt(col.size)
-        parts.append(part)
-        blocks[col.name] = (pos, pos + part.shape[1])
-        pos += part.shape[1]
-    values = np.hstack(parts) if parts else np.zeros((ds.n, 0))
-    return EncodedMatrix(values=values, blocks=blocks)
+            parts.append(_one_hot(arr, col.size) / math.sqrt(col.size))
+    return _read_only(np.hstack(parts) if parts else np.zeros((ds.n, 0)))
 
 
 def encode_with_confidence(
-    base: EncodedMatrix,
+    base: np.ndarray,
     conf: np.ndarray,
     cf_columns: Sequence[Column],
     gamma: float,
-) -> EncodedMatrix:
+) -> np.ndarray:
     """Append per-CF confidence rows scaled by sqrt(gamma) / sqrt(u).
 
     ``conf`` is the stacked (n, sum u_j) confidence matrix: CF j of
     ``cf_columns`` owns the next ``u_j`` columns, in order, and each of
-    its rows must be stochastic.  The appended block of each CF is
-    named after its column.
+    its rows must be stochastic.  The result is read-only, with the
+    columns of ``base`` first.
     """
     if not 0.0 <= gamma <= 1.0:
         raise DataError(f"gamma must lie in [0, 1], got {gamma}")
     conf = np.asarray(conf, dtype=np.float64)
     width = sum(col.size for col in cf_columns)
-    if conf.shape != (base.n, width):
+    if conf.shape != (base.shape[0], width):
         raise ShapeMismatchError(
-            f"confidences have shape {conf.shape}, expected ({base.n}, {width})"
+            f"confidences have shape {conf.shape}, expected ({base.shape[0]}, {width})"
         )
-    blocks = dict(base.blocks)
     scale = np.empty(width)
     start = 0
     for col in cf_columns:
@@ -104,12 +76,14 @@ def encode_with_confidence(
         vals = conf[:, start:stop]
         if vals.min() < 0 or np.abs(vals.sum(axis=1) - 1.0).max() > 1e-8:
             raise ShapeMismatchError(f"confidences of CF {col.name!r} are not row-stochastic")
-        if col.name in blocks:
-            raise ShapeMismatchError(f"duplicate block name {col.name!r}")
-        blocks[col.name] = (base.dim + start, base.dim + stop)
         scale[start:stop] = math.sqrt(gamma) / math.sqrt(col.size)
         start = stop
-    return EncodedMatrix(values=np.hstack([base.values, conf * scale]), blocks=blocks)
+    return _read_only(np.hstack([base, conf * scale]))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def _one_hot(codes: np.ndarray, size: int) -> np.ndarray:

@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodedMatrix
 from .errors import DataError, ShapeMismatchError
 
 _KNN_BLOCK = 64
 _SOLVE_BLOCK = 256
 _RIDGE = 1e-9      # delta in the ridge delta * tr(C) / k
-_KKT_TOL = 1e-10
+_KKT_TOL = 1e-10   # times tr(C)
 _FLOOR = 1e-14
 
 
@@ -102,13 +101,13 @@ class WeightGraph:
         return cls(neighbors=neighbors, weights=weights)
 
 
-def knn(enc: EncodedMatrix | np.ndarray, k: int) -> np.ndarray:
+def knn(x: np.ndarray, k: int) -> np.ndarray:
     """Exact Euclidean k-NN indices, self excluded.
 
     Distance ties break by ascending index (the module docstring gives
     the exactness contract).  The effective k is min(k, n-1).
     """
-    x = _vectors(enc)
+    x = _vectors(x)
     n, d = x.shape
     if n < 2:
         raise DataError("k-NN needs at least 2 instances")
@@ -139,17 +138,15 @@ def knn(enc: EncodedMatrix | np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _vectors(enc: EncodedMatrix | np.ndarray) -> np.ndarray:
-    """The (n, d) instance vectors of an encoding or a plain array."""
-    if isinstance(enc, EncodedMatrix):
-        return enc.values
-    arr = np.asarray(enc, dtype=np.float64)
+def _vectors(x: np.ndarray) -> np.ndarray:
+    """``x`` as an (n, d) float64 array of instance vectors."""
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError("expected a 2-D array of instance vectors")
     return arr
 
 
-def solve_weights(enc: EncodedMatrix | np.ndarray, neighbors: np.ndarray) -> WeightGraph:
+def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
     """Simplex-constrained least-squares weights for the given neighbor lists.
 
     With C the local Gram of row i, C_jl = (x_i - x_nb(i,j)) .
@@ -167,10 +164,12 @@ def solve_weights(enc: EncodedMatrix | np.ndarray, neighbors: np.ndarray) -> Wei
     on the neighbor order.  With it the objective is strictly convex, so
     the optimum is unique, and C + rho I restricted to any support is
     nonsingular.  Its price on the unregularized optimality gap is at
-    most rho / 4 = delta / 4 times the mean squared neighbor distance,
-    plus the 1e-10 stopping tolerance.  An encoded column adds at most 1
-    to a squared distance, so encodings of under 40 columns stay below
-    a gap of 1e-8.
+    most rho / 4 = delta / 4 times the mean squared neighbor distance
+    tr(C) / k.  The active set stops, and a row counts as flat, when
+    the gradient's spread is within ``_KKT_TOL`` tr(C), so the weights
+    do not depend on the scale of ``x``, and the gap stays below
+    (delta / 4 + k ``_KKT_TOL``) tr(C) / k, about 2e-9 tr(C) / k at
+    k = 20, at any scale.
 
     Rows are solved in blocks of ``_SOLVE_BLOCK`` rows, each by one
     batched active set (:func:`_solve_block`), which keeps the stacked
@@ -178,7 +177,7 @@ def solve_weights(enc: EncodedMatrix | np.ndarray, neighbors: np.ndarray) -> Wei
     weights is flat (all neighbors coincide with each other) keep
     exactly uniform weights.
     """
-    x = _vectors(enc)
+    x = _vectors(x)
     nb = np.asarray(neighbors, dtype=np.int64)
     n, k = nb.shape
     h = np.empty((n, k))
@@ -209,14 +208,16 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
     m, k, _ = diff.shape
     gram = diff @ diff.transpose(0, 2, 1)               # (m, k, k)
     out = np.full((m, k), 1.0 / k)
+    trace = np.trace(gram, axis1=1, axis2=2)
+    tol = _KKT_TOL * trace
     # A flat gradient at uniform weights (all neighbors coincide) makes
     # every point of the simplex optimal; such rows keep uniform exactly.
-    flat = np.ptp(gram.sum(axis=2), axis=1) / k <= _KKT_TOL
+    flat = np.ptp(gram.sum(axis=2), axis=1) / k <= tol
     eye = np.eye(k, dtype=bool)
-    gram[:, eye] += (_RIDGE / k) * np.trace(gram, axis1=1, axis2=2)[:, None]
+    gram[:, eye] += (_RIDGE / k) * trace[:, None]
 
     live = np.flatnonzero(~flat)
-    gram, h = gram[live], out[live]
+    gram, h, tol = gram[live], out[live], tol[live]
     support = np.ones(h.shape, dtype=bool)
     for _ in range(6 * k + 16):
         if not live.size:
@@ -234,7 +235,7 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
             mu = (grad * hf).sum(axis=1)
             off = np.where(support[feasible], np.inf, grad)
             worst = off.argmin(axis=1)
-            converged = off[np.arange(worst.size), worst] >= mu - _KKT_TOL
+            converged = off[np.arange(worst.size), worst] >= mu - tol[feasible]
             h[feasible] = hf
             rows = np.flatnonzero(feasible)
             support[rows[~converged], worst[~converged]] = True
@@ -260,41 +261,41 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
 
         out[live[done]] = h[done]
         keep = ~done
-        live, gram, h, support = live[keep], gram[keep], h[keep], support[keep]
+        live, gram, h, support, tol = live[keep], gram[keep], h[keep], support[keep], tol[keep]
     out[live] = h
     return out
 
 
-def reconstruction_error(enc: EncodedMatrix | np.ndarray, g: WeightGraph) -> np.ndarray:
+def reconstruction_error(x: np.ndarray, g: WeightGraph) -> np.ndarray:
     """Per-row squared residual ||x_i - sum_k w_ik x_nb||^2."""
-    x = _vectors(enc)
+    x = _vectors(x)
     recon = (g.weights[:, :, None] * x[g.neighbors]).sum(axis=1)
     return ((x - recon) ** 2).sum(axis=1)
 
 
-def kkt_residual(enc: EncodedMatrix | np.ndarray, g: WeightGraph,
+def kkt_residual(x: np.ndarray, g: WeightGraph,
                  support_tol: float = 1e-12) -> np.ndarray:
     """Per-row stationarity residual: max over the support of g_j - min g."""
-    grad = _weight_gradients(enc, g)
+    grad = _weight_gradients(x, g)
     mu = grad.min(axis=1, keepdims=True)
     on_support = g.weights > support_tol
     resid = np.where(on_support, grad - mu, 0.0)
     return resid.max(axis=1)
 
 
-def optimality_gap(enc: EncodedMatrix | np.ndarray, g: WeightGraph) -> np.ndarray:
+def optimality_gap(x: np.ndarray, g: WeightGraph) -> np.ndarray:
     """Per-row certified bound on objective suboptimality."""
-    grad = _weight_gradients(enc, g)
+    grad = _weight_gradients(x, g)
     return (grad * g.weights).sum(axis=1) - grad.min(axis=1)
 
 
-def _weight_gradients(enc, g: WeightGraph) -> np.ndarray:
-    x = _vectors(enc)
+def _weight_gradients(x: np.ndarray, g: WeightGraph) -> np.ndarray:
+    x = _vectors(x)
     a = x[g.neighbors]
     gram_h = (a @ a.transpose(0, 2, 1) @ g.weights[..., None])[..., 0]
     return gram_h - (a * x[:, None, :]).sum(axis=-1)
 
 
-def build_graph(enc: EncodedMatrix, k: int) -> WeightGraph:
+def build_graph(x: np.ndarray, k: int) -> WeightGraph:
     """k-NN search followed by weight solving."""
-    return solve_weights(enc, knn(enc, k))
+    return solve_weights(x, knn(x, k))

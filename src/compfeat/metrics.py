@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MissingTruthError
+from .errors import MissingTruthError
 from .propagation import EstimationResult
 
 CE_CLIP = 1e-12
@@ -34,8 +34,6 @@ def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:
     """Score every CF of an estimation result against hidden truth codes."""
     if truth is None:
         raise MissingTruthError("score_cf needs ground-truth CF values")
-    if result.confidences is None:
-        raise DataError("score_cf needs a result saved with its confidences")
     truth = np.asarray(truth, dtype=np.int64)
     scores = []
     for j, name in enumerate(result.cf_names):

@@ -15,56 +15,27 @@ reproducible without seed bookkeeping.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .encoding import EncodedMatrix, _one_hot, encode_of
+from .encoding import _one_hot, _read_only, encode_of
 from .errors import DataError, ShapeMismatchError, SingleClassError
 from .propagation import EstimationResult, init_marginal
 
 MODES = ("ord", "comp", "soft", "hard")
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    values: np.ndarray                  # (n, d) float64
-    blocks: dict[str, tuple[int, int]]  # column/CF name -> [start, stop)
-    mode: str
+def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> np.ndarray:
+    """Build the model input: OFs in schema order, then CF blocks in schema order.
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if not np.isfinite(vals).all():
-            raise DataError("design matrix must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[1])
-
-
-def assemble(
-    ds: Dataset,
-    mode: str,
-    result: EstimationResult | None = None,
-    enc_of: EncodedMatrix | None = None,
-) -> DesignMatrix:
-    """Build the model input: OFs in schema order, then CF blocks in schema order."""
+    Returns a read-only (n, d) float64 array whose last sum u_j columns
+    hold the CF blocks, CF j's block of width u_j after CF j-1's.
+    """
     if mode not in MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if enc_of is None:
-        enc_of = encode_of(ds)
-    parts = [enc_of.values]
-    blocks = dict(enc_of.blocks)
-    pos = enc_of.dim
-
+    parts = [encode_of(ds)]
     cf_cols = ds.schema.cf_columns
     if mode == "comp":
         parts.append(init_marginal(ds))
@@ -86,10 +57,10 @@ def assemble(
         else:
             parts += [_one_hot(result.hard_estimates[:, j], c.size)
                       for j, c in enumerate(cf_cols)]
-    for col in cf_cols:
-        blocks[col.name] = (pos, pos + col.size)
-        pos += col.size
-    return DesignMatrix(values=np.hstack(parts), blocks=blocks, mode=mode)
+    design = np.hstack(parts)
+    if not np.isfinite(design).all():
+        raise DataError("design matrix must be finite")
+    return _read_only(design)
 
 
 # ---------------------------------------------------------------------------
@@ -102,24 +73,6 @@ class LrModel:
     bias: float
     l2: float
     trace: tuple[float, ...]  # loss per iteration, non-increasing
-
-    def save(self, path):
-        doc = {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "l2": self.l2,
-            "trace": list(self.trace),
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "LrModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(weights=np.asarray(doc["weights"]), bias=float(doc["bias"]),
-                   l2=float(doc["l2"]), trace=tuple(doc["trace"]))
 
 
 def loss_and_grad(params: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: float):
@@ -143,7 +96,7 @@ def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500) -> LrModel:
     stationarity: once the gradient is at rounding level, or once no step
     of the line search lowers the loss any further.
     """
-    mat = x.values if isinstance(x, DesignMatrix) else np.asarray(x, dtype=np.float64)
+    mat = np.asarray(x, dtype=np.float64)
     if not np.isfinite(mat).all():
         raise DataError("design matrix must be finite")
     y = np.asarray(y, dtype=np.int64)
@@ -214,7 +167,7 @@ def _backtrack(params, direction, loss, grad, mat, targets, l2):
 
 def predict(model: LrModel, x) -> np.ndarray:
     """Probability of the higher label code, per row."""
-    mat = x.values if isinstance(x, DesignMatrix) else np.asarray(x, dtype=np.float64)
+    mat = np.asarray(x, dtype=np.float64)
     return _sigmoid(mat @ model.weights + model.bias)
 
 

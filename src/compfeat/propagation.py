@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import STREAM_GUESS, Dataset, complement_draws
-from .encoding import EncodedMatrix, encode_with_confidence
+from .encoding import encode_with_confidence
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph
 
@@ -49,15 +49,14 @@ class EstimationResult:
 
     ``confidences`` is the stacked (n, sum u_j) matrix whose column
     segment j, of width ``sizes[j]``, holds CF j's row-stochastic
-    confidences; it is None, and so is ``sizes``, for a result saved
-    without them.  ``hard_estimates[i, j]`` is the argmax of segment j
+    confidences.  ``hard_estimates[i, j]`` is the argmax of segment j
     row i (ties to the lowest code) for confidence-ranked methods; the
     uniform-complement baseline instead draws seeded random complements.
     """
 
     cf_names: tuple[str, ...]
-    sizes: tuple[int, ...] | None
-    confidences: np.ndarray | None
+    sizes: tuple[int, ...]
+    confidences: np.ndarray
     hard_estimates: np.ndarray
     method: str
     hyperparams: dict
@@ -72,8 +71,6 @@ class EstimationResult:
         object.__setattr__(self, "cf_names", names)
         object.__setattr__(self, "hard_estimates", hard)
         object.__setattr__(self, "hyperparams", dict(self.hyperparams))
-        if self.confidences is None and self.sizes is None:
-            return
         sizes = tuple(int(u) for u in self.sizes)
         q = np.array(self.confidences, dtype=np.float64, copy=True)
         if len(sizes) != len(names) or q.shape != (hard.shape[0], sum(sizes)):
@@ -96,14 +93,13 @@ class EstimationResult:
         start = sum(self.sizes[:j])
         return self.confidences[:, start:start + self.sizes[j]]
 
-    def save(self, path, include_confidences: bool = False, extra: dict | None = None):
+    def save(self, path, extra: dict | None = None):
         """Write canonical JSON: one confidence list per CF name, plus ``extra`` keys."""
         doc = {"method": self.method, "hyperparams": self.hyperparams,
                "cf_names": list(self.cf_names), "hard_estimates": self.hard_estimates.tolist(),
+               "confidences": {name: self.block(j).tolist()
+                               for j, name in enumerate(self.cf_names)},
                **(extra or {})}
-        if include_confidences and self.confidences is not None:
-            doc["confidences"] = {name: self.block(j).tolist()
-                                  for j, name in enumerate(self.cf_names)}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             # json.dumps, unlike json.dump, runs the C encoder.
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -114,13 +110,11 @@ class EstimationResult:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            names = doc["cf_names"]
-            conf = doc.get("confidences")
-            blocks = [np.asarray(conf[name], dtype=np.float64) for name in names] if conf else None
-            return cls(cf_names=names,
-                       sizes=None if blocks is None else [b.shape[1] for b in blocks],
-                       confidences=None if blocks is None else np.hstack(blocks),
-                       hard_estimates=doc["hard_estimates"],
+            names, hard = doc["cf_names"], doc["hard_estimates"]
+            blocks = [np.asarray(doc["confidences"][name], dtype=np.float64) for name in names]
+            return cls(cf_names=names, sizes=[b.shape[1] for b in blocks],
+                       confidences=np.hstack(blocks) if blocks else np.zeros((len(hard), 0)),
+                       hard_estimates=hard,
                        method=doc["method"], hyperparams=doc["hyperparams"])
         except (ValueError, KeyError, IndexError, TypeError, CompfeatError) as exc:
             raise DataError(f"{path}: malformed estimation result ({exc})") from None
@@ -212,19 +206,20 @@ def _require_cfs(sizes: Sequence[int]):
 # Full procedures
 
 
-def _of_graph(enc_of: EncodedMatrix, k: int, of_graph: WeightGraph | None) -> WeightGraph:
+def _of_graph(enc_of: np.ndarray, k: int, of_graph: WeightGraph | None) -> WeightGraph:
     """``of_graph`` after a shape check, or the graph of ``enc_of`` when it is None."""
     if of_graph is None:
         return build_graph(enc_of, k)
-    if (of_graph.n, of_graph.k) != (enc_of.n, min(k, enc_of.n - 1)):
+    n = enc_of.shape[0]
+    if (of_graph.n, of_graph.k) != (n, min(k, n - 1)):
         raise ShapeMismatchError(f"round-1 graph is {of_graph.n} x {of_graph.k}, "
-                                 f"expected {enc_of.n} x {min(k, enc_of.n - 1)}")
+                                 f"expected {n} x {min(k, n - 1)}")
     return of_graph
 
 
 def run_proposed(
     ds: Dataset,
-    enc_of: EncodedMatrix,
+    enc_of: np.ndarray,
     T: int,
     k: int,
     gamma: float,
@@ -290,7 +285,7 @@ def run_comp(ds: Dataset, seed: int) -> EstimationResult:
 
 def run_ipal(
     ds: Dataset,
-    enc_of: EncodedMatrix,
+    enc_of: np.ndarray,
     T: int,
     k: int,
     alpha: float,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from compfeat.data import (
 from compfeat.encoding import encode_of
 from compfeat.metrics import score_cf
 from compfeat.oracle import make_bank_like
-from compfeat.propagation import EstimationResult, run_proposed
+from compfeat.propagation import EstimationResult, run_comp, run_proposed
 
 SEEDS = (0, 1, 2)
 SMALL = ("--k", "8", "--T", "5")
@@ -79,6 +80,53 @@ def test_predict_creates_output_directory(tmp_path):
                  "--seed", "0", "--out", str(out)])
     assert code == 0
     assert os.path.exists(out / "prediction_ord.json")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quantitative_extremes_whose_difference_overflows(tmp_path):
+    """A quantitative column holding 1.7e308 and -1.7e308, whose
+    difference overflows, still encodes to finite values: every method,
+    evaluate and the ord predictor succeed without a RuntimeWarning."""
+    ds, _ = make_bank_like(60, seed=0)
+    j = next(i for i, c in enumerate(ds.schema.of_columns) if c.kind == "quantitative")
+    col = np.array(ds.of_values[j])
+    col[:2] = (1.7e308, -1.7e308)
+    ds = dataclasses.replace(ds, of_values=(*ds.of_values[:j], col, *ds.of_values[j + 1:]))
+    write_csv(ds, tmp_path / "d.csv")
+    save_schema(ds.schema, tmp_path / "d.schema")
+    flags = ["--data", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "d.schema"),
+             "--out", str(tmp_path / "out"), "--seed", "0", *SMALL]
+    for method in ("proposed", "ipal", "comp"):
+        assert main(["estimate", "--method", method, *flags]) == 0
+    assert main(["evaluate", *flags]) == 0
+    assert main(["predict", "--mode", "ord", *flags]) == 0
+
+
+class TestEstimateOnly:
+    def test_excluded_cfs_keep_the_baseline(self, bank_csv):
+        """CFs outside --estimate-only keep run_comp's confidences and hard
+        estimates bit for bit; the named CF keeps run_proposed's."""
+        assert main(["estimate", "--estimate-only", "job", "--seed", "0,1", *SMALL,
+                     *bank_csv]) == 0
+        for seed in (0, 1):
+            ds = seed_dataset(bank_csv, seed)
+            proposed = run_proposed(ds, encode_of(ds), T=5, k=8, gamma=0.25)
+            comp = run_comp(ds, seed)
+            got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.json"))
+            assert got.hyperparams["estimate_only"] == ["job"]
+            for j, name in enumerate(got.cf_names):
+                want = proposed if name == "job" else comp
+                np.testing.assert_array_equal(got.block(j), want.block(j))
+                np.testing.assert_array_equal(got.hard_estimates[:, j],
+                                              want.hard_estimates[:, j])
+
+    def test_unknown_name_rejected_before_any_graph(self, bank_csv, monkeypatch, capsys):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built before estimate_only was checked")
+
+        monkeypatch.setattr(propagation, "build_graph", no_graph)
+        assert main(["estimate", "--estimate-only", "job,colour", *SMALL, *bank_csv]) == 2
+        assert "colour" in capsys.readouterr().err
 
 
 class TestRoundOneReuse:
@@ -195,6 +243,20 @@ class TestExitCodes:
                          "--schema", str(tmp_path / "d.schema"),
                          "--out", str(tmp_path / "out")]) == 3
             assert "no CF columns" in capsys.readouterr().err
+
+    def test_schema_without_cfs_comp_pipeline(self, tmp_path):
+        """The comp baseline handles a schema without CFs, and its files,
+        with zero-width confidences, load for evaluate and predict."""
+        schema = FeatureSchema((Column("x0", "quantitative", "OF"),
+                                Column("y", "binary", "label", ("n", "p"))))
+        ds = Dataset(schema=schema, of_values=(np.linspace(0.0, 1.0, 10),),
+                     labels=np.tile([1, 2], 5), cf_truth=np.zeros((10, 0), dtype=np.int64))
+        write_csv(ds, tmp_path / "d.csv")
+        save_schema(schema, tmp_path / "d.schema")
+        flags = ["--method", "comp", "--data", str(tmp_path / "d.csv"),
+                 "--schema", str(tmp_path / "d.schema"), "--out", str(tmp_path / "out")]
+        for command in (["estimate"], ["evaluate"], ["predict", "--mode", "soft"]):
+            assert main([*command, *flags]) == 0
 
     def test_verification_failure_exits_4(self, tmp_path):
         cfg = tmp_path / "oracle.cfg"

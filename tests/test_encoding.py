@@ -23,11 +23,22 @@ def quantitative_only(values):
 class TestEncodeOf:
     def test_min_max_scaling(self):
         enc = encode_of(quantitative_only([2.0, 4.0, 6.0]))
-        np.testing.assert_allclose(enc.values[:, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(enc[:, 0], [0.0, 0.5, 1.0])
 
     def test_constant_column_maps_to_zero(self):
         enc = encode_of(quantitative_only([7.0, 7.0, 7.0]))
-        np.testing.assert_array_equal(enc.values[:, 0], [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(enc[:, 0], [0.0, 0.0, 0.0])
+
+    def test_extremes_whose_difference_overflows(self):
+        """1.7e308 - (-1.7e308) overflows; the scaled values do not."""
+        enc = encode_of(quantitative_only([1.7e308, 0.0, -1.7e308, 8.5e307]))
+        np.testing.assert_allclose(enc[:, 0], [1.0, 0.5, 0.0, 0.75], rtol=0, atol=1e-15)
+
+    def test_read_only_float64(self, tiny_dataset):
+        enc = encode_of(tiny_dataset)
+        assert enc.dtype == np.float64 and not enc.flags.writeable
+        with pytest.raises(ValueError):
+            enc[0, 0] = 1.0
 
     def test_binary_is_zero_one(self):
         schema = FeatureSchema((
@@ -36,21 +47,23 @@ class TestEncodeOf:
         ))
         ds = Dataset(schema=schema, of_values=(np.array([1, 2, 1]),),
                      labels=np.ones(3, dtype=np.int64))
-        np.testing.assert_array_equal(encode_of(ds).values[:, 0], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(encode_of(ds)[:, 0], [0.0, 1.0, 0.0])
 
     def test_one_hot_scaled_by_inverse_sqrt_size(self, tiny_schema):
         ds = build_dataset(tiny_schema, 8, seed=0)
         enc = encode_of(ds)
-        block = enc.block("color")
-        assert block.shape == (8, 4)
+        assert enc.shape == (8, 1 + 4)
+        block = enc[:, 1:5]  # after the quantitative "age" column
         code = ds.of_array("color")[0]
         assert block[0, code - 1] == pytest.approx(0.5)  # 1/sqrt(4)
         assert np.count_nonzero(block[0]) == 1
 
     def test_cf_columns_excluded(self, tiny_dataset):
         enc = encode_of(tiny_dataset)
-        assert "status" not in enc.blocks
-        assert enc.dim == 1 + 4
+        # age, then the one-hot of color; the CF "status" adds no columns
+        assert enc.shape == (tiny_dataset.n, 1 + 4)
+        np.testing.assert_array_equal(
+            enc[:, 1:], np.eye(4)[tiny_dataset.of_array("color") - 1] / 2.0)
 
     def test_affine_invariance(self, tiny_schema):
         ds = build_dataset(tiny_schema, 30, seed=2)
@@ -60,8 +73,8 @@ class TestEncodeOf:
             labels=ds.labels,
             cf_truth=ds.cf_truth,
         )
-        a = encode_of(ds).values
-        b = encode_of(shifted).values
+        a = encode_of(ds)
+        b = encode_of(shifted)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_single_categorical_difference_distance(self):
@@ -73,7 +86,7 @@ class TestEncodeOf:
         ds = Dataset(schema=schema, of_values=(np.array([1, 4]),),
                      labels=np.ones(2, dtype=np.int64))
         enc = encode_of(ds)
-        d2 = float(((enc.values[0] - enc.values[1]) ** 2).sum())
+        d2 = float(((enc[0] - enc[1]) ** 2).sum())
         assert d2 == pytest.approx(2.0 / 5.0)
 
 
@@ -90,10 +103,11 @@ class TestEncodeWithConfidence:
     def test_gamma_zero_keeps_distances(self):
         ds, enc, q0 = self.make()
         ext = encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=0.0)
-        base_d = ((enc.values[0] - enc.values[5]) ** 2).sum()
-        ext_d = ((ext.values[0] - ext.values[5]) ** 2).sum()
+        base_d = ((enc[0] - enc[5]) ** 2).sum()
+        ext_d = ((ext[0] - ext[5]) ** 2).sum()
         assert ext_d == pytest.approx(base_d)
-        assert np.all(ext.block("s") == 0.0)
+        assert ext.shape == (ds.n, 1 + 3)
+        assert np.all(ext[:, 1:] == 0.0)
 
     def test_gamma_one_matches_one_hot_rule(self):
         """One-hot confidences at gamma=1 reproduce the categorical OF rule."""
@@ -109,7 +123,7 @@ class TestEncodeWithConfidence:
         ))
         ds_of = Dataset(schema=as_of, of_values=(ds.of_values[0], ds.cf_truth[:, 0]),
                         labels=ds.labels)
-        np.testing.assert_allclose(ext.block("s"), encode_of(ds_of).block("s"), atol=1e-15)
+        np.testing.assert_allclose(ext, encode_of(ds_of), atol=1e-15)
 
     def test_fractional_gamma_block_value(self):
         """sqrt(0.25) * (1/sqrt(3)) * 0.5 on each supported coordinate."""
@@ -119,7 +133,7 @@ class TestEncodeWithConfidence:
         expected = math.sqrt(0.25) * (1.0 / math.sqrt(3)) * 0.5
         assert expected == pytest.approx(0.14433756729740643)
         np.testing.assert_allclose(
-            ext.block("s"),
+            ext[:, 1:],
             np.array([[expected, expected, 0.0], [0.0, expected, expected]]),
         )
 
@@ -127,7 +141,7 @@ class TestEncodeWithConfidence:
         ds, enc, q0 = self.make()
         gamma = 0.3
         ext = encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=gamma)
-        sums = ext.block("s").sum(axis=1)
+        sums = ext[:, 1:].sum(axis=1)
         np.testing.assert_allclose(sums, math.sqrt(gamma) / math.sqrt(3))
 
     def test_shape_mismatch(self):
@@ -144,7 +158,7 @@ class TestEncodeWithConfidence:
             encode_with_confidence(enc, np.full((5, 3), 0.5), ds.schema.cf_columns, gamma=0.5)
 
     def test_segments_scaled_per_cf(self):
-        """Each CF segment gets its own 1/sqrt(u) factor and block name."""
+        """Each CF segment gets its own 1/sqrt(u) factor, after the base columns."""
         schema = FeatureSchema((
             Column("x", "quantitative", "OF"),
             Column("s", "categorical", "CF", ("a", "b", "c")),
@@ -154,9 +168,10 @@ class TestEncodeWithConfidence:
         ds = synthesize_cf(build_dataset(schema, 6, seed=4), seed=4)
         enc, q0 = encode_of(ds), init_marginal(ds)
         ext = encode_with_confidence(enc, q0, schema.cf_columns, gamma=0.5)
-        assert ext.blocks["s"] == (1, 4) and ext.blocks["t"] == (4, 8)
-        np.testing.assert_array_equal(ext.block("s"), q0[:, :3] * (math.sqrt(0.5) / math.sqrt(3)))
-        np.testing.assert_array_equal(ext.block("t"), q0[:, 3:] * (math.sqrt(0.5) / math.sqrt(4)))
+        assert ext.shape == (6, 8) and not ext.flags.writeable
+        np.testing.assert_array_equal(ext[:, :1], enc)
+        np.testing.assert_array_equal(ext[:, 1:4], q0[:, :3] * (math.sqrt(0.5) / math.sqrt(3)))
+        np.testing.assert_array_equal(ext[:, 4:8], q0[:, 3:] * (math.sqrt(0.5) / math.sqrt(4)))
 
     def test_rejects_bad_gamma(self):
         ds, enc, q0 = self.make(n=5)

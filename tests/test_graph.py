@@ -14,7 +14,7 @@ from compfeat.graph import (
     reconstruction_error,
     solve_weights,
 )
-from compfeat.encoding import EncodedMatrix, encode_of
+from compfeat.encoding import encode_of
 from compfeat.oracle import make_bank_like
 
 
@@ -167,7 +167,7 @@ class TestKnnExactness:
     def test_bank_like_rounds(self, bank_like_rounds):
         _, enc1, enc2, _, _ = bank_like_rounds
         for enc in (enc1, enc2):
-            np.testing.assert_array_equal(knn(enc, 20), stable_argsort_knn(enc.values, 20))
+            np.testing.assert_array_equal(knn(enc, 20), stable_argsort_knn(enc, 20))
 
 
 class TestSolveWeights:
@@ -190,7 +190,7 @@ class TestSolveWeights:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(6, 3))
         nb = np.array([[j for j in range(6) if j != i][:5] for i in range(6)])
-        g = solve_weights(EncodedMatrix(values=x, blocks={}), nb)
+        g = solve_weights(x, nb)
         a = x[nb[0]]
         best = min(((x[0] - h @ a) ** 2).sum() for h in simplex_grid(5, 0.02))
         solver = ((x[0] - g.weights[0] @ a) ** 2).sum()
@@ -199,13 +199,13 @@ class TestSolveWeights:
 
     def test_duplicate_rows_give_uniform(self):
         x = np.ones((5, 3))
-        g = build_graph(EncodedMatrix(values=x, blocks={}), 3)
+        g = build_graph(x, 3)
         np.testing.assert_allclose(g.weights, 1.0 / 3.0)
 
     def test_certificates(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(80, 4))
-        g = build_graph(EncodedMatrix(values=x, blocks={}), 10)
+        g = build_graph(x, 10)
         assert kkt_residual(x, g).max() <= 1e-6
         assert optimality_gap(x, g).max() <= 1e-8
 
@@ -222,7 +222,7 @@ class TestSolveWeights:
     def test_row_sums(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(500, 6))
-        g = build_graph(EncodedMatrix(values=x, blocks={}), 12)
+        g = build_graph(x, 12)
         assert np.abs(g.weights.sum(axis=1) - 1.0).max() <= 1e-10
         assert g.weights.min() >= 0.0
 
@@ -230,8 +230,8 @@ class TestSolveWeights:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(40, 3))
         perm = rng.permutation(40)
-        g = build_graph(EncodedMatrix(values=x, blocks={}), 5)
-        gp = build_graph(EncodedMatrix(values=x[perm], blocks={}), 5)
+        g = build_graph(x, 5)
+        gp = build_graph(x[perm], 5)
         # row r of the permuted graph describes original instance perm[r],
         # and its neighbor index q points at original instance perm[q]
         np.testing.assert_array_equal(perm[gp.neighbors], g.neighbors[perm])
@@ -240,9 +240,8 @@ class TestSolveWeights:
     def test_determinism(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(50, 4))
-        enc = EncodedMatrix(values=x, blocks={})
-        a = build_graph(enc, 6)
-        b = build_graph(enc, 6)
+        a = build_graph(x, 6)
+        b = build_graph(x, 6)
         np.testing.assert_array_equal(a.neighbors, b.neighbors)
         np.testing.assert_array_equal(a.weights, b.weights)
 
@@ -253,10 +252,10 @@ class TestSolveWeights:
         solve reaches the objective of the unregularized reference, and
         degenerate rows keep uniform weights."""
         _, enc1, enc2, _, _ = bank_like_rounds
-        collapsed = np.array(enc1.values)
+        collapsed = np.array(enc1)
         collapsed[:25] = collapsed[0]
         degenerate_seen = 0
-        for x in (enc1.values, enc2.values, collapsed):
+        for x in (enc1, enc2, collapsed):
             nb = knn(x, 20)
             g = solve_weights(x, nb)
             a = x[nb]
@@ -279,7 +278,7 @@ class TestSolveWeights:
         the ridge optimum is, so reordering a row's neighbors only
         reorders its weights."""
         ds, _ = make_bank_like(2000, seed=0)
-        x = encode_of(ds).values
+        x = encode_of(ds)
         nb = knn(x, 20)
         g = solve_weights(x, nb)
         rng = np.random.default_rng(10)
@@ -287,6 +286,19 @@ class TestSolveWeights:
             perm = rng.permutation(20)
             gp = solve_weights(x, nb[:, perm])
             assert np.abs(gp.weights - g.weights[:, perm]).max() <= 1e-6
+
+    def test_weights_do_not_depend_on_scale(self):
+        """The flat-row test, the ridge and the stopping tolerance all
+        scale with tr(C) / k, so scaling the data leaves the weights and
+        the gap relative to the squared scale unchanged."""
+        x = np.random.default_rng(0).normal(size=(600, 5))
+        nb = knn(x, 20)
+        g = solve_weights(x, nb)
+        assert optimality_gap(x, g).max() <= 1e-8
+        for scale in (1e-6, 1e-4, 1e3):
+            gs = solve_weights(x * scale, nb)
+            assert np.abs(gs.weights - g.weights).max() <= 1e-6
+            assert optimality_gap(x * scale, gs).max() <= 1e-8 * scale ** 2
 
 class TestWeightGraphType:
     def test_rejects_self_loops(self):

@@ -24,7 +24,7 @@ class TestAssemble:
         ds = observed_dataset([3], 10, seed=0)
         res = run_comp(ds, 0)
         design = assemble(ds, "hard", result=res)
-        block = design.values[:, design.blocks["s0"][0]:design.blocks["s0"][1]]
+        block = design[:, -3:]  # the CF block is last
         for i in range(10):
             expected = np.zeros(3)
             expected[res.hard_estimates[i, 0] - 1] = 1.0
@@ -37,17 +37,16 @@ class TestAssemble:
                             confidences=res.confidences, hard_estimates=ds.cf_truth,
                             method="proposed", hyperparams={})
         np.testing.assert_array_equal(
-            assemble(ds, "ord").values,
-            assemble(ds, "hard", result=perfect).values,
+            assemble(ds, "ord"),
+            assemble(ds, "hard", result=perfect),
         )
 
     def test_soft_blocks_row_stochastic(self):
         ds = observed_dataset([3, 5], 15, seed=2)
         res = run_comp(ds, 0)
         design = assemble(ds, "soft", result=res)
-        for name in ("s0", "s1"):
-            start, stop = design.blocks[name]
-            np.testing.assert_allclose(design.values[:, start:stop].sum(axis=1), 1.0)
+        for start, stop in ((-8, -5), (-5, None)):  # s0 (u=3), then s1 (u=5)
+            np.testing.assert_allclose(design[:, start:stop].sum(axis=1), 1.0)
 
     def test_result_of_another_schema_rejected(self):
         ds = observed_dataset([3, 4], 12, seed=1)
@@ -62,15 +61,16 @@ class TestAssemble:
     def test_comp_mode_uses_initial_confidences(self):
         ds = observed_dataset([4], 9, seed=3)
         design = assemble(ds, "comp")
-        start, stop = design.blocks["s0"]
-        np.testing.assert_array_equal(design.values[:, start:stop], init_marginal(ds))
+        np.testing.assert_array_equal(design[:, -4:], init_marginal(ds))
 
     def test_column_order_ofs_then_cfs(self):
         ds = observed_dataset([3], 8, seed=4)
         enc = encode_of(ds)
-        design = assemble(ds, "comp", enc_of=enc)
-        assert design.dim == enc.dim + 3
-        assert design.blocks["s0"] == (enc.dim, enc.dim + 3)
+        design = assemble(ds, "comp")
+        assert design.shape == (ds.n, enc.shape[1] + 3)
+        assert design.dtype == np.float64 and not design.flags.writeable
+        np.testing.assert_array_equal(design[:, :enc.shape[1]], enc)
+        np.testing.assert_array_equal(design[:, enc.shape[1]:], init_marginal(ds))
 
 
 class TestTrain:
@@ -135,7 +135,7 @@ class TestTrain:
         model = train(design, ds.labels)
         targets = (ds.labels == ds.labels.max()).astype(float)
         params = np.append(model.weights, model.bias)
-        _, grad = loss_and_grad(params, design.values, targets, model.l2)
+        _, grad = loss_and_grad(params, design, targets, model.l2)
         assert np.abs(grad).max() <= 1e-8
 
     def test_unregularized_singular_hessian(self):
@@ -143,7 +143,7 @@ class TestTrain:
         the bias column, and a duplicated and a constant column are added.
         Training still finishes at a stationary point."""
         ds, _ = make_bank_like(200, seed=0)
-        values = assemble(ds, "ord").values
+        values = assemble(ds, "ord")
         x = np.hstack([values, values[:, :1], np.ones((ds.n, 1))])
         model = train(x, ds.labels, l2=0.0)
         assert np.diff(model.trace).max() <= 0.0
@@ -182,15 +182,6 @@ class TestPredict:
         z = 0.5 * 2.0 - 1.0 * 1.0 + 0.25
         assert predict(model, x)[0] == pytest.approx(1.0 / (1.0 + math.exp(-z)))
 
-    def test_model_json_round_trip(self, tmp_path):
-        model = LrModel(weights=np.array([1.0, 2.0]), bias=-0.5, l2=1e-4,
-                        trace=(1.0, 0.5))
-        path = tmp_path / "m.json"
-        model.save(path)
-        loaded = LrModel.load(path)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        assert loaded.bias == model.bias and loaded.trace == model.trace
-
 
 class TestDirectionalSanity:
     def test_true_values_beat_uniform_baseline_inputs(self):
@@ -205,7 +196,7 @@ class TestDirectionalSanity:
             test_idx = np.arange(half, ds.n)
             for mode, sink in (("ord", ord_scores), ("comp", comp_scores)):
                 design = assemble(ds, mode)
-                model = train(design.values[train_idx], ds.labels[train_idx])
-                probs = predict(model, design.values[test_idx])
+                model = train(design[train_idx], ds.labels[train_idx])
+                probs = predict(model, design[test_idx])
                 sink.append(score_labels(probs, ds.labels[test_idx]))
         assert np.mean(ord_scores) >= np.mean(comp_scores)

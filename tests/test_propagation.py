@@ -454,7 +454,7 @@ class TestEstimationResultIo:
         ds = observed_dataset([3, 4], 15, seed=18)
         res = run_proposed(ds, encode_of(ds), T=3, k=4, gamma=0.25)
         path = tmp_path / "r.json"
-        res.save(path, include_confidences=True, extra={"seed": 0})
+        res.save(path, extra={"seed": 0})
         loaded = EstimationResult.load(path)
         np.testing.assert_array_equal(loaded.hard_estimates, res.hard_estimates)
         assert loaded.cf_names == res.cf_names == ("s0", "s1")
@@ -463,14 +463,6 @@ class TestEstimationResultIo:
         np.testing.assert_array_equal(loaded.block(1), res.confidences[:, 3:])
         assert loaded.method == "proposed"
         assert loaded.hyperparams == res.hyperparams
-
-    def test_saved_without_confidences(self, tmp_path):
-        ds = observed_dataset([3, 4], 15, seed=18)
-        path = tmp_path / "r.json"
-        run_comp(ds, 0).save(path)
-        loaded = EstimationResult.load(path)
-        assert loaded.confidences is None and loaded.sizes is None
-        assert loaded.cf_names == ("s0", "s1")
 
     @pytest.mark.parametrize("q", [
         np.full((1, 5), 0.25),                      # segment sums 0.75 and 0.5
@@ -498,7 +490,8 @@ class TestEstimationResultIo:
         '{"method": "proposed"}',
         '[1, 2, 3]',
         '{"cf_names": ["s0"], "hard_estimates": [[1], [2, 3]], "method": "m",'
-        ' "hyperparams": {}}',
+        ' "hyperparams": {}, "confidences": {"s0": [[0.5, 0.5], [0.5, 0.5]]}}',
+        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {}}',
         '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
         ' "confidences": {"s0": [[0.5, 0.5], [0.9, 0.9]]}}',
         '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
