@@ -15,6 +15,10 @@ overrides the key of the same name (flags win); ``fraction``, ``l2``,
 configurations produce byte-identical reports apart from the
 ``generated_at`` field, which is excluded from content hashes.
 
+Every command but ``oracle`` reads the source CSV and needs at least 2
+rows in it.  ``sweep`` estimates each point with ``--method`` and
+honours ``--estimate-only`` as ``estimate`` does.
+
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 verification failure.
 """
@@ -26,7 +30,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -149,10 +153,21 @@ def _apply(cfg: ExperimentConfig, key: str, value, known):
 
 
 def load_source(cfg: ExperimentConfig) -> Dataset:
-    """Read the schema and the source CSV; done once per command."""
+    """Read the schema and the source CSV; done once per command.
+
+    ``estimate_only`` names that are not CFs of the schema are a
+    configuration error; a source of fewer than 2 rows is a data error.
+    """
     if not cfg.data or not cfg.schema:
         raise ConfigError("config needs both 'data' and 'schema' paths")
-    return load_csv(cfg.data, load_schema(cfg.schema))
+    schema = load_schema(cfg.schema)
+    unknown = set(cfg.estimate_only) - {c.name for c in schema.cf_columns}
+    if unknown:
+        raise ConfigError(f"estimate_only names not in schema: {sorted(unknown)}")
+    source = load_csv(cfg.data, schema)
+    if source.n < 2:
+        raise DataError(f"{cfg.data} has {source.n} rows; at least 2 are needed")
+    return source
 
 
 def subsamples(cfg: ExperimentConfig, source: Dataset) -> bool:
@@ -170,22 +185,22 @@ def experiment_dataset(cfg: ExperimentConfig, source: Dataset, seed: int) -> Dat
     return ds
 
 
-def shared_of_graph(cfg: ExperimentConfig, source: Dataset,
-                    k: int) -> propagation.WeightGraph | None:
+def shared_of_graph(cfg: ExperimentConfig, source: Dataset) -> propagation.WeightGraph | None:
     """The round-1 graph every seed shares (synthesis never changes the
-    OFs), or None when each seed subsamples its own rows."""
-    if subsamples(cfg, source):
+    OFs), or None for the graph-free baseline and when each seed
+    subsamples its own rows."""
+    if cfg.method == "comp" or subsamples(cfg, source):
         return None
-    return propagation.build_graph(encode_of(source), k)
+    return propagation.build_graph(encode_of(source), cfg.k)
 
 
 def run_method(cfg: ExperimentConfig, ds: Dataset, seed: int,
                of_graph: propagation.WeightGraph | None = None) -> EstimationResult:
-    enc = encode_of(ds)
     if cfg.method == "proposed":
-        result = run_proposed(ds, enc, T=cfg.T, k=cfg.k, gamma=cfg.gamma, of_graph=of_graph)
+        result = run_proposed(ds, encode_of(ds), T=cfg.T, k=cfg.k, gamma=cfg.gamma,
+                              of_graph=of_graph)
     elif cfg.method == "ipal":
-        result = run_ipal(ds, enc, T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
+        result = run_ipal(ds, encode_of(ds), T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
     else:
         result = run_comp(ds, seed)
     if cfg.estimate_only:
@@ -227,9 +242,6 @@ def load_result(path: str, ds: Dataset) -> EstimationResult:
                         f"the dataset has CFs {list(names)} on {ds.n} rows")
     if result.sizes != sizes:
         raise DataError(f"{path} has CF widths {list(result.sizes)}, the schema has {list(sizes)}")
-    hard = result.hard_estimates
-    if hard.size and (hard.min() < 1 or (hard > np.array(sizes)).any()):
-        raise DataError(f"{path} has hard estimates outside the CF codes")
     return result
 
 
@@ -283,10 +295,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     source = load_source(cfg)
-    unknown = set(cfg.estimate_only) - {c.name for c in source.schema.cf_columns}
-    if unknown:
-        raise ConfigError(f"estimate_only names not in schema: {sorted(unknown)}")
-    of_graph = shared_of_graph(cfg, source, cfg.k) if cfg.method != "comp" else None
+    of_graph = shared_of_graph(cfg, source)
     for seed in cfg.seeds:
         ds = experiment_dataset(cfg, source, seed)
         result = run_method(cfg, ds, seed, of_graph)
@@ -381,28 +390,27 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
         raise ConfigError("sweep axis must be one of T, k, gamma")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    os.makedirs(cfg.out, exist_ok=True)
     parse = float if axis == "gamma" else int
     try:
-        points = [parse(v) for v in values]
+        points = [replace(cfg, **{axis: parse(v)}) for v in values]
     except ValueError:
         raise ConfigError(f"bad sweep value for axis {axis!r}") from None
+    for point in points:
+        point.validate()
+    os.makedirs(cfg.out, exist_ok=True)
 
     source = load_source(cfg)
     datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
-    encodings = [encode_of(ds) for ds in datasets]
     of_graphs: dict[int, propagation.WeightGraph | None] = {}  # by k
     curve = []
-    for value in points:
-        params = {"T": cfg.T, "k": cfg.k, "gamma": cfg.gamma, axis: value}
-        if params["k"] not in of_graphs:
-            of_graphs[params["k"]] = shared_of_graph(cfg, source, params["k"])
+    for point in points:
+        if point.k not in of_graphs:
+            of_graphs[point.k] = shared_of_graph(point, source)
         accs = []
-        for ds, enc in zip(datasets, encodings):
-            result = run_proposed(ds, enc, **params, of_graph=of_graphs[params["k"]])
-            scores = score_cf(result, ds.cf_truth)
+        for ds, seed in zip(datasets, cfg.seeds):
+            scores = score_cf(run_method(point, ds, seed, of_graphs[point.k]), ds.cf_truth)
             accs.append(float(np.mean([s.acc for s in scores])))
-        curve.append({"value": value, "mean_acc": float(np.mean(accs)),
+        curve.append({"value": getattr(point, axis), "mean_acc": float(np.mean(accs)),
                       "std_acc": float(np.std(accs))})
     means = [pt["mean_acc"] for pt in curve]
     report = {

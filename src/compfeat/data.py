@@ -14,12 +14,14 @@ where kind is one of ``quantitative``, ``binary``, ``categorical`` and
 role is one of ``OF``, ``CF``, ``label``.  The trailing ``|``-joined
 vocabulary is optional for non-quantitative columns; when absent it is
 inferred from the data, sorted lexicographically.
+
+CSVs are read and written a column at a time.  A malformed CSV raises a
+typed error that names the first bad row and its column.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,15 +59,6 @@ class Column:
     def size(self) -> int:
         """Number of category codes (0 for quantitative columns)."""
         return len(self.vocabulary)
-
-    def code(self, value: str) -> int:
-        try:
-            return self.vocabulary.index(value) + 1
-        except ValueError:
-            raise UnknownCategoryError(
-                f"value {value!r} not in vocabulary of column {self.name!r}",
-                column=self.name,
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -125,13 +118,6 @@ class FeatureSchema:
             if c.name == name:
                 return c
         raise DataError(f"no column named {name!r}")
-
-    def with_vocabulary(self, name: str, vocabulary: tuple[str, ...]) -> "FeatureSchema":
-        cols = tuple(
-            replace(c, vocabulary=tuple(vocabulary)) if c.name == name else c
-            for c in self.columns
-        )
-        return FeatureSchema(cols)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -251,9 +237,15 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
 
     Raw values of CF columns populate ``cf_truth``, which is (n, 0) when
     the schema has no CF columns; ``cf_observed`` is left unset until
-    :func:`synthesize_cf`.  Columns in the file but not
-    in the schema are ignored.  Missing-value tokens such as ``?`` are
-    ordinary vocabulary entries.
+    :func:`synthesize_cf`.  Columns in the file but not in the schema are
+    ignored.  Missing-value tokens such as ``?`` are ordinary vocabulary
+    entries.
+
+    Malformed input raises a typed error carrying the first bad row
+    (0-based, header excluded) and its column: :class:`ParseError` for a
+    row too short to hold every schema column or a quantitative cell that
+    is not a finite number, :class:`UnknownCategoryError` for a value
+    outside a declared vocabulary.  Columns are checked in schema order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -263,64 +255,56 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
             raise ParseError("empty file: header row required") from None
         rows = list(reader)
 
-    positions = {}
     for col in schema.columns:
         if col.name not in header:
             raise MissingColumnError(f"column {col.name!r} missing from CSV header")
-        positions[col.name] = header.index(col.name)
+    positions = [header.index(c.name) for c in schema.columns]
+    width = max(positions) + 1
+    if rows and min(map(len, rows)) < width:
+        i = next(i for i, row in enumerate(rows) if len(row) < width)
+        name = next(c.name for c, pos in zip(schema.columns, positions) if pos >= len(rows[i]))
+        raise ParseError(f"row {i}: too few cells", row=i, column=name)
+    cells = {c.name: [row[pos] for row in rows] for c, pos in zip(schema.columns, positions)}
 
     # Infer vocabularies left open by the schema (sorted for determinism).
-    for col in schema.columns:
-        if col.kind != "quantitative" and not col.vocabulary:
-            seen = sorted({row[positions[col.name]] for row in rows})
-            schema = schema.with_vocabulary(col.name, tuple(seen))
+    schema = FeatureSchema(tuple(
+        c if c.kind == "quantitative" or c.vocabulary
+        else replace(c, vocabulary=tuple(sorted(set(cells[c.name]))))
+        for c in schema.columns))
     schema.validate_complete()
-
-    n = len(rows)
-    of_values = []
-    for col in schema.of_columns:
-        pos = positions[col.name]
-        if col.kind == "quantitative":
-            out = np.empty(n, dtype=np.float64)
-            for i, row in enumerate(rows):
-                try:
-                    out[i] = float(row[pos])
-                except (ValueError, IndexError):
-                    raise ParseError(
-                        f"row {i}: cannot parse {row[pos]!r} as a number "
-                        f"in column {col.name!r}",
-                        row=i, column=col.name,
-                    ) from None
-                if not math.isfinite(out[i]):
-                    raise ParseError(
-                        f"row {i}: non-finite value in column {col.name!r}",
-                        row=i, column=col.name,
-                    )
-        else:
-            out = _encode_column(rows, pos, col)
-        of_values.append(out)
-
-    cf_cols = schema.cf_columns
-    cf_truth = (np.column_stack([_encode_column(rows, positions[c.name], c) for c in cf_cols])
-                if cf_cols else np.zeros((n, 0), dtype=np.int64))
-    labels = _encode_column(rows, positions[schema.label_column.name], schema.label_column)
-    return Dataset(schema=schema, of_values=tuple(of_values), labels=labels, cf_truth=cf_truth)
+    values = {c.name: _convert(cells[c.name], c) for c in schema.columns}
+    cf = [values[c.name] for c in schema.cf_columns]
+    return Dataset(schema=schema, of_values=tuple(values[c.name] for c in schema.of_columns),
+                   labels=values[schema.label_column.name],
+                   cf_truth=np.column_stack(cf) if cf else np.zeros((len(rows), 0), dtype=np.int64))
 
 
-def _encode_column(rows, pos, col: Column) -> np.ndarray:
-    out = np.empty(len(rows), dtype=np.int64)
-    lookup = {v: i + 1 for i, v in enumerate(col.vocabulary)}
-    for i, row in enumerate(rows):
+def _convert(cells: list[str], col: Column) -> np.ndarray:
+    """One column as float64 values or 1-based int64 codes; a failure scans for its row."""
+    if col.kind != "quantitative":
+        lookup = {v: i + 1 for i, v in enumerate(col.vocabulary)}
         try:
-            out[i] = lookup[row[pos]]
+            return np.array([lookup[v] for v in cells], dtype=np.int64)
         except KeyError:
+            i = next(i for i, v in enumerate(cells) if v not in lookup)
             raise UnknownCategoryError(
-                f"row {i}: value {row[pos]!r} not in vocabulary of column {col.name!r}",
+                f"row {i}: value {cells[i]!r} not in vocabulary of column {col.name!r}",
                 row=i, column=col.name,
             ) from None
-        except IndexError:
-            raise ParseError(f"row {i}: too few cells", row=i, column=col.name) from None
-    return out
+    try:
+        values = np.array([float(v) for v in cells], dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for i, v in enumerate(cells):
+        try:
+            if np.isfinite(float(v)):
+                continue
+        except ValueError:
+            pass
+        raise ParseError(f"row {i}: {v!r} is not a finite number in column {col.name!r}",
+                         row=i, column=col.name)
 
 
 def write_csv(ds: Dataset, path, observed_columns: bool = False):
@@ -331,36 +315,30 @@ def write_csv(ds: Dataset, path, observed_columns: bool = False):
     ``<name>__observed`` column per CF is appended.
     """
     schema = ds.schema
-    header = [c.name for c in schema.columns]
-    cf_names = [c.name for c in schema.cf_columns]
-    if observed_columns:
-        if ds.cf_observed is None:
-            raise MissingTruthError("no observed CF values to write")
-        header += [f"{name}__observed" for name in cf_names]
-    if any(c.role == "CF" for c in schema.columns) and ds.cf_truth is None:
+    cf_cols = schema.cf_columns
+    if observed_columns and ds.cf_observed is None:
+        raise MissingTruthError("no observed CF values to write")
+    if cf_cols and ds.cf_truth is None:
         raise MissingTruthError("dataset has no CF ground truth to write")
 
-    of_lookup = {c.name: i for i, c in enumerate(schema.of_columns)}
-    cf_lookup = {name: j for j, name in enumerate(cf_names)}
+    arrays = dict(zip((c.name for c in schema.of_columns), ds.of_values))
+    arrays[schema.label_column.name] = ds.labels
+    arrays.update((c.name, ds.cf_truth[:, j]) for j, c in enumerate(cf_cols))
+    header = [c.name for c in schema.columns]
+    columns = [_cell_text(arrays[c.name], c) for c in schema.columns]
+    if observed_columns:
+        header += [f"{c.name}__observed" for c in cf_cols]
+        columns += [_cell_text(ds.cf_observed[:, j], c) for j, c in enumerate(cf_cols)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(ds.n):
-            row = []
-            for col in schema.columns:
-                if col.role == "OF":
-                    val = ds.of_values[of_lookup[col.name]][i]
-                    row.append(repr(float(val)) if col.kind == "quantitative"
-                               else col.vocabulary[int(val) - 1])
-                elif col.role == "CF":
-                    row.append(col.vocabulary[int(ds.cf_truth[i, cf_lookup[col.name]]) - 1])
-                else:
-                    row.append(col.vocabulary[int(ds.labels[i]) - 1])
-            if observed_columns:
-                for name in cf_names:
-                    col = schema.column(name)
-                    row.append(col.vocabulary[int(ds.cf_observed[i, cf_lookup[name]]) - 1])
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
+
+
+def _cell_text(arr: np.ndarray, col: Column) -> list[str]:
+    if col.kind == "quantitative":
+        return [repr(v) for v in np.asarray(arr, dtype=np.float64).tolist()]
+    return [col.vocabulary[code - 1] for code in np.asarray(arr, dtype=np.int64).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,10 @@ class EstimationResult:
 
     ``confidences`` is the stacked (n, sum u_j) matrix whose column
     segment j, of width ``sizes[j]``, holds CF j's row-stochastic
-    confidences.  ``hard_estimates[i, j]`` is the argmax of segment j
-    row i (ties to the lowest code) for confidence-ranked methods; the
-    uniform-complement baseline instead draws seeded random complements.
+    confidences.  ``hard_estimates[i, j]`` is a code in ``1..sizes[j]``:
+    the argmax of segment j row i (ties to the lowest code) for
+    confidence-ranked methods; the uniform-complement baseline instead
+    draws seeded random complements.
     """
 
     cf_names: tuple[str, ...]
@@ -77,6 +78,8 @@ class EstimationResult:
             raise ShapeMismatchError(
                 f"confidences of shape {q.shape} do not fit {hard.shape[0]} rows "
                 f"and CF widths {sizes}")
+        if hard.size and (hard.min() < 1 or (hard > np.array(sizes)).any()):
+            raise DataError(f"hard estimates outside the CF codes 1..u of widths {sizes}")
         if sizes and not (q.min(initial=0.0) >= 0.0 and np.abs(
                 np.add.reduceat(q, _starts(sizes), axis=1) - 1.0).max(initial=0.0) <= 1e-10):
             raise DataError("confidences must be row-stochastic in every CF segment")

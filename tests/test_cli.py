@@ -120,13 +120,35 @@ class TestEstimateOnly:
                 np.testing.assert_array_equal(got.hard_estimates[:, j],
                                               want.hard_estimates[:, j])
 
-    def test_unknown_name_rejected_before_any_graph(self, bank_csv, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", [
+        ["prepare"], ["estimate", *SMALL], ["evaluate"], ["predict", "--mode", "ord"],
+        ["sweep", "--axis", "T", "--values", "2", *SMALL],
+    ], ids=["prepare", "estimate", "evaluate", "predict", "sweep"])
+    def test_unknown_name_rejected_before_any_graph(self, bank_csv, monkeypatch, capsys,
+                                                    command):
         def no_graph(*args, **kwargs):
             raise AssertionError("a graph was built before estimate_only was checked")
 
         monkeypatch.setattr(propagation, "build_graph", no_graph)
-        assert main(["estimate", "--estimate-only", "job,colour", *SMALL, *bank_csv]) == 2
+        assert main([*command, "--estimate-only", "job,colour", *bank_csv]) == 2
         assert "colour" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "comp"], ["--method", "ipal", "--estimate-only", "job"],
+    ], ids=["comp", "ipal_job_only"])
+    def test_sweep_point_scores_the_estimate(self, bank_csv, flags):
+        """A sweep point scores what ``estimate`` writes for the same
+        configuration: sweep honours --method and --estimate-only."""
+        common = ["--seed", "0,1", *SMALL, *flags, *bank_csv]
+        assert main(["estimate", *common]) == 0
+        assert main(["sweep", "--axis", "T", "--values", "5", *common]) == 0
+        accs = []
+        for seed in (0, 1):
+            ds = seed_dataset(bank_csv, seed)
+            res = EstimationResult.load(out_file(bank_csv, f"estimate_{flags[1]}_seed{seed}.json"))
+            accs.append(float(np.mean([s.acc for s in score_cf(res, ds.cf_truth)])))
+        (point,) = read_json(out_file(bank_csv, "sweep_T.json"))["curve"]
+        assert point["mean_acc"] == float(np.mean(accs))
 
 
 class TestRoundOneReuse:
@@ -194,6 +216,9 @@ class TestExitCodes:
         ["estimate", "--gamma", "1.5"],
         ["sweep", "--axis", "alpha", "--values", "0.5"],
         ["sweep", "--axis", "k", "--values", "five"],
+        ["sweep", "--axis", "gamma", "--values", "1.5"],
+        ["sweep", "--axis", "T", "--values", "0"],
+        ["sweep", "--axis", "k", "--values", "0"],
     ])
     def test_configuration_errors_exit_2(self, bank_csv, command):
         assert main([*command, *bank_csv]) == 2
@@ -209,6 +234,20 @@ class TestExitCodes:
         assert main(["estimate", *missing]) == 3
         assert main(["evaluate", *bank_csv]) == 3
         assert main(["predict", "--mode", "soft", *bank_csv]) == 3
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_source_without_two_rows_exits_3(self, tmp_path, capsys, rows):
+        ds, _ = make_bank_like(60, seed=0)
+        write_csv(ds.subset(np.arange(rows)), tmp_path / "d.csv")
+        save_schema(ds.schema, tmp_path / "d.schema")
+        flags = ["--data", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "d.schema"),
+                 "--out", str(tmp_path / "out"), *SMALL]
+        for command in (["prepare"], ["estimate"], ["estimate", "--method", "ipal"],
+                        ["estimate", "--method", "comp"], ["evaluate"],
+                        ["predict", "--mode", "ord"], ["sweep", "--axis", "T", "--values", "2"]):
+            capsys.readouterr()
+            assert main([*command, *flags]) == 3, command
+            assert "at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", [
         lambda text: text[: len(text) // 2],               # truncated JSON

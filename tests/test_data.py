@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from compfeat.data import (
     Column,
@@ -99,6 +100,40 @@ class TestLoadCsv:
         with pytest.raises(UnknownCategoryError):
             load_csv(path, tiny_schema)
 
+    @pytest.mark.parametrize("header, short_row, column", [
+        ("color,status,y,age", "red,b,yes", "age"),    # quantitative cell missing
+        ("age,color,status,y", "2.0", "color"),        # categorical cells missing
+    ])
+    def test_short_row_reports_row_and_column(self, tiny_schema, tmp_path,
+                                              header, short_row, column):
+        full = {"age": "1.0", "color": "blue", "status": "a", "y": "no"}
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n{','.join(full[h] for h in header.split(','))}\n"
+                        f"{short_row}\n{short_row}\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, tiny_schema)
+        assert (err.value.row, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize("ages, row", [
+        (["1.0", "inf", "nope"], 1),     # non-finite before unparsable
+        (["1.0", "nope", "-inf"], 1),    # unparsable before non-finite
+        (["1.0", "2.0", "nan"], 2),
+    ])
+    def test_bad_number_reports_first_bad_row(self, tiny_schema, tmp_path, ages, row):
+        path = tmp_path / "d.csv"
+        path.write_text("age,color,status,y\n" + "".join(f"{a},blue,a,no\n" for a in ages))
+        with pytest.raises(ParseError) as err:
+            load_csv(path, tiny_schema)
+        assert (err.value.row, err.value.column) == (row, "age")
+
+    def test_unknown_category_reports_first_bad_row(self, tiny_schema, tmp_path):
+        path = tmp_path / "d.csv"
+        colors = ["blue", "red", "mauve", "pink"]
+        path.write_text("age,color,status,y\n" + "".join(f"1.0,{c},a,no\n" for c in colors))
+        with pytest.raises(UnknownCategoryError) as err:
+            load_csv(path, tiny_schema)
+        assert (err.value.row, err.value.column) == (2, "color")
+
     def test_question_mark_is_ordinary_category(self, tmp_path):
         """Missing-value tokens stay in the vocabulary, inferred from data."""
         rows = ["1.0,?,a,no", "2.0,w,b,yes", "3.0,?,c,no", "4.0,v,a,yes"]
@@ -128,6 +163,30 @@ class TestLoadCsv:
         np.testing.assert_array_equal(again.labels, ds.labels)
         for a, b in zip(again.of_values, ds.of_values):
             np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, -0.0])),
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 2)), max_size=12))
+    def test_round_trip_is_bit_exact(self, tiny_schema, tmp_path, rows):
+        """Floats and codes survive write_csv then load_csv bit for bit,
+        and writing the reloaded dataset gives the same bytes."""
+        ages = np.array([r[0] for r in rows], dtype=np.float64)
+        codes = np.array([r[1:] for r in rows], dtype=np.int64).reshape(len(rows), 3)
+        ds = Dataset(schema=tiny_schema, of_values=(ages, codes[:, 0]), labels=codes[:, 2],
+                     cf_truth=codes[:, 1:2])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_csv(ds, first)
+        back = load_csv(first, tiny_schema)
+        np.testing.assert_array_equal(back.of_values[0].view(np.uint64),
+                                      ds.of_values[0].view(np.uint64))
+        np.testing.assert_array_equal(back.of_values[1], ds.of_values[1])
+        np.testing.assert_array_equal(back.cf_truth, ds.cf_truth)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        write_csv(back, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestDatasetInvariants:

@@ -485,6 +485,15 @@ class TestEstimationResultIo:
             EstimationResult(cf_names=("a", "b"), sizes=sizes, confidences=np.zeros(shape),
                              hard_estimates=np.ones(hard_shape), method="m", hyperparams={})
 
+    @pytest.mark.parametrize("hard", [[[0, 1]], [[4, 1]], [[1, 3]]])
+    def test_hard_estimate_outside_codes_rejected(self, hard):
+        """A hard estimate is a code in 1..u: 0 would one-hot the last
+        category through index -1."""
+        with pytest.raises(DataError, match="outside the CF codes"):
+            EstimationResult(cf_names=("a", "b"), sizes=(3, 2),
+                             confidences=np.array([[1.0, 0.0, 0.0, 0.0, 1.0]]),
+                             hard_estimates=hard, method="m", hyperparams={})
+
     @pytest.mark.parametrize("text", [
         '{"cf_names": ["s0"], "hard_estimates": [[1], [2',
         '{"method": "proposed"}',
