@@ -239,13 +239,15 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     the schema has no CF columns; ``cf_observed`` is left unset until
     :func:`synthesize_cf`.  Columns in the file but not in the schema are
     ignored.  Missing-value tokens such as ``?`` are ordinary vocabulary
-    entries.
+    entries.  Blank lines, which ``csv.reader`` returns as empty records,
+    are skipped, so a trailing newline after the last row is accepted.
 
     Malformed input raises a typed error carrying the first bad row
-    (0-based, header excluded) and its column: :class:`ParseError` for a
-    row too short to hold every schema column or a quantitative cell that
-    is not a finite number, :class:`UnknownCategoryError` for a value
-    outside a declared vocabulary.  Columns are checked in schema order.
+    (0-based among the data rows, header and blank lines excluded) and
+    its column: :class:`ParseError` for a row too short to hold every
+    schema column or a quantitative cell that is not a finite number,
+    :class:`UnknownCategoryError` for a value outside a declared
+    vocabulary.  Columns are checked in schema order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -253,7 +255,7 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file: header row required") from None
-        rows = list(reader)
+        rows = [row for row in reader if row]
 
     for col in schema.columns:
         if col.name not in header:

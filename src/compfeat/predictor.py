@@ -100,12 +100,12 @@ def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500) -> LrModel:
     if not np.isfinite(mat).all():
         raise DataError("design matrix must be finite")
     y = np.asarray(y, dtype=np.int64)
-    classes = np.unique(y)
-    if classes.size < 2:
+    # min/max, not np.unique, which imports numpy.ma on its first call.
+    if y.size == 0 or y.min() == y.max():
         raise SingleClassError("training needs both label classes present")
-    if classes.size > 2:
+    if ((y != y.min()) & (y != y.max())).any():
         raise DataError("only binary labels are supported")
-    targets = (y == classes.max()).astype(np.float64)
+    targets = (y == y.max()).astype(np.float64)
     if l2 < 0:
         raise DataError("l2 must be nonnegative")
 

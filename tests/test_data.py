@@ -114,6 +114,24 @@ class TestLoadCsv:
             load_csv(path, tiny_schema)
         assert (err.value.row, err.value.column) == (1, column)
 
+    @pytest.mark.parametrize("text", [CSV_TEXT + "\n", CSV_TEXT.replace("junk\n", "junk\n\n", 1)],
+                             ids=["trailing", "between_rows"])
+    def test_blank_lines_skipped(self, tiny_schema, tmp_path, text):
+        (tmp_path / "plain.csv").write_text(CSV_TEXT)
+        (tmp_path / "blank.csv").write_text(text)
+        plain = load_csv(tmp_path / "plain.csv", tiny_schema)
+        ds = load_csv(tmp_path / "blank.csv", tiny_schema)
+        assert ds.n == 3
+        np.testing.assert_array_equal(ds.cf_truth, plain.cf_truth)
+        np.testing.assert_array_equal(ds.labels, plain.labels)
+
+    def test_short_row_after_blank_line_reports_data_row(self, tiny_schema, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("age,color,status,y\n1.0,blue,a,no\n\n2.0,red\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, tiny_schema)
+        assert (err.value.row, err.value.column) == (1, "status")
+
     @pytest.mark.parametrize("ages, row", [
         (["1.0", "inf", "nope"], 1),     # non-finite before unparsable
         (["1.0", "nope", "-inf"], 1),    # unparsable before non-finite

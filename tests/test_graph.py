@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from compfeat.errors import DataError
 from compfeat.graph import (
+    _RIDGE,
     WeightGraph,
     build_graph,
     kkt_residual,
@@ -271,6 +272,24 @@ class TestSolveWeights:
             np.testing.assert_array_equal(g.weights[degenerate], 1.0 / 20)
             degenerate_seen += int(degenerate.sum())
         assert degenerate_seen > 0
+
+    def test_matches_ridge_reference_weights(self, bank_like_rounds):
+        """The weights, not just the objective, are the ridge optimum: the
+        reference run on G + rho I from uniform weights, with a stop below
+        rho, lands on the same point as the solver's nearest-vertex start,
+        also on round-1 rows inside their neighbors' hull."""
+        _, enc1, enc2, _, _ = bank_like_rounds
+        for x in (enc1, enc2):
+            nb = knn(x, 20)
+            g = solve_weights(x, nb)
+            a = x[nb]
+            gram = a @ a.transpose(0, 2, 1)
+            c = (a * x[:, None, :]).sum(axis=-1)
+            trace = ((x[:, None, :] - a) ** 2).sum(axis=(1, 2))
+            for i in range(x.shape[0]):
+                ridge = _RIDGE * trace[i] / 20 * np.eye(20)
+                ref = reference_simplex_qp(gram[i] + ridge, c[i], kkt_tol=1e-14 * trace[i])
+                np.testing.assert_allclose(g.weights[i], ref, rtol=0, atol=1e-5)
 
     def test_neighbor_order_does_not_change_weights(self):
         """Round 1 of make_bank_like(2000) at k=20 has rows inside their

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import compfeat
 from compfeat.encoding import encode_of
 from compfeat.errors import DataError, ShapeMismatchError, SingleClassError
 from compfeat.metrics import score_labels
@@ -158,13 +163,27 @@ class TestTrain:
         with pytest.raises(DataError):
             train(x, np.array([1, 2, 1, 2]))
 
-    def test_single_class_rejected(self):
+    @pytest.mark.parametrize("y", [np.ones(4, dtype=np.int64), np.zeros(0, dtype=np.int64)],
+                             ids=["one_class", "empty"])
+    def test_single_class_rejected(self, y):
         with pytest.raises(SingleClassError):
-            train(np.zeros((4, 2)), np.ones(4, dtype=np.int64))
+            train(np.zeros((y.size, 2)), y)
 
     def test_multiclass_rejected(self):
         with pytest.raises(DataError):
             train(np.zeros((3, 2)), np.array([1, 2, 3]))
+
+    def test_does_not_import_numpy_ma(self):
+        """np.unique imports numpy.ma on its first call, which every
+        ``predict`` process would pay for; train must not trigger it."""
+        code = ("import sys, numpy as np\n"
+                "from compfeat.predictor import train\n"
+                "train(np.arange(4.0)[:, None], np.array([1, 2, 1, 2]))\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(compfeat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": path})
 
 
 class TestPredict:
