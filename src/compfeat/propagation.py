@@ -21,9 +21,10 @@ All CFs' matrices are stacked side by side into one (n, sum u_j) array,
 CF j owning the column segment of width u_j that follows CF j-1's, in
 schema order.  This stacked matrix is the only representation of
 confidences, from :func:`init_marginal` through the hooks to
-:class:`EstimationResult`: a step is one neighbor gather-and-sum for
-all CFs, and the correction normalizes each segment with
-``np.add.reduceat``.
+:class:`EstimationResult`: a step gathers and sums, for all CFs at
+once, each row's neighbors of nonzero weight (on bank-like graphs 5 to
+7 of k = 20; see :func:`propagate_step`), and the correction normalizes
+each segment with ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -151,10 +152,30 @@ def init_marginal(ds: Dataset) -> np.ndarray:
 
 
 def propagate_step(graph: WeightGraph, q: np.ndarray) -> np.ndarray:
-    """One confidence-propagation step, H @ Q, for all CFs at once."""
+    """One confidence-propagation step, H @ Q, for all CFs at once.
+
+    Row i sums w_ij q[nb(i, j)] over its nonzero weights only, in slot
+    order, from the graph's compact form: rank j adds every row's j-th
+    nonzero term to the prefix of rows that have one.  That is exactly,
+    bit for bit, the sum over all k slots in slot order, because a
+    skipped term is 0 * q = 0 for finite q, and x + 0 = x.  Only weights
+    equal to 0 are skipped, never small ones.
+    """
+    q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != graph.n:
         raise ShapeMismatchError(f"confidences have {q.shape[0]} rows, graph has {graph.n}")
-    return np.einsum("nk,nku->nu", graph.weights, q[graph.neighbors])
+    if not graph._rank_slots:  # a graph with no rows or no slots
+        return np.zeros(q.shape)
+    (idx, w), *rest = graph._rank_slots
+    acc = q[idx]
+    acc *= w
+    for idx, w in rest:
+        term = q[idx]
+        term *= w
+        acc[:idx.size] += term
+    out = np.empty_like(acc)
+    out[graph._rank_order] = acc
+    return out
 
 
 def correct(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:

@@ -181,6 +181,19 @@ class TestSolveWeights:
         pos = list(nb[0]).index(3)
         assert g.weights[0, pos] == pytest.approx(1.0, abs=1e-8)
 
+    def test_optimal_vertex_is_exact(self):
+        """A row outside its neighbors' hull, whose nearest neighbor is
+        the hull's closest point, gets exactly that vertex's weight 1."""
+        rng = np.random.default_rng(11)
+        x = np.zeros((7, 4))
+        x[1:, 0] = [2.0, 1.5, 1.0, 3.0, 1.7, 2.5]  # row 3 is nearest to row 0
+        x[1:, 1:] = rng.normal(size=(6, 3))
+        x[3, 1:] = 0.0
+        nb = np.array([[1, 2, 3, 4, 5, 6]] + [[j for j in range(7) if j != i][:6]
+                                              for i in range(1, 7)])
+        g = solve_weights(x, nb)
+        np.testing.assert_array_equal(g.weights[0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+
     def test_midpoint_gets_half_half(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [5.0, 7.0]])
         g = solve_weights(x, np.array([[1, 2], [0, 2], [0, 1], [0, 1]]))
@@ -323,6 +336,12 @@ class TestWeightGraphType:
     def test_rejects_self_loops(self):
         with pytest.raises(DataError, match="self"):
             WeightGraph(neighbors=np.array([[0], [0]]), weights=np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            WeightGraph(neighbors=[[1, 2], [0, 2], [0, 1]],
+                        weights=[[bad, 0.5], [0.5, 0.5], [0.5, 0.5]])
 
     def test_rejects_bad_row_sum(self):
         with pytest.raises(DataError, match="sum to 1"):

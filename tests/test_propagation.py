@@ -43,6 +43,14 @@ def segments(q, sizes):
     return np.split(q, np.cumsum(sizes)[:-1], axis=1)
 
 
+def slot_order_sum(graph, q):
+    """H @ Q over all k slots, zero weights included, one slot at a time."""
+    prop = np.zeros_like(q)
+    for slot in range(graph.k):
+        prop += graph.weights[:, slot, None] * q[graph.neighbors[:, slot]]
+    return prop
+
+
 def reference_round(graph, init_vals, T):
     """T propagate+correct steps, one CF's (n, u) matrix and one neighbor
     slot at a time."""
@@ -50,10 +58,7 @@ def reference_round(graph, init_vals, T):
     for _ in range(T):
         nxt = []
         for q, q0 in zip(qs, init_vals):
-            prop = np.zeros_like(q)
-            for slot in range(graph.k):
-                prop += graph.weights[:, slot, None] * q[graph.neighbors[:, slot]]
-            prod = prop * q0
+            prod = slot_order_sum(graph, q) * q0
             sums = prod.sum(axis=1)
             dead = sums <= 0.0
             prod[dead] = q0[dead]
@@ -65,6 +70,29 @@ def reference_round(graph, init_vals, T):
 
 def swap_graph():
     return WeightGraph(neighbors=np.array([[1], [0]]), weights=np.array([[1.0], [1.0]]))
+
+
+@st.composite
+def sparse_graph_steps(draw):
+    """A graph whose weights hold exact zeros in random slots, and
+    finite confidences of any magnitude, possibly with no columns.  Row 0
+    has its only nonzero weight in its last slot, row 1 all k nonzero,
+    and some weights are subnormal."""
+    n = draw(st.integers(2, 15))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    others = np.array([rng.permutation(np.delete(np.arange(n), i))[:k] for i in range(n)])
+    weights = rng.gamma(1.0, size=(n, k)) * (rng.random((n, k)) < draw(st.sampled_from([0.2, 0.5])))
+    weights[rng.random((n, k)) < 0.1] = 5e-324
+    weights[0] = 0.0
+    weights[0, -1] = 1.0
+    weights[1] = rng.gamma(1.0, size=k) + 1e-3
+    empty = ~weights.any(axis=1)
+    weights[empty, rng.integers(0, k, size=empty.sum())] = 1.0
+    graph = WeightGraph(neighbors=others, weights=weights / weights.sum(axis=1, keepdims=True))
+    u = draw(st.integers(0, 6))
+    q = rng.random((n, u)) * 10.0 ** rng.integers(-300, 300, size=(n, u))
+    return graph, q
 
 
 class TestInitMarginal:
@@ -117,6 +145,22 @@ class TestPropagateStep:
                 for c in range(u):
                     expected[i, c] += h[i, j] * vals[j, c]
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_equals_slot_order_sum_bitwise(self, bank_like_rounds):
+        """Skipping zero weights changes no bit: both make_bank_like(300)
+        graphs, whose rows keep a few of k = 20 weights nonzero."""
+        ds, _, _, graphs, last = bank_like_rounds
+        for round_idx in (1, 2):
+            g = graphs[round_idx]
+            assert (g.weights == 0.0).any()
+            for q in (init_marginal(ds), last[round_idx]):
+                np.testing.assert_array_equal(propagate_step(g, q), slot_order_sum(g, q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graph_steps())
+    def test_equals_slot_order_sum_bitwise_on_drawn_graphs(self, case):
+        graph, q = case
+        np.testing.assert_array_equal(propagate_step(graph, q), slot_order_sum(graph, q))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
