@@ -6,8 +6,8 @@ confidence distributions over a k-nearest-neighbor similarity graph
 whose edge weights reconstruct every instance as a convex combination of
 its neighbors, with a correction step that keeps the observed complement
 at probability zero.  Baselines, evaluation metrics, a downstream
-logistic-regression predictor, and brute-force reference checks round
-out the toolbox.
+logistic-regression predictor, and a brute-force check of propagation
+against dense joint confidences round out the toolbox.
 """
 
 from .data import (

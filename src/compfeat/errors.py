@@ -46,9 +46,5 @@ class CardinalityCapError(CompfeatError):
     """A joint-confidence table would exceed the configured size cap."""
 
 
-class InfeasibleKLError(CompfeatError):
-    """No mixture of the given components has finite divergence."""
-
-
 class VerificationError(CompfeatError):
     """A numeric verification check failed beyond its slack."""

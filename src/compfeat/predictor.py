@@ -15,6 +15,7 @@ reproducible without seed bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,8 @@ def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500) -> LrModel:
     if ((y != y.min()) & (y != y.max())).any():
         raise DataError("only binary labels are supported")
     targets = (y == y.max()).astype(np.float64)
-    if l2 < 0:
-        raise DataError("l2 must be nonnegative")
+    if not 0.0 <= l2 < math.inf:
+        raise DataError("l2 must be finite and nonnegative")
 
     n = mat.shape[0]
     design = np.hstack([mat, np.ones((n, 1))])

@@ -223,10 +223,29 @@ class TestExitCodes:
     def test_configuration_errors_exit_2(self, bank_csv, command):
         assert main([*command, *bank_csv]) == 2
 
-    def test_unknown_config_key_exits_2(self, bank_csv, tmp_path):
+    @pytest.mark.parametrize("command, line", [
+        (["estimate"], "colour = blue"),
+        (["oracle"], "oracle_monotone_instances = 2"),
+        (["oracle"], "oracle_bound_instances = 2"),
+        (["predict", "--mode", "ord", "--seed", "-1"], ""),
+        (["estimate", "--max-n", "30", "--seed", "-1"], ""),
+        (["predict", "--mode", "ord"], "l2 = nan"),
+        (["predict", "--mode", "ord"], "l2 = inf"),
+        (["estimate", *SMALL], "l2 = -1"),
+        (["predict", "--mode", "ord"], "epochs = 0"),
+        (["predict", "--mode", "ord"], "epochs = -5"),
+        (["oracle"], "oracle_equivalence_instances = -3"),
+        (["oracle"], "oracle_equivalence_instances = 0"),
+        (["oracle"], "oracle_slack = nan"),
+    ], ids=["unknown_key", "oracle_monotone_instances", "oracle_bound_instances",
+            "predict_seed", "estimate_seed", "l2_nan", "l2_inf", "l2_negative", "epochs_0",
+            "epochs_negative", "instances_negative", "instances_0", "slack_nan"])
+    def test_bad_config_line_exits_2(self, bank_csv, tmp_path, capsys, command, line):
+        """Rejected with exit 2 when the config loads, not with a traceback."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("colour = blue\n")
-        assert main(["estimate", "--config", str(cfg), *bank_csv]) == 2
+        cfg.write_text(line + "\n")
+        assert main([*command, "--config", str(cfg), *bank_csv]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_data_errors_exit_3(self, bank_csv, tmp_path):
         missing = list(bank_csv)
@@ -297,8 +316,15 @@ class TestExitCodes:
         for command in (["estimate"], ["evaluate"], ["predict", "--mode", "soft"]):
             assert main([*command, *flags]) == 0
 
+    def test_oracle_reports_one_check(self, tmp_path):
+        assert main(["oracle", "--out", str(tmp_path / "out")]) == 0
+        report = read_json(tmp_path / "out" / "oracle_report.json")
+        (check,) = report["checks"]
+        assert check["name"] == "joint-marginal equivalence"
+        assert (check["instances"], check["tolerance"], check["failure_count"]) == (200, 1e-10, 0)
+        assert report["passed"]
+
     def test_verification_failure_exits_4(self, tmp_path):
         cfg = tmp_path / "oracle.cfg"
-        cfg.write_text("oracle_equivalence_instances = 2\noracle_monotone_instances = 2\n"
-                       "oracle_bound_instances = 2\noracle_slack = -1\n")
+        cfg.write_text("oracle_equivalence_instances = 2\noracle_slack = -1\n")
         assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4

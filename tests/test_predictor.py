@@ -163,6 +163,11 @@ class TestTrain:
         with pytest.raises(DataError):
             train(x, np.array([1, 2, 1, 2]))
 
+    @pytest.mark.parametrize("l2", [-1.0, math.nan, math.inf])
+    def test_l2_must_be_finite_and_nonnegative(self, l2):
+        with pytest.raises(DataError, match="l2"):
+            train(np.eye(4), np.array([1, 2, 1, 2]), l2=l2)
+
     @pytest.mark.parametrize("y", [np.ones(4, dtype=np.int64), np.zeros(0, dtype=np.int64)],
                              ids=["one_class", "empty"])
     def test_single_class_rejected(self, y):
