@@ -17,11 +17,9 @@ the ``generated_at`` field, which is excluded from content hashes.
 
 ``oracle`` checks the production ``propagate_step`` against propagation
 of the dense joint confidence table on ``oracle_equivalence_instances``
-random instances; a marginal deviation above ``oracle_slack`` is a
-verification failure.  The paper's theory checks (the monotone-KL loop
-and the prediction-loss bound) run in the test suite, not here, so
-``oracle_monotone_instances`` and ``oracle_bound_instances`` are unknown
-keys.
+random ``build_graph`` graphs, whose rows keep differing numbers of
+nonzero weights; a marginal deviation above ``oracle_slack`` is a
+verification failure.  The paper's theory checks run in the test suite.
 
 Every command but ``oracle`` reads the source CSV and needs at least 2
 rows in it.  ``sweep`` estimates each point with ``--method`` and
@@ -114,12 +112,12 @@ class ExperimentConfig:
             raise ConfigError("oracle_slack must be finite")
 
 
+_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 _LIST_KEYS = {"seeds": int, "estimate_only": str}
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -133,28 +131,24 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"config line {lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            _apply(cfg, key, value, known)
+            _apply(cfg, key, value)
     for key, value in overrides.items():
         if value is None:
             continue
-        _apply(cfg, key, value, known)
+        _apply(cfg, key, value)
     cfg.validate()
     return cfg
 
 
-def _apply(cfg: ExperimentConfig, key: str, value, known):
-    if key not in known:
+def _apply(cfg: ExperimentConfig, key: str, value):
+    """Set ``key`` from a config-file string or an argparse value."""
+    if key not in _KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
     current = getattr(cfg, key)
     try:
         if key in _LIST_KEYS:
-            conv = _LIST_KEYS[key]
-            if isinstance(value, (tuple, list)):
-                parsed = tuple(conv(v) for v in value)
-            else:
-                parts = str(value).replace(",", " ").split()
-                parsed = tuple(conv(p) for p in parts)
-            setattr(cfg, key, parsed)
+            parts = str(value).replace(",", " ").split()
+            setattr(cfg, key, tuple(_LIST_KEYS[key](p) for p in parts))
         elif isinstance(current, int):
             setattr(cfg, key, int(str(value)))
         elif isinstance(current, float):
@@ -248,11 +242,17 @@ def result_path(cfg: ExperimentConfig, method: str, seed: int) -> str:
     return os.path.join(cfg.out, f"estimate_{method}_seed{seed}.json")
 
 
-def load_result(path: str, ds: Dataset) -> EstimationResult:
-    """Read a saved estimation result and check it against the seed's dataset."""
+def provenance(cfg: ExperimentConfig, ds: Dataset, seed: int) -> dict:
+    """The keys an estimate file stores to tie it to this seed's dataset."""
+    return {"seed": seed, "input_hash": input_fingerprint(ds, {"seed": seed, "max_n": cfg.max_n})}
+
+
+def load_result(cfg: ExperimentConfig, path: str, ds: Dataset, seed: int) -> EstimationResult:
+    """Read a saved estimation result and check it against the seed's
+    dataset, its stored :func:`provenance` included."""
     if not os.path.exists(path):
         raise DataError(f"missing estimation result {path}; run estimate first")
-    result = EstimationResult.load(path)
+    result = EstimationResult.load(path, expect=provenance(cfg, ds, seed))
     names, sizes = tuple(c.name for c in ds.schema.cf_columns), ds.schema.cf_sizes
     if (result.cf_names, result.n) != (names, ds.n):
         raise DataError(f"{path} estimates CFs {list(result.cf_names)} on {result.n} rows; "
@@ -316,9 +316,8 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
     for seed in cfg.seeds:
         ds = experiment_dataset(cfg, source, seed)
         result = run_method(cfg, ds, seed, of_graph)
-        fingerprint = input_fingerprint(ds, {"seed": seed, "max_n": cfg.max_n})
         path = result_path(cfg, cfg.method, seed)
-        result.save(path, extra={"seed": seed, "input_hash": fingerprint})
+        result.save(path, extra=provenance(cfg, ds, seed))
         print(f"wrote {path}")
     return 0
 
@@ -331,8 +330,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
         paths = [result_path(cfg, method, s) for s in cfg.seeds]
         if not all(os.path.exists(p) for p in paths):
             continue
-        per_seed = [score_cf(load_result(path, ds), ds.cf_truth)
-                    for ds, path in zip(datasets, paths)]
+        per_seed = [score_cf(load_result(cfg, path, ds, seed), ds.cf_truth)
+                    for ds, path, seed in zip(datasets, paths, cfg.seeds)]
         per_method[method] = aggregate_cf_scores(per_seed)
     if not per_method:
         raise DataError(f"no estimation results for seeds {cfg.seeds} in {cfg.out}")
@@ -353,7 +352,7 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         ds = experiment_dataset(cfg, source, seed)
         result = None
         if cfg.mode in ("soft", "hard"):
-            result = load_result(result_path(cfg, cfg.method, seed), ds)
+            result = load_result(cfg, result_path(cfg, cfg.method, seed), ds, seed)
         design = assemble(ds, cfg.mode, result=result)
         train_idx, test_idx = split_train_test(ds, cfg.fraction, seed)
         model = train(design[train_idx], ds.labels[train_idx], l2=cfg.l2, epochs=cfg.epochs)
@@ -471,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    keys = {f.name for f in fields(ExperimentConfig)}
-    overrides = {key: value for key, value in vars(args).items() if key in keys}
+    overrides = {key: value for key, value in vars(args).items() if key in _KEYS}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "prepare":

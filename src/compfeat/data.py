@@ -22,6 +22,7 @@ typed error that names the first bad row and its column.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,32 +201,43 @@ def _check_codes(arr: np.ndarray, col: Column):
 
 
 def load_schema(path) -> FeatureSchema:
-    columns = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"schema line {lineno}: missing '='", row=lineno)
-            name, rest = line.split("=", 1)
-            parts = rest.strip().split(None, 2)
-            if len(parts) < 2:
-                raise ParseError(f"schema line {lineno}: need '<kind> <role>'", row=lineno)
-            kind, role = parts[0], parts[1]
-            vocab = tuple(parts[2].split("|")) if len(parts) == 3 else ()
-            columns.append(Column(name.strip(), kind, role, vocab))
-    return FeatureSchema(tuple(columns))
+        return FeatureSchema(tuple(_read_columns(fh)))
+
+
+def _read_columns(lines) -> list[Column]:
+    columns = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"schema line {lineno}: missing '='", row=lineno)
+        name, rest = line.split("=", 1)
+        parts = rest.strip().split(None, 2)
+        if len(parts) < 2:
+            raise ParseError(f"schema line {lineno}: need '<kind> <role>'", row=lineno)
+        kind, role = parts[0], parts[1]
+        vocab = tuple(parts[2].split("|")) if len(parts) == 3 else ()
+        columns.append(Column(name.strip(), kind, role, vocab))
+    return columns
 
 
 def save_schema(schema: FeatureSchema, path):
+    """Write ``schema`` for :func:`load_schema`.  A column whose line would
+    read back otherwise (a vocabulary entry holding ``|`` or edge
+    whitespace, say) raises :class:`DataError` naming it; nothing is written."""
+    lines = [f"{c.name} = {c.kind} {c.role} {'|'.join(c.vocabulary)}".rstrip(" ") + "\n"
+             for c in schema.columns]
+    for c, line in zip(schema.columns, lines):
+        try:
+            back = _read_columns(io.StringIO(line, newline=None))
+        except DataError:
+            back = None
+        if back != [c]:
+            raise DataError(f"column {c.name!r} would not read back unchanged from a schema file")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for c in schema.columns:
-            vocab = "|".join(c.vocabulary)
-            line = f"{c.name} = {c.kind} {c.role}"
-            if vocab:
-                line += f" {vocab}"
-            fh.write(line + "\n")
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ gap between the k-th and (2k+1)-th exceeds 2 (2d + 4) eps
 the k-th place, large common offsets) rank all n rows exactly.
 
 The graph is row-stochastic with an empty diagonal and is computed once
-per propagation round, never per iteration.
+per propagation round, never per iteration.  Its product with the
+confidences, :func:`propagate_step`, lives here beside the layout it reads.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ class WeightGraph:
     """Sparse row-stochastic similarity graph (<= k neighbors per row).
 
     Besides the (n, k) slots, the graph keeps a compact form of its
-    nonzero weights for :func:`propagation.propagate_step`, built once
-    here rather than per step.  ``_rank_order`` lists the rows by their
-    count of nonzero weights, descending, ties in row order.
+    nonzero weights for :func:`propagate_step`, built once here rather
+    than per step; nothing outside this module reads it.
+    ``_rank_order`` lists the rows by their count of nonzero weights,
+    descending, ties in row order.
     ``_rank_slots[j]`` holds, for the rows of ``_rank_order`` with more
     than j nonzeros (a prefix of it), the neighbor index and the weight
     (as a column) of each row's j-th nonzero slot, slots in their order.
@@ -102,25 +104,32 @@ class WeightGraph:
         np.put_along_axis(out, self.neighbors, self.weights, axis=1)
         return out
 
-    @classmethod
-    def from_dense(cls, h: np.ndarray, tol: float = 1e-12) -> "WeightGraph":
-        """Build from a dense row-stochastic matrix with a zero diagonal."""
-        h = np.asarray(h, dtype=np.float64)
-        n = h.shape[0]
-        if np.abs(np.diag(h)).max() > 0:
-            raise DataError("dense matrix must have a zero diagonal")
-        k = max(int((h > tol).sum(axis=1).max()), 1)
-        neighbors = np.empty((n, k), dtype=np.int64)
-        weights = np.zeros((n, k))
-        for i in range(n):
-            idx = np.flatnonzero(h[i] > tol)
-            if idx.size == 0:
-                raise DataError(f"row {i} has no mass")
-            # Pad with zero-weight indices that are neither i nor in the row.
-            pad = np.setdiff1d(np.arange(n), np.append(idx, i))[: k - idx.size]
-            neighbors[i] = np.concatenate([idx, pad])
-            weights[i, : idx.size] = h[i, idx] / h[i, idx].sum()
-        return cls(neighbors=neighbors, weights=weights)
+
+def propagate_step(graph: WeightGraph, q: np.ndarray) -> np.ndarray:
+    """One confidence-propagation step, H @ Q, for all CFs at once.
+
+    Row i sums w_ij q[nb(i, j)] over its nonzero weights only, in slot
+    order, from the graph's compact form: rank j adds every row's j-th
+    nonzero term to the prefix of rows that have one.  That is exactly,
+    bit for bit, the sum over all k slots in slot order, because a
+    skipped term is 0 * q = 0 for finite q, and x + 0 = x.  Only weights
+    equal to 0 are skipped, never small ones.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape[0] != graph.n:
+        raise ShapeMismatchError(f"confidences have {q.shape[0]} rows, graph has {graph.n}")
+    if not graph._rank_slots:  # a graph with no rows or no slots
+        return np.zeros(q.shape)
+    (idx, w), *rest = graph._rank_slots
+    acc = q[idx]
+    acc *= w
+    for idx, w in rest:
+        term = q[idx]
+        term *= w
+        acc[:idx.size] += term
+    out = np.empty_like(acc)
+    out[graph._rank_order] = acc
+    return out
 
 
 def knn(x: np.ndarray, k: int) -> np.ndarray:

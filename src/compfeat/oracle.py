@@ -3,7 +3,8 @@
 Joint confidence tables are dense over every CF value tuple and capped,
 so the reference is desk-scale by design.  ``compfeat oracle`` runs
 :func:`run_equivalence_suite`, which checks the production
-:func:`compfeat.propagation.propagate_step` against propagation of the
+:func:`compfeat.graph.propagate_step` on random
+:func:`compfeat.graph.build_graph` graphs against propagation of the
 joint table.  :func:`make_smooth_synthetic` and :func:`make_bank_like`
 build datasets with known ground truth.
 """
@@ -17,8 +18,7 @@ import numpy as np
 
 from .data import Column, Dataset, FeatureSchema, synthesize_cf
 from .errors import CardinalityCapError
-from .graph import WeightGraph
-from .propagation import propagate_step
+from .graph import build_graph, propagate_step
 
 JOINT_CARDINALITY_CAP = 10**6
 
@@ -184,20 +184,18 @@ def joint_init_from_codes(observed: np.ndarray, cards,
     return JointConfidence(cards=cards, values=values)
 
 
-def _random_row_stochastic(rng, n: int) -> np.ndarray:
-    h = rng.gamma(1.0, size=(n, n))
-    np.fill_diagonal(h, 0.0)
-    return h / h.sum(axis=1, keepdims=True)
-
-
 def run_equivalence_suite(count: int, seed0: int = 0, tol: float = 1e-10) -> dict:
     """Marginalized joint propagation must match marginal propagation.
 
-    Random instances: n <= 30, up to 3 CFs with 3-4 values each, random
-    row-stochastic zero-diagonal graphs, T <= 5.  Both routes run pure
+    Random instances: n <= 30, up to 3 CFs with 3-4 values each, T <= 5,
+    and the graph ``build_graph(x, k)`` of n standard normal points x in
+    1 to 3 dimensions with k in [1, n - 1].  Its rows keep differing
+    numbers of nonzero weights on most instances, so the kernel's rank
+    order and per-rank prefixes are exercised.  Both routes run pure
     propagation (no correction, which only the marginal path defines).
+    The joint route multiplies by the dense matrix ``graph.to_dense()``.
     The marginal route is the production kernel,
-    :func:`compfeat.propagation.propagate_step`, on the stacked initial
+    :func:`compfeat.graph.propagate_step`, on the stacked initial
     confidences that :func:`marginal_init_from_codes` builds
     independently of :func:`compfeat.propagation.init_marginal`.
     """
@@ -211,12 +209,12 @@ def run_equivalence_suite(count: int, seed0: int = 0, tol: float = 1e-10) -> dic
         observed = np.column_stack(
             [rng.integers(1, u + 1, size=n) for u in cards]
         )
-        h = _random_row_stochastic(rng, n)
+        d = int(rng.integers(1, 4))
+        graph = build_graph(rng.normal(size=(n, d)), int(rng.integers(1, n)))
         T = int(rng.integers(1, 6))
 
         joint = joint_init_from_codes(observed, cards)
-        joint_t = propagate_joint(h, joint, T)
-        graph = WeightGraph.from_dense(h)
+        joint_t = propagate_joint(graph.to_dense(), joint, T)
         q = np.hstack(marginal_init_from_codes(observed, cards))
         for _ in range(T):
             q = propagate_step(graph, q)

@@ -23,8 +23,11 @@ schema order.  This stacked matrix is the only representation of
 confidences, from :func:`init_marginal` through the hooks to
 :class:`EstimationResult`: a step gathers and sums, for all CFs at
 once, each row's neighbors of nonzero weight (on bank-like graphs 5 to
-7 of k = 20; see :func:`propagate_step`), and the correction normalizes
-each segment with ``np.add.reduceat``.
+7 of k = 20), and the correction normalizes each segment with
+``np.add.reduceat``.
+
+The step is :func:`compfeat.graph.propagate_step`, imported here; the
+procedures look it up in this module, where patching it reaches them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from .data import STREAM_GUESS, Dataset, complement_draws
 from .encoding import encode_with_confidence
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
-from .graph import WeightGraph, build_graph
+from .graph import WeightGraph, build_graph, propagate_step
 
 TraceHook = Callable[..., None]
 
@@ -109,19 +112,25 @@ class EstimationResult:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
-    def load(cls, path) -> "EstimationResult":
-        """Read a saved result; a malformed file raises :class:`DataError`."""
+    def load(cls, path, expect: dict | None = None) -> "EstimationResult":
+        """Read a saved result; a malformed file raises :class:`DataError`,
+        as does one whose stored ``expect`` keys are missing or differ."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             names, hard = doc["cf_names"], doc["hard_estimates"]
             blocks = [np.asarray(doc["confidences"][name], dtype=np.float64) for name in names]
-            return cls(cf_names=names, sizes=[b.shape[1] for b in blocks],
-                       confidences=np.hstack(blocks) if blocks else np.zeros((len(hard), 0)),
-                       hard_estimates=hard,
-                       method=doc["method"], hyperparams=doc["hyperparams"])
+            result = cls(cf_names=names, sizes=[b.shape[1] for b in blocks],
+                         confidences=np.hstack(blocks) if blocks else np.zeros((len(hard), 0)),
+                         hard_estimates=hard,
+                         method=doc["method"], hyperparams=doc["hyperparams"])
         except (ValueError, KeyError, IndexError, TypeError, CompfeatError) as exc:
             raise DataError(f"{path}: malformed estimation result ({exc})") from None
+        for key, value in (expect or {}).items():
+            if doc.get(key) != value:
+                raise DataError(f"{path}: stored {key} {doc.get(key)!r} is not {value!r}; "
+                                f"it was estimated from other inputs")
+        return result
 
 
 def input_fingerprint(ds: Dataset, extra: dict | None = None) -> str:
@@ -149,33 +158,6 @@ def init_marginal(ds: Dataset) -> np.ndarray:
     q0 = np.tile(np.repeat([1.0 / (u - 1) for u in sizes], sizes), (ds.n, 1))
     q0[np.arange(ds.n)[:, None], ds.cf_observed - 1 + _starts(sizes)] = 0.0
     return q0
-
-
-def propagate_step(graph: WeightGraph, q: np.ndarray) -> np.ndarray:
-    """One confidence-propagation step, H @ Q, for all CFs at once.
-
-    Row i sums w_ij q[nb(i, j)] over its nonzero weights only, in slot
-    order, from the graph's compact form: rank j adds every row's j-th
-    nonzero term to the prefix of rows that have one.  That is exactly,
-    bit for bit, the sum over all k slots in slot order, because a
-    skipped term is 0 * q = 0 for finite q, and x + 0 = x.  Only weights
-    equal to 0 are skipped, never small ones.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != graph.n:
-        raise ShapeMismatchError(f"confidences have {q.shape[0]} rows, graph has {graph.n}")
-    if not graph._rank_slots:  # a graph with no rows or no slots
-        return np.zeros(q.shape)
-    (idx, w), *rest = graph._rank_slots
-    acc = q[idx]
-    acc *= w
-    for idx, w in rest:
-        term = q[idx]
-        term *= w
-        acc[:idx.size] += term
-    out = np.empty_like(acc)
-    out[graph._rank_order] = acc
-    return out
 
 
 def correct(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:

@@ -273,7 +273,9 @@ class TestExitCodes:
         lambda text: '{"method": "proposed"}',             # required keys missing
         lambda text: text.replace('"job"', '"occupation"'),  # CF names off the schema
         lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[99', text),
-    ], ids=["truncated", "keys_missing", "cf_renamed", "code_out_of_range"])
+        # estimated from other inputs
+        lambda text: re.sub(r'"input_hash":"[0-9a-f]{64}"', '"input_hash":"' + "0" * 64 + '"', text),
+    ], ids=["truncated", "keys_missing", "cf_renamed", "code_out_of_range", "hash_mismatch"])
     @pytest.mark.parametrize("command", [
         ["evaluate"], ["predict", "--mode", "soft"], ["predict", "--mode", "hard"],
     ], ids=["evaluate", "predict_soft", "predict_hard"])

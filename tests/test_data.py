@@ -56,6 +56,22 @@ class TestSchema:
         save_schema(tiny_schema, path)
         assert load_schema(path) == tiny_schema
 
+    def test_save_rejects_vocabulary_that_reads_back_otherwise(self, tmp_path):
+        """Cells "a|b" and " e" infer a vocabulary the schema format cannot
+        carry: it would read back as ('e', 'a', 'b', 'c', 'd')."""
+        path = tmp_path / "d.csv"
+        path.write_text("x,s,y\n1.0,a|b,no\n2.0, e,yes\n3.0,c,no\n4.0,d,yes\n")
+        schema = FeatureSchema((
+            Column("x", "quantitative", "OF"),
+            Column("s", "categorical", "CF"),
+            Column("y", "binary", "label", ("no", "yes")),
+        ))
+        inferred = load_csv(path, schema).schema
+        assert inferred.column("s").vocabulary == (" e", "a|b", "c", "d")
+        with pytest.raises(DataError, match="column 's'"):
+            save_schema(inferred, tmp_path / "d.schema")
+        assert not (tmp_path / "d.schema").exists()
+
 
 CSV_TEXT = """age,color,status,y,extra
 1.0,blue,a,no,junk

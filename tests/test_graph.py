@@ -348,20 +348,31 @@ class TestWeightGraphType:
             WeightGraph(neighbors=np.array([[1], [0]]), weights=np.array([[0.5], [1.0]]))
 
     def test_dense_round_trip(self):
+        # Every off-diagonal column as a neighbor, in shuffled order.
         rng = np.random.default_rng(9)
         h = rng.gamma(1.0, size=(6, 6))
         np.fill_diagonal(h, 0.0)
         h /= h.sum(axis=1, keepdims=True)
-        g = WeightGraph.from_dense(h)
+        nb = np.array([rng.permutation(np.setdiff1d(np.arange(6), [i])) for i in range(6)])
+        g = WeightGraph(neighbors=nb, weights=np.take_along_axis(h, nb, axis=1))
         np.testing.assert_allclose(g.to_dense(), h, atol=1e-12)
 
     def test_dense_round_trip_pads_with_unused_indices(self):
-        # Row 0 needs padding and its naive pad index (i+1) % n = 1 is
-        # already its neighbor.
+        # Row 0 has one nonzero and pads its second slot with index 2,
+        # which carries weight 0 and must leave column 2 at 0.
         h = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
-        g = WeightGraph.from_dense(h)
+        g = WeightGraph(neighbors=[[1, 2], [0, 2], [0, 1]],
+                        weights=[[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
         assert g.k == 2
         np.testing.assert_array_equal(g.to_dense(), h)
+
+    def test_to_dense_puts_weights_in_neighbor_columns(self):
+        g = WeightGraph(neighbors=[[2, 1], [0, 2], [3, 1], [2, 0]],
+                        weights=[[0.75, 0.25], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        np.testing.assert_array_equal(g.to_dense(), [[0.0, 0.25, 0.75, 0.0],
+                                                     [1.0, 0.0, 0.0, 0.0],
+                                                     [0.0, 0.5, 0.0, 0.5],
+                                                     [1.0, 0.0, 0.0, 0.0]])
 
     def test_immutable(self):
         g = WeightGraph(neighbors=np.array([[1], [0]]), weights=np.array([[1.0], [1.0]]))

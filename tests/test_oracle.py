@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import compfeat
+from compfeat import oracle
 from compfeat.errors import CardinalityCapError
 from compfeat.oracle import (
     JointConfidence,
@@ -10,7 +11,7 @@ from compfeat.oracle import (
     propagate_joint,
     run_equivalence_suite,
 )
-from compfeat.propagation import init_marginal
+from compfeat.propagation import init_marginal, propagate_step
 
 from test_propagation import observed_dataset
 
@@ -75,6 +76,19 @@ class TestEquivalenceSuite:
         out = run_equivalence_suite(40, seed0=7)
         assert not out["failures"]
         assert out["worst"] <= 1e-10
+
+    def test_catches_kernel_that_keeps_rank_order(self, monkeypatch):
+        """A kernel that leaves its rows in nonzero-count order, as one
+        missing the final scatter would, is exact when every row has the
+        same nonzero count and wrong otherwise.  The suite's build_graph
+        graphs have ragged rows, so it must report failures."""
+        def rank_ordered(graph, q):
+            order = np.argsort(-(graph.weights != 0.0).sum(axis=1), kind="stable")
+            return propagate_step(graph, q)[order]
+
+        monkeypatch.setattr(oracle, "propagate_step", rank_ordered)
+        out = run_equivalence_suite(40, seed0=7)
+        assert len(out["failures"]) >= 20
 
 
 class TestSmoothSynthetic:

@@ -130,20 +130,20 @@ class TestPropagateStep:
         np.testing.assert_array_equal(out, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_matches_dense_multiply(self):
+        """The complete graph: every other row a neighbor, random weights."""
         rng = np.random.default_rng(3)
         n, u = 20, 4
         vals = rng.dirichlet(np.ones(u), size=n)
-        h = rng.gamma(1.0, size=(n, n))
-        np.fill_diagonal(h, 0.0)
-        h /= h.sum(axis=1, keepdims=True)
-        g = WeightGraph.from_dense(h)
-        out = propagate_step(g, vals)
+        nb = np.array([[j for j in range(n) if j != i] for i in range(n)])
+        w = rng.gamma(1.0, size=(n, n - 1))
+        w /= w.sum(axis=1, keepdims=True)
+        out = propagate_step(WeightGraph(neighbors=nb, weights=w), vals)
         # independent triple-loop reference
         expected = np.zeros_like(vals)
         for i in range(n):
-            for j in range(n):
+            for s in range(n - 1):
                 for c in range(u):
-                    expected[i, c] += h[i, j] * vals[j, c]
+                    expected[i, c] += w[i, s] * vals[nb[i, s], c]
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_equals_slot_order_sum_bitwise(self, bank_like_rounds):
