@@ -50,13 +50,7 @@ from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
-from .propagation import (
-    EstimationResult,
-    input_fingerprint,
-    run_comp,
-    run_ipal,
-    run_proposed,
-)
+from .propagation import EstimationResult, run_comp, run_ipal, run_proposed
 
 METHODS = ("proposed", "comp", "ipal")
 
@@ -122,8 +116,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -243,8 +237,12 @@ def result_path(cfg: ExperimentConfig, method: str, seed: int) -> str:
 
 
 def provenance(cfg: ExperimentConfig, ds: Dataset, seed: int) -> dict:
-    """The keys an estimate file stores to tie it to this seed's dataset."""
-    return {"seed": seed, "input_hash": input_fingerprint(ds, {"seed": seed, "max_n": cfg.max_n})}
+    """The seed and input hash an estimate file stores to tie it to this seed's dataset."""
+    h = hashlib.sha256()
+    for arr in (*ds.of_values, ds.labels, ds.cf_observed):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(f"max_n={cfg.max_n}seed={seed}".encode())
+    return {"seed": seed, "input_hash": h.hexdigest()}
 
 
 def load_result(cfg: ExperimentConfig, path: str, ds: Dataset, seed: int) -> EstimationResult:

@@ -200,9 +200,17 @@ def _check_codes(arr: np.ndarray, col: Column):
 # Schema file I/O
 
 
+def _read_lines(path, newline=None):
+    """Yield the lines of a UTF-8 text file; any other bytes raise :class:`DataError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc})") from None
+
+
 def load_schema(path) -> FeatureSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FeatureSchema(tuple(_read_columns(fh)))
+    return FeatureSchema(tuple(_read_columns(_read_lines(path))))
 
 
 def _read_columns(lines) -> list[Column]:
@@ -259,15 +267,15 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     its column: :class:`ParseError` for a row too short to hold every
     schema column or a quantitative cell that is not a finite number,
     :class:`UnknownCategoryError` for a value outside a declared
-    vocabulary.  Columns are checked in schema order.
+    vocabulary.  Columns are checked in schema order.  A file that is not
+    UTF-8 raises :class:`DataError` naming it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: header row required") from None
-        rows = [row for row in reader if row]
+    reader = csv.reader(_read_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file: header row required") from None
+    rows = [row for row in reader if row]
 
     for col in schema.columns:
         if col.name not in header:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The command line maps
+:class:`ConfigError` to exit code 2, :class:`VerificationError` to 4 and
+every other :class:`CompfeatError` to 3."""
 
 
 class CompfeatError(Exception):
@@ -10,7 +12,8 @@ class ConfigError(CompfeatError):
 
 
 class DataError(CompfeatError):
-    """Base class for dataset ingestion problems."""
+    """Base class for input-file problems: unreadable or non-UTF-8 files,
+    malformed CSV, schema or estimate files."""
 
 
 class MissingColumnError(DataError):
@@ -40,10 +43,6 @@ class ShapeMismatchError(CompfeatError):
 
 class SingleClassError(CompfeatError):
     """Classifier training requires both label classes to be present."""
-
-
-class CardinalityCapError(CompfeatError):
-    """A joint-confidence table would exceed the configured size cap."""
 
 
 class VerificationError(CompfeatError):

@@ -315,12 +315,9 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
             alpha = np.minimum(1.0, ratio.min(axis=1))
             hs = np.maximum(cur + alpha[:, None] * delta, 0.0)
             hs[hs <= _FLOOR] = 0.0
-            dust = ~hs.any(axis=1)  # numeric dust; fall back to uniform
-            hs[dust] = 1.0 / k
             hs /= hs.sum(axis=1, keepdims=True)
             h[step] = hs
             support[step] = hs > 0
-            done[np.flatnonzero(step)[dust]] = True
 
         out[live[done]] = h[done]
         keep = ~done

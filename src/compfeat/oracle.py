@@ -1,71 +1,22 @@
 """The joint-propagation reference check and the synthetic data generators.
 
-Joint confidence tables are dense over every CF value tuple and capped,
-so the reference is desk-scale by design.  ``compfeat oracle`` runs
-:func:`run_equivalence_suite`, which checks the production
-:func:`compfeat.graph.propagate_step` on random
+``compfeat oracle`` runs :func:`run_equivalence_suite`, which checks the
+production :func:`compfeat.graph.propagate_step` on random
 :func:`compfeat.graph.build_graph` graphs against propagation of the
-joint table.  :func:`make_smooth_synthetic` and :func:`make_bank_like`
-build datasets with known ground truth.
+joint table, a plain (n, prod u_j) array over every CF value tuple.
+The suite's instances keep that table at 64 columns or fewer.
+:func:`make_smooth_synthetic` and :func:`make_bank_like` build datasets
+with known ground truth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Column, Dataset, FeatureSchema, synthesize_cf
-from .errors import CardinalityCapError
 from .graph import build_graph, propagate_step
-
-JOINT_CARDINALITY_CAP = 10**6
-
-
-# ---------------------------------------------------------------------------
-# Joint confidence over the product of all CF value sets
-
-
-@dataclass(frozen=True)
-class JointConfidence:
-    """Dense (n, prod u_j) confidence over full CF value tuples.
-
-    Flat indices are row-major with the first CF slowest, so tuple
-    (v_1, ..., v_F) of 1-based codes maps to
-    ``ravel_multi_index(v - 1, cards)``.
-    """
-
-    cards: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        card = int(np.prod(self.cards))
-        if vals.shape[1] != card:
-            raise CardinalityCapError(
-                f"values have {vals.shape[1]} columns, cards imply {card}"
-            )
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
-
-    def marginal(self, j: int) -> np.ndarray:
-        """Sum out every CF axis except j; returns (n, u_j)."""
-        cube = self.values.reshape((self.n, *self.cards))
-        axes = tuple(a + 1 for a in range(len(self.cards)) if a != j)
-        return cube.sum(axis=axes)
-
-
-def propagate_joint(h: np.ndarray, q: JointConfidence, T: int) -> JointConfidence:
-    """T left-multiplications of the joint confidence by the dense graph matrix ``h``."""
-    vals = q.values
-    for _ in range(T):
-        vals = h @ vals
-    return JointConfidence(cards=q.cards, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +31,6 @@ def make_smooth_synthetic(
     seed: int,
     cf_names=None,
     n_binary_of: int = 0,
-    sharpness: float = 12.0,
-    n_waves: int = 8,
 ):
     """Dataset whose CF conditionals vary smoothly with the OF vector.
 
@@ -92,6 +41,7 @@ def make_smooth_synthetic(
     Returns the dataset (with complement observations already drawn)
     and the per-CF list of (n, u_j) ground-truth conditional tables.
     """
+    sharpness, n_waves = 12.0, 8
     rng = np.random.default_rng(seed)
     cards = list(cf_cards)
     if cf_names is None:
@@ -154,34 +104,13 @@ def make_smooth_synthetic(
 # Randomized verification suite (run by the CLI and the test suite)
 
 
-def marginal_init_from_codes(observed: np.ndarray, cards) -> list[np.ndarray]:
-    """Uniform-over-complement rows, one (n, u_j) array per CF."""
-    observed = np.asarray(observed, dtype=np.int64)
-    n = observed.shape[0]
-    out = []
-    for j, u in enumerate(cards):
-        vals = np.full((n, u), 1.0 / (u - 1))
-        vals[np.arange(n), observed[:, j] - 1] = 0.0
-        out.append(vals)
-    return out
-
-
-def joint_init_from_codes(observed: np.ndarray, cards,
-                          cap: int = JOINT_CARDINALITY_CAP) -> JointConfidence:
-    """Joint analogue of :func:`marginal_init_from_codes`."""
-    observed = np.asarray(observed, dtype=np.int64)
-    cards = tuple(cards)
-    card = int(np.prod(cards))
-    if card > cap:
-        raise CardinalityCapError(f"joint cardinality {card} exceeds cap {cap}")
-    n = observed.shape[0]
-    mass = 1.0 / np.prod([u - 1 for u in cards])
-    values = np.full((n, card), mass)
-    grid = np.stack(np.unravel_index(np.arange(card), cards), axis=1) + 1
-    for j in range(len(cards)):
-        clash = grid[None, :, j] == observed[:, j, None]
-        values[clash] = 0.0
-    return JointConfidence(cards=cards, values=values)
+def _joint_init(observed: np.ndarray, cards) -> np.ndarray:
+    """Dense (n, prod u_j) initial joint confidence: uniform over the CF
+    value tuples that avoid every observed value.  Flat indices are
+    row-major with the first CF slowest, so the tuple (v_1, ..., v_F) of
+    1-based codes sits at ``ravel_multi_index(v - 1, cards)``."""
+    grid = np.stack(np.unravel_index(np.arange(np.prod(cards)), cards), axis=1) + 1
+    return (grid[None] != observed[:, None]).all(axis=2) / np.prod([u - 1 for u in cards])
 
 
 def run_equivalence_suite(count: int, seed0: int = 0, tol: float = 1e-10) -> dict:
@@ -193,11 +122,12 @@ def run_equivalence_suite(count: int, seed0: int = 0, tol: float = 1e-10) -> dic
     numbers of nonzero weights on most instances, so the kernel's rank
     order and per-rank prefixes are exercised.  Both routes run pure
     propagation (no correction, which only the marginal path defines).
-    The joint route multiplies by the dense matrix ``graph.to_dense()``.
+    The joint route starts from :func:`_joint_init`, multiplies by the
+    dense matrix ``graph.to_dense()`` and sums out the other CF axes.
     The marginal route is the production kernel,
-    :func:`compfeat.graph.propagate_step`, on the stacked initial
-    confidences that :func:`marginal_init_from_codes` builds
-    independently of :func:`compfeat.propagation.init_marginal`.
+    :func:`compfeat.graph.propagate_step`, on uniform-over-complement
+    rows built here, independently of
+    :func:`compfeat.propagation.init_marginal`.
     """
     worst = 0.0
     failures = []
@@ -213,14 +143,18 @@ def run_equivalence_suite(count: int, seed0: int = 0, tol: float = 1e-10) -> dic
         graph = build_graph(rng.normal(size=(n, d)), int(rng.integers(1, n)))
         T = int(rng.integers(1, 6))
 
-        joint = joint_init_from_codes(observed, cards)
-        joint_t = propagate_joint(graph.to_dense(), joint, T)
-        q = np.hstack(marginal_init_from_codes(observed, cards))
+        dense = graph.to_dense()
+        joint = _joint_init(observed, cards)
+        q = np.hstack([np.where(observed[:, [j]] == np.arange(1, u + 1), 0.0, 1.0 / (u - 1))
+                       for j, u in enumerate(cards)])
         for _ in range(T):
+            joint = dense @ joint
             q = propagate_step(graph, q)
+        cube = joint.reshape(n, *cards)
         marginals = np.split(q, np.cumsum(cards)[:-1], axis=1)
         dev = max(
-            float(np.abs(joint_t.marginal(j) - marginals[j]).max())
+            float(np.abs(cube.sum(axis=tuple(a + 1 for a in range(f_c) if a != j))
+                         - marginals[j]).max())
             for j in range(f_c)
         )
         worst = max(worst, dev)

@@ -32,7 +32,6 @@ procedures look it up in this module, where patching it reaches them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -124,6 +123,9 @@ class EstimationResult:
                          confidences=np.hstack(blocks) if blocks else np.zeros((len(hard), 0)),
                          hard_estimates=hard,
                          method=doc["method"], hyperparams=doc["hyperparams"])
+            # Element types, not np.asarray's dtype: a true among ints reads as int64.
+            if any(type(v) is not int for row in hard for v in row):
+                raise DataError("hard estimates must be integer codes")
         except (ValueError, KeyError, IndexError, TypeError, CompfeatError) as exc:
             raise DataError(f"{path}: malformed estimation result ({exc})") from None
         for key, value in (expect or {}).items():
@@ -131,19 +133,6 @@ class EstimationResult:
                 raise DataError(f"{path}: stored {key} {doc.get(key)!r} is not {value!r}; "
                                 f"it was estimated from other inputs")
         return result
-
-
-def input_fingerprint(ds: Dataset, extra: dict | None = None) -> str:
-    """Content hash of the estimation inputs, for report provenance."""
-    h = hashlib.sha256()
-    for arr in ds.of_values:
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(np.ascontiguousarray(ds.labels).tobytes())
-    if ds.cf_observed is not None:
-        h.update(np.ascontiguousarray(ds.cf_observed).tobytes())
-    for key in sorted(extra or {}):
-        h.update(f"{key}={extra[key]}".encode())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

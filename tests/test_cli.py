@@ -254,6 +254,18 @@ class TestExitCodes:
         assert main(["evaluate", *bank_csv]) == 3
         assert main(["predict", "--mode", "soft", *bank_csv]) == 3
 
+    @pytest.mark.parametrize("flag, code, kind", [
+        ("--data", 3, "data error:"), ("--schema", 3, "data error:"),
+        ("--config", 2, "configuration error:"),
+    ])
+    def test_non_utf8_file_exits_typed(self, bank_csv, tmp_path, capsys, flag, code, kind):
+        """A file that is not UTF-8 is named in a typed error, not a traceback."""
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff\xfex = 1\n")
+        assert main(["estimate", *SMALL, *bank_csv, flag, str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(kind) and str(path) in err
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_source_without_two_rows_exits_3(self, tmp_path, capsys, rows):
         ds, _ = make_bank_like(60, seed=0)
@@ -273,9 +285,12 @@ class TestExitCodes:
         lambda text: '{"method": "proposed"}',             # required keys missing
         lambda text: text.replace('"job"', '"occupation"'),  # CF names off the schema
         lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[99', text),
+        lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[1.5', text),
+        lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[true', text),
         # estimated from other inputs
         lambda text: re.sub(r'"input_hash":"[0-9a-f]{64}"', '"input_hash":"' + "0" * 64 + '"', text),
-    ], ids=["truncated", "keys_missing", "cf_renamed", "code_out_of_range", "hash_mismatch"])
+    ], ids=["truncated", "keys_missing", "cf_renamed", "code_out_of_range", "code_not_integer",
+           "code_is_bool", "hash_mismatch"])
     @pytest.mark.parametrize("command", [
         ["evaluate"], ["predict", "--mode", "soft"], ["predict", "--mode", "hard"],
     ], ids=["evaluate", "predict_soft", "predict_hard"])

@@ -1,16 +1,8 @@
 import numpy as np
-import pytest
 
 import compfeat
-from compfeat import oracle
-from compfeat.errors import CardinalityCapError
-from compfeat.oracle import (
-    JointConfidence,
-    joint_init_from_codes,
-    make_smooth_synthetic,
-    propagate_joint,
-    run_equivalence_suite,
-)
+from compfeat import oracle, propagation
+from compfeat.oracle import _joint_init, make_smooth_synthetic, run_equivalence_suite
 from compfeat.propagation import init_marginal, propagate_step
 
 from test_propagation import observed_dataset
@@ -19,56 +11,30 @@ from test_propagation import observed_dataset
 class TestInitJoint:
     def test_single_cf_reduces_to_marginal(self):
         ds = observed_dataset([3], 6, seed=0)
-        joint = joint_init_from_codes(ds.cf_observed, ds.schema.cf_sizes)
-        np.testing.assert_array_equal(joint.values, init_marginal(ds))
+        joint = _joint_init(ds.cf_observed, ds.schema.cf_sizes)
+        np.testing.assert_array_equal(joint, init_marginal(ds))
 
     def test_two_cf_product_form(self):
-        obs = np.array([[1, 1]])
-        joint = joint_init_from_codes(obs, (3, 3))
-        cube = joint.values.reshape(3, 3)
+        joint = _joint_init(np.array([[1, 1]]), (3, 3))
         # mass 1/4 exactly on {2,3} x {2,3}
         expected = np.zeros((3, 3))
         expected[1:, 1:] = 0.25
-        np.testing.assert_array_equal(cube, expected)
+        np.testing.assert_array_equal(joint.reshape(3, 3), expected)
 
     def test_marginalization_matches_marginal_init(self):
         ds = observed_dataset([3, 4, 3], 10, seed=1)
-        joint = joint_init_from_codes(ds.cf_observed, ds.schema.cf_sizes)
+        cube = _joint_init(ds.cf_observed, ds.schema.cf_sizes).reshape(10, 3, 4, 3)
         for j, block in enumerate(np.split(init_marginal(ds), [3, 7], axis=1)):
-            np.testing.assert_allclose(joint.marginal(j), block, atol=1e-12)
-
-    def test_cardinality_cap(self):
-        obs = np.ones((1, 8), dtype=np.int64) * 2
-        with pytest.raises(CardinalityCapError):
-            joint_init_from_codes(obs, (6,) * 8, cap=10**6)
+            others = tuple(a for a in (1, 2, 3) if a != j + 1)
+            np.testing.assert_allclose(cube.sum(axis=others), block, atol=1e-12)
 
     def test_flat_index_row_major_first_feature_slowest(self):
         """Tuple (v1, v2) sits at flat column 4 * (v1 - 1) + (v2 - 1)."""
-        joint = joint_init_from_codes(np.array([[2, 3]]), (3, 4))
+        joint = _joint_init(np.array([[2, 3]]), (3, 4))
         expected = np.full((3, 4), 1.0 / 6)
         expected[1, :] = 0.0
         expected[:, 2] = 0.0
-        np.testing.assert_array_equal(joint.values.reshape(3, 4), expected)
-
-
-class TestPropagateJoint:
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(2)
-        n, card = 8, 6
-        vals = rng.dirichlet(np.ones(card), size=n)
-        h = rng.gamma(1.0, size=(n, n))
-        np.fill_diagonal(h, 0.0)
-        h /= h.sum(axis=1, keepdims=True)
-        q = JointConfidence(cards=(6,), values=vals)
-        out = propagate_joint(h, q, T=2)
-        expected = vals.copy()
-        for _ in range(2):
-            nxt = np.zeros_like(expected)
-            for i in range(n):
-                for j in range(n):
-                    nxt[i] += h[i, j] * expected[j]
-            expected = nxt
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        np.testing.assert_array_equal(joint.reshape(3, 4), expected)
 
 
 class TestEquivalenceSuite:
@@ -89,6 +55,16 @@ class TestEquivalenceSuite:
         monkeypatch.setattr(oracle, "propagate_step", rank_ordered)
         out = run_equivalence_suite(40, seed0=7)
         assert len(out["failures"]) >= 20
+
+
+    def test_reference_is_independent_of_production_init(self, monkeypatch):
+        def broken(ds):
+            raise AssertionError("the reference must not call init_marginal")
+
+        monkeypatch.setattr(propagation, "init_marginal", broken)
+        out = run_equivalence_suite(40, seed0=7)
+        assert not out["failures"]
+        assert out["worst"] <= 1e-10
 
 
 class TestSmoothSynthetic:
