@@ -78,8 +78,9 @@ class ExperimentConfig:
     def validate(self):
         if self.T < 1:
             raise ConfigError("T must be >= 1")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        # Estimate files store k and the seed; their writer takes 64-bit integers.
+        if not 1 <= self.k < 2**64:
+            raise ConfigError("k must lie in [1, 2**64)")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
         if not 0.0 < self.alpha < 1.0:
@@ -94,16 +95,16 @@ class ExperimentConfig:
             raise ConfigError("max_n must be >= 0")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if min(self.seeds) < 0:
-            raise ConfigError("seeds must be >= 0")
+        if min(self.seeds) < 0 or max(self.seeds) >= 2**64:
+            raise ConfigError("seeds must lie in [0, 2**64)")
         if not 0.0 <= self.l2 < math.inf:
             raise ConfigError("l2 must be finite and >= 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.oracle_equivalence_instances < 1:
             raise ConfigError("oracle_equivalence_instances must be >= 1")
-        if not math.isfinite(self.oracle_slack):
-            raise ConfigError("oracle_slack must be finite")
+        if not 0.0 <= self.oracle_slack < math.inf:
+            raise ConfigError("oracle_slack must be finite and >= 0")
 
 
 _KEYS = frozenset(f.name for f in fields(ExperimentConfig))

@@ -266,16 +266,26 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     (0-based among the data rows, header and blank lines excluded) and
     its column: :class:`ParseError` for a row too short to hold every
     schema column or a quantitative cell that is not a finite number,
+    and for a record that ``csv.reader`` rejects, such as one holding a
+    cell over its field size limit (no column; in the header, no row),
     :class:`UnknownCategoryError` for a value outside a declared
     vocabulary.  Columns are checked in schema order.  A file that is not
     UTF-8 raises :class:`DataError` naming it.
     """
     reader = csv.reader(_read_lines(path, newline=""))
+    header, rows = None, []
     try:
         header = next(reader)
+        for row in reader:
+            if row:
+                rows.append(row)
     except StopIteration:
         raise ParseError("empty file: header row required") from None
-    rows = [row for row in reader if row]
+    except csv.Error as exc:
+        if header is None:
+            raise ParseError(f"header (line {reader.line_num}): {exc}") from None
+        raise ParseError(f"row {len(rows)} (line {reader.line_num}): {exc}",
+                         row=len(rows)) from None
 
     for col in schema.columns:
         if col.name not in header:

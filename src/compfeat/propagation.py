@@ -100,15 +100,37 @@ class EstimationResult:
         return self.confidences[:, start:start + self.sizes[j]]
 
     def save(self, path, extra: dict | None = None):
-        """Write canonical JSON: one confidence list per CF name, plus ``extra`` keys."""
+        """Write the result as one line of UTF-8 JSON for :meth:`load`.
+
+        The object has sorted keys and no whitespace, and ends in a
+        newline.  It holds ``method``, ``hyperparams``, ``cf_names``,
+        ``hard_estimates`` (n lists of codes), ``confidences`` (one (n,
+        u_j) list of lists per CF name) and the ``extra`` keys.  Every
+        float is written as the shortest text that reads back as the same
+        float64, so any JSON reader recovers the saved values exactly.
+        The text differs from Python's ``repr`` only for entries below
+        1e-4: ``0.00004830844254893549`` for ``4.830844254893549e-05``,
+        ``5e-8`` for ``5e-08``.  Integers must fit in 64 bits.  Saving one
+        result twice gives the same bytes.
+
+        Reading stays on the standard library's ``json``: ``orjson.loads``
+        of a 2 MB estimate file peaks about 5 MB higher, and every
+        command that reads estimates would pay that in peak RSS.
+        """
+        # Imported here, where only the commands that write estimates pay
+        # for it; formatting the floats is most of a save, and orjson does
+        # it about ten times faster than json.dumps.
+        import orjson
+
         doc = {"method": self.method, "hyperparams": self.hyperparams,
-               "cf_names": list(self.cf_names), "hard_estimates": self.hard_estimates.tolist(),
-               "confidences": {name: self.block(j).tolist()
+               "cf_names": list(self.cf_names),
+               "hard_estimates": np.ascontiguousarray(self.hard_estimates),
+               "confidences": {name: np.ascontiguousarray(self.block(j))
                                for j, name in enumerate(self.cf_names)},
                **(extra or {})}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            # json.dumps, unlike json.dump, runs the C encoder.
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+                                  | orjson.OPT_APPEND_NEWLINE))
 
     @classmethod
     def load(cls, path, expect: dict | None = None) -> "EstimationResult":

@@ -2,11 +2,15 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compfeat import propagation
+import compfeat
+from compfeat import oracle, propagation
 from compfeat.cli import main
 from compfeat.data import (
     Column,
@@ -80,6 +84,21 @@ def test_predict_creates_output_directory(tmp_path):
                  "--seed", "0", "--out", str(out)])
     assert code == 0
     assert os.path.exists(out / "prediction_ord.json")
+
+
+def test_readers_of_estimates_do_not_import_orjson(bank_csv):
+    """Only writing an estimate file imports orjson; evaluate and predict
+    read with the standard library's json, whose peak RSS is lower."""
+    assert main(["estimate", "--seed", "0", *SMALL, *bank_csv]) == 0
+    code = ("import sys\n"
+            "from compfeat.cli import main\n"
+            f"assert main(['evaluate', '--seed', '0', *{bank_csv!r}]) == 0\n"
+            f"assert main(['predict', '--mode', 'hard', '--seed', '0', *{bank_csv!r}]) == 0\n"
+            "assert 'orjson' not in sys.modules\n")
+    src = str(Path(compfeat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -237,9 +256,13 @@ class TestExitCodes:
         (["oracle"], "oracle_equivalence_instances = -3"),
         (["oracle"], "oracle_equivalence_instances = 0"),
         (["oracle"], "oracle_slack = nan"),
+        (["oracle"], "oracle_slack = -1"),
+        (["estimate", "--max-n", "30", "--seed", str(2**64)], ""),
+        (["estimate"], f"k = {2**64}"),
     ], ids=["unknown_key", "oracle_monotone_instances", "oracle_bound_instances",
             "predict_seed", "estimate_seed", "l2_nan", "l2_inf", "l2_negative", "epochs_0",
-            "epochs_negative", "instances_negative", "instances_0", "slack_nan"])
+            "epochs_negative", "instances_negative", "instances_0", "slack_nan",
+            "slack_negative", "seed_over_64_bits", "k_over_64_bits"])
     def test_bad_config_line_exits_2(self, bank_csv, tmp_path, capsys, command, line):
         """Rejected with exit 2 when the config loads, not with a traceback."""
         cfg = tmp_path / "run.cfg"
@@ -265,6 +288,17 @@ class TestExitCodes:
         assert main(["estimate", *SMALL, *bank_csv, flag, str(path)]) == code
         err = capsys.readouterr().err
         assert err.startswith(kind) and str(path) in err
+
+    def test_csv_reader_error_exits_3(self, bank_csv, capsys):
+        """A cell over the csv module's field size limit is a data error
+        naming the row, not a raw ``_csv.Error``."""
+        path = bank_csv[1]
+        with open(path, encoding="utf-8") as fh:
+            header, first, *rest = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + '"' + "x" * 200_000 + '",' + first + "".join(rest))
+        assert main(["prepare", *bank_csv]) == 3
+        assert capsys.readouterr().err.startswith("data error: row 0 (line 2)")
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_source_without_two_rows_exits_3(self, tmp_path, capsys, rows):
@@ -341,7 +375,9 @@ class TestExitCodes:
         assert (check["instances"], check["tolerance"], check["failure_count"]) == (200, 1e-10, 0)
         assert report["passed"]
 
-    def test_verification_failure_exits_4(self, tmp_path):
+    def test_verification_failure_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "propagate_step",
+                            lambda graph, q: 2.0 * propagation.propagate_step(graph, q))
         cfg = tmp_path / "oracle.cfg"
-        cfg.write_text("oracle_equivalence_instances = 2\noracle_slack = -1\n")
+        cfg.write_text("oracle_equivalence_instances = 2\n")
         assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4

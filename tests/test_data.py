@@ -148,6 +148,20 @@ class TestLoadCsv:
             load_csv(path, tiny_schema)
         assert (err.value.row, err.value.column) == (1, "status")
 
+    @pytest.mark.parametrize("text, row", [
+        ("age,color,status,y\n1.0,{big},a,no\n", 0),
+        ("age,color,status,y\n1.0,blue,a,no\n\n2.0,{big},a,no\n", 1),
+        ("age,{big},status,y\n1.0,blue,a,no\n", None),
+    ], ids=["first_row", "after_blank_line", "header"])
+    def test_reader_error_reports_data_row(self, tiny_schema, tmp_path, text, row):
+        """A record the csv module rejects, here a quoted cell over its
+        field size limit, is a ParseError naming the data row."""
+        path = tmp_path / "d.csv"
+        path.write_text(text.format(big='"' + "x" * 200_000 + '"'))
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_csv(path, tiny_schema)
+        assert err.value.row == row
+
     @pytest.mark.parametrize("ages, row", [
         (["1.0", "inf", "nope"], 1),     # non-finite before unparsable
         (["1.0", "nope", "-inf"], 1),    # unparsable before non-finite

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
 from compfeat.encoding import encode_of
@@ -493,6 +494,42 @@ class TestRunIpal:
                                       hard_from_blocks(res.confidences, res.sizes))
 
 
+# Entries a saved file must carry exactly: exact zeros, subnormals, the
+# smallest normal float, and values below 1e-4, whose saved text differs
+# from Python's repr (e.g. 0.00004830844254893549 for 4.830844254893549e-05).
+SMALL_ENTRIES = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-5,
+                 4.830844254893549e-05, 9.99e-05]
+
+
+@st.composite
+def saved_results(draw):
+    """An EstimationResult with row-stochastic confidences whose entries
+    mix arbitrary floats with SMALL_ENTRIES; each segment row's observed
+    entry is exactly 0.  Row 0 of CF 0 holds 5e-324 and 4.83e-05.  The
+    hard estimates come in Fortran order, as a transpose gives them."""
+    sizes = [draw(st.integers(4, 6)), *draw(st.lists(st.integers(3, 6), max_size=2))]
+    n = draw(st.integers(1, 6))
+    blocks, hard = [], []
+    for j, u in enumerate(sizes):
+        block = np.zeros((n, u))
+        for i in range(n):
+            observed = draw(st.integers(0, u - 1))
+            free = [v for v in range(u) if v != observed]
+            rest = draw(st.lists(st.one_of(st.sampled_from(SMALL_ENTRIES),
+                                           st.floats(0.0, 1.0 / u)),
+                                 min_size=u - 2, max_size=u - 2))
+            if i == j == 0:
+                observed, free, rest[:2] = 0, list(range(1, u)), [5e-324, 4.830844254893549e-05]
+            block[i, free[1:]] = rest
+            block[i, free[0]] = 1.0 - sum(rest)
+        blocks.append(block)
+        hard.append(draw(st.lists(st.integers(1, u), min_size=n, max_size=n)))
+    return EstimationResult(cf_names=tuple(f"s{j}" for j in range(len(sizes))), sizes=sizes,
+                            confidences=np.hstack(blocks), hard_estimates=np.array(hard).T,
+                            method="proposed",
+                            hyperparams={"T": 3, "k": 4, "gamma": draw(st.floats(0.0, 1.0))})
+
+
 class TestEstimationResultIo:
     def test_json_round_trip(self, tmp_path):
         ds = observed_dataset([3, 4], 15, seed=18)
@@ -507,6 +544,28 @@ class TestEstimationResultIo:
         np.testing.assert_array_equal(loaded.block(1), res.confidences[:, 3:])
         assert loaded.method == "proposed"
         assert loaded.hyperparams == res.hyperparams
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(saved_results())
+    def test_saved_values_read_back_exactly(self, tmp_path, res):
+        """Every float reads back as the same float64, through load and
+        through the standard library's json, and saving twice gives the
+        same bytes."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        res.save(first, extra={"seed": 0})
+        res.save(second, extra={"seed": 0})
+        assert first.read_bytes() == second.read_bytes()
+        loaded = EstimationResult.load(first, expect={"seed": 0})
+        np.testing.assert_array_equal(loaded.confidences.view(np.uint64),
+                                      res.confidences.view(np.uint64))
+        np.testing.assert_array_equal(loaded.hard_estimates, res.hard_estimates)
+        assert loaded.hyperparams == res.hyperparams
+        with open(first, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for j, name in enumerate(res.cf_names):
+            assert doc["confidences"][name] == res.block(j).tolist()
+        assert doc["hard_estimates"] == res.hard_estimates.tolist()
 
     @pytest.mark.parametrize("q", [
         np.full((1, 5), 0.25),                      # segment sums 0.75 and 0.5
