@@ -47,7 +47,7 @@ from . import oracle as oracle_mod
 from . import propagation
 from .data import Dataset, load_csv, load_schema, split_train_test, synthesize_cf, write_csv
 from .encoding import encode_of
-from .errors import CompfeatError, ConfigError, DataError, VerificationError
+from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
 from .propagation import EstimationResult, run_comp, run_ipal, run_proposed
@@ -203,10 +203,9 @@ def shared_of_graph(cfg: ExperimentConfig, source: Dataset) -> propagation.Weigh
 def run_method(cfg: ExperimentConfig, ds: Dataset, seed: int,
                of_graph: propagation.WeightGraph | None = None) -> EstimationResult:
     if cfg.method == "proposed":
-        result = run_proposed(ds, encode_of(ds), T=cfg.T, k=cfg.k, gamma=cfg.gamma,
-                              of_graph=of_graph)
+        result = run_proposed(ds, T=cfg.T, k=cfg.k, gamma=cfg.gamma, of_graph=of_graph)
     elif cfg.method == "ipal":
-        result = run_ipal(ds, encode_of(ds), T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
+        result = run_ipal(ds, T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
     else:
         result = run_comp(ds, seed)
     if cfg.estimate_only:
@@ -252,12 +251,10 @@ def load_result(cfg: ExperimentConfig, path: str, ds: Dataset, seed: int) -> Est
     if not os.path.exists(path):
         raise DataError(f"missing estimation result {path}; run estimate first")
     result = EstimationResult.load(path, expect=provenance(cfg, ds, seed))
-    names, sizes = tuple(c.name for c in ds.schema.cf_columns), ds.schema.cf_sizes
-    if (result.cf_names, result.n) != (names, ds.n):
-        raise DataError(f"{path} estimates CFs {list(result.cf_names)} on {result.n} rows; "
-                        f"the dataset has CFs {list(names)} on {ds.n} rows")
-    if result.sizes != sizes:
-        raise DataError(f"{path} has CF widths {list(result.sizes)}, the schema has {list(sizes)}")
+    try:
+        result.check_fits(ds)
+    except ShapeMismatchError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return result
 
 

@@ -114,12 +114,6 @@ class FeatureSchema:
     def label_column(self) -> Column:
         return next(c for c in self.columns if c.role == "label")
 
-    def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise DataError(f"no column named {name!r}")
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
@@ -173,12 +167,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
-
-    def of_array(self, name: str) -> np.ndarray:
-        for arr, col in zip(self.of_values, self.schema.of_columns):
-            if col.name == name:
-                return arr
-        raise DataError(f"no OF column named {name!r}")
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .encoding import _one_hot, _read_only, encode_of
-from .errors import DataError, ShapeMismatchError, SingleClassError
+from .errors import DataError, SingleClassError
 from .propagation import EstimationResult, init_marginal
 
 MODES = ("ord", "comp", "soft", "hard")
@@ -47,13 +47,8 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
     else:
         if result is None:
             raise DataError(f"mode {mode!r} needs an estimation result")
-        if result.n != ds.n or result.cf_names != tuple(c.name for c in cf_cols):
-            raise ShapeMismatchError("estimation result rows or CF names do not match the dataset")
+        result.check_fits(ds)
         if mode == "soft":
-            if result.sizes != ds.schema.cf_sizes:
-                raise ShapeMismatchError(
-                    f"soft mode needs confidences of CF widths {ds.schema.cf_sizes}, "
-                    f"got {result.sizes}")
             parts.append(result.confidences)
         else:
             parts += [_one_hot(result.hard_estimates[:, j], c.size)

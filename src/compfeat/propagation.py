@@ -20,30 +20,29 @@ it once and pass it in as ``of_graph``.
 All CFs' matrices are stacked side by side into one (n, sum u_j) array,
 CF j owning the column segment of width u_j that follows CF j-1's, in
 schema order.  This stacked matrix is the only representation of
-confidences, from :func:`init_marginal` through the hooks to
+confidences, from :func:`init_marginal` through every step to
 :class:`EstimationResult`: a step gathers and sums, for all CFs at
 once, each row's neighbors of nonzero weight (on bank-like graphs 5 to
 7 of k = 20), and the correction normalizes each segment with
 ``np.add.reduceat``.
 
-The step is :func:`compfeat.graph.propagate_step`, imported here; the
-procedures look it up in this module, where patching it reaches them.
+The step is :func:`compfeat.graph.propagate_step`, imported here.  The
+procedures look it, :func:`correct` and ``build_graph`` up in this
+module, so patching them here observes every graph and step of a run.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import STREAM_GUESS, Dataset, complement_draws
-from .encoding import encode_with_confidence
+from .encoding import encode_of, encode_with_confidence
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph, propagate_step
-
-TraceHook = Callable[..., None]
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,16 @@ class EstimationResult:
     @property
     def n(self) -> int:
         return int(self.hard_estimates.shape[0])
+
+    def check_fits(self, ds: Dataset):
+        """Raise :class:`ShapeMismatchError` unless this result estimates
+        the CFs of ``ds``'s schema, by name and width, on its rows."""
+        names = tuple(c.name for c in ds.schema.cf_columns)
+        if (self.cf_names, self.sizes, self.n) != (names, ds.schema.cf_sizes, ds.n):
+            raise ShapeMismatchError(
+                f"the result estimates CF names {list(self.cf_names)} of widths "
+                f"{list(self.sizes)} on {self.n} rows; the dataset has CF names "
+                f"{list(names)} of widths {list(ds.schema.cf_sizes)} on {ds.n} rows")
 
     def block(self, j: int) -> np.ndarray:
         """Read-only view of CF j's (n, u_j) confidence segment."""
@@ -223,34 +232,27 @@ def _require_cfs(sizes: Sequence[int]):
 # Full procedures
 
 
-def _of_graph(enc_of: np.ndarray, k: int, of_graph: WeightGraph | None) -> WeightGraph:
-    """``of_graph`` after a shape check, or the graph of ``enc_of`` when it is None."""
-    if of_graph is None:
-        return build_graph(enc_of, k)
-    n = enc_of.shape[0]
-    if (of_graph.n, of_graph.k) != (n, min(k, n - 1)):
+def _of_graph(ds: Dataset, k: int, of_graph: WeightGraph) -> WeightGraph:
+    """``of_graph`` after checking that it is a graph of ``ds``'s rows at this ``k``."""
+    if (of_graph.n, of_graph.k) != (ds.n, min(k, ds.n - 1)):
         raise ShapeMismatchError(f"round-1 graph is {of_graph.n} x {of_graph.k}, "
-                                 f"expected {n} x {min(k, n - 1)}")
+                                 f"expected {ds.n} x {min(k, ds.n - 1)}")
     return of_graph
 
 
 def run_proposed(
     ds: Dataset,
-    enc_of: np.ndarray,
     T: int,
     k: int,
     gamma: float,
     of_graph: WeightGraph | None = None,
-    hook: TraceHook | None = None,
 ) -> EstimationResult:
     """Two-round graph-based estimation of every CF's exact value.
 
-    ``of_graph`` is the round-1 graph of ``enc_of`` at this ``k``, as
-    :func:`build_graph` returns it; it is built here when omitted.
-    ``hook(event, ...)`` receives ``("graph", round_idx, graph)`` after
-    each graph build and ``("iteration", round_idx, t, q)`` after each
-    correction, with ``q`` the stacked confidences, for instrumentation;
-    it must not modify ``q``.
+    Round 1 runs on the graph of ``ds``'s OF encoding; round 2 rebuilds
+    the graph with the round-1 confidences appended.  ``of_graph`` is
+    the round-1 graph at this ``k``, as :func:`build_graph` returns it
+    for ``encode_of(ds)``; it is built here when omitted.
     """
     if T < 1:
         raise DataError("T must be >= 1")
@@ -260,24 +262,16 @@ def run_proposed(
     _require_cfs(sizes)
     q0 = init_marginal(ds)
 
-    def one_round(graph: WeightGraph, round_idx: int) -> np.ndarray:
+    def one_round(graph: WeightGraph) -> np.ndarray:
         q = q0
-        for t in range(1, T + 1):
+        for _ in range(T):
             q = correct(propagate_step(graph, q), q0, sizes)
-            if hook is not None:
-                hook("iteration", round_idx, t, q)
         return q
 
-    graph1 = _of_graph(enc_of, k, of_graph)
-    if hook is not None:
-        hook("graph", 1, graph1)
-    round1 = one_round(graph1, 1)
-
-    enc2 = encode_with_confidence(enc_of, round1, ds.schema.cf_columns, gamma)
-    graph2 = build_graph(enc2, k)
-    if hook is not None:
-        hook("graph", 2, graph2)
-    round2 = one_round(graph2, 2)
+    base = encode_of(ds)
+    round1 = one_round(build_graph(base, k) if of_graph is None else _of_graph(ds, k, of_graph))
+    enc2 = encode_with_confidence(base, round1, ds.schema.cf_columns, gamma)
+    round2 = one_round(build_graph(enc2, k))
     return _result(ds, round2, hard_from_blocks(round2, sizes), "proposed",
                    {"T": T, "k": k, "gamma": gamma})
 
@@ -302,7 +296,6 @@ def run_comp(ds: Dataset, seed: int) -> EstimationResult:
 
 def run_ipal(
     ds: Dataset,
-    enc_of: np.ndarray,
     T: int,
     k: int,
     alpha: float,
@@ -314,14 +307,15 @@ def run_ipal(
     Q^(t) = alpha H Q^(t-1) + (1 - alpha) Q^(0) and no correction step;
     the affine map preserves row sums analytically, and every step
     re-normalizes the CF segments to guard against drift.  ``of_graph``
-    is as in :func:`run_proposed`.
+    is as in :func:`run_proposed`; ``ds`` is encoded only when it is
+    omitted.
     """
     if not 0.0 < alpha < 1.0:
         raise DataError("alpha must lie in (0, 1)")
     sizes = ds.schema.cf_sizes
     _require_cfs(sizes)
     q0 = init_marginal(ds)
-    graph = _of_graph(enc_of, k, of_graph)
+    graph = build_graph(encode_of(ds), k) if of_graph is None else _of_graph(ds, k, of_graph)
     q = q0
     for _ in range(T):
         q = _normalize(alpha * propagate_step(graph, q) + (1.0 - alpha) * q0, q0, sizes)

@@ -38,28 +38,56 @@ def tiny_dataset(tiny_schema):
     return build_dataset(tiny_schema, 40, seed=1)
 
 
+def record_rounds(mp, ds, **params):
+    """``run_proposed(ds, **params)`` with ``build_graph``,
+    ``propagate_step`` and ``correct`` wrapped, on the monkeypatch
+    ``mp``, in the propagation module where the procedure looks them up.
+
+    Returns the result and one dict per graph built, that is per round
+    when no ``of_graph`` is passed: the ``graph``, the confidences each
+    step received (``inputs``) and those each correction returned
+    (``outputs``).
+    """
+    from compfeat import propagation
+
+    rounds = []
+    build, step, correct = (propagation.build_graph, propagation.propagate_step,
+                            propagation.correct)
+
+    def building(*args):
+        rounds.append({"graph": build(*args), "inputs": [], "outputs": []})
+        return rounds[-1]["graph"]
+
+    def stepping(graph, q):
+        rounds[-1]["inputs"].append(q)
+        return step(graph, q)
+
+    def correcting(*args):
+        rounds[-1]["outputs"].append(correct(*args))
+        return rounds[-1]["outputs"][-1]
+
+    mp.setattr(propagation, "build_graph", building)
+    mp.setattr(propagation, "propagate_step", stepping)
+    mp.setattr(propagation, "correct", correcting)
+    return propagation.run_proposed(ds, **params), rounds
+
+
 @pytest.fixture(scope="session")
 def bank_like_rounds():
     """Both estimation rounds on ``make_bank_like(300)`` at k=20, T=20.
 
     Returns the dataset, the round-1 and round-2 encodings, the graph of
     each round and the stacked confidences after the last step of each
-    round, as ``run_proposed`` reports them through its hook.
+    round, as ``run_proposed`` builds and computes them.
     """
     from compfeat.encoding import encode_of, encode_with_confidence
     from compfeat.oracle import make_bank_like
-    from compfeat.propagation import run_proposed
 
     ds, _ = make_bank_like(300, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        _, rounds = record_rounds(mp, ds, T=20, k=20, gamma=0.25)
+    graphs = {r: rnd["graph"] for r, rnd in enumerate(rounds, start=1)}
+    last = {r: rnd["outputs"][-1] for r, rnd in enumerate(rounds, start=1)}
     enc1 = encode_of(ds)
-    graphs, last = {}, {}
-
-    def hook(kind, round_idx, *payload):
-        if kind == "graph":
-            graphs[round_idx] = payload[0]
-        elif payload[0] == 20:
-            last[round_idx] = payload[1]
-
-    run_proposed(ds, enc1, T=20, k=20, gamma=0.25, hook=hook)
     enc2 = encode_with_confidence(enc1, last[1], ds.schema.cf_columns, 0.25)
     return ds, enc1, enc2, graphs, last

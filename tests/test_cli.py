@@ -22,7 +22,6 @@ from compfeat.data import (
     synthesize_cf,
     write_csv,
 )
-from compfeat.encoding import encode_of
 from compfeat.metrics import score_cf
 from compfeat.oracle import make_bank_like
 from compfeat.propagation import EstimationResult, run_comp, run_proposed
@@ -129,7 +128,7 @@ class TestEstimateOnly:
                      *bank_csv]) == 0
         for seed in (0, 1):
             ds = seed_dataset(bank_csv, seed)
-            proposed = run_proposed(ds, encode_of(ds), T=5, k=8, gamma=0.25)
+            proposed = run_proposed(ds, T=5, k=8, gamma=0.25)
             comp = run_comp(ds, seed)
             got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.json"))
             assert got.hyperparams["estimate_only"] == ["job"]
@@ -182,7 +181,7 @@ class TestRoundOneReuse:
         assert len(graph_builds) == builds
         for seed in SEEDS:
             ds = seed_dataset(bank_csv, seed, max_n)
-            expected = run_proposed(ds, encode_of(ds), T=5, k=8, gamma=0.25)
+            expected = run_proposed(ds, T=5, k=8, gamma=0.25)
             got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.json"))
             np.testing.assert_array_equal(got.hard_estimates, expected.hard_estimates)
             np.testing.assert_array_equal(got.confidences, expected.confidences)
@@ -198,7 +197,7 @@ class TestRoundOneReuse:
             accs = []
             for seed in (0, 1):
                 ds = seed_dataset(bank_csv, seed)
-                res = run_proposed(ds, encode_of(ds), T=5, k=8, gamma=gamma)
+                res = run_proposed(ds, T=5, k=8, gamma=gamma)
                 accs.append(float(np.mean([s.acc for s in score_cf(res, ds.cf_truth)])))
             assert point["mean_acc"] == float(np.mean(accs))
             assert point["std_acc"] == float(np.std(accs))

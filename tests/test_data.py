@@ -67,7 +67,7 @@ class TestSchema:
             Column("y", "binary", "label", ("no", "yes")),
         ))
         inferred = load_csv(path, schema).schema
-        assert inferred.column("s").vocabulary == (" e", "a|b", "c", "d")
+        assert inferred.columns[1].vocabulary == (" e", "a|b", "c", "d")
         with pytest.raises(DataError, match="column 's'"):
             save_schema(inferred, tmp_path / "d.schema")
         assert not (tmp_path / "d.schema").exists()
@@ -88,7 +88,7 @@ class TestLoadCsv:
         assert ds.n == 3
         np.testing.assert_array_equal(ds.cf_truth[:, 0], [1, 2, 3])
         np.testing.assert_array_equal(ds.labels, [1, 2, 1])
-        np.testing.assert_array_equal(ds.of_array("color"), [1, 3, 4])
+        np.testing.assert_array_equal(ds.of_values[1], [1, 3, 4])
         assert ds.cf_observed is None
 
     def test_header_only_gives_empty_dataset(self, tiny_schema, tmp_path):
@@ -196,8 +196,8 @@ class TestLoadCsv:
         # independent one-pass count of distinct raw categories
         distinct = sorted({line.split(",")[1] for line in rows})
         ds = load_csv(path, schema)
-        assert ds.schema.column("work").vocabulary == tuple(distinct)
-        assert ds.schema.column("work").vocabulary[0] == "?"
+        assert ds.schema.columns[1].vocabulary == tuple(distinct)
+        assert ds.schema.columns[1].vocabulary[0] == "?"
 
     def test_round_trip(self, tiny_schema, tmp_path):
         src = tmp_path / "d.csv"

@@ -54,7 +54,7 @@ class TestEncodeOf:
         enc = encode_of(ds)
         assert enc.shape == (8, 1 + 4)
         block = enc[:, 1:5]  # after the quantitative "age" column
-        code = ds.of_array("color")[0]
+        code = ds.of_values[1][0]
         assert block[0, code - 1] == pytest.approx(0.5)  # 1/sqrt(4)
         assert np.count_nonzero(block[0]) == 1
 
@@ -63,7 +63,7 @@ class TestEncodeOf:
         # age, then the one-hot of color; the CF "status" adds no columns
         assert enc.shape == (tiny_dataset.n, 1 + 4)
         np.testing.assert_array_equal(
-            enc[:, 1:], np.eye(4)[tiny_dataset.of_array("color") - 1] / 2.0)
+            enc[:, 1:], np.eye(4)[tiny_dataset.of_values[1] - 1] / 2.0)
 
     def test_affine_invariance(self, tiny_schema):
         ds = build_dataset(tiny_schema, 30, seed=2)

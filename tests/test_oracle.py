@@ -78,7 +78,7 @@ class TestSmoothSynthetic:
 
     def test_low_roughness_estimation_is_accurate(self):
         ds, _ = make_smooth_synthetic(300, [3, 4], n_of=2, roughness=0.3, seed=1)
-        res = compfeat.run_proposed(ds, compfeat.encode_of(ds), T=50, k=20, gamma=0.25)
+        res = compfeat.run_proposed(ds, T=50, k=20, gamma=0.25)
         scores = compfeat.score_cf(res, ds.cf_truth)
         assert all(s.acc >= 0.95 for s in scores)
 
@@ -89,8 +89,7 @@ class TestSmoothSynthetic:
             for seed in range(10):
                 ds, _ = make_smooth_synthetic(150, [3, 4], n_of=2,
                                               roughness=rough, seed=seed)
-                res = compfeat.run_proposed(ds, compfeat.encode_of(ds),
-                                            T=20, k=10, gamma=0.25)
+                res = compfeat.run_proposed(ds, T=20, k=10, gamma=0.25)
                 accs.append(np.mean([s.acc for s in compfeat.score_cf(res, ds.cf_truth)]))
             means.append(np.mean(accs))
         assert means[0] > means[1] > means[2]

@@ -59,9 +59,12 @@ class TestAssemble:
         for mode in ("soft", "hard"):
             with pytest.raises(ShapeMismatchError, match="CF names"):
                 assemble(ds, mode, result=fewer_cfs)
+        # Code 5 of the wider CF has no column in a width-4 one-hot.
         wider_cf = run_comp(observed_dataset([3, 5], 12, seed=1), 0)
-        with pytest.raises(ShapeMismatchError, match="widths"):
-            assemble(ds, "soft", result=wider_cf)
+        assert wider_cf.hard_estimates[:, 1].max() == 5
+        for mode in ("soft", "hard"):
+            with pytest.raises(ShapeMismatchError, match="widths"):
+                assemble(ds, mode, result=wider_cf)
 
     def test_comp_mode_uses_initial_confidences(self):
         ds = observed_dataset([4], 9, seed=3)

@@ -21,7 +21,7 @@ from compfeat.propagation import (
     run_proposed,
 )
 
-from conftest import build_dataset
+from conftest import build_dataset, record_rounds
 
 
 def cf_schema(*cards, n_of=1):
@@ -217,7 +217,7 @@ class TestCorrect:
         q0 = np.array([[0.5, 0.0, 0.5, 0.5, 0.5]])
         np.testing.assert_allclose(correct(q, q0, (3, 2)), [[0.5, 0.0, 0.5, 0.2, 0.8]])
 
-    def test_vanishing_product_with_three_values(self):
+    def test_vanishing_product_with_three_values(self, monkeypatch):
         """u=3, k=1 graph 0->1, 1->2, 2->1, observed codes 1, 2, 3: after
         step 1 rows 1 and 2 are one-hot on code 1, row 0's observed
         value, so at step 2 row 0's product sums to exactly 0."""
@@ -235,18 +235,12 @@ class TestCorrect:
         step2 = correct(propagate_step(g, step1), q0, (3,))
         np.testing.assert_array_equal(step2[0], q0[0])
 
-        # The same case through run_proposed's hook: the 1-D OF positions
+        # The same case through run_proposed: the 1-D OF positions
         # 0, 2, 3 give exactly that k=1 graph in round 1.
-        seen = {}
-
-        def hook(kind, round_idx, *payload):
-            if round_idx == 1:
-                seen[(kind,) + payload[:-1]] = payload[-1]
-
-        run_proposed(ds, encode_of(ds), T=2, k=1, gamma=0.25, hook=hook)
-        np.testing.assert_array_equal(seen[("graph",)].neighbors, g.neighbors)
-        np.testing.assert_array_equal(seen[("iteration", 1)], step1)
-        np.testing.assert_array_equal(seen[("iteration", 2)][0], q0[0])
+        _, (round1, _) = record_rounds(monkeypatch, ds, T=2, k=1, gamma=0.25)
+        np.testing.assert_array_equal(round1["graph"].neighbors, g.neighbors)
+        np.testing.assert_array_equal(round1["outputs"][0], step1)
+        np.testing.assert_array_equal(round1["outputs"][1][0], q0[0])
 
 
 class TestHardEstimates:
@@ -302,8 +296,7 @@ class TestNorthStarInvariants:
     @given(propagation_cases(), st.sampled_from([0.0, 0.25, 1.0]))
     def test_run_proposed_is_bit_identical(self, case, gamma):
         ds, graph, steps = case
-        enc = encode_of(ds)
-        runs = [run_proposed(ds, enc, T=steps + 1, k=graph.k, gamma=gamma) for _ in range(2)]
+        runs = [run_proposed(ds, T=steps + 1, k=graph.k, gamma=gamma) for _ in range(2)]
         assert runs[0].confidences.tobytes() == runs[1].confidences.tobytes()
         np.testing.assert_array_equal(runs[0].hard_estimates, runs[1].hard_estimates)
 
@@ -318,11 +311,11 @@ class TestRunProposed:
 
         monkeypatch.setattr(propagation, "build_graph", no_graph)
         with pytest.raises(DataError, match="gamma"):
-            run_proposed(ds, encode_of(ds), T=3, k=4, gamma=gamma)
+            run_proposed(ds, T=3, k=4, gamma=gamma)
 
     def test_stacked_kernel_matches_per_block_reference(self, bank_like_rounds):
         """make_bank_like(300), both rounds, T=20: the confidences that
-        run_proposed's hook reports equal T public propagate+correct
+        run_proposed computes equal T public propagate+correct
         steps, and agree with a plain per-CF loop."""
         ds, _, _, graphs, last = bank_like_rounds
         sizes = ds.schema.cf_sizes
@@ -346,55 +339,49 @@ class TestRunProposed:
             monkeypatch.setattr(propagation, name,
                                 lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
         ds = observed_dataset([3], 20, seed=21)
-        run_proposed(ds, encode_of(ds), T=3, k=4, gamma=0.25)
+        run_proposed(ds, T=3, k=4, gamma=0.25)
         assert calls == ["propagate_step", "correct"] * 6
 
-    def test_gamma_zero_collapses_to_single_round(self):
+    def test_gamma_zero_collapses_to_single_round(self, monkeypatch):
         """With gamma=0 the second-round graph equals the first, and the
         restart makes the output identical to one T-iteration round."""
         ds = observed_dataset([3, 4], 60, seed=6)
-        enc = encode_of(ds)
-        events = []
-        res = run_proposed(ds, enc, T=7, k=5, gamma=0.0,
-                           hook=lambda kind, *p: events.append((kind, p)))
-        graphs = [p for kind, p in events if kind == "graph"]
-        np.testing.assert_array_equal(graphs[0][1].neighbors, graphs[1][1].neighbors)
-        np.testing.assert_allclose(graphs[0][1].weights, graphs[1][1].weights, atol=1e-14)
+        res, (round1, round2) = record_rounds(monkeypatch, ds, T=7, k=5, gamma=0.0)
+        np.testing.assert_array_equal(round1["graph"].neighbors, round2["graph"].neighbors)
+        np.testing.assert_allclose(round1["graph"].weights, round2["graph"].weights, atol=1e-14)
 
         q0 = init_marginal(ds)
         q = q0
-        g = build_graph(enc, 5)
+        g = build_graph(encode_of(ds), 5)
         for _ in range(7):
             q = correct(propagate_step(g, q), q0, (3, 4))
         np.testing.assert_allclose(res.confidences, q, atol=1e-12)
 
-    def test_round_two_restarts_from_initial_blocks(self):
+    def test_round_two_restarts_from_initial_blocks(self, monkeypatch):
+        """Each round's first step starts from the initial confidences,
+        and each later step from the previous correction."""
         ds = observed_dataset([3], 50, seed=7)
-        enc = encode_of(ds)
-        seen = []
-        run_proposed(ds, enc, T=3, k=4, gamma=0.5,
-                     hook=lambda kind, *p: seen.append((kind, p[0], p[1] if len(p) > 1 else None)))
-        iterations = [(p1, p2) for kind, p1, p2 in seen if kind == "iteration"]
-        assert [t for _, t in iterations] == [1, 2, 3, 1, 2, 3]
+        _, rounds = record_rounds(monkeypatch, ds, T=3, k=4, gamma=0.5)
+        q0 = init_marginal(ds)
+        assert [len(r["outputs"]) for r in rounds] == [3, 3]
+        for r in rounds:
+            np.testing.assert_array_equal(r["inputs"][0], q0)
+            for given, previous in zip(r["inputs"][1:], r["outputs"]):
+                np.testing.assert_array_equal(given, previous)
 
-    def test_observed_entry_zero_after_every_iteration(self):
+    def test_observed_entry_zero_after_every_iteration(self, monkeypatch):
         ds = observed_dataset([3, 5], 40, seed=8)
-        enc = encode_of(ds)
-
-        def check(kind, *payload):
-            if kind != "iteration":
-                return
-            _, _, q = payload
+        _, rounds = record_rounds(monkeypatch, ds, T=5, k=6, gamma=0.25)
+        assert [len(r["outputs"]) for r in rounds] == [5, 5]
+        for q in rounds[0]["outputs"] + rounds[1]["outputs"]:
             for j, b in enumerate(segments(q, (3, 5))):
                 at_obs = b[np.arange(ds.n), ds.cf_observed[:, j] - 1]
                 assert (at_obs == 0.0).all()
                 assert np.abs(b.sum(axis=1) - 1.0).max() <= 1e-10
 
-        run_proposed(ds, enc, T=5, k=6, gamma=0.25, hook=check)
-
     def test_hard_estimates_are_argmax(self):
         ds = observed_dataset([3, 4], 30, seed=9)
-        res = run_proposed(ds, encode_of(ds), T=4, k=5, gamma=0.25)
+        res = run_proposed(ds, T=4, k=5, gamma=0.25)
         np.testing.assert_array_equal(res.hard_estimates,
                                       hard_from_blocks(res.confidences, res.sizes))
 
@@ -409,17 +396,17 @@ class TestRunProposed:
             cf_truth=ds.cf_truth[perm],
             cf_observed=ds.cf_observed[perm],
         )
-        res = run_proposed(ds, encode_of(ds), T=5, k=4, gamma=0.25)
-        res_p = run_proposed(permuted, encode_of(permuted), T=5, k=4, gamma=0.25)
+        res = run_proposed(ds, T=5, k=4, gamma=0.25)
+        res_p = run_proposed(permuted, T=5, k=4, gamma=0.25)
         np.testing.assert_allclose(res_p.confidences, res.confidences[perm], atol=1e-9)
 
     def test_of_graph_of_another_shape_rejected(self):
         ds = observed_dataset([3], 30, seed=20)
         enc = encode_of(ds)
         with pytest.raises(ShapeMismatchError, match="round-1 graph"):
-            run_proposed(ds, enc, T=2, k=5, gamma=0.25, of_graph=build_graph(enc, 4))
+            run_proposed(ds, T=2, k=5, gamma=0.25, of_graph=build_graph(enc, 4))
         with pytest.raises(ShapeMismatchError, match="round-1 graph"):
-            run_ipal(ds, enc, T=2, k=5, alpha=0.9, of_graph=build_graph(enc, 4))
+            run_ipal(ds, T=2, k=5, alpha=0.9, of_graph=build_graph(enc, 4))
 
 
 class TestNoCfSchema:
@@ -435,9 +422,9 @@ class TestNoCfSchema:
     def test_estimators_raise_data_error(self):
         ds = self.dataset()
         with pytest.raises(DataError, match="no CF columns"):
-            run_proposed(ds, encode_of(ds), T=2, k=3, gamma=0.25)
+            run_proposed(ds, T=2, k=3, gamma=0.25)
         with pytest.raises(DataError, match="no CF columns"):
-            run_ipal(ds, encode_of(ds), T=2, k=3, alpha=0.9)
+            run_ipal(ds, T=2, k=3, alpha=0.9)
 
     def test_hard_from_no_blocks_raises_data_error(self):
         with pytest.raises(DataError, match="no CF columns"):
@@ -468,8 +455,7 @@ class TestRunComp:
 class TestRunIpal:
     def test_tiny_alpha_keeps_initial_confidences(self):
         ds = observed_dataset([3], 25, seed=14)
-        enc = encode_of(ds)
-        res = run_ipal(ds, enc, T=10, k=4, alpha=1e-12)
+        res = run_ipal(ds, T=10, k=4, alpha=1e-12)
         np.testing.assert_allclose(res.confidences, init_marginal(ds), atol=1e-9)
 
     def test_two_instance_recursion_matches_hand_computation(self):
@@ -489,7 +475,7 @@ class TestRunIpal:
 
     def test_hard_estimates_are_argmax(self):
         ds = observed_dataset([4], 30, seed=16)
-        res = run_ipal(ds, encode_of(ds), T=5, k=4, alpha=0.9)
+        res = run_ipal(ds, T=5, k=4, alpha=0.9)
         np.testing.assert_array_equal(res.hard_estimates,
                                       hard_from_blocks(res.confidences, res.sizes))
 
@@ -533,7 +519,7 @@ def saved_results(draw):
 class TestEstimationResultIo:
     def test_json_round_trip(self, tmp_path):
         ds = observed_dataset([3, 4], 15, seed=18)
-        res = run_proposed(ds, encode_of(ds), T=3, k=4, gamma=0.25)
+        res = run_proposed(ds, T=3, k=4, gamma=0.25)
         path = tmp_path / "r.json"
         res.save(path, extra={"seed": 0})
         loaded = EstimationResult.load(path)

@@ -462,7 +462,9 @@ class TestMonotoneLoop:
         np.testing.assert_allclose(trace.mean_trace, 0.0, atol=1e-12)
 
     def test_random_instances_non_increasing(self):
-        for seed in range(123, 148):
+        # Seed 30 is the instance on which the other direction's measured
+        # divergence rises (see the counterexample below).
+        for seed in (30, *range(123, 148)):
             trace = verify_monotone_kl(*random_mixture_instance(seed), T=10)
             assert trace.max_increase <= 1e-9, f"seed {seed}: mean divergence rose"
 
@@ -497,15 +499,21 @@ class TestDiscreteJoint:
             assert np.abs(t[:, c, :, c, :]).max() == 0.0
 
     def test_bound_holds_with_fitted_predictor(self):
-        """The fitted predictor is the one for which the bound is provable."""
+        """The fitted predictor is the one for which the bound is provable.
+
+        It is the true label conditional, so the left side is exactly 0
+        and the bound says that each of the two right-side terms, the KL
+        on estimated values and the information gap, is nonnegative."""
         for seed in range(11, 311):
             rng = np.random.default_rng(seed)
             nc = int(rng.integers(2, 4))
             no = int(rng.integers(1, 3))
             joint = DiscreteJoint.random_instance(seed, nc=nc, no=no)
-            lhs, rhs = check_bound_theorem1(joint)
-            assert lhs - rhs <= 1e-9, f"seed {seed}: bound violated"
-            assert check_jmi_nonneg(joint) >= -1e-9, f"seed {seed}: negative information gap"
+            lhs, _ = check_bound_theorem1(joint)
+            assert lhs == 0.0, f"seed {seed}: fitted predictor has loss {lhs}"
+            j_kl = _conditional_kl(joint.p_label_estimate_side(), joint.true_label_conditional())
+            assert j_kl >= 0.0, f"seed {seed}: negative KL on estimated values"
+            assert check_jmi_nonneg(joint) >= 0.0, f"seed {seed}: negative information gap"
 
     def test_perfect_estimator_gives_zero_on_both_sides(self):
         j = DiscreteJoint.perfect_estimator_instance(3)
