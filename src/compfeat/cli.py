@@ -10,16 +10,16 @@ Subcommands::
     compfeat sweep    --config FILE --axis k --values 5,10,20
 
 Configuration is a flat ``key = value`` text file.  A command-line flag
-overrides the key of the same name (flags win); ``fraction``, ``l2``,
-``epochs``, ``oracle_equivalence_instances`` and ``oracle_slack`` have no
-flag.  Identical configurations produce byte-identical reports apart from
-the ``generated_at`` field, which is excluded from content hashes.
+overrides the key of the same name (flags win); ``fraction`` and ``l2``
+have no flag.  Identical configurations produce byte-identical reports
+apart from the ``generated_at`` field, which is excluded from content
+hashes.
 
 ``oracle`` checks the production ``propagate_step`` against propagation
-of the dense joint confidence table on ``oracle_equivalence_instances``
-random ``build_graph`` graphs, whose rows keep differing numbers of
-nonzero weights; a marginal deviation above ``oracle_slack`` is a
-verification failure.  The paper's theory checks run in the test suite.
+of the dense joint confidence table on 200 random ``build_graph``
+graphs, whose rows keep differing numbers of nonzero weights; a marginal
+deviation above 1e-10 is a verification failure.  The paper's theory
+checks run in the test suite.
 
 Every command but ``oracle`` reads the source CSV and needs at least 2
 rows in it.  ``sweep`` estimates each point with ``--method`` and
@@ -53,6 +53,7 @@ from .predictor import MODES, assemble, predict, train
 from .propagation import EstimationResult, run_comp, run_ipal, run_proposed
 
 METHODS = ("proposed", "comp", "ipal")
+ORACLE_INSTANCES = 200
 
 
 @dataclass
@@ -71,9 +72,6 @@ class ExperimentConfig:
     estimate_only: tuple[str, ...] = ()
     mode: str = "soft"
     l2: float = 1e-4
-    epochs: int = 500
-    oracle_equivalence_instances: int = 200
-    oracle_slack: float = 1e-10
 
     def validate(self):
         if self.T < 1:
@@ -99,12 +97,6 @@ class ExperimentConfig:
             raise ConfigError("seeds must lie in [0, 2**64)")
         if not 0.0 <= self.l2 < math.inf:
             raise ConfigError("l2 must be finite and >= 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.oracle_equivalence_instances < 1:
-            raise ConfigError("oracle_equivalence_instances must be >= 1")
-        if not 0.0 <= self.oracle_slack < math.inf:
-            raise ConfigError("oracle_slack must be finite and >= 0")
 
 
 _KEYS = frozenset(f.name for f in fields(ExperimentConfig))
@@ -351,7 +343,7 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
             result = load_result(cfg, result_path(cfg, cfg.method, seed), ds, seed)
         design = assemble(ds, cfg.mode, result=result)
         train_idx, test_idx = split_train_test(ds, cfg.fraction, seed)
-        model = train(design[train_idx], ds.labels[train_idx], l2=cfg.l2, epochs=cfg.epochs)
+        model = train(design[train_idx], ds.labels[train_idx], l2=cfg.l2)
         probs = predict(model, design[test_idx])
         f1s.append(score_labels(probs, ds.labels[test_idx]))
     report = {
@@ -366,8 +358,7 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 
 def cmd_oracle(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
-    check = oracle_mod.run_equivalence_suite(cfg.oracle_equivalence_instances,
-                                             tol=cfg.oracle_slack)
+    check = oracle_mod.run_equivalence_suite(ORACLE_INSTANCES)
     failures = check.pop("failures")
     for j, failure in enumerate(failures):
         metrics_mod.write_json(failure, os.path.join(cfg.out, f"counterexample_{j}.json"))

@@ -326,23 +326,6 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
     return out
 
 
-def reconstruction_error(x: np.ndarray, g: WeightGraph) -> np.ndarray:
-    """Per-row squared residual ||x_i - sum_k w_ik x_nb||^2."""
-    x = _vectors(x)
-    recon = (g.weights[:, :, None] * x[g.neighbors]).sum(axis=1)
-    return ((x - recon) ** 2).sum(axis=1)
-
-
-def kkt_residual(x: np.ndarray, g: WeightGraph,
-                 support_tol: float = 1e-12) -> np.ndarray:
-    """Per-row stationarity residual: max over the support of g_j - min g."""
-    grad = _weight_gradients(x, g)
-    mu = grad.min(axis=1, keepdims=True)
-    on_support = g.weights > support_tol
-    resid = np.where(on_support, grad - mu, 0.0)
-    return resid.max(axis=1)
-
-
 def optimality_gap(x: np.ndarray, g: WeightGraph) -> np.ndarray:
     """Per-row certified bound on objective suboptimality."""
     grad = _weight_gradients(x, g)

@@ -83,14 +83,14 @@ def loss_and_grad(params: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: fl
     return loss, np.concatenate([grad_w, [grad_b]])
 
 
-def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500) -> LrModel:
+def train(x, y: np.ndarray, l2: float = 1e-4) -> LrModel:
     """Deterministic full-batch training from zero-initialized weights.
 
     Each iteration takes a damped Newton (IRLS) step on the objective of
     :func:`loss_and_grad`, halved until the Armijo condition holds.
-    ``epochs`` caps the number of iterations.  Training stops earlier at
-    stationarity: once the gradient is at rounding level, or once no step
-    of the line search lowers the loss any further.
+    ``_MAX_ITERS`` caps the number of iterations.  Training stops earlier
+    at stationarity: once the gradient is at rounding level, or once no
+    step of the line search lowers the loss any further.
     """
     mat = np.asarray(x, dtype=np.float64)
     if not np.isfinite(mat).all():
@@ -114,7 +114,7 @@ def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500) -> LrModel:
     params = np.zeros(design.shape[1])
     loss, grad = loss_and_grad(params, mat, targets, l2)
     trace = [loss]
-    for _ in range(epochs):
+    for _ in range(_MAX_ITERS):
         if np.abs(grad).max() <= grad_tol:
             break
         prob = _sigmoid(design @ params)
@@ -137,6 +137,7 @@ def train(x, y: np.ndarray, l2: float = 1e-4, epochs: int = 500) -> LrModel:
 
 _ARMIJO = 1e-4      # required fraction of the decrease that the slope predicts
 _GRAD_RTOL = 1e-12  # stationarity, relative to the largest design entry
+_MAX_ITERS = 500
 
 
 def _backtrack(params, direction, loss, grad, mat, targets, l2):

@@ -157,7 +157,9 @@ class EstimationResult:
             # Element types, not np.asarray's dtype: a true among ints reads as int64.
             if any(type(v) is not int for row in hard for v in row):
                 raise DataError("hard estimates must be integer codes")
-        except (ValueError, KeyError, IndexError, TypeError, CompfeatError) as exc:
+        # OverflowError: a code outside int64; RecursionError: nesting too deep for json.
+        except (ValueError, KeyError, IndexError, TypeError, OverflowError, RecursionError,
+                CompfeatError) as exc:
             raise DataError(f"{path}: malformed estimation result ({exc})") from None
         for key, value in (expect or {}).items():
             if doc.get(key) != value:
@@ -310,6 +312,8 @@ def run_ipal(
     is as in :func:`run_proposed`; ``ds`` is encoded only when it is
     omitted.
     """
+    if T < 1:
+        raise DataError("T must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise DataError("alpha must lie in (0, 1)")
     sizes = ds.schema.cf_sizes

@@ -250,18 +250,15 @@ class TestExitCodes:
         (["predict", "--mode", "ord"], "l2 = nan"),
         (["predict", "--mode", "ord"], "l2 = inf"),
         (["estimate", *SMALL], "l2 = -1"),
-        (["predict", "--mode", "ord"], "epochs = 0"),
-        (["predict", "--mode", "ord"], "epochs = -5"),
-        (["oracle"], "oracle_equivalence_instances = -3"),
-        (["oracle"], "oracle_equivalence_instances = 0"),
-        (["oracle"], "oracle_slack = nan"),
-        (["oracle"], "oracle_slack = -1"),
+        (["predict", "--mode", "ord"], "epochs = 500"),
+        (["oracle"], "oracle_equivalence_instances = 2"),
+        (["oracle"], "oracle_slack = 1e-10"),
         (["estimate", "--max-n", "30", "--seed", str(2**64)], ""),
         (["estimate"], f"k = {2**64}"),
     ], ids=["unknown_key", "oracle_monotone_instances", "oracle_bound_instances",
-            "predict_seed", "estimate_seed", "l2_nan", "l2_inf", "l2_negative", "epochs_0",
-            "epochs_negative", "instances_negative", "instances_0", "slack_nan",
-            "slack_negative", "seed_over_64_bits", "k_over_64_bits"])
+            "predict_seed", "estimate_seed", "l2_nan", "l2_inf", "l2_negative", "epochs",
+            "oracle_equivalence_instances", "oracle_slack", "seed_over_64_bits",
+            "k_over_64_bits"])
     def test_bad_config_line_exits_2(self, bank_csv, tmp_path, capsys, command, line):
         """Rejected with exit 2 when the config loads, not with a traceback."""
         cfg = tmp_path / "run.cfg"
@@ -320,10 +317,15 @@ class TestExitCodes:
         lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[99', text),
         lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[1.5', text),
         lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[true', text),
+        lambda text: re.sub(r'"hard_estimates":\[\[\d+', f'"hard_estimates":[[{2**64}', text),
+        lambda text: re.sub(r'"hard_estimates":\[\[\d+', f'"hard_estimates":[[{-2**63 - 1}',
+                            text),
+        lambda text: "[" * 200_000 + "]" * 200_000,  # nested deeper than json's recursion
         # estimated from other inputs
         lambda text: re.sub(r'"input_hash":"[0-9a-f]{64}"', '"input_hash":"' + "0" * 64 + '"', text),
     ], ids=["truncated", "keys_missing", "cf_renamed", "code_out_of_range", "code_not_integer",
-           "code_is_bool", "hash_mismatch"])
+           "code_is_bool", "code_over_uint64", "code_under_int64", "nested_too_deep",
+           "hash_mismatch"])
     @pytest.mark.parametrize("command", [
         ["evaluate"], ["predict", "--mode", "soft"], ["predict", "--mode", "hard"],
     ], ids=["evaluate", "predict_soft", "predict_hard"])
@@ -377,6 +379,6 @@ class TestExitCodes:
     def test_verification_failure_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "propagate_step",
                             lambda graph, q: 2.0 * propagation.propagate_step(graph, q))
-        cfg = tmp_path / "oracle.cfg"
-        cfg.write_text("oracle_equivalence_instances = 2\n")
-        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert main(["oracle", "--out", str(tmp_path / "out")]) == 4
+        (check,) = read_json(tmp_path / "out" / "oracle_report.json")["checks"]
+        assert (check["instances"], check["failure_count"]) == (200, 200)

@@ -8,11 +8,10 @@ from compfeat.errors import DataError
 from compfeat.graph import (
     _RIDGE,
     WeightGraph,
+    _weight_gradients,
     build_graph,
-    kkt_residual,
     knn,
     optimality_gap,
-    reconstruction_error,
     solve_weights,
 )
 from compfeat.encoding import encode_of
@@ -28,6 +27,19 @@ def brute_force_knn(x, k):
         order = sorted((j for j in range(n) if j != i), key=lambda j: (d2[j], j))
         out.append(order[: min(k, n - 1)])
     return np.asarray(out)
+
+
+def reconstruction_error(x, g):
+    """Per-row squared residual ||x_i - sum_k w_ik x_nb||^2."""
+    recon = (g.weights[:, :, None] * x[g.neighbors]).sum(axis=1)
+    return ((x - recon) ** 2).sum(axis=1)
+
+
+def kkt_residual(x, g, support_tol=1e-12):
+    """Per-row stationarity residual: max over the support of g_j - min g."""
+    grad = _weight_gradients(x, g)
+    mu = grad.min(axis=1, keepdims=True)
+    return np.where(g.weights > support_tol, grad - mu, 0.0).max(axis=1)
 
 
 def simplex_grid(k, step):

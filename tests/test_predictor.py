@@ -85,14 +85,14 @@ class TestTrain:
     def test_separable_pair_drives_loss_down(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([1, 2])
-        model = train(x, y, l2=0.0, epochs=500)
+        model = train(x, y, l2=0.0)
         assert model.trace[-1] < 0.01
 
     def test_heavy_regularization_recovers_prior(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(200, 3))
         y = (rng.uniform(size=200) < 0.75).astype(np.int64) + 1
-        model = train(x, y, l2=1e6, epochs=200)
+        model = train(x, y, l2=1e6)
         assert np.abs(model.weights).max() < 1e-4
         probs = predict(model, x)
         prior = np.mean(y == 2)
@@ -121,7 +121,7 @@ class TestTrain:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(100, 5))
         y = (x[:, 0] + 0.3 * rng.normal(size=100) > 0).astype(np.int64) + 1
-        model = train(x, y, epochs=300)
+        model = train(x, y)
         diffs = np.diff(model.trace)
         assert diffs.max() <= 1e-9
 
@@ -129,9 +129,9 @@ class TestTrain:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(60, 3))
         y = (x[:, 1] > 0).astype(np.int64) + 1
-        model = train(x, y, epochs=100)
+        model = train(x, y)
         perm = rng.permutation(60)
-        shuffled = train(x[perm], y[perm], epochs=100)
+        shuffled = train(x[perm], y[perm])
         np.testing.assert_allclose(shuffled.weights, model.weights, atol=1e-10)
         assert shuffled.bias == pytest.approx(model.bias, abs=1e-10)
 

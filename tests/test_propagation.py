@@ -409,6 +409,17 @@ class TestRunProposed:
             run_ipal(ds, T=2, k=5, alpha=0.9, of_graph=build_graph(enc, 4))
 
 
+@pytest.mark.parametrize("T", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda ds, T: run_proposed(ds, T=T, k=4, gamma=0.25),
+    lambda ds, T: run_ipal(ds, T=T, k=4, alpha=0.9),
+], ids=["proposed", "ipal"])
+def test_fewer_than_one_step_rejected(run, T):
+    """Neither procedure returns the initial confidences for T < 1."""
+    with pytest.raises(DataError, match=r"T must be >= 1"):
+        run(observed_dataset([3], 20, seed=21), T)
+
+
 class TestNoCfSchema:
     """A schema with one OF and no CF columns has nothing to estimate."""
 
