@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    compfeat prepare  --config FILE    synthesize observations, write a bundle
+    compfeat prepare  --config FILE    synthesize observations, write one CSV per seed
     compfeat estimate --config FILE    run an estimation method per seed
     compfeat evaluate --config FILE    per-CF score tables across seeds
     compfeat predict  --config FILE    downstream label prediction per seed
@@ -18,8 +18,14 @@ hashes.
 ``oracle`` checks the production ``propagate_step`` against propagation
 of the dense joint confidence table on 200 random ``build_graph``
 graphs, whose rows keep differing numbers of nonzero weights; a marginal
-deviation above 1e-10 is a verification failure.  The paper's theory
-checks run in the test suite.
+deviation above 1e-10 is a verification failure, listed in the report
+with its instance seed.  The paper's theory checks run in the test
+suite.
+
+``prepare`` writes ``prepared_seed<s>.csv`` per seed: the source
+columns, CF cells holding the truth, then one ``<cf>__observed`` column
+per CF.  Without ``max_n`` subsampling the seeds share the source rows,
+and their source columns are formatted once per command.
 
 Every command but ``oracle`` reads the source CSV and needs at least 2
 rows in it.  ``sweep`` estimates each point with ``--method`` and
@@ -45,7 +51,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import oracle as oracle_mod
 from . import propagation
-from .data import Dataset, load_csv, load_schema, split_train_test, synthesize_cf, write_csv
+from .data import (Dataset, format_columns, load_csv, load_schema, split_train_test,
+                   synthesize_cf, write_columns)
 from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
@@ -93,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError("max_n must be >= 0")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct")
         if min(self.seeds) < 0 or max(self.seeds) >= 2**64:
             raise ConfigError("seeds must lie in [0, 2**64)")
         if not 0.0 <= self.l2 < math.inf:
@@ -279,12 +288,16 @@ def _sha256_file(path: str) -> str:
 def cmd_prepare(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     source = load_source(cfg)
+    # Synthesis changes only the observed columns, so seeds that share
+    # the source rows share the text of every other column.
+    shared = None if subsamples(cfg, source) else format_columns(source)
     files = {}
     for seed in cfg.seeds:
         ds = experiment_dataset(cfg, source, seed)
         name = f"prepared_seed{seed}.csv"
         path = os.path.join(cfg.out, name)
-        write_csv(ds, path, observed_columns=True)
+        columns = format_columns(ds) if shared is None else shared
+        write_columns(path, columns + format_columns(ds, observed=True))
         files[name] = {"sha256": _sha256_file(path), "n": ds.n}
     manifest = {
         "config": config_echo(cfg),
@@ -359,9 +372,7 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 def cmd_oracle(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     check = oracle_mod.run_equivalence_suite(ORACLE_INSTANCES)
-    failures = check.pop("failures")
-    for j, failure in enumerate(failures):
-        metrics_mod.write_json(failure, os.path.join(cfg.out, f"counterexample_{j}.json"))
+    failures = check["failures"]
     report = {
         "config": config_echo(cfg),
         "checks": [check | {"failure_count": len(failures)}],

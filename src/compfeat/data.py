@@ -332,27 +332,43 @@ def write_csv(ds: Dataset, path, observed_columns: bool = False):
 
     CF cells hold the ground-truth values, so ``load_csv`` on the output
     reproduces the dataset.  With ``observed_columns=True`` an extra
-    ``<name>__observed`` column per CF is appended.
+    ``<name>__observed`` column per CF is appended.  The bytes are those
+    of :func:`write_columns` on the :func:`format_columns` output, which
+    ``compfeat prepare`` uses directly: when its seeds share the source
+    rows it formats the schema columns (OFs, label and CF truth) once
+    per command and only the observed columns per seed.
     """
+    columns = format_columns(ds)
+    if observed_columns:
+        columns += format_columns(ds, observed=True)
+    write_columns(path, columns)
+
+
+def format_columns(ds: Dataset, observed: bool = False) -> list[tuple[str, list[str]]]:
+    """The CSV header name and cell texts of each schema column, CF cells
+    holding the truth, or with ``observed=True`` of each
+    ``<name>__observed`` column."""
     schema = ds.schema
     cf_cols = schema.cf_columns
-    if observed_columns and ds.cf_observed is None:
-        raise MissingTruthError("no observed CF values to write")
+    if observed:
+        if ds.cf_observed is None:
+            raise MissingTruthError("no observed CF values to write")
+        return [(f"{c.name}__observed", _cell_text(ds.cf_observed[:, j], c))
+                for j, c in enumerate(cf_cols)]
     if cf_cols and ds.cf_truth is None:
         raise MissingTruthError("dataset has no CF ground truth to write")
-
     arrays = dict(zip((c.name for c in schema.of_columns), ds.of_values))
     arrays[schema.label_column.name] = ds.labels
     arrays.update((c.name, ds.cf_truth[:, j]) for j, c in enumerate(cf_cols))
-    header = [c.name for c in schema.columns]
-    columns = [_cell_text(arrays[c.name], c) for c in schema.columns]
-    if observed_columns:
-        header += [f"{c.name}__observed" for c in cf_cols]
-        columns += [_cell_text(ds.cf_observed[:, j], c) for j, c in enumerate(cf_cols)]
+    return [(c.name, _cell_text(arrays[c.name], c)) for c in schema.columns]
+
+
+def write_columns(path, columns: list[tuple[str, list[str]]]):
+    """Write :func:`format_columns` output, header row first, as one CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        writer.writerow([name for name, _ in columns])
+        writer.writerows(zip(*(cells for _, cells in columns)))
 
 
 def _cell_text(arr: np.ndarray, col: Column) -> list[str]:

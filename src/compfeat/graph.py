@@ -121,10 +121,10 @@ def propagate_step(graph: WeightGraph, q: np.ndarray) -> np.ndarray:
     if not graph._rank_slots:  # a graph with no rows or no slots
         return np.zeros(q.shape)
     (idx, w), *rest = graph._rank_slots
-    acc = q[idx]
+    acc = q.take(idx, axis=0)
     acc *= w
     for idx, w in rest:
-        term = q[idx]
+        term = q.take(idx, axis=0)
         term *= w
         acc[:idx.size] += term
     out = np.empty_like(acc)

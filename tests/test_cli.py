@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import compfeat
+from compfeat import data as data_mod
 from compfeat import oracle, propagation
 from compfeat.cli import main
 from compfeat.data import (
@@ -169,6 +170,66 @@ class TestEstimateOnly:
         assert point["mean_acc"] == float(np.mean(accs))
 
 
+class TestPrepare:
+    @staticmethod
+    def awkward_source(tmp_path):
+        """make_bank_like(60) with a CF vocabulary entry holding a comma and
+        a double quote, and a quantitative OF holding float extremes."""
+        ds, _ = make_bank_like(60, seed=0)
+        cf = ds.schema.cf_columns[0]
+        vocab = ('admin, "senior"', *cf.vocabulary[1:])
+        schema = FeatureSchema(tuple(dataclasses.replace(c, vocabulary=vocab) if c is cf else c
+                                     for c in ds.schema.columns))
+        j = next(i for i, c in enumerate(schema.of_columns) if c.kind == "quantitative")
+        col = np.array(ds.of_values[j])
+        col[:4] = (-0.0, 5e-324, 1e16, 1.7e308)
+        ds = dataclasses.replace(ds, schema=schema,
+                                 of_values=(*ds.of_values[:j], col, *ds.of_values[j + 1:]))
+        data, schema_path = tmp_path / "awkward.csv", tmp_path / "awkward.schema"
+        write_csv(ds, data)
+        save_schema(schema, schema_path)
+        return ["--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("max_n, awkward", [(0, False), (40, False), (0, True)],
+                             ids=["all_rows", "max_n", "awkward_source"])
+    def test_files_equal_per_seed_write_csv(self, bank_csv, tmp_path, max_n, awkward):
+        """Each prepared CSV has the bytes of ``write_csv`` on that seed's
+        dataset, whether or not the seeds share their source columns."""
+        flags = self.awkward_source(tmp_path) if awkward else bank_csv
+        seeds = ",".join(map(str, SEEDS))
+        assert main(["prepare", "--seed", seeds, "--max-n", str(max_n), *flags]) == 0
+        manifest = read_json(out_file(flags, "manifest.json"))
+        for seed in SEEDS:
+            ds = seed_dataset(flags, seed, max_n)
+            want = tmp_path / f"want{seed}.csv"
+            write_csv(ds, want, observed_columns=True)
+            name = f"prepared_seed{seed}.csv"
+            with open(out_file(flags, name), "rb") as got:
+                assert got.read() == want.read_bytes()
+            assert manifest["files"][name]["n"] == ds.n
+        if awkward:
+            assert b'"admin, ""senior"""' in want.read_bytes()
+
+    def test_shared_columns_formatted_once(self, bank_csv, monkeypatch):
+        """With three seeds and no max_n, each quantitative source column
+        is formatted once and each observed column once per seed."""
+        counts = {}
+        cell_text = data_mod._cell_text
+
+        def counting(arr, col):
+            counts[col.name] = counts.get(col.name, 0) + 1
+            return cell_text(arr, col)
+
+        monkeypatch.setattr(data_mod, "_cell_text", counting)
+        assert main(["prepare", "--seed", ",".join(map(str, SEEDS)), *bank_csv]) == 0
+        schema = load_schema(bank_csv[3])
+        quantitative = [c.name for c in schema.columns if c.kind == "quantitative"]
+        assert quantitative
+        assert all(counts[name] == 1 for name in quantitative)
+        # A CF column's cells are formatted once as truth, then once per seed as observations.
+        assert all(counts[c.name] == 1 + len(SEEDS) for c in schema.cf_columns)
+
+
 class TestRoundOneReuse:
     @pytest.mark.parametrize("max_n, builds", [(0, 1 + len(SEEDS)), (40, 2 * len(SEEDS))])
     def test_estimate_matches_per_seed_runs(self, bank_csv, graph_builds, max_n, builds):
@@ -255,10 +316,12 @@ class TestExitCodes:
         (["oracle"], "oracle_slack = 1e-10"),
         (["estimate", "--max-n", "30", "--seed", str(2**64)], ""),
         (["estimate"], f"k = {2**64}"),
+        (["estimate", *SMALL], "seeds = 0,0,1"),
+        (["prepare", "--seed", "0,0"], ""),
     ], ids=["unknown_key", "oracle_monotone_instances", "oracle_bound_instances",
             "predict_seed", "estimate_seed", "l2_nan", "l2_inf", "l2_negative", "epochs",
             "oracle_equivalence_instances", "oracle_slack", "seed_over_64_bits",
-            "k_over_64_bits"])
+            "k_over_64_bits", "duplicate_seed_line", "duplicate_seed_flag"])
     def test_bad_config_line_exits_2(self, bank_csv, tmp_path, capsys, command, line):
         """Rejected with exit 2 when the config loads, not with a traceback."""
         cfg = tmp_path / "run.cfg"
@@ -380,5 +443,8 @@ class TestExitCodes:
         monkeypatch.setattr(oracle, "propagate_step",
                             lambda graph, q: 2.0 * propagation.propagate_step(graph, q))
         assert main(["oracle", "--out", str(tmp_path / "out")]) == 4
+        assert os.listdir(tmp_path / "out") == ["oracle_report.json"]
         (check,) = read_json(tmp_path / "out" / "oracle_report.json")["checks"]
         assert (check["instances"], check["failure_count"]) == (200, 200)
+        assert [f["seed"] for f in check["failures"]] == list(range(200))
+        assert all(f["deviation"] > check["tolerance"] for f in check["failures"])
