@@ -9,18 +9,20 @@ Subcommands::
     compfeat oracle   --config FILE    joint-marginal equivalence report
     compfeat sweep    --config FILE --axis k --values 5,10,20
 
-Configuration is a flat ``key = value`` text file.  A command-line flag
-overrides the key of the same name (flags win); ``fraction`` and ``l2``
-have no flag.  Identical configurations produce byte-identical reports
-apart from the ``generated_at`` field, which is excluded from content
-hashes.
+Configuration is a flat ``key = value`` text file.  Every key but
+``fraction`` and ``l2`` has a flag that overrides it (flags win):
+``--seed`` for ``seeds``, otherwise the key with dashes for underscores.
+A flag's value is parsed as the key's config line is, so a bad one is a
+configuration error.  Identical configurations produce byte-identical
+reports apart from the ``generated_at`` field, which is excluded from
+content hashes.
 
 ``oracle`` checks the production ``propagate_step`` against propagation
 of the dense joint confidence table on 200 random ``build_graph``
 graphs, whose rows keep differing numbers of nonzero weights; a marginal
-deviation above 1e-10 is a verification failure, listed in the report
-with its instance seed.  The paper's theory checks run in the test
-suite.
+deviation above 1e-10, or NaN, is a verification failure, listed in the
+report with its instance seed.  The paper's theory checks run in the
+test suite.
 
 ``prepare`` writes ``prepared_seed<s>.csv`` per seed: the source
 columns, CF cells holding the truth, then one ``<cf>__observed`` column
@@ -136,21 +138,21 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return cfg
 
 
-def _apply(cfg: ExperimentConfig, key: str, value):
-    """Set ``key`` from a config-file string or an argparse value."""
+def _apply(cfg: ExperimentConfig, key: str, value: str):
+    """Set ``key`` from its text in a config line, a flag or a sweep value."""
     if key not in _KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
     current = getattr(cfg, key)
     try:
         if key in _LIST_KEYS:
-            parts = str(value).replace(",", " ").split()
+            parts = value.replace(",", " ").split()
             setattr(cfg, key, tuple(_LIST_KEYS[key](p) for p in parts))
         elif isinstance(current, int):
-            setattr(cfg, key, int(str(value)))
+            setattr(cfg, key, int(value))
         elif isinstance(current, float):
-            setattr(cfg, key, float(str(value)))
+            setattr(cfg, key, float(value))
         else:
-            setattr(cfg, key, str(value))
+            setattr(cfg, key, value)
     except ValueError:
         raise ConfigError(f"bad value {value!r} for key {key!r}") from None
 
@@ -390,12 +392,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
         raise ConfigError("sweep axis must be one of T, k, gamma")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    parse = float if axis == "gamma" else int
-    try:
-        points = [replace(cfg, **{axis: parse(v)}) for v in values]
-    except ValueError:
-        raise ConfigError(f"bad sweep value for axis {axis!r}") from None
-    for point in points:
+    points = [replace(cfg) for _ in values]
+    for point, value in zip(points, values):
+        _apply(point, axis, value)
         point.validate()
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -438,6 +437,11 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
 # Entry point
 
 
+_NO_FLAG = ("fraction", "l2")
+_HELP = {"seeds": "comma-separated seed list",
+         "estimate_only": "comma-separated CF names to estimate; others keep baseline"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="compfeat", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -445,20 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("prepare", "estimate", "evaluate", "predict", "oracle", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", dest="seeds", default=None,
-                       help="comma-separated seed list, overrides the config")
-        p.add_argument("--method", default=None, choices=METHODS)
-        p.add_argument("--T", default=None, type=int)
-        p.add_argument("--k", default=None, type=int)
-        p.add_argument("--gamma", default=None, type=float)
-        p.add_argument("--alpha", default=None, type=float)
-        p.add_argument("--max-n", dest="max_n", default=None, type=int)
-        p.add_argument("--estimate-only", dest="estimate_only", default=None,
-                       help="comma-separated CF names to estimate; others keep baseline")
-        p.add_argument("--mode", default=None, choices=MODES)
-        p.add_argument("--out", default=None)
-        p.add_argument("--data", default=None)
-        p.add_argument("--schema", default=None)
+        for key in (f.name for f in fields(ExperimentConfig) if f.name not in _NO_FLAG):
+            flag = "--seed" if key == "seeds" else "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, default=None, help=_HELP.get(key))
         if name == "sweep":
             p.add_argument("--axis", required=True)
             p.add_argument("--values", required=True,

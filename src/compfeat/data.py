@@ -394,15 +394,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def complement_draws(seed: int, indices: np.ndarray, j: int, u: int,
-                     avoid: np.ndarray, stream: int) -> np.ndarray:
-    """Uniform draws from ``{1..u} \\ {avoid[i]}``, keyed per (seed, i, j)."""
+def complement_draws(seed: int, indices, j, u, avoid: np.ndarray, stream: int) -> np.ndarray:
+    """Uniform draws from ``{1..u} \\ {avoid}``, keyed per (seed, i, j).  The
+    arguments broadcast: (n, 1) ``indices`` with (F,) ``j`` and ``u`` draw
+    all F features at once, each entry as its own (i, j) call would."""
     idx = np.asarray(indices, dtype=np.uint64)
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
         z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(np.uint64(stream) + _GOLDEN)
         z = _mix64(z + idx * _GOLDEN)
-        z = _mix64(z ^ ((np.uint64(j) + np.uint64(1)) * np.uint64(0xD1B54A32D192ED03)))
-    r = (z % np.uint64(u - 1)).astype(np.int64) + 1
+        z = _mix64(z ^ ((np.asarray(j, dtype=np.uint64) + np.uint64(1))
+                        * np.uint64(0xD1B54A32D192ED03)))
+    r = (z % (np.asarray(u, dtype=np.uint64) - np.uint64(1))).astype(np.int64) + 1
     return np.where(r < avoid, r, r + 1)
 
 
@@ -413,12 +415,9 @@ def synthesize_cf(ds: Dataset, seed: int) -> Dataset:
     """
     if ds.cf_truth is None:
         raise MissingTruthError("synthesize_cf needs cf_truth on every CF column")
-    idx = np.arange(ds.n)
-    observed = np.empty_like(ds.cf_truth)
-    for j, col in enumerate(ds.schema.cf_columns):
-        observed[:, j] = complement_draws(
-            seed, idx, j, col.size, ds.cf_truth[:, j], STREAM_OBSERVE
-        )
+    sizes = ds.schema.cf_sizes
+    observed = complement_draws(seed, np.arange(ds.n)[:, None], np.arange(len(sizes)), sizes,
+                                ds.cf_truth, STREAM_OBSERVE)
     return Dataset(
         schema=ds.schema,
         of_values=ds.of_values,

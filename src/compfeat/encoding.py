@@ -14,6 +14,9 @@ For the second estimation round, the stacked per-CF confidence matrix
 is appended with the same 1/sqrt(u) factor per CF segment times
 sqrt(gamma); gamma = 1 reproduces one-hot scaling exactly and gamma = 0
 contributes nothing to distances.
+
+This module owns the stacked per-CF layout: for CF widths ``sizes``, CF
+j owns the ``sizes[j]`` columns from ``segment_starts(sizes)[j]`` on.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def encode_of(ds: Dataset) -> np.ndarray:
         elif col.kind == "binary":
             parts.append((arr - 1).astype(np.float64)[:, None])
         else:
-            parts.append(_one_hot(arr, col.size) / math.sqrt(col.size))
+            parts.append(one_hot(arr[:, None], (col.size,)) / math.sqrt(col.size))
     return _read_only(np.hstack(parts) if parts else np.zeros((ds.n, 0)))
 
 
@@ -64,20 +67,14 @@ def encode_with_confidence(
     if not 0.0 <= gamma <= 1.0:
         raise DataError(f"gamma must lie in [0, 1], got {gamma}")
     conf = np.asarray(conf, dtype=np.float64)
-    width = sum(col.size for col in cf_columns)
-    if conf.shape != (base.shape[0], width):
+    sizes = [col.size for col in cf_columns]
+    if conf.shape != (base.shape[0], sum(sizes)):
         raise ShapeMismatchError(
-            f"confidences have shape {conf.shape}, expected ({base.shape[0]}, {width})"
+            f"confidences have shape {conf.shape}, expected ({base.shape[0]}, {sum(sizes)})"
         )
-    scale = np.empty(width)
-    start = 0
-    for col in cf_columns:
-        stop = start + col.size
-        vals = conf[:, start:stop]
-        if vals.min() < 0 or np.abs(vals.sum(axis=1) - 1.0).max() > 1e-8:
-            raise ShapeMismatchError(f"confidences of CF {col.name!r} are not row-stochastic")
-        scale[start:stop] = math.sqrt(gamma) / math.sqrt(col.size)
-        start = stop
+    if not segments_stochastic(conf, sizes):
+        raise ShapeMismatchError("confidences are not row-stochastic in every CF segment")
+    scale = np.repeat([math.sqrt(gamma) / math.sqrt(u) for u in sizes], sizes)
     return _read_only(np.hstack([base, conf * scale]))
 
 
@@ -86,7 +83,25 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _one_hot(codes: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((codes.shape[0], size))
-    out[np.arange(codes.shape[0]), codes - 1] = 1.0
+STOCHASTIC_TOL = 1e-10  # largest |row sum - 1| of a confidence segment
+
+
+def segment_starts(sizes: Sequence[int]) -> np.ndarray:
+    """First column of each segment of widths ``sizes``."""
+    return (np.cumsum(sizes) - sizes).astype(np.intp)
+
+
+def one_hot(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The (n, sum u_j) stacked one-hot of an (n, F) matrix of 1-based
+    codes: row i holds a 1 at code ``codes[i, j]`` of segment j."""
+    out = np.zeros((codes.shape[0], sum(sizes)))
+    out[np.arange(codes.shape[0])[:, None], codes - 1 + segment_starts(sizes)] = 1.0
     return out
+
+
+def segments_stochastic(q: np.ndarray, sizes: Sequence[int]) -> bool:
+    """Whether the stacked matrix ``q`` is nonnegative and each row of
+    each segment sums to 1 within ``STOCHASTIC_TOL``; NaN fails."""
+    sums = np.add.reduceat(q, segment_starts(sizes), axis=1)
+    return bool(q.min(initial=0.0) >= 0.0
+                and np.abs(sums - 1.0).max(initial=0.0) <= STOCHASTIC_TOL)

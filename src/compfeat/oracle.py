@@ -131,10 +131,10 @@ def run_equivalence_suite(count: int, seed0: int = 0) -> dict:
     The marginal route is the production kernel,
     :func:`compfeat.graph.propagate_step`, on uniform-over-complement
     rows built here, independently of
-    :func:`compfeat.propagation.init_marginal`.
+    :func:`compfeat.propagation.init_marginal`.  A deviation above the
+    tolerance or NaN fails; a non-finite one is reported as None, for JSON.
     """
-    worst = 0.0
-    failures = []
+    devs, failures = [], []
     for s in range(count):
         rng = np.random.default_rng(seed0 + s)
         n = int(rng.integers(2, 31))
@@ -156,16 +156,19 @@ def run_equivalence_suite(count: int, seed0: int = 0) -> dict:
             q = propagate_step(graph, q)
         cube = joint.reshape(n, *cards)
         marginals = np.split(q, np.cumsum(cards)[:-1], axis=1)
-        dev = max(
-            float(np.abs(cube.sum(axis=tuple(a + 1 for a in range(f_c) if a != j))
-                         - marginals[j]).max())
+        # np.max, unlike max, carries a NaN deviation through.
+        dev = float(np.max([
+            np.abs(cube.sum(axis=tuple(a + 1 for a in range(f_c) if a != j))
+                   - marginals[j]).max()
             for j in range(f_c)
-        )
-        worst = max(worst, dev)
-        if dev > EQUIVALENCE_TOL:
-            failures.append({"seed": seed0 + s, "deviation": dev})
+        ]))
+        devs.append(dev)
+        if not dev <= EQUIVALENCE_TOL:
+            failures.append({"seed": seed0 + s, "deviation": dev if math.isfinite(dev) else None})
+    worst = float(np.max(devs, initial=0.0))
     return {"name": "joint-marginal equivalence", "instances": count,
-            "tolerance": EQUIVALENCE_TOL, "worst": worst, "failures": failures}
+            "tolerance": EQUIVALENCE_TOL, "failures": failures,
+            "worst": worst if math.isfinite(worst) else None}
 
 
 BANK_LIKE_CFS = (("job", 12), ("marital", 3), ("education", 4), ("contact", 3), ("poutcome", 4))

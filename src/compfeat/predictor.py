@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .encoding import _one_hot, _read_only, encode_of
+from .encoding import encode_of, one_hot
 from .errors import DataError, SingleClassError
 from .propagation import EstimationResult, init_marginal
 
@@ -37,26 +37,23 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
     if mode not in MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
     parts = [encode_of(ds)]
-    cf_cols = ds.schema.cf_columns
     if mode == "comp":
         parts.append(init_marginal(ds))
     elif mode == "ord":
         if ds.cf_truth is None:
             raise DataError("ord mode needs ground-truth CF values")
-        parts += [_one_hot(ds.cf_truth[:, j], c.size) for j, c in enumerate(cf_cols)]
+        parts.append(one_hot(ds.cf_truth, ds.schema.cf_sizes))
     else:
         if result is None:
             raise DataError(f"mode {mode!r} needs an estimation result")
         result.check_fits(ds)
-        if mode == "soft":
-            parts.append(result.confidences)
-        else:
-            parts += [_one_hot(result.hard_estimates[:, j], c.size)
-                      for j, c in enumerate(cf_cols)]
+        parts.append(result.confidences if mode == "soft"
+                     else one_hot(result.hard_estimates, result.sizes))
     design = np.hstack(parts)
     if not np.isfinite(design).all():
         raise DataError("design matrix must be finite")
-    return _read_only(design)
+    design.flags.writeable = False
+    return design
 
 
 # ---------------------------------------------------------------------------

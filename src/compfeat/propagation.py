@@ -19,12 +19,13 @@ it once and pass it in as ``of_graph``.
 
 All CFs' matrices are stacked side by side into one (n, sum u_j) array,
 CF j owning the column segment of width u_j that follows CF j-1's, in
-schema order.  This stacked matrix is the only representation of
-confidences, from :func:`init_marginal` through every step to
-:class:`EstimationResult`: a step gathers and sums, for all CFs at
-once, each row's neighbors of nonzero weight (on bank-like graphs 5 to
-7 of k = 20), and the correction normalizes each segment with
-``np.add.reduceat``.
+schema order; :mod:`compfeat.encoding` owns that layout (segment
+offsets, one-hot, the row-stochastic test).  This stacked matrix is the
+only representation of confidences, from :func:`init_marginal` through
+every step to :class:`EstimationResult`: a step gathers and sums, for
+all CFs at once, each row's neighbors of nonzero weight (on bank-like
+graphs 5 to 7 of k = 20), and the correction normalizes each segment
+with ``np.add.reduceat``.
 
 The step is :func:`compfeat.graph.propagate_step`, imported here.  The
 procedures look it, :func:`correct` and ``build_graph`` up in this
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import STREAM_GUESS, Dataset, complement_draws
-from .encoding import encode_of, encode_with_confidence
+from .encoding import encode_of, encode_with_confidence, segment_starts, segments_stochastic
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph, propagate_step
 
@@ -82,8 +83,7 @@ class EstimationResult:
                 f"and CF widths {sizes}")
         if hard.size and (hard.min() < 1 or (hard > np.array(sizes)).any()):
             raise DataError(f"hard estimates outside the CF codes 1..u of widths {sizes}")
-        if sizes and not (q.min(initial=0.0) >= 0.0 and np.abs(
-                np.add.reduceat(q, _starts(sizes), axis=1) - 1.0).max(initial=0.0) <= 1e-10):
+        if not segments_stochastic(q, sizes):
             raise DataError("confidences must be row-stochastic in every CF segment")
         q.flags.writeable = False
         object.__setattr__(self, "sizes", sizes)
@@ -105,7 +105,7 @@ class EstimationResult:
 
     def block(self, j: int) -> np.ndarray:
         """Read-only view of CF j's (n, u_j) confidence segment."""
-        start = sum(self.sizes[:j])
+        start = segment_starts(self.sizes)[j]
         return self.confidences[:, start:start + self.sizes[j]]
 
     def save(self, path, extra: dict | None = None):
@@ -178,7 +178,7 @@ def init_marginal(ds: Dataset) -> np.ndarray:
         raise MissingTruthError("init_marginal needs observed CF values")
     sizes = ds.schema.cf_sizes
     q0 = np.tile(np.repeat([1.0 / (u - 1) for u in sizes], sizes), (ds.n, 1))
-    q0[np.arange(ds.n)[:, None], ds.cf_observed - 1 + _starts(sizes)] = 0.0
+    q0[np.arange(ds.n)[:, None], ds.cf_observed - 1 + segment_starts(sizes)] = 0.0
     return q0
 
 
@@ -198,11 +198,6 @@ def correct(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return _normalize(q * q0, q0, sizes)
 
 
-def _starts(sizes: Sequence[int]) -> np.ndarray:
-    """First column of each CF segment."""
-    return (np.cumsum(sizes) - sizes).astype(np.intp)
-
-
 def _normalize(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Row-normalize each CF's column segment of ``q``.
 
@@ -210,7 +205,7 @@ def _normalize(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarra
     segment row of ``q0`` instead.
     """
     _require_cfs(sizes)
-    sums = np.add.reduceat(q, _starts(sizes), axis=1)
+    sums = np.add.reduceat(q, segment_starts(sizes), axis=1)
     dead = sums <= 0.0
     if dead.any():
         q = np.where(np.repeat(dead, sizes, axis=1), q0, q)
@@ -222,7 +217,7 @@ def hard_from_blocks(q: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Argmax of each CF segment as 1-based codes; ties go to the lowest code."""
     _require_cfs(sizes)
     return np.column_stack([q[:, s:s + u].argmax(axis=1) + 1
-                            for s, u in zip(_starts(sizes), sizes)])
+                            for s, u in zip(segment_starts(sizes), sizes)])
 
 
 def _require_cfs(sizes: Sequence[int]):
@@ -286,13 +281,9 @@ def run_comp(ds: Dataset, seed: int) -> EstimationResult:
     expectation.
     """
     q0 = init_marginal(ds)
-    idx = np.arange(ds.n)
-    cols = ds.schema.cf_columns
-    hard = np.empty((ds.n, len(cols)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        hard[:, j] = complement_draws(
-            seed, idx, j, col.size, ds.cf_observed[:, j], STREAM_GUESS
-        )
+    sizes = ds.schema.cf_sizes
+    hard = complement_draws(seed, np.arange(ds.n)[:, None], np.arange(len(sizes)), sizes,
+                            ds.cf_observed, STREAM_GUESS)
     return _result(ds, q0, hard, "comp", {"seed": seed})
 
 

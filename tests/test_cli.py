@@ -298,9 +298,15 @@ class TestExitCodes:
         ["sweep", "--axis", "gamma", "--values", "1.5"],
         ["sweep", "--axis", "T", "--values", "0"],
         ["sweep", "--axis", "k", "--values", "0"],
+        ["estimate", "--k", "abc"],
+        ["estimate", "--T", "1.5"],
+        ["estimate", "--method", "bogus"],
     ])
-    def test_configuration_errors_exit_2(self, bank_csv, command):
+    def test_configuration_errors_exit_2(self, bank_csv, capsys, command):
+        """Exit 2 with a typed message; a flag's value is parsed as its
+        config line is, so a bad one is no argparse exit."""
         assert main([*command, *bank_csv]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     @pytest.mark.parametrize("command, line", [
         (["estimate"], "colour = blue"),

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from compfeat.data import (
+    STREAM_GUESS,
+    STREAM_OBSERVE,
     Column,
     Dataset,
     FeatureSchema,
+    complement_draws,
     load_csv,
     load_schema,
     save_schema,
@@ -295,6 +298,20 @@ class TestSynthesizeCf:
         freq_3 = np.mean(observed == 3)
         assert abs(freq_1 - 0.5) < 0.01 and abs(freq_3 - 0.5) < 0.01
         assert not np.any(observed == 2)
+
+    @pytest.mark.parametrize("sizes", [(3, 12, 4), (5,), ()])
+    def test_draws_on_a_grid_equal_per_feature_calls(self, sizes):
+        """(n, 1) indices with (F,) features and sizes draw, in one call,
+        what one call per feature draws, bit for bit."""
+        n, rng = 50, np.random.default_rng(0)
+        avoid = rng.integers(1, 4, size=(n, len(sizes)))
+        for seed, stream in ((0, STREAM_OBSERVE), (2**64 - 1, STREAM_GUESS)):
+            grid = complement_draws(seed, np.arange(n)[:, None], np.arange(len(sizes)), sizes,
+                                    avoid, stream)
+            assert grid.shape == (n, len(sizes)) and grid.dtype == np.int64
+            for j, u in enumerate(sizes):
+                np.testing.assert_array_equal(
+                    grid[:, j], complement_draws(seed, np.arange(n), j, u, avoid[:, j], stream))
 
 
 class TestSplit:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
-from compfeat.encoding import encode_of, encode_with_confidence
+from compfeat.encoding import (
+    STOCHASTIC_TOL,
+    encode_of,
+    encode_with_confidence,
+    one_hot,
+    segment_starts,
+    segments_stochastic,
+)
 from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.propagation import init_marginal
 
@@ -153,9 +160,15 @@ class TestEncodeWithConfidence:
             encode_with_confidence(enc, np.full((5, 4), 1 / 4), cols, gamma=0.5)
 
     def test_rejects_non_stochastic_rows(self):
-        ds, enc, _ = self.make(n=5)
-        with pytest.raises(ShapeMismatchError, match="row-stochastic"):
-            encode_with_confidence(enc, np.full((5, 3), 0.5), ds.schema.cf_columns, gamma=0.5)
+        ds, enc, q0 = self.make(n=5)
+        for row in ([0.5, 0.5, 0.5],         # sums to 1.5
+                    [0.5, 0.5 + 1e-9, 0.0],  # off by 1e-9, ten times the one tolerance
+                    [1.5, -0.5, 0.0],        # negative entry
+                    [np.nan, 0.5, 0.5]):     # not a number
+            conf = q0.copy()
+            conf[2] = row
+            with pytest.raises(ShapeMismatchError, match="row-stochastic"):
+                encode_with_confidence(enc, conf, ds.schema.cf_columns, gamma=0.5)
 
     def test_segments_scaled_per_cf(self):
         """Each CF segment gets its own 1/sqrt(u) factor, after the base columns."""
@@ -179,3 +192,26 @@ class TestEncodeWithConfidence:
             encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=1.5)
         with pytest.raises(DataError, match="gamma"):
             encode_with_confidence(enc, q0, ds.schema.cf_columns, gamma=-1.0)
+
+
+class TestStackedLayout:
+    @pytest.mark.parametrize("sizes", [(3, 12, 4), (5,), ()])
+    def test_one_hot_matches_per_column_reference(self, sizes):
+        n, rng = 20, np.random.default_rng(1)
+        codes = np.column_stack([rng.integers(1, u + 1, size=n) for u in sizes]
+                                or [np.zeros((n, 0), dtype=np.int64)])
+        expected = np.zeros((n, sum(sizes)))
+        for j, u in enumerate(sizes):
+            for i in range(n):
+                expected[i, sum(sizes[:j]) + codes[i, j] - 1] = 1.0
+        np.testing.assert_array_equal(one_hot(codes, sizes), expected)
+        assert segment_starts(sizes).tolist() == [sum(sizes[:j]) for j in range(len(sizes))]
+
+    def test_one_tolerance_of_1e_10(self):
+        """Segment row sums may miss 1 by 1e-11, not by 1e-9."""
+        assert STOCHASTIC_TOL == 1e-10
+        q = np.array([[0.25, 0.25, 0.5, 0.5, 0.5]])
+        for off, ok in ((0.0, True), (1e-11, True), (1e-9, False)):
+            shifted = q + np.array([[0.0, 0.0, 0.0, off, 0.0]])
+            assert segments_stochastic(shifted, (3, 2)) is ok
+        assert segments_stochastic(np.zeros((4, 0)), ())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 import compfeat
@@ -56,6 +58,15 @@ class TestEquivalenceSuite:
         out = run_equivalence_suite(40, seed0=7)
         assert len(out["failures"]) >= 20
 
+    def test_nan_kernel_fails_every_instance(self, monkeypatch):
+        """A NaN deviation is a failure, not a pass, and the report it
+        goes into stays strict JSON: the deviations read as null."""
+        monkeypatch.setattr(oracle, "propagate_step", lambda graph, q: np.full(q.shape, np.nan))
+        out = run_equivalence_suite(5)
+        assert [f["seed"] for f in out["failures"]] == [0, 1, 2, 3, 4]
+        assert all(f["deviation"] is None for f in out["failures"])
+        assert out["worst"] is None
+        json.dumps(out, allow_nan=False)
 
     def test_reference_is_independent_of_production_init(self, monkeypatch):
         def broken(ds):
