@@ -29,6 +29,13 @@ columns, CF cells holding the truth, then one ``<cf>__observed`` column
 per CF.  Without ``max_n`` subsampling the seeds share the source rows,
 and their source columns are formatted once per command.
 
+``estimate`` writes ``estimate_<method>_seed<s>.npz`` per seed, the file
+``evaluate`` and ``predict --mode soft|hard`` read, and beside it
+``estimate_<method>_seed<s>.json``, an export of the same result as JSON
+that no command reads (see :meth:`EstimationResult.save`).  Each file
+stores the seed and a hash of the seed's inputs, and a reader refuses a
+file estimated from other inputs.
+
 Every command but ``oracle`` reads the source CSV and needs at least 2
 rows in it.  ``sweep`` estimates each point with ``--method`` and
 honours ``--estimate-only`` as ``estimate`` does.
@@ -236,7 +243,8 @@ def restrict_to_subset(cfg: ExperimentConfig, ds: Dataset,
 
 
 def result_path(cfg: ExperimentConfig, method: str, seed: int) -> str:
-    return os.path.join(cfg.out, f"estimate_{method}_seed{seed}.json")
+    """The estimate file of ``method`` and ``seed``, which evaluate and predict read."""
+    return os.path.join(cfg.out, f"estimate_{method}_seed{seed}.npz")
 
 
 def provenance(cfg: ExperimentConfig, ds: Dataset, seed: int) -> dict:

@@ -35,6 +35,11 @@ module, so patching them here observes every graph and step of a run.
 from __future__ import annotations
 
 import json
+import lzma
+import os
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,57 +114,89 @@ class EstimationResult:
         return self.confidences[:, start:start + self.sizes[j]]
 
     def save(self, path, extra: dict | None = None):
-        """Write the result as one line of UTF-8 JSON for :meth:`load`.
+        """Write the result to ``path`` for :meth:`load`, and export it as JSON.
 
-        The object has sorted keys and no whitespace, and ends in a
-        newline.  It holds ``method``, ``hyperparams``, ``cf_names``,
+        ``path`` receives one uncompressed ``np.savez`` archive, whatever
+        its suffix, holding three arrays: ``confidences`` (float64, (n,
+        sum u_j)), ``hard_estimates`` (int64, (n, F)) and ``meta``, a 0-d
+        unicode array holding the sorted-key JSON of ``method``,
+        ``hyperparams``, ``cf_names``, ``sizes`` and the ``extra`` keys.
+        numpy dates every zip entry 1980-01-01, so saving one result twice
+        gives the same bytes.
+
+        The export goes beside ``path``, with its suffix replaced by
+        ``.json``; nothing in this package reads it.  It is one line of
+        UTF-8 JSON with sorted keys and no whitespace, ending in a newline,
+        and holds ``method``, ``hyperparams``, ``cf_names``,
         ``hard_estimates`` (n lists of codes), ``confidences`` (one (n,
         u_j) list of lists per CF name) and the ``extra`` keys.  Every
         float is written as the shortest text that reads back as the same
         float64, so any JSON reader recovers the saved values exactly.
         The text differs from Python's ``repr`` only for entries below
         1e-4: ``0.00004830844254893549`` for ``4.830844254893549e-05``,
-        ``5e-8`` for ``5e-08``.  Integers must fit in 64 bits.  Saving one
-        result twice gives the same bytes.
-
-        Reading stays on the standard library's ``json``: ``orjson.loads``
-        of a 2 MB estimate file peaks about 5 MB higher, and every
-        command that reads estimates would pay that in peak RSS.
+        ``5e-8`` for ``5e-08``.  Integers must fit in 64 bits.
         """
         # Imported here, where only the commands that write estimates pay
-        # for it; formatting the floats is most of a save, and orjson does
-        # it about ten times faster than json.dumps.
+        # for it; formatting the floats is most of the export, and orjson
+        # does it about ten times faster than json.dumps.
         import orjson
 
-        doc = {"method": self.method, "hyperparams": self.hyperparams,
-               "cf_names": list(self.cf_names),
-               "hard_estimates": np.ascontiguousarray(self.hard_estimates),
-               "confidences": {name: np.ascontiguousarray(self.block(j))
-                               for j, name in enumerate(self.cf_names)},
-               **(extra or {})}
+        meta = {"method": self.method, "hyperparams": self.hyperparams,
+                "cf_names": list(self.cf_names), **(extra or {})}
+        hard = np.ascontiguousarray(self.hard_estimates)
+        # To an open file, so that np.savez appends no ".npz" suffix.
         with open(path, "wb") as fh:
+            np.savez(fh, confidences=np.ascontiguousarray(self.confidences), hard_estimates=hard,
+                     meta=np.array(json.dumps({**meta, "sizes": list(self.sizes)},
+                                              sort_keys=True)))
+        doc = {**meta, "hard_estimates": hard,
+               "confidences": {name: np.ascontiguousarray(self.block(j))
+                               for j, name in enumerate(self.cf_names)}}
+        with open(os.path.splitext(path)[0] + ".json", "wb") as fh:
             fh.write(orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
                                   | orjson.OPT_APPEND_NEWLINE))
 
     @classmethod
     def load(cls, path, expect: dict | None = None) -> "EstimationResult":
-        """Read a saved result; a malformed file raises :class:`DataError`,
-        as does one whose stored ``expect`` keys are missing or differ."""
+        """Read the archive :meth:`save` wrote at ``path``.
+
+        It is read with ``allow_pickle=False``, so an object array is
+        refused.  Each array must have the dtype and number of dimensions
+        that :meth:`save` writes, ``meta`` must hold a JSON object with a
+        list of CF names and a list of positive integer widths, and the
+        result must pass the constructor's checks.  A file that does not,
+        or is not a readable archive, raises :class:`DataError`, as does
+        one whose stored ``expect`` keys are missing or differ.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            names, hard = doc["cf_names"], doc["hard_estimates"]
-            blocks = [np.asarray(doc["confidences"][name], dtype=np.float64) for name in names]
-            result = cls(cf_names=names, sizes=[b.shape[1] for b in blocks],
-                         confidences=np.hstack(blocks) if blocks else np.zeros((len(hard), 0)),
-                         hard_estimates=hard,
+            # From an open file: np.load(path) leaves the file it opened
+            # open when the zip directory is unreadable.
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+                q, hard, meta = npz["confidences"], npz["hard_estimates"], npz["meta"]
+            if not (q.dtype == np.float64 and q.ndim == 2 and hard.dtype == np.int64
+                    and hard.ndim == 2 and meta.dtype.kind == "U" and meta.ndim == 0):
+                raise DataError("expected float64 confidences and int64 hard estimates, "
+                                "both 2-d, and a 0-d unicode meta")
+            doc = json.loads(meta.item())
+            names, sizes = doc["cf_names"], doc["sizes"]
+            if not (isinstance(names, list) and all(isinstance(s, str) for s in names)
+                    and isinstance(sizes, list) and all(type(u) is int and u > 0 for u in sizes)
+                    and isinstance(doc["method"], str) and isinstance(doc["hyperparams"], dict)):
+                raise DataError("meta needs a method, hyperparameters, CF names and "
+                                "positive integer CF widths")
+            result = cls(cf_names=names, sizes=sizes, confidences=q, hard_estimates=hard,
                          method=doc["method"], hyperparams=doc["hyperparams"])
-            # Element types, not np.asarray's dtype: a true among ints reads as int64.
-            if any(type(v) is not int for row in hard for v in row):
-                raise DataError("hard estimates must be integer codes")
-        # OverflowError: a code outside int64; RecursionError: nesting too deep for json.
-        except (ValueError, KeyError, IndexError, TypeError, OverflowError, RecursionError,
-                CompfeatError) as exc:
+        # zipfile raises NotImplementedError, a RuntimeError, for an unsupported
+        # compression method, version or flag, and RuntimeError for an encrypted
+        # entry; bz2, deflate and LZMA data that do not decode raise OSError,
+        # zlib.error and LZMAError.  An array header may claim a shape too large
+        # to allocate (MemoryError) or to index (OverflowError), and numpy's
+        # fallback parse of a header that is not a literal raises TokenError.
+        # json raises RecursionError, also a RuntimeError, for a meta nested
+        # too deep.
+        except (OSError, EOFError, zipfile.BadZipFile, zlib.error, lzma.LZMAError, RuntimeError,
+                MemoryError, OverflowError, tokenize.TokenError, ValueError, KeyError,
+                TypeError, CompfeatError) as exc:
             raise DataError(f"{path}: malformed estimation result ({exc})") from None
         for key, value in (expect or {}).items():
             if doc.get(key) != value:

@@ -1,7 +1,8 @@
 import dataclasses
+import io
+import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,30 @@ def read_json(path):
         return json.load(fh)
 
 
+def rewrite_npz(data, **edits):
+    """The estimate archive ``data`` with each named array replaced by
+    ``edit(array)``; an edit that returns None drops the array."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update((name, edit(arrays[name])) for name, edit in edits.items())
+    buf = io.BytesIO()
+    np.savez(buf, **{name: a for name, a in arrays.items() if a is not None})
+    return buf.getvalue()
+
+
+def rewrite_meta(data, edit):
+    return rewrite_npz(data, meta=lambda m: np.array(json.dumps(edit(json.loads(m.item())))))
+
+
+def central_directory_edit(offset, value):
+    """Sets the 2-byte field at ``offset`` in the archive's first central
+    directory entry, leaving every other byte as it was."""
+    def corrupt(data):
+        at = data.index(b"PK\x01\x02") + offset
+        return data[:at] + value.to_bytes(2, "little") + data[at + 2:]
+    return corrupt
+
+
 def test_predict_creates_output_directory(tmp_path):
     ds, _ = make_bank_like(80, seed=0)
     data, schema = tmp_path / "data.csv", tmp_path / "data.schema"
@@ -87,8 +112,8 @@ def test_predict_creates_output_directory(tmp_path):
 
 
 def test_readers_of_estimates_do_not_import_orjson(bank_csv):
-    """Only writing an estimate file imports orjson; evaluate and predict
-    read with the standard library's json, whose peak RSS is lower."""
+    """Only writing an estimate file imports orjson, for its JSON export;
+    evaluate and predict read the .npz archive."""
     assert main(["estimate", "--seed", "0", *SMALL, *bank_csv]) == 0
     code = ("import sys\n"
             "from compfeat.cli import main\n"
@@ -131,7 +156,7 @@ class TestEstimateOnly:
             ds = seed_dataset(bank_csv, seed)
             proposed = run_proposed(ds, T=5, k=8, gamma=0.25)
             comp = run_comp(ds, seed)
-            got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.json"))
+            got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.npz"))
             assert got.hyperparams["estimate_only"] == ["job"]
             for j, name in enumerate(got.cf_names):
                 want = proposed if name == "job" else comp
@@ -164,7 +189,7 @@ class TestEstimateOnly:
         accs = []
         for seed in (0, 1):
             ds = seed_dataset(bank_csv, seed)
-            res = EstimationResult.load(out_file(bank_csv, f"estimate_{flags[1]}_seed{seed}.json"))
+            res = EstimationResult.load(out_file(bank_csv, f"estimate_{flags[1]}_seed{seed}.npz"))
             accs.append(float(np.mean([s.acc for s in score_cf(res, ds.cf_truth)])))
         (point,) = read_json(out_file(bank_csv, "sweep_T.json"))["curve"]
         assert point["mean_acc"] == float(np.mean(accs))
@@ -243,7 +268,7 @@ class TestRoundOneReuse:
         for seed in SEEDS:
             ds = seed_dataset(bank_csv, seed, max_n)
             expected = run_proposed(ds, T=5, k=8, gamma=0.25)
-            got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.json"))
+            got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.npz"))
             np.testing.assert_array_equal(got.hard_estimates, expected.hard_estimates)
             np.testing.assert_array_equal(got.confidences, expected.confidences)
 
@@ -274,7 +299,8 @@ class TestExitCodes:
     )
 
     def test_pipeline_succeeds_with_identical_hashes(self, bank_csv):
-        """Two runs give the same report hashes and byte-identical estimate files."""
+        """Two runs give the same report hashes and byte-identical estimate
+        files, both the archive and its JSON export."""
         runs = []
         for _ in range(2):
             run = {}
@@ -283,8 +309,8 @@ class TestExitCodes:
                 if report:
                     run[report] = read_json(out_file(bank_csv, report))["content_hash"]
                 else:
-                    for seed in (0, 1):
-                        name = f"estimate_proposed_seed{seed}.json"
+                    for seed, suffix in itertools.product((0, 1), (".npz", ".json")):
+                        name = f"estimate_proposed_seed{seed}{suffix}"
                         with open(out_file(bank_csv, name), "rb") as fh:
                             run[name] = fh.read()
             runs.append(run)
@@ -380,31 +406,37 @@ class TestExitCodes:
             assert "at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", [
-        lambda text: text[: len(text) // 2],               # truncated JSON
-        lambda text: '{"method": "proposed"}',             # required keys missing
-        lambda text: text.replace('"job"', '"occupation"'),  # CF names off the schema
-        lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[99', text),
-        lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[1.5', text),
-        lambda text: re.sub(r'"hard_estimates":\[\[\d+', '"hard_estimates":[[true', text),
-        lambda text: re.sub(r'"hard_estimates":\[\[\d+', f'"hard_estimates":[[{2**64}', text),
-        lambda text: re.sub(r'"hard_estimates":\[\[\d+', f'"hard_estimates":[[{-2**63 - 1}',
-                            text),
-        lambda text: "[" * 200_000 + "]" * 200_000,  # nested deeper than json's recursion
-        # estimated from other inputs
-        lambda text: re.sub(r'"input_hash":"[0-9a-f]{64}"', '"input_hash":"' + "0" * 64 + '"', text),
+        lambda data: data[: len(data) // 2],
+        lambda data: rewrite_npz(data, confidences=lambda q: None),
+        lambda data: rewrite_meta(data, lambda m: {
+            **m, "cf_names": ["occupation" if n == "job" else n for n in m["cf_names"]]}),
+        lambda data: rewrite_npz(data, hard_estimates=lambda h: np.where(h == h[0, 0], 99, h)),
+        lambda data: rewrite_npz(data, hard_estimates=lambda h: h + 0.5),
+        lambda data: rewrite_npz(data, hard_estimates=lambda h: h.astype(bool)),
+        # The largest uint64 and -2**64 are codes that an int64 cast would wrap or clip.
+        lambda data: rewrite_npz(
+            data, hard_estimates=lambda h: np.full(h.shape, 2**64 - 1, dtype=np.uint64)),
+        lambda data: rewrite_npz(data, hard_estimates=lambda h: np.full(h.shape, -2.0**64)),
+        lambda data: rewrite_npz(data, meta=lambda m: np.array("[" * 200_000 + "]" * 200_000)),
+        lambda data: rewrite_meta(data, lambda m: {**m, "input_hash": "0" * 64}),
+        lambda data: rewrite_npz(data, hard_estimates=lambda h: h.astype(object)),
+        lambda data: rewrite_npz(data, meta=lambda m: np.array("{not json")),
+        central_directory_edit(10, 99),      # compression method 99
+        central_directory_edit(8, 1 << 5),   # flag bit 5, compressed patched data
+        central_directory_edit(6, 99),       # zip version 9.9 needed to extract
+        central_directory_edit(8, 1),        # encrypted
     ], ids=["truncated", "keys_missing", "cf_renamed", "code_out_of_range", "code_not_integer",
            "code_is_bool", "code_over_uint64", "code_under_int64", "nested_too_deep",
-           "hash_mismatch"])
+           "hash_mismatch", "object_array", "meta_not_json", "zip_compression_method",
+           "zip_patched_data", "zip_version", "zip_encrypted"])
     @pytest.mark.parametrize("command", [
         ["evaluate"], ["predict", "--mode", "soft"], ["predict", "--mode", "hard"],
     ], ids=["evaluate", "predict_soft", "predict_hard"])
     def test_malformed_estimate_file_exits_3(self, bank_csv, capsys, corrupt, command):
         assert main(["estimate", "--seed", "0", *SMALL, *bank_csv]) == 0
-        path = out_file(bank_csv, "estimate_proposed_seed0.json")
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(corrupt(text))
+        path = Path(out_file(bank_csv, "estimate_proposed_seed0.npz"))
+        data = path.read_bytes()
+        path.write_bytes(corrupt(data))
         capsys.readouterr()
         assert main([*command, "--seed", "0", *bank_csv]) == 3
         assert capsys.readouterr().err.startswith(f"data error: {path}")

@@ -46,8 +46,8 @@ TARGETS = {
     "data.csv": (["prepare"], ["estimate"], ["predict", "--mode", "ord"]),
     "data.schema": (["prepare"], ["estimate"], ["predict", "--mode", "ord"]),
     "run.cfg": (["estimate", "--method", "comp"], ["predict", "--mode", "ord"]),
-    "out/estimate_proposed_seed0.json": (["evaluate"], ["predict", "--mode", "soft"],
-                                         ["predict", "--mode", "hard"]),
+    "out/estimate_proposed_seed0.npz": (["evaluate"], ["predict", "--mode", "soft"],
+                                        ["predict", "--mode", "hard"]),
 }
 
 

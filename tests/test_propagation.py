@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -529,9 +530,11 @@ def saved_results(draw):
 
 class TestEstimationResultIo:
     def test_json_round_trip(self, tmp_path):
+        """``save`` writes the archive that ``load`` reads and, beside it, a
+        JSON export of the same result."""
         ds = observed_dataset([3, 4], 15, seed=18)
         res = run_proposed(ds, T=3, k=4, gamma=0.25)
-        path = tmp_path / "r.json"
+        path = tmp_path / "r.npz"
         res.save(path, extra={"seed": 0})
         loaded = EstimationResult.load(path)
         np.testing.assert_array_equal(loaded.hard_estimates, res.hard_estimates)
@@ -541,28 +544,41 @@ class TestEstimationResultIo:
         np.testing.assert_array_equal(loaded.block(1), res.confidences[:, 3:])
         assert loaded.method == "proposed"
         assert loaded.hyperparams == res.hyperparams
+        with open(tmp_path / "r.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert (doc["method"], doc["hyperparams"], doc["seed"]) == ("proposed", res.hyperparams, 0)
+        assert doc["cf_names"] == ["s0", "s1"]
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(saved_results())
     def test_saved_values_read_back_exactly(self, tmp_path, res):
         """Every float reads back as the same float64, through load and
-        through the standard library's json, and saving twice gives the
-        same bytes."""
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        through the standard library's json on the export, and saving
+        twice gives the same bytes in both files."""
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
         res.save(first, extra={"seed": 0})
         res.save(second, extra={"seed": 0})
         assert first.read_bytes() == second.read_bytes()
+        assert first.with_suffix(".json").read_bytes() == second.with_suffix(".json").read_bytes()
         loaded = EstimationResult.load(first, expect={"seed": 0})
         np.testing.assert_array_equal(loaded.confidences.view(np.uint64),
                                       res.confidences.view(np.uint64))
         np.testing.assert_array_equal(loaded.hard_estimates, res.hard_estimates)
         assert loaded.hyperparams == res.hyperparams
-        with open(first, encoding="utf-8") as fh:
+        with open(first.with_suffix(".json"), encoding="utf-8") as fh:
             doc = json.load(fh)
         for j, name in enumerate(res.cf_names):
             assert doc["confidences"][name] == res.block(j).tolist()
         assert doc["hard_estimates"] == res.hard_estimates.tolist()
+
+    def test_stored_provenance_must_match(self, tmp_path):
+        res = run_comp(observed_dataset([3], 4, seed=5), seed=0)
+        res.save(tmp_path / "r.npz", extra={"seed": 0, "input_hash": "ab"})
+        assert EstimationResult.load(tmp_path / "r.npz", expect={"seed": 0, "input_hash": "ab"})
+        for expect in ({"seed": 1}, {"input_hash": "cd"}, {"max_n": 0}):
+            with pytest.raises(DataError, match="estimated from other inputs"):
+                EstimationResult.load(tmp_path / "r.npz", expect=expect)
 
     @pytest.mark.parametrize("q", [
         np.full((1, 5), 0.25),                      # segment sums 0.75 and 0.5
@@ -594,22 +610,106 @@ class TestEstimationResultIo:
                              confidences=np.array([[1.0, 0.0, 0.0, 0.0, 1.0]]),
                              hard_estimates=hard, method="m", hyperparams={})
 
-    @pytest.mark.parametrize("text", [
-        '{"cf_names": ["s0"], "hard_estimates": [[1], [2',
-        '{"method": "proposed"}',
-        '[1, 2, 3]',
-        '{"cf_names": ["s0"], "hard_estimates": [[1], [2, 3]], "method": "m",'
-        ' "hyperparams": {}, "confidences": {"s0": [[0.5, 0.5], [0.5, 0.5]]}}',
-        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {}}',
-        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
-        ' "confidences": {"s0": [[0.5, 0.5], [0.9, 0.9]]}}',
-        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
-        ' "confidences": {"other": [[0.5, 0.5], [0.5, 0.5]]}}',
-        '{"cf_names": ["s0"], "hard_estimates": [[1], [2]], "method": "m", "hyperparams": {},'
-        ' "confidences": {"s0": [0.5, 0.5]}}',
-    ])
-    def test_malformed_file_raises_data_error(self, tmp_path, text):
-        path = tmp_path / "r.json"
-        path.write_text(text)
+    @pytest.mark.parametrize("make", [
+        lambda: b'{"method": "proposed"}',   # not an archive: a JSON estimate file is not read
+        lambda: npz_bytes(confidences=None),
+        lambda: npz_bytes(meta=None),
+        lambda: npz_bytes(meta=np.array("[1, 2, 3]")),
+        lambda: npz_bytes(meta=np.array('{"method": "proposed"}')),
+        lambda: npz_bytes(meta=np.array('{"cf_names": ["s0"], "sizes": [2')),
+        lambda: npz_bytes(meta=np.array(json.dumps(META).encode())),
+        lambda: npz_bytes(meta=np.array([json.dumps(META)])),
+        lambda: npz_bytes(meta={**META, "cf_names": "s0"}),
+        lambda: npz_bytes(meta={**META, "sizes": [2.0]}),
+        lambda: npz_bytes(meta={**META, "sizes": [True, True]}),
+        lambda: npz_bytes(meta={**META, "cf_names": ["s0", "s1"], "sizes": [0, 2]},
+                          hard_estimates=np.ones((2, 2), dtype=np.int64)),
+        lambda: npz_bytes(meta={**META, "sizes": [3]}),
+        lambda: npz_bytes(meta={**META, "method": 1}),
+        lambda: npz_bytes(meta={**META, "hyperparams": [["T", 3]]}),
+        lambda: npz_bytes(confidences=np.array([[0.5, 0.5], [0.9, 0.9]])),
+        lambda: npz_bytes(confidences=np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.float32)),
+        lambda: npz_bytes(confidences=np.array([0.5, 0.5, 0.5, 0.5])),
+        lambda: npz_bytes(hard_estimates=np.array([1, 2])),
+        lambda: npz_bytes(hard_estimates=np.array([[1], [2]], dtype=np.int32)),
+        lambda: npz_bytes(hard_estimates=np.array([[1], [2]], dtype=object)),
+        lambda: npy_bytes(np.zeros((2, 2))),
+        # An array header whose shape does not fit in 64 bits, or in memory.
+        lambda: header_edit(npz_bytes(**TALL), "(400, 2)", "(18446744073709551616, 2)"),
+        lambda: header_edit(npz_bytes(**TALL), "(400, 2)", "(10000000000000000, 2)"),
+        # A header that is not a literal, which numpy then tokenizes.
+        lambda: header_edit(npz_bytes(**TALL), "(400, 2)", "(400, 2 "),
+        # A member marked as deflate or LZMA data whose first bytes do not decode.
+        lambda: member_edit(npz_bytes(), "confidences.npy", method=8, prefix=b"\xff"),
+        lambda: member_edit(npz_bytes(), "confidences.npy", method=14,
+                            prefix=b"\x00\x00\x05\x00\xff\xff\xff\xff\xff"),
+        lambda: member_edit(npz_bytes(), "confidences.npy", method=12),
+    ], ids=["json_text", "confidences_missing", "meta_missing", "meta_list", "meta_keys_missing",
+           "meta_truncated", "meta_bytes", "meta_1d", "cf_names_string", "size_float",
+           "size_bool", "size_zero", "sizes_too_wide", "method_not_text",
+           "hyperparams_not_object", "not_stochastic", "confidences_float32",
+           "confidences_1d", "hard_1d", "hard_int32", "hard_object", "npy_not_npz",
+           "shape_over_int64", "shape_over_memory", "header_unclosed", "deflate_undecodable",
+           "lzma_undecodable", "bz2_undecodable"])
+    def test_malformed_file_raises_data_error(self, tmp_path, make):
+        path = tmp_path / "r.npz"
+        path.write_bytes(make())
         with pytest.raises(DataError, match="malformed estimation result"):
             EstimationResult.load(path)
+
+    def test_valid_crafted_archive_loads(self, tmp_path):
+        """The archive the malformed cases above edit is itself valid."""
+        path = tmp_path / "r.npz"
+        path.write_bytes(npz_bytes())
+        res = EstimationResult.load(path)
+        assert (res.cf_names, res.sizes, res.method) == (("s0",), (2,), "m")
+
+
+META = {"cf_names": ["s0"], "sizes": [2], "method": "m", "hyperparams": {}}
+# Members over 4 KB, so that a reader parses an array header before it
+# reaches the end of the member, where the zip CRC is checked.
+TALL = {"confidences": np.full((400, 2), 0.5), "hard_estimates": np.ones((400, 1), dtype=np.int64)}
+
+
+def npz_bytes(**arrays):
+    """A valid estimate archive of two rows and one CF of width 2, with the
+    named arrays replaced; None drops an array, and a dict ``meta`` is stored as
+    its JSON."""
+    stored = {"confidences": np.array([[0.5, 0.5], [0.0, 1.0]]),
+              "hard_estimates": np.array([[1], [2]], dtype=np.int64),
+              "meta": META, **arrays}
+    if isinstance(stored["meta"], dict):
+        stored["meta"] = np.array(json.dumps(stored["meta"]))
+    buf = io.BytesIO()
+    np.savez(buf, **{name: a for name, a in stored.items() if a is not None})
+    return buf.getvalue()
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def header_edit(data, old, new):
+    """Replaces ``old`` by ``new`` in the array header where ``old`` ends
+    the dict, taking the extra length from the header's space padding, so
+    no offset moves."""
+    pad = b" " * (len(new) - len(old))
+    edited = data.replace(old.encode() + b", }" + pad, new.encode() + b", }", 1)
+    assert len(edited) == len(data) and edited != data
+    return edited
+
+
+def member_edit(data, member, method, prefix=b""):
+    """Sets ``member``'s compression method in the central directory, the
+    copy a reader follows, and overwrites the first bytes of its stored
+    data with ``prefix``."""
+    name = member.encode()
+    cd = data.rindex(name) - 46
+    assert data[cd:cd + 4] == b"PK\x01\x02"
+    out = bytearray(data)
+    out[cd + 10:cd + 12] = method.to_bytes(2, "little")
+    start = data.index(b"\x93NUMPY", data.index(name))
+    out[start:start + len(prefix)] = prefix
+    return bytes(out)
