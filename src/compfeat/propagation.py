@@ -35,11 +35,10 @@ module, so patching them here observes every graph and step of a run.
 from __future__ import annotations
 
 import json
-import lzma
+import math
 import os
 import tokenize
 import zipfile
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,7 +116,7 @@ class EstimationResult:
         """Write the result to ``path`` for :meth:`load`, and export it as JSON.
 
         ``path`` receives one uncompressed ``np.savez`` archive, whatever
-        its suffix, holding three arrays: ``confidences`` (float64, (n,
+        its suffix but ``.json``, holding three arrays: ``confidences`` (float64, (n,
         sum u_j)), ``hard_estimates`` (int64, (n, F)) and ``meta``, a 0-d
         unicode array holding the sorted-key JSON of ``method``,
         ``hyperparams``, ``cf_names``, ``sizes`` and the ``extra`` keys.
@@ -134,8 +133,14 @@ class EstimationResult:
         float64, so any JSON reader recovers the saved values exactly.
         The text differs from Python's ``repr`` only for entries below
         1e-4: ``0.00004830844254893549`` for ``4.830844254893549e-05``,
-        ``5e-8`` for ``5e-08``.  Integers must fit in 64 bits.
+        ``5e-8`` for ``5e-08``.  Integers must fit in 64 bits.  A ``path``
+        ending in ``.json`` raises :class:`ValueError`: the export would
+        overwrite the archive.
         """
+        export = os.path.splitext(path)[0] + ".json"
+        if os.path.splitext(path)[1].lower() == ".json":
+            raise ValueError(f"{path}: the archive path must not end in .json, "
+                             f"the suffix of its JSON export")
         # Imported here, where only the commands that write estimates pay
         # for it; formatting the floats is most of the export, and orjson
         # does it about ten times faster than json.dumps.
@@ -152,7 +157,7 @@ class EstimationResult:
         doc = {**meta, "hard_estimates": hard,
                "confidences": {name: np.ascontiguousarray(self.block(j))
                                for j, name in enumerate(self.cf_names)}}
-        with open(os.path.splitext(path)[0] + ".json", "wb") as fh:
+        with open(export, "wb") as fh:
             fh.write(orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
                                   | orjson.OPT_APPEND_NEWLINE))
 
@@ -161,18 +166,26 @@ class EstimationResult:
         """Read the archive :meth:`save` wrote at ``path``.
 
         It is read with ``allow_pickle=False``, so an object array is
-        refused.  Each array must have the dtype and number of dimensions
-        that :meth:`save` writes, ``meta`` must hold a JSON object with a
-        list of CF names and a list of positive integer widths, and the
-        result must pass the constructor's checks.  A file that does not,
-        or is not a readable archive, raises :class:`DataError`, as does
-        one whose stored ``expect`` keys are missing or differ.
+        refused.  Each array must be stored uncompressed and unencrypted,
+        with a header whose shape accounts for exactly its member's bytes,
+        and have the dtype and number of dimensions that :meth:`save`
+        writes; ``meta`` must hold a JSON object with a list of CF names and
+        a list of positive integer widths, and the result must pass the
+        constructor's checks.  A file that does not, or is not a readable
+        archive, raises :class:`DataError`, as does one whose stored
+        ``expect`` keys are missing or differ.
         """
         try:
             # From an open file: np.load(path) leaves the file it opened
             # open when the zip directory is unreadable.
-            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-                q, hard, meta = npz["confidences"], npz["hard_estimates"], npz["meta"]
+            with open(path, "rb") as fh:
+                npz = np.load(fh, allow_pickle=False)
+                if not isinstance(npz, np.lib.npyio.NpzFile):
+                    raise DataError("not a zip archive of arrays")
+                size = os.fstat(fh.fileno()).st_size
+                with npz:
+                    q, hard, meta = [_read_member(npz, name, size)
+                                     for name in ("confidences", "hard_estimates", "meta")]
             if not (q.dtype == np.float64 and q.ndim == 2 and hard.dtype == np.int64
                     and hard.ndim == 2 and meta.dtype.kind == "U" and meta.ndim == 0):
                 raise DataError("expected float64 confidences and int64 hard estimates, "
@@ -186,23 +199,42 @@ class EstimationResult:
                                 "positive integer CF widths")
             result = cls(cf_names=names, sizes=sizes, confidences=q, hard_estimates=hard,
                          method=doc["method"], hyperparams=doc["hyperparams"])
-        # zipfile raises NotImplementedError, a RuntimeError, for an unsupported
-        # compression method, version or flag, and RuntimeError for an encrypted
-        # entry; bz2, deflate and LZMA data that do not decode raise OSError,
-        # zlib.error and LZMAError.  An array header may claim a shape too large
-        # to allocate (MemoryError) or to index (OverflowError), and numpy's
-        # fallback parse of a header that is not a literal raises TokenError.
-        # json raises RecursionError, also a RuntimeError, for a meta nested
-        # too deep.
-        except (OSError, EOFError, zipfile.BadZipFile, zlib.error, lzma.LZMAError, RuntimeError,
-                MemoryError, OverflowError, tokenize.TokenError, ValueError, KeyError,
-                TypeError, CompfeatError) as exc:
+        # zipfile raises NotImplementedError for an unsupported zip version or
+        # flag; numpy's fallback parse of a header that is not a literal raises
+        # TokenError, and json raises RecursionError for a meta nested too deep.
+        except (OSError, EOFError, zipfile.BadZipFile, NotImplementedError, RecursionError,
+                tokenize.TokenError, ValueError, KeyError, TypeError, CompfeatError) as exc:
             raise DataError(f"{path}: malformed estimation result ({exc})") from None
         for key, value in (expect or {}).items():
             if doc.get(key) != value:
                 raise DataError(f"{path}: stored {key} {doc.get(key)!r} is not {value!r}; "
                                 f"it was estimated from other inputs")
         return result
+
+
+def _read_member(npz: np.lib.npyio.NpzFile, name: str, archive_size: int) -> np.ndarray:
+    """Array ``name`` of ``npz``, read only once its member is known to be
+    stored uncompressed and unencrypted within the archive's
+    ``archive_size`` bytes, and its header's shape to account for exactly
+    the member's data; so no header makes numpy allocate more than the
+    file holds, and no zip decompressor runs."""
+    info = npz.zip.getinfo(f"{name}.npy")
+    if (info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
+            or not info.compress_size == info.file_size <= archive_size):
+        raise DataError(f"array {name} is not stored uncompressed and unencrypted "
+                        f"within the archive's {archive_size} bytes")
+    with npz.zip.open(info) as fp:
+        version = np.lib.format.read_magic(fp)
+        if version not in ((1, 0), (2, 0)):
+            raise DataError(f"array {name} has a .npy header of version {version}")
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, _, dtype = read_header(fp)
+        data_size = info.file_size - fp.tell()
+    if math.prod(shape) * dtype.itemsize != data_size:
+        raise DataError(f"array {name}'s header shape {shape} does not fit its "
+                        f"{data_size} bytes of {dtype} data")
+    return npz[name]
 
 
 # ---------------------------------------------------------------------------

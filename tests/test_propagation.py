@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -634,35 +635,60 @@ class TestEstimationResultIo:
         lambda: npz_bytes(hard_estimates=np.array([[1], [2]], dtype=np.int32)),
         lambda: npz_bytes(hard_estimates=np.array([[1], [2]], dtype=object)),
         lambda: npy_bytes(np.zeros((2, 2))),
-        # An array header whose shape does not fit in 64 bits, or in memory.
+        # An array header whose shape does not fit in 64 bits, or in memory,
+        # or claims more data than its member holds.
         lambda: header_edit(npz_bytes(**TALL), "(400, 2)", "(18446744073709551616, 2)"),
         lambda: header_edit(npz_bytes(**TALL), "(400, 2)", "(10000000000000000, 2)"),
+        lambda: header_edit(npz_bytes(**TALL), "(400, 2)", "(401, 2)"),
+        # The same, with the zip directory claiming the member holds that much.
+        lambda: member_edit(header_edit(npz_bytes(**TALL), "(400, 2)", "(1000000, 2)"),
+                            "confidences.npy", size=128 + 16_000_000),
         # A header that is not a literal, which numpy then tokenizes.
         lambda: header_edit(npz_bytes(**TALL), "(400, 2)", "(400, 2 "),
-        # A member marked as deflate or LZMA data whose first bytes do not decode.
+        # A .npy header version that save never writes.
+        lambda: zip_bytes(npz_bytes(), confidences=npy_bytes(np.array([[0.5, 0.5], [0.0, 1.0]]),
+                                                             version=(3, 0))),
+        # A member marked as deflate, LZMA or bz2 data, which is refused
+        # before any decompressor runs.
         lambda: member_edit(npz_bytes(), "confidences.npy", method=8, prefix=b"\xff"),
         lambda: member_edit(npz_bytes(), "confidences.npy", method=14,
                             prefix=b"\x00\x00\x05\x00\xff\xff\xff\xff\xff"),
         lambda: member_edit(npz_bytes(), "confidences.npy", method=12),
+        # A member compressed with deflate, whose data do decode.
+        lambda: zip_bytes(npz_bytes(), compression=zipfile.ZIP_DEFLATED),
     ], ids=["json_text", "confidences_missing", "meta_missing", "meta_list", "meta_keys_missing",
            "meta_truncated", "meta_bytes", "meta_1d", "cf_names_string", "size_float",
            "size_bool", "size_zero", "sizes_too_wide", "method_not_text",
            "hyperparams_not_object", "not_stochastic", "confidences_float32",
            "confidences_1d", "hard_1d", "hard_int32", "hard_object", "npy_not_npz",
-           "shape_over_int64", "shape_over_memory", "header_unclosed", "deflate_undecodable",
-           "lzma_undecodable", "bz2_undecodable"])
+           "shape_over_int64", "shape_over_memory", "shape_over_member",
+           "shape_over_file", "header_unclosed", "npy_version_3", "deflate_undecodable",
+           "lzma_undecodable", "bz2_undecodable", "deflate_valid"])
     def test_malformed_file_raises_data_error(self, tmp_path, make):
         path = tmp_path / "r.npz"
         path.write_bytes(make())
         with pytest.raises(DataError, match="malformed estimation result"):
             EstimationResult.load(path)
 
-    def test_valid_crafted_archive_loads(self, tmp_path):
-        """The archive the malformed cases above edit is itself valid."""
+    @pytest.mark.parametrize("make", [lambda: npz_bytes(),
+                                      lambda: zip_bytes(npz_bytes())],
+                             ids=["savez", "rezipped"])
+    def test_valid_crafted_archive_loads(self, tmp_path, make):
+        """The archive the malformed cases above edit is itself valid, also
+        when its members are copied into a new archive."""
         path = tmp_path / "r.npz"
-        path.write_bytes(npz_bytes())
+        path.write_bytes(make())
         res = EstimationResult.load(path)
         assert (res.cf_names, res.sizes, res.method) == (("s0",), (2,), "m")
+
+    def test_save_refuses_json_suffix(self, tmp_path):
+        """The JSON export is written at the archive's path with a .json
+        suffix, so it would overwrite an archive saved under that suffix."""
+        res = run_comp(observed_dataset([3], 4, seed=5), seed=0)
+        for name in ("r.json", "r.JSON"):
+            with pytest.raises(ValueError, match="must not end in .json"):
+                res.save(tmp_path / name)
+        assert not list(tmp_path.iterdir())
 
 
 META = {"cf_names": ["s0"], "sizes": [2], "method": "m", "hyperparams": {}}
@@ -685,9 +711,19 @@ def npz_bytes(**arrays):
     return buf.getvalue()
 
 
-def npy_bytes(array):
+def npy_bytes(array, version=None):
     buf = io.BytesIO()
-    np.save(buf, array)
+    np.lib.format.write_array(buf, array, version=version)
+    return buf.getvalue()
+
+
+def zip_bytes(data, compression=zipfile.ZIP_STORED, **members):
+    """The archive ``data``'s members copied into a new archive written
+    with ``compression``, with the named members' bytes replaced."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(buf, "w", compression) as dst:
+        for name in src.namelist():
+            dst.writestr(name, members.get(name.removesuffix(".npy")) or src.read(name))
     return buf.getvalue()
 
 
@@ -701,8 +737,9 @@ def header_edit(data, old, new):
     return edited
 
 
-def member_edit(data, member, method, prefix=b""):
-    """Sets ``member``'s compression method in the central directory, the
+def member_edit(data, member, method=0, prefix=b"", size=None):
+    """Sets ``member``'s compression method, and its compressed and
+    uncompressed sizes to ``size`` if given, in the central directory, the
     copy a reader follows, and overwrites the first bytes of its stored
     data with ``prefix``."""
     name = member.encode()
@@ -710,6 +747,8 @@ def member_edit(data, member, method, prefix=b""):
     assert data[cd:cd + 4] == b"PK\x01\x02"
     out = bytearray(data)
     out[cd + 10:cd + 12] = method.to_bytes(2, "little")
+    if size is not None:
+        out[cd + 20:cd + 28] = size.to_bytes(4, "little") * 2
     start = data.index(b"\x93NUMPY", data.index(name))
     out[start:start + len(prefix)] = prefix
     return bytes(out)
