@@ -15,8 +15,9 @@ role is one of ``OF``, ``CF``, ``label``.  The trailing ``|``-joined
 vocabulary is optional for non-quantitative columns; when absent it is
 inferred from the data, sorted lexicographically.
 
-CSVs are read and written a column at a time.  A malformed CSV raises a
-typed error that names the first bad row and its column.
+CSVs are read in blocks of rows, each converted a column at a time, and
+written a column at a time.  A malformed CSV raises a typed error that
+names the first bad row and its column.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ ROLES = ("OF", "CF", "label")
 # Stream tags keep independent counter-based draws from colliding.
 STREAM_OBSERVE = 0  # synthesize_cf
 STREAM_GUESS = 1    # baseline hard estimates
+
+_CSV_BLOCK = 512  # data rows load_csv converts at a time
 
 
 @dataclass(frozen=True)
@@ -250,81 +253,167 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     entries.  Blank lines, which ``csv.reader`` returns as empty records,
     are skipped, so a trailing newline after the last row is accepted.
 
+    The data rows are read in blocks of ``_CSV_BLOCK``.  Each block is
+    transposed and each schema column of it converted to a typed chunk
+    before the next block is read, so only one block's row lists and
+    cell strings are alive at a time; the chunks are joined at the end.
+    An inferred vocabulary numbers its values as they first appear and
+    is sorted, and its codes renumbered, once the file has been read.
+
     Malformed input raises a typed error carrying the first bad row
     (0-based among the data rows, header and blank lines excluded) and
-    its column: :class:`ParseError` for a row too short to hold every
-    schema column or a quantitative cell that is not a finite number,
-    and for a record that ``csv.reader`` rejects, such as one holding a
-    cell over its field size limit (no column; in the header, no row),
-    :class:`UnknownCategoryError` for a value outside a declared
-    vocabulary.  Columns are checked in schema order.  A file that is not
-    UTF-8 raises :class:`DataError` naming it.
+    its column.  The whole file is read before any other problem is
+    raised, and the first problem of each kind is raised in this order:
+
+    1. a record that ``csv.reader`` rejects, such as one holding a cell
+       over its field size limit (:class:`ParseError`, no column; in the
+       header, no row), or a file that is not UTF-8 (:class:`DataError`
+       naming it);
+    2. a schema column missing from the header
+       (:class:`MissingColumnError`), then one named there twice
+       (:class:`ParseError`), each the first in schema order;
+    3. a row too short to hold every schema column (:class:`ParseError`);
+    4. an incomplete schema once vocabularies are inferred
+       (:meth:`FeatureSchema.validate_complete`);
+    5. in schema order, a column's first bad cell: a quantitative cell
+       that is not a finite number (:class:`ParseError`) or a value
+       outside a declared vocabulary (:class:`UnknownCategoryError`).
     """
     reader = csv.reader(_read_lines(path, newline=""))
-    header, rows = None, []
     try:
         header = next(reader)
-        for row in reader:
-            if row:
-                rows.append(row)
     except StopIteration:
         raise ParseError("empty file: header row required") from None
     except csv.Error as exc:
-        if header is None:
-            raise ParseError(f"header (line {reader.line_num}): {exc}") from None
-        raise ParseError(f"row {len(rows)} (line {reader.line_num}): {exc}",
-                         row=len(rows)) from None
+        raise ParseError(f"header (line {reader.line_num}): {exc}") from None
 
-    for col in schema.columns:
-        if col.name not in header:
-            raise MissingColumnError(f"column {col.name!r} missing from CSV header")
-    positions = [header.index(c.name) for c in schema.columns]
-    width = max(positions) + 1
-    if rows and min(map(len, rows)) < width:
-        i = next(i for i, row in enumerate(rows) if len(row) < width)
-        name = next(c.name for c, pos in zip(schema.columns, positions) if pos >= len(rows[i]))
-        raise ParseError(f"row {i}: too few cells", row=i, column=name)
-    cells = {c.name: [row[pos] for row in rows] for c, pos in zip(schema.columns, positions)}
+    problem = None  # the first header or short-row problem; later blocks are not converted
+    missing = [c.name for c in schema.columns if c.name not in header]
+    twice = [c.name for c in schema.columns if header.count(c.name) > 1]
+    if missing:
+        problem = MissingColumnError(f"column {missing[0]!r} missing from CSV header")
+    elif twice:
+        problem = ParseError(f"column {twice[0]!r} appears more than once in the CSV header",
+                             column=twice[0])
+    else:
+        positions = [header.index(c.name) for c in schema.columns]
+        width = max(positions) + 1
+    chunks = [_ColumnChunks(c) for c in schema.columns]
+    n = 0
+    for start, block in _row_blocks(reader):
+        n = start + len(block)
+        if problem is not None:
+            continue
+        if min(map(len, block)) < width:
+            i = next(i for i, row in enumerate(block) if len(row) < width)
+            name = next(c.name for c, pos in zip(schema.columns, positions) if pos >= len(block[i]))
+            problem = ParseError(f"row {start + i}: too few cells", row=start + i, column=name)
+            continue
+        columns = list(zip(*block))
+        for chunk, pos in zip(chunks, positions):
+            chunk.add(start, columns[pos])
+        del columns  # before the next block is read
+    if problem is not None:
+        raise problem
 
-    # Infer vocabularies left open by the schema (sorted for determinism).
-    schema = FeatureSchema(tuple(
-        c if c.kind == "quantitative" or c.vocabulary
-        else replace(c, vocabulary=tuple(sorted(set(cells[c.name]))))
-        for c in schema.columns))
+    schema = FeatureSchema(tuple(chunk.column for chunk in chunks))
     schema.validate_complete()
-    values = {c.name: _convert(cells[c.name], c) for c in schema.columns}
+    for chunk in chunks:
+        if chunk.error is not None:
+            raise chunk.error
+    values = {chunk.col.name: chunk.values() for chunk in chunks}
     cf = [values[c.name] for c in schema.cf_columns]
     return Dataset(schema=schema, of_values=tuple(values[c.name] for c in schema.of_columns),
                    labels=values[schema.label_column.name],
-                   cf_truth=np.column_stack(cf) if cf else np.zeros((len(rows), 0), dtype=np.int64))
+                   cf_truth=np.column_stack(cf) if cf else np.zeros((n, 0), dtype=np.int64))
 
 
-def _convert(cells: list[str], col: Column) -> np.ndarray:
-    """One column as float64 values or 1-based int64 codes; a failure scans for its row."""
-    if col.kind != "quantitative":
-        lookup = {v: i + 1 for i, v in enumerate(col.vocabulary)}
-        try:
-            return np.array([lookup[v] for v in cells], dtype=np.int64)
-        except KeyError:
-            i = next(i for i, v in enumerate(cells) if v not in lookup)
-            raise UnknownCategoryError(
-                f"row {i}: value {cells[i]!r} not in vocabulary of column {col.name!r}",
-                row=i, column=col.name,
-            ) from None
+def _row_blocks(reader):
+    """Yield ``(start, rows)`` for each run of up to ``_CSV_BLOCK``
+    non-blank records, ``start`` being the data-row index of the first.
+    The list is emptied before the next block is read.  A record that
+    ``csv.reader`` rejects raises :class:`ParseError` naming its row."""
+    start, block = 0, []
     try:
-        values = np.array([float(v) for v in cells], dtype=np.float64)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    for i, v in enumerate(cells):
+        for row in reader:
+            if row:
+                block.append(row)
+                if len(block) == _CSV_BLOCK:
+                    yield start, block
+                    start += len(block)
+                    block.clear()
+    except csv.Error as exc:
+        row = start + len(block)
+        raise ParseError(f"row {row} (line {reader.line_num}): {exc}", row=row) from None
+    if block:
+        yield start, block
+
+
+class _ColumnChunks:
+    """One schema column read block by block: its typed chunks, its
+    vocabulary so far, and its first bad cell."""
+
+    def __init__(self, col: Column):
+        self.col = col
+        self.infer = col.kind != "quantitative" and not col.vocabulary
+        # Declared: the code of each value.  Inferred: the order in which
+        # each value first appeared, 0-based; renumbered in values().
+        self.codes = {v: i + 1 for i, v in enumerate(col.vocabulary)}
+        self.chunks = []
+        self.error = None
+
+    @property
+    def column(self) -> Column:
+        """The column, its vocabulary filled in when inferred (sorted)."""
+        return replace(self.col, vocabulary=tuple(sorted(self.codes))) if self.infer else self.col
+
+    def add(self, start: int, cells: tuple[str, ...]):
+        """Convert the cells of one block whose first row is data row
+        ``start``; after the column's first bad cell, do nothing."""
+        if self.error is not None:
+            return
+        col = self.col
+        if col.kind == "quantitative":
+            try:
+                values = np.fromiter(map(float, cells), np.float64, len(cells))
+                if np.isfinite(values).all():
+                    self.chunks.append(values)
+                    return
+            except ValueError:
+                pass
+            i = next(i for i, v in enumerate(cells) if not _is_finite(v))
+            self.error = ParseError(
+                f"row {start + i}: {cells[i]!r} is not a finite number in column {col.name!r}",
+                row=start + i, column=col.name)
+            return
+        if self.infer:
+            for v in dict.fromkeys(cells):
+                self.codes.setdefault(v, len(self.codes))
         try:
-            if np.isfinite(float(v)):
-                continue
-        except ValueError:
-            pass
-        raise ParseError(f"row {i}: {v!r} is not a finite number in column {col.name!r}",
-                         row=i, column=col.name)
+            self.chunks.append(np.fromiter(map(self.codes.__getitem__, cells), np.int64,
+                                           len(cells)))
+        except KeyError:
+            i = next(i for i, v in enumerate(cells) if v not in self.codes)
+            self.error = UnknownCategoryError(
+                f"row {start + i}: value {cells[i]!r} not in vocabulary of column {col.name!r}",
+                row=start + i, column=col.name)
+
+    def values(self) -> np.ndarray:
+        """The joined chunks: float64 values or 1-based int64 codes."""
+        dtype = np.float64 if self.col.kind == "quantitative" else np.int64
+        values = np.concatenate(self.chunks) if self.chunks else np.zeros(0, dtype)
+        self.chunks = []
+        if self.infer:
+            rank = {v: i + 1 for i, v in enumerate(sorted(self.codes))}
+            values = np.array([rank[v] for v in self.codes], dtype=np.int64)[values]
+        return values
+
+
+def _is_finite(text: str) -> bool:
+    try:
+        return bool(np.isfinite(float(text)))
+    except ValueError:
+        return False
 
 
 def write_csv(ds: Dataset, path, observed_columns: bool = False):

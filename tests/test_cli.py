@@ -391,6 +391,18 @@ class TestExitCodes:
         assert main(["prepare", *bank_csv]) == 3
         assert capsys.readouterr().err.startswith("data error: row 0 (line 2)")
 
+    def test_duplicated_header_column_exits_3(self, bank_csv, capsys):
+        """A header naming a schema column twice is a data error naming
+        the column."""
+        path = bank_csv[1]
+        with open(path, encoding="utf-8") as fh:
+            header, *rows = fh.readlines()
+        first = header.split(",")[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{header.rstrip()},{first}\n" + "".join(f"{r.rstrip()},0\n" for r in rows))
+        assert main(["prepare", *bank_csv]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: column {first!r} appears")
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_source_without_two_rows_exits_3(self, tmp_path, capsys, rows):
         ds, _ = make_bank_like(60, seed=0)

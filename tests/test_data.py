@@ -1,7 +1,11 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from compfeat import data
 from compfeat.data import (
     STREAM_GUESS,
     STREAM_OBSERVE,
@@ -23,6 +27,7 @@ from compfeat.errors import (
     ParseError,
     UnknownCategoryError,
 )
+from compfeat.oracle import make_bank_like
 
 from conftest import build_dataset
 
@@ -112,6 +117,42 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, tiny_schema)
         assert err.value.row == 0 and err.value.column == "age"
+
+    def test_duplicated_schema_column_in_header(self, tiny_schema, tmp_path):
+        """A header naming a schema column twice is refused, not read from
+        its first copy."""
+        path = tmp_path / "d.csv"
+        path.write_text("age,color,status,y,age\n1.0,blue,a,no,2.0\n")
+        with pytest.raises(ParseError, match="'age' appears more than once") as err:
+            load_csv(path, tiny_schema)
+        assert (err.value.row, err.value.column) == (None, "age")
+
+    def test_duplicated_extra_column_is_ignored(self, tiny_schema, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(CSV_TEXT.replace("extra", "extra,extra").replace("junk", "junk,junk"))
+        assert load_csv(path, tiny_schema).n == 3
+
+    def test_crlf_quoted_cells_and_inferred_vocabularies(self, tmp_path):
+        """CRLF line ends and quoted cells holding commas, quotes and line
+        breaks read as their text; the vocabularies inferred from them
+        sort lexicographically."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'age,work,status,y\r\n"1.5","b,c",a,no\r\n'
+                         b'2,"say ""hi""",b,yes\r\n\r\n3e0,"two\r\nlines",c,no\r\n'
+                         b'-4,"b,c",a,yes\r\n')
+        schema = FeatureSchema((
+            Column("age", "quantitative", "OF"),
+            Column("work", "categorical", "OF"),
+            Column("status", "categorical", "CF"),
+            Column("y", "binary", "label"),
+        ))
+        ds = load_csv(path, schema)
+        assert ds.schema.columns[1].vocabulary == ("b,c", 'say "hi"', "two\r\nlines")
+        assert ds.schema.columns[3].vocabulary == ("no", "yes")
+        np.testing.assert_array_equal(ds.of_values[0], [1.5, 2.0, 3.0, -4.0])
+        np.testing.assert_array_equal(ds.of_values[1], [1, 2, 3, 1])
+        np.testing.assert_array_equal(ds.cf_truth[:, 0], [1, 2, 3, 1])
+        np.testing.assert_array_equal(ds.labels, [1, 2, 1, 2])
 
     def test_unknown_category(self, tiny_schema, tmp_path):
         path = tmp_path / "d.csv"
@@ -238,6 +279,112 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.labels, ds.labels)
         write_csv(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestLoadCsvInSmallBlocks(TestLoadCsv):
+    """Every :class:`TestLoadCsv` case again, with ``load_csv`` reading
+    one or two data rows per block."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["block1", "block2"])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(data, "_CSV_BLOCK", request.param)
+
+
+def block_rows(*rows):
+    """CSV text for ``tiny_schema`` with each given row in turn, or a
+    valid row where one is None."""
+    return "age,color,status,y\n" + "".join(f"{r or '1.0,blue,a,no'}\n" for r in rows)
+
+
+BIG = '"' + "x" * 200_000 + '"'
+
+
+class TestLoadCsvAcrossBlocks:
+    """Problems in different blocks of three data rows: the first of each
+    kind is raised, in the order the docstring of ``load_csv`` gives,
+    with its row counted over the whole file."""
+
+    @pytest.fixture(autouse=True)
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(data, "_CSV_BLOCK", 3)
+
+    @pytest.mark.parametrize("text, kind, row, column", [
+        (block_rows(None, None, None, None, "x,blue,a,no"), ParseError, 4, "age"),
+        (block_rows(None, None, None, None, "1.0,blue,mauve,no"), UnknownCategoryError, 4,
+         "status"),
+        # A column's first bad row, in schema order, beats an earlier bad row of a later column.
+        (block_rows(None, "1.0,blue,mauve,no", None, "inf,blue,a,no"), ParseError, 3, "age"),
+        # The reader error in block 3 beats the bad number in block 1.
+        (block_rows(None, "nope,blue,a,no", None, None, None, None, f"1.0,{BIG},a,no"),
+         ParseError, 6, None),
+        # The short row in block 2 beats the bad number before it.
+        (block_rows("nope,blue,a,no", None, None, None, "1.0,blue"), ParseError, 4, "status"),
+        # The missing column beats a bad number in a later block.
+        (block_rows(None, None, None, "nope,blue,a,no").replace("status", "state", 1),
+         MissingColumnError, None, None),
+        # The reader error beats the missing column and the short row.
+        (block_rows(None, "1.0", None, None, None, None, f"1.0,{BIG},a,no").replace(
+            ",y", ",why", 1), ParseError, 6, None),
+    ], ids=["bad_number_in_block_2", "unknown_category_in_block_2", "schema_order",
+            "reader_error_beats_bad_number", "short_row_beats_bad_number",
+            "missing_column_beats_bad_number", "reader_error_beats_missing_column"])
+    def test_first_problem_wins(self, tiny_schema, tmp_path, text, kind, row, column):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_csv(path, tiny_schema)
+        assert type(err.value) is kind
+        assert (getattr(err.value, "row", None), getattr(err.value, "column", None)) == (row,
+                                                                                      column)
+
+    def test_incomplete_schema_beats_bad_number(self, tmp_path):
+        """A binary label inferred with three values across blocks is
+        refused before the bad number in block 1."""
+        path = tmp_path / "d.csv"
+        path.write_text(block_rows("nope,blue,a,no", None, None, None, "1.0,blue,a,yes",
+                                   None, "1.0,blue,a,maybe"))
+        schema = FeatureSchema((
+            Column("age", "quantitative", "OF"),
+            Column("y", "binary", "label"),
+        ))
+        with pytest.raises(DataError, match="binary column 'y' needs exactly 2 values") as err:
+            load_csv(path, schema)
+        assert type(err.value) is DataError
+
+    def test_inferred_vocabulary_spans_blocks(self, tmp_path):
+        """Values first seen in different blocks get the codes of the
+        whole column's sorted vocabulary."""
+        colors = ["red", "teal", "red", "blue", "red", "blue", "green", "blue", "teal", "aqua"]
+        path = tmp_path / "d.csv"
+        path.write_text(block_rows(*(f"{i}.0,{c},a,no" for i, c in enumerate(colors))))
+        schema = FeatureSchema((
+            Column("age", "quantitative", "OF"),
+            Column("color", "categorical", "OF"),
+            Column("status", "categorical", "CF", ("a", "b", "c")),
+            Column("y", "binary", "label", ("no", "yes")),
+        ))
+        ds = load_csv(path, schema)
+        vocabulary = tuple(sorted(set(colors)))
+        assert ds.schema.columns[1].vocabulary == vocabulary
+        np.testing.assert_array_equal(ds.of_values[1], [vocabulary.index(c) + 1 for c in colors])
+        np.testing.assert_array_equal(ds.of_values[0], np.arange(10.0))
+
+
+def test_load_csv_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """``load_csv`` reads a 10,000-row bank-like CSV with a traced peak
+    under 4x the file's bytes; reading every row as Python strings
+    before converting took 9.4x."""
+    ds, _ = make_bank_like(10_000, seed=0)
+    path = tmp_path / "bank.csv"
+    write_csv(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_csv(path, ds.schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n == 10_000
+    assert peak < 4 * os.path.getsize(path)
 
 
 class TestDatasetInvariants:
