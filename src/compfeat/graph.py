@@ -15,13 +15,14 @@ the simplex (see :func:`optimality_gap`).
 
 Neighbors are ranked by the exact squared distances
 ``((x_i - x_j) ** 2).sum()``, ties by ascending index.  Per block of 64
-rows, GEMM distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j pick 2k candidates,
-which a stable sort re-ranks by exact distance.  Both distances lie
-within (d + 2) u (|x_i| + |x_j|)^2 of the real one (u = eps / 2, any
-summation order), so the candidates hold the k nearest when the GEMM
-gap between the k-th and (2k+1)-th exceeds 2 (2d + 4) eps
-(|x_i| + max |x|)^2, a factor-2 margin; other rows (ties or near ties at
-the k-th place, large common offsets) rank all n rows exactly.
+rows, one partition of the GEMM distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j
+picks the 2k smallest as candidates, and a stable sort re-ranks them by
+exact distance.  Both distances lie within (d + 2) u (|x_i| + |x_j|)^2
+of the real one (u = eps / 2, any summation order), so the candidates
+hold the k nearest when the GEMM gap between the k-th and (2k+1)-th
+exceeds 2 (2d + 4) eps (|x_i| + max |x|)^2, a factor-2 margin; other
+rows (ties or near ties at the k-th place, large common offsets) rank
+all n rows exactly.  Instance vectors must be finite.
 
 The graph is row-stochastic with an empty diagonal and is computed once
 per propagation round, never per iteration.  Its product with the
@@ -137,6 +138,12 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
 
     Distance ties break by ascending index (the module docstring gives
     the exactness contract).  The effective k is min(k, n-1).
+
+    Each block of rows forms its GEMM distances in place and partitions
+    them once, at c = min(2k, n - 1): the first c columns are the
+    candidates and column c is the (c+1)-th smallest distance.  The
+    certificate's k-th smallest distance is the same order statistic of
+    the c candidates' values, so a partition of those c values gives it.
     """
     x = _vectors(x)
     n, d = x.shape
@@ -153,12 +160,17 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
     for start in range(0, n, _KNN_BLOCK):
         rows = np.arange(start, min(start + _KNN_BLOCK, n))
         local = rows - start
-        approx = sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
+        approx = x[rows] @ x.T
+        approx *= -2.0
+        approx += sq[None, :]
+        approx += sq[rows, None]
         approx[local, rows] = np.inf
-        part = np.argpartition(approx, (k_eff - 1, c), axis=1)
+        part = np.argpartition(approx, c, axis=1)
+        kept = np.take_along_axis(approx, part[:, :c + 1], axis=1)
+        kth = np.partition(kept[:, :c], k_eff - 1, axis=1)[:, k_eff - 1]
         # Every index outside the first c is farther, exactly, than the
         # k-th nearest when the approximate gap exceeds twice the bound.
-        certified = approx[local, part[:, c]] - approx[local, part[:, k_eff - 1]] > 2.0 * err[rows]
+        certified = kept[:, c] - kth > 2.0 * err[rows]
         cand = np.sort(part[:, :c], axis=1)
         order = np.argsort(((x[rows, None, :] - x[cand]) ** 2).sum(axis=-1), axis=1, kind="stable")
         out[rows] = np.take_along_axis(cand, order[:, :k_eff], axis=1)
@@ -170,10 +182,12 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _vectors(x: np.ndarray) -> np.ndarray:
-    """``x`` as an (n, d) float64 array of instance vectors."""
+    """``x`` as an (n, d) float64 array of finite instance vectors."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError("expected a 2-D array of instance vectors")
+    if not np.isfinite(arr).all():
+        raise DataError("instance vectors must be finite")
     return arr
 
 
@@ -213,7 +227,8 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
 
     Rows are solved in blocks of ``_SOLVE_BLOCK`` rows, each by one
     batched active set (:func:`_solve_block`), which keeps the stacked
-    (rows, k, d) temporaries small.  Rows whose gradient at uniform
+    (rows, k, d) temporaries small; each equality solve is sized to the
+    block's largest live support, not to k.  Rows whose gradient at uniform
     weights is flat (all neighbors coincide with each other) keep
     exactly uniform weights.
     """
@@ -231,9 +246,8 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
     """Simplex weights of a block of rows from their (m, k, d) offsets x_i - x_nb.
 
     A primal active set run on all unfinished rows at once.  Each
-    iteration solves every row's ridge Gram restricted to its support,
-    with off-support coordinates pinned to 0 by identity rows, in one
-    stacked ``np.linalg.solve``.  A row whose solution is nonnegative
+    iteration solves every row's ridge Gram restricted to its support in
+    one stacked ``np.linalg.solve``.  A row whose solution is nonnegative
     moves there, then retires if no off-support coordinate has a smaller
     gradient than the support's common one, and otherwise adds the
     smallest.  Any other row steps toward its solution until a
@@ -253,6 +267,11 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
 
     The support solve is the bordered KKT system [C 1; 1' 0] with the
     multiplier eliminated: solve C_S w = 1 and normalize w to sum 1.
+    Each iteration gathers every live row's C_S, its support slots in
+    ascending order, into one (m, s, s) stack, s the largest live
+    support; a row with a smaller support fills its last slots with
+    off-support coordinates pinned to 0 by identity rows.  The solutions
+    are scattered back to the row's k slots.
     Rows still unfinished after 6k + 16 iterations keep their current
     feasible point; on bank-like data every row finishes within 31.
     """
@@ -269,24 +288,31 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
     gram[:, eye] += (_RIDGE / k) * trace[:, None]
 
     live = np.flatnonzero(~flat)
-    gram, tol, start = gram[live], tol[live], nearest[live]
+    tol, start = tol[live], nearest[live]
     r = np.arange(live.size)
     support = np.zeros((live.size, k), dtype=bool)
     support[r, start] = True
     h = support.astype(np.float64)
     # The first iteration, at the vertex e_j, without a solve.
-    off = np.where(support, np.inf, gram[r, :, start])
+    off = np.where(support, np.inf, gram[live, :, start])
     worst = off.argmin(axis=1)
-    done = off[r, worst] >= gram[r, start, start] - tol
+    done = off[r, worst] >= gram[live, start, start] - tol
     support[r[~done], worst[~done]] = True
     out[live[done]] = h[done]
     keep = ~done
-    live, gram, h, support, tol = live[keep], gram[keep], h[keep], support[keep], tol[keep]
+    live, h, support, tol = live[keep], h[keep], support[keep], tol[keep]
     for _ in range(6 * k + 15):
         if not live.size:
             break
-        system = np.where(support[:, :, None] & support[:, None, :], gram, eye)
-        target = np.linalg.solve(system, support[..., None].astype(np.float64))[..., 0]
+        size = support.sum(axis=1)
+        s = size.max()
+        slots = np.argsort(~support, axis=1, kind="stable")[:, :s]  # support first
+        on = np.arange(s) < size[:, None]
+        sub = gram[live[:, None, None], slots[:, :, None], slots[:, None, :]]
+        system = np.where(on[:, :, None] & on[:, None, :], sub, eye[:s, :s])
+        sol = np.linalg.solve(system, on[..., None].astype(np.float64))[..., 0]
+        target = np.zeros(support.shape)
+        np.put_along_axis(target, slots, np.where(on, sol, 0.0), axis=1)
         target /= target.sum(axis=1, keepdims=True)
         done = np.zeros(live.size, dtype=bool)
 
@@ -294,7 +320,7 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
         if feasible.any():
             hf = np.maximum(target[feasible], 0.0)
             hf /= hf.sum(axis=1, keepdims=True)
-            grad = (gram[feasible] @ hf[..., None])[..., 0]
+            grad = (gram[live[feasible]] @ hf[..., None])[..., 0]
             mu = (grad * hf).sum(axis=1)
             off = np.where(support[feasible], np.inf, grad)
             worst = off.argmin(axis=1)
@@ -321,7 +347,7 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
 
         out[live[done]] = h[done]
         keep = ~done
-        live, gram, h, support, tol = live[keep], gram[keep], h[keep], support[keep], tol[keep]
+        live, h, support, tol = live[keep], h[keep], support[keep], tol[keep]
     out[live] = h
     return out
 

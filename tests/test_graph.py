@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from compfeat.errors import DataError
 from compfeat.graph import (
+    _KKT_TOL,
     _RIDGE,
     WeightGraph,
     _weight_gradients,
@@ -182,6 +183,62 @@ class TestKnnExactness:
         for enc in (enc1, enc2):
             np.testing.assert_array_equal(knn(enc, 20), stable_argsort_knn(enc, 20))
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_ties_straddle_the_partition_index(self, k):
+        """One row sits at the origin; three rows are nearer than 1, and
+        the 60 rows with two entries of +-1 in 6-D tie at distance 2 and
+        hold places 3 to 62 of its order, across the partition index
+        c = 2k.  At k = 2, 3 the k-th place is certified and the
+        candidates end inside the tie; at k = 4, 5 the tie also holds
+        the k-th place.  Shuffled, so the tie's lowest indices are
+        scattered among the partition's arbitrary picks."""
+        pairs = [(a, b, sa, sb) for a, b in itertools.combinations(range(6), 2)
+                 for sa in (-1.0, 1.0) for sb in (-1.0, 1.0)]
+        x = np.zeros((64, 6))
+        for r, (a, b, sa, sb) in enumerate(pairs):
+            x[r, a], x[r, b] = sa, sb
+        x[61:, :3] = np.diag([0.5, 0.6, 0.7])
+        x = x[np.random.default_rng(k).permutation(64)]
+        origin = int(np.flatnonzero(~x.any(axis=1))[0])
+        d2 = np.delete(np.sort(((x - x[origin]) ** 2).sum(axis=1)), 0)
+        assert d2[2 * k - 1] == d2[2 * k] == 2.0
+        np.testing.assert_array_equal(knn(x, k), stable_argsort_knn(x, k))
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (9, 4), (41, 20), (41, 30)])
+    def test_candidates_are_every_other_row(self, n, k):
+        """c = n - 1: the partition index lands on the row's own inf."""
+        x = np.random.default_rng(n + k).integers(0, 3, size=(n, 3)).astype(np.float64)
+        assert min(2 * min(k, n - 1), n - 1) == n - 1
+        np.testing.assert_array_equal(knn(x, k), stable_argsort_knn(x, k))
+
+    def test_block_where_every_row_takes_the_full_scan(self):
+        """A common offset of 1e8 makes knn's rounding bound about 260,
+        while exact distances differ by at most 12, so no row of the
+        first block of 64 (nor the rest) can pass the certificate."""
+        x = 1e8 + np.random.default_rng(12).integers(0, 3, size=(70, 3)).astype(np.float64)
+        n, d = x.shape
+        k = 5
+        norms = np.sqrt((x * x).sum(axis=1))
+        err = (2 * d + 4) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
+        d2 = np.sort(((x[:, None, :] - x[None]) ** 2).sum(axis=-1), axis=1)[:, 1:]
+        assert (d2[:, 2 * k] - d2[:, k - 1] <= err).all()
+        np.testing.assert_array_equal(knn(x, k), stable_argsort_knn(x, k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stage", ["knn", "solve_weights", "build_graph"])
+def test_non_finite_instance_vectors_rejected(bad, stage):
+    """A non-finite entry is a DataError, not a row that ranks itself as
+    its own nearest neighbor."""
+    x = np.random.default_rng(13).normal(size=(8, 2))
+    nb = knn(x, 3)
+    x[3, 1] = bad
+    calls = {"knn": lambda: knn(x, 3),
+             "solve_weights": lambda: solve_weights(x, nb),
+             "build_graph": lambda: build_graph(x, 3)}
+    with pytest.raises(DataError, match="finite"):
+        calls[stage]()
+
 
 class TestSolveWeights:
     def test_coincident_neighbor_gets_all_weight(self):
@@ -297,6 +354,40 @@ class TestSolveWeights:
             np.testing.assert_array_equal(g.weights[degenerate], 1.0 / 20)
             degenerate_seen += int(degenerate.sum())
         assert degenerate_seen > 0
+
+    def test_mixed_support_sizes_and_a_shrink_step(self, monkeypatch):
+        """One block of 150 rows at k = 8 in 3-D: a stacked solve holds
+        live rows of different support sizes, and some row's support
+        solution is infeasible, so it takes the shrink step.  The weights
+        are still the ridge optimum and meet the gap bound."""
+        solves = []
+        solve = np.linalg.solve
+
+        def spying_solve(system, rhs):
+            sol = solve(system, rhs)
+            size = rhs[..., 0].sum(axis=1)
+            target = sol[..., 0] / sol[..., 0].sum(axis=1, keepdims=True)
+            solves.append((np.ptp(size) > 0, (target < -1e-12).any()))
+            return sol
+
+        monkeypatch.setattr(np.linalg, "solve", spying_solve)
+        x = np.random.default_rng(14).normal(size=(150, 3))
+        k = 8
+        nb = knn(x, k)
+        g = solve_weights(x, nb)
+        monkeypatch.undo()
+        assert any(mixed for mixed, _ in solves)
+        assert any(shrink for _, shrink in solves)
+        a = x[nb]
+        gram = a @ a.transpose(0, 2, 1)
+        c = (a * x[:, None, :]).sum(axis=-1)
+        trace = ((x[:, None, :] - a) ** 2).sum(axis=(1, 2))
+        for i in range(x.shape[0]):
+            ridge = _RIDGE * trace[i] / k * np.eye(k)
+            ref = reference_simplex_qp(gram[i] + ridge, c[i], kkt_tol=1e-14 * trace[i])
+            np.testing.assert_allclose(g.weights[i], ref, rtol=0, atol=1e-5)
+        # solve_weights' bound on the unregularized gap.
+        assert (optimality_gap(x, g) <= (_RIDGE / 4 + k * _KKT_TOL) * trace / k).all()
 
     def test_matches_ridge_reference_weights(self, bank_like_rounds):
         """The weights, not just the objective, are the ridge optimum: the
