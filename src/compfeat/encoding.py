@@ -38,7 +38,7 @@ def encode_of(ds: Dataset) -> np.ndarray:
     parts = []
     for col, arr in zip(ds.schema.of_columns, ds.of_values):
         if col.kind == "quantitative":
-            lo, hi = float(arr.min()), float(arr.max())
+            lo, hi = (float(arr.min()), float(arr.max())) if ds.n else (0.0, 0.0)
             span = hi - lo
             if math.isinf(span):  # finite extremes whose gap overflows; halving is exact
                 arr, lo, span = arr / 2, lo / 2, hi / 2 - lo / 2

@@ -7,8 +7,9 @@ neighbors in the encoded space: per row i the weights solve
     s.t.  h >= 0,  sum h = 1,
 
 plus a tiny ridge that makes the optimum unique (:func:`solve_weights`).
-An active set finds it from the vertex of the nearest neighbor and stops
-well below the ridge, so the start does not change the weights.
+One active-set loop finds it from the vertex of the nearest neighbor and
+stops well below the ridge, so the start does not change the weights.
+The neighbor lists are checked once, before any solve.
 Optimality is certified by the duality gap  g(h)^T h - min_j g_j(h),
 which upper-bounds the objective suboptimality for convex problems over
 the simplex (see :func:`optimality_gap`).
@@ -46,7 +47,8 @@ _FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class WeightGraph:
-    """Sparse row-stochastic similarity graph (<= k neighbors per row).
+    """Sparse row-stochastic similarity graph (<= k neighbors per row),
+    its neighbor lists checked as :func:`solve_weights` checks them.
 
     Besides the (n, k) slots, the graph keeps a compact form of its
     nonzero weights for :func:`propagate_step`, built once here rather
@@ -62,21 +64,13 @@ class WeightGraph:
     weights: np.ndarray    # (n, k) float64, nonnegative, rows sum to 1
 
     def __post_init__(self):
-        nb = np.array(self.neighbors, dtype=np.int64, copy=True)
+        nb = _neighbor_lists(self.neighbors)
         w = np.array(self.weights, dtype=np.float64, copy=True)
-        if nb.shape != w.shape or nb.ndim != 2:
+        if w.shape != nb.shape:
             raise ShapeMismatchError("neighbors and weights must share an (n, k) shape")
-        n = nb.shape[0]
-        if nb.size:
-            if nb.min() < 0 or nb.max() >= n:
-                raise DataError("neighbor index out of range")
-            if np.any(nb == np.arange(n)[:, None]):
-                raise DataError("self loops are not allowed")
-            if nb.shape[1] > 1 and (np.diff(np.sort(nb, axis=1), axis=1) == 0).any():
-                raise DataError("duplicate neighbor indices in a row")
-            if (not np.isfinite(w).all() or w.min() < 0.0
-                    or np.abs(w.sum(axis=1) - 1.0).max() > 1e-10):
-                raise DataError("weights must be finite, nonnegative and sum to 1 per row")
+        if (not np.isfinite(w).all() or w.min() < 0.0
+                or np.abs(w.sum(axis=1) - 1.0).max() > 1e-10):
+            raise DataError("weights must be finite, nonnegative and sum to 1 per row")
         nb.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "neighbors", nb)
@@ -110,17 +104,16 @@ def propagate_step(graph: WeightGraph, q: np.ndarray) -> np.ndarray:
     """One confidence-propagation step, H @ Q, for all CFs at once.
 
     Row i sums w_ij q[nb(i, j)] over its nonzero weights only, in slot
-    order, from the graph's compact form: rank j adds every row's j-th
-    nonzero term to the prefix of rows that have one.  That is exactly,
-    bit for bit, the sum over all k slots in slot order, because a
-    skipped term is 0 * q = 0 for finite q, and x + 0 = x.  Only weights
-    equal to 0 are skipped, never small ones.
+    order, from the graph's compact form: rank 0 starts every row, which
+    has a nonzero weight, and rank j adds each row's j-th nonzero term to
+    the prefix of rows that have one.  That is exactly, bit for bit, the
+    sum over all k slots in slot order, because a skipped term is
+    0 * q = 0 for finite q, and x + 0 = x.  Only weights equal to 0 are
+    skipped, never small ones.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != graph.n:
         raise ShapeMismatchError(f"confidences have {q.shape[0]} rows, graph has {graph.n}")
-    if not graph._rank_slots:  # a graph with no rows or no slots
-        return np.zeros(q.shape)
     (idx, w), *rest = graph._rank_slots
     acc = q.take(idx, axis=0)
     acc *= w
@@ -191,6 +184,22 @@ def _vectors(x: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _neighbor_lists(neighbors: np.ndarray, n: int | None = None) -> np.ndarray:
+    """``neighbors`` as a new, checked (n, k) int64 array; n defaults to its rows."""
+    nb = np.array(neighbors, dtype=np.int64)
+    if nb.ndim != 2 or (n is not None and nb.shape[0] != n):
+        raise ShapeMismatchError(f"neighbor lists need one row per instance, got shape {nb.shape}")
+    if not nb.size:
+        raise DataError(f"a graph needs at least one row and one neighbor slot, got {nb.shape}")
+    if nb.min() < 0 or nb.max() >= nb.shape[0]:
+        raise DataError("neighbor index out of range")
+    if np.any(nb == np.arange(nb.shape[0])[:, None]):
+        raise DataError("self loops are not allowed")
+    if (np.diff(np.sort(nb, axis=1), axis=1) == 0).any():
+        raise DataError("duplicate neighbor indices in a row")
+    return nb
+
+
 def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
     """Simplex-constrained least-squares weights for the given neighbor lists.
 
@@ -225,15 +234,15 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
     2.5e-10 tr(C) / k at k = 20 and dominated by the ridge's delta / 4,
     at any scale.
 
-    Rows are solved in blocks of ``_SOLVE_BLOCK`` rows, each by one
-    batched active set (:func:`_solve_block`), which keeps the stacked
-    (rows, k, d) temporaries small; each equality solve is sized to the
-    block's largest live support, not to k.  Rows whose gradient at uniform
-    weights is flat (all neighbors coincide with each other) keep
-    exactly uniform weights.
+    ``neighbors`` is checked before anything is gathered, as
+    :class:`WeightGraph` checks it, with n = len(x).  Rows are solved in
+    blocks of ``_SOLVE_BLOCK`` rows, each by one batched active set
+    (:func:`_solve_block`), which keeps the stacked (rows, k, d)
+    temporaries small.  Rows whose gradient at uniform weights is flat
+    (all neighbors coincide with each other) keep exactly uniform weights.
     """
     x = _vectors(x)
-    nb = np.asarray(neighbors, dtype=np.int64)
+    nb = _neighbor_lists(neighbors, x.shape[0])
     n, k = nb.shape
     h = np.empty((n, k))
     for start in range(0, n, _SOLVE_BLOCK):
@@ -256,14 +265,12 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
 
     Each row starts at the vertex of its nearest neighbor, h = e_j with
     j = argmin C_jj (ties to the lowest slot), a support of one, in the
-    manner of Lawson and Hanson's NNLS.  The first iteration needs no
-    solve: a support of one solves to its vertex, where the gradient is
-    column j of the ridge Gram and the support's common gradient is
-    C_jj, so rows whose vertex is optimal retire at once and the others
-    add their worst violator.  Final supports on bank-like data hold 5
-    to 7 of k = 20 coordinates on average, so growing them takes 6 to 9
-    equality solves per row, where shrinking the full support took 15
-    to 17.
+    manner of Lawson and Hanson's NNLS.  The first iteration is the
+    loop's own: the support of one solves to exactly e_j, the gradient
+    is column j of the ridge Gram and the common gradient is C_jj, so
+    rows whose vertex is optimal retire at once and the others add
+    their worst violator.  Final supports on bank-like data hold 5 to 7
+    of k = 20 coordinates on average, 6 to 9 equality solves per row.
 
     The support solve is the bordered KKT system [C 1; 1' 0] with the
     multiplier eliminated: solve C_S w = 1 and normalize w to sum 1.
@@ -288,20 +295,11 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
     gram[:, eye] += (_RIDGE / k) * trace[:, None]
 
     live = np.flatnonzero(~flat)
-    tol, start = tol[live], nearest[live]
-    r = np.arange(live.size)
+    tol = tol[live]
     support = np.zeros((live.size, k), dtype=bool)
-    support[r, start] = True
+    support[np.arange(live.size), nearest[live]] = True
     h = support.astype(np.float64)
-    # The first iteration, at the vertex e_j, without a solve.
-    off = np.where(support, np.inf, gram[live, :, start])
-    worst = off.argmin(axis=1)
-    done = off[r, worst] >= gram[live, start, start] - tol
-    support[r[~done], worst[~done]] = True
-    out[live[done]] = h[done]
-    keep = ~done
-    live, h, support, tol = live[keep], h[keep], support[keep], tol[keep]
-    for _ in range(6 * k + 15):
+    for _ in range(6 * k + 16):
         if not live.size:
             break
         size = support.sum(axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingTruthError
+from .errors import DataError, MissingTruthError, ShapeMismatchError
 from .propagation import EstimationResult
 
 CE_CLIP = 1e-12
@@ -31,10 +31,19 @@ class CfScore:
 
 
 def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:
-    """Score every CF of an estimation result against hidden truth codes."""
+    """Score every CF of an estimation result against hidden truth codes.
+
+    ``truth`` must be (n, F), one code in 1..u_j per row and CF: a wrong
+    shape is a :class:`ShapeMismatchError`, a code outside is a :class:`DataError`.
+    """
     if truth is None:
         raise MissingTruthError("score_cf needs ground-truth CF values")
     truth = np.asarray(truth, dtype=np.int64)
+    if truth.shape != (result.n, len(result.cf_names)):
+        raise ShapeMismatchError(f"truth of shape {truth.shape} does not fit "
+                                 f"{result.n} rows and {len(result.cf_names)} CFs")
+    if ((truth < 1) | (truth > np.array(result.sizes, dtype=np.int64))).any():
+        raise DataError(f"truth codes outside the CF codes 1..u of widths {result.sizes}")
     scores = []
     for j, name in enumerate(result.cf_names):
         block = result.block(j)

@@ -407,6 +407,22 @@ class TestDatasetInvariants:
                 cf_truth=np.array([[1]]),
             )
 
+    def test_arrays_copied_from_the_caller(self, tiny_schema):
+        """Writes to the arrays the constructor received, already of the
+        stored dtypes, leave the dataset unchanged."""
+        age, color = np.array([1.5, 2.5]), np.array([2, 3], dtype=np.int64)
+        labels = np.array([1, 2], dtype=np.int64)
+        truth, observed = np.array([[1], [2]], dtype=np.int64), np.array([[2], [3]], dtype=np.int64)
+        ds = Dataset(schema=tiny_schema, of_values=(age, color), labels=labels,
+                     cf_truth=truth, cf_observed=observed)
+        for arr in (age, color, labels, truth, observed):
+            arr[...] = 1
+        np.testing.assert_array_equal(ds.of_values[0], [1.5, 2.5])
+        np.testing.assert_array_equal(ds.of_values[1], [2, 3])
+        np.testing.assert_array_equal(ds.labels, [1, 2])
+        np.testing.assert_array_equal(ds.cf_truth, [[1], [2]])
+        np.testing.assert_array_equal(ds.cf_observed, [[2], [3]])
+
     def test_arrays_frozen(self, tiny_dataset):
         with pytest.raises(ValueError):
             tiny_dataset.labels[0] = 2

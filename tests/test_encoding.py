@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
+from compfeat.data import Column, Dataset, FeatureSchema, load_csv, synthesize_cf
 from compfeat.encoding import (
     STOCHASTIC_TOL,
     encode_of,
@@ -40,6 +40,13 @@ class TestEncodeOf:
         """1.7e308 - (-1.7e308) overflows; the scaled values do not."""
         enc = encode_of(quantitative_only([1.7e308, 0.0, -1.7e308, 8.5e307]))
         np.testing.assert_allclose(enc[:, 0], [1.0, 0.5, 0.0, 0.75], rtol=0, atol=1e-15)
+
+    def test_header_only_csv_encodes_to_zero_rows(self, tiny_schema, tmp_path):
+        """load_csv reads a header-only file as a 0-row dataset."""
+        path = tmp_path / "d.csv"
+        path.write_text("age,color,status,y\n")
+        enc = encode_of(load_csv(path, tiny_schema))
+        assert enc.shape == (0, 5) and enc.dtype == np.float64
 
     def test_read_only_float64(self, tiny_dataset):
         enc = encode_of(tiny_dataset)

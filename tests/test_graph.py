@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compfeat.errors import DataError
+from compfeat import graph as graph_module
+from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.graph import (
     _KKT_TOL,
     _RIDGE,
@@ -224,6 +225,38 @@ class TestKnnExactness:
         assert (d2[:, 2 * k] - d2[:, k - 1] <= err).all()
         np.testing.assert_array_equal(knn(x, k), stable_argsort_knn(x, k))
 
+    def test_certificate_holds_for_any_valid_partition(self, monkeypatch):
+        """knn may not read the order inside the partition's first c
+        columns.  Here every row's partition is valid but adversarial:
+        ties are taken highest index first, and the nearest candidate
+        sits at slot k - 1.  Row 0 has one row at distance 1 and eight at
+        distance 2, so at k = 2 its k-th and (c+1)-th distances tie
+        (c = 4): it must fail the certificate and rank every row."""
+        k = 2
+        calls = []
+
+        def adversarial(a, kth, axis):
+            assert axis == 1
+            order = np.lexsort((np.broadcast_to(-np.arange(a.shape[1]), a.shape), a))
+            order[:, [0, k - 1]] = order[:, [k - 1, 0]]
+            part = np.take_along_axis(a, order, axis=1)
+            assert (part[:, :kth].max(axis=1) <= part[:, kth]).all()
+            assert (part[:, kth + 1:].min(axis=1, initial=np.inf) >= part[:, kth]).all()
+            calls.append(kth)
+            return order
+
+        x = np.zeros((10, 4))
+        x[1, 0] = 1.0
+        x[2:] = 2.0 * np.vstack([np.eye(4), -np.eye(4)])
+        d2 = np.delete(np.sort((x ** 2).sum(axis=1)), 0)
+        assert d2[k - 1] == d2[2 * k] == 4.0
+        monkeypatch.setattr(np, "argpartition", adversarial)
+        got = knn(x, k)
+        monkeypatch.undo()
+        assert calls == [2 * k]
+        np.testing.assert_array_equal(got[0], [1, 2])
+        np.testing.assert_array_equal(got, stable_argsort_knn(x, k))
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("stage", ["knn", "solve_weights", "build_graph"])
@@ -241,6 +274,23 @@ def test_non_finite_instance_vectors_rejected(bad, stage):
 
 
 class TestSolveWeights:
+    @pytest.mark.parametrize("neighbors, error, match", [
+        (np.zeros((4, 0), dtype=np.int64), DataError, "one neighbor slot"),
+        ([[1], [2], [3], [4]], DataError, "out of range"),
+        ([[1], [2], [3], [-1]], DataError, "out of range"),
+        ([[1], [0], [1]], ShapeMismatchError, "one row per instance"),
+        ([1, 0, 3, 2], ShapeMismatchError, "one row per instance"),
+        ([[1], [1], [3], [2]], DataError, "self loops"),
+        ([[1, 2], [0, 2], [3, 3], [0, 1]], DataError, "duplicate"),
+    ], ids=["k_zero", "index_n", "negative_index", "rows_not_len_x", "one_dimensional",
+            "self_loop", "duplicate"])
+    def test_malformed_neighbor_lists_rejected_before_solving(self, monkeypatch, neighbors,
+                                                              error, match):
+        monkeypatch.setattr(graph_module, "_solve_block", lambda diff: pytest.fail("solved"))
+        x = np.random.default_rng(15).normal(size=(4, 2))
+        with pytest.raises(error, match=match):
+            solve_weights(x, neighbors)
+
     def test_coincident_neighbor_gets_all_weight(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 3))
@@ -445,6 +495,12 @@ class TestWeightGraphType:
         with pytest.raises(DataError, match="finite"):
             WeightGraph(neighbors=[[1, 2], [0, 2], [0, 1]],
                         weights=[[bad, 0.5], [0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_rejects_a_graph_without_rows_or_slots(self, shape):
+        """Such a graph's rows cannot sum to 1."""
+        with pytest.raises(DataError, match="one row and one neighbor slot"):
+            WeightGraph(neighbors=np.zeros(shape, dtype=np.int64), weights=np.zeros(shape))
 
     def test_rejects_bad_row_sum(self):
         with pytest.raises(DataError, match="sum to 1"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.metrics import (
     aggregate_cf_scores,
     format_cf_table,
@@ -31,6 +32,22 @@ class TestScoreCf:
         scores = score_cf(run_comp(ds, 0), ds.cf_truth)
         assert scores[0].ce == pytest.approx(expected, abs=1e-12)
         assert scores[0].se == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(29, 2), (30, 1), (30, 3), (30,)])
+    def test_truth_of_another_shape_rejected(self, shape):
+        ds = observed_dataset([3, 5], 30, seed=1)
+        with pytest.raises(ShapeMismatchError, match="truth of shape"):
+            score_cf(run_comp(ds, 0), np.ones(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("column, code", [(0, 0), (0, 4), (1, 6), (1, -1)])
+    def test_truth_code_outside_1_to_u_rejected(self, column, code):
+        """Codes below 1 are refused, not read as the last column, and 4
+        is refused for the first CF (u = 3) though the second (u = 5) has it."""
+        ds = observed_dataset([3, 5], 30, seed=1)
+        truth = np.array(ds.cf_truth)
+        truth[7, column] = code
+        with pytest.raises(DataError, match="truth codes"):
+            score_cf(run_comp(ds, 0), truth)
 
     def test_reported_decimals(self):
         assert round(math.log(11), 4) == 2.3979

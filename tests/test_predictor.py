@@ -35,6 +35,11 @@ class TestAssemble:
             expected[res.hard_estimates[i, 0] - 1] = 1.0
             np.testing.assert_array_equal(block[i], expected)
 
+    @pytest.mark.parametrize("mode", ["comp", "ord"])
+    def test_zero_rows_give_a_zero_row_design(self, mode):
+        design = assemble(observed_dataset([3, 4], 0), mode)
+        assert design.shape == (0, 1 + 3 + 4)
+
     def test_ord_equals_hard_with_perfect_estimates(self):
         ds = observed_dataset([3, 4], 12, seed=1)
         res = run_comp(ds, 0)

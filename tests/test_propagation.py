@@ -422,6 +422,16 @@ def test_fewer_than_one_step_rejected(run, T):
         run(observed_dataset([3], 20, seed=21), T)
 
 
+@pytest.mark.parametrize("run", [lambda ds: run_proposed(ds, T=5, k=3, gamma=0.25),
+                                 lambda ds: run_ipal(ds, T=5, k=3, alpha=0.5)],
+                         ids=["proposed", "ipal"])
+def test_zero_rows_need_two_instances(run):
+    """A 0-row dataset encodes to (0, d), so the graph's own typed error
+    is what a procedure raises."""
+    with pytest.raises(DataError, match="k-NN needs at least 2 instances"):
+        run(observed_dataset([3, 4], 0))
+
+
 class TestNoCfSchema:
     """A schema with one OF and no CF columns has nothing to estimate."""
 
