@@ -66,7 +66,7 @@ from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
-from .propagation import EstimationResult, run_comp, run_ipal, run_proposed
+from .propagation import EstimationResult, run_comp, run_ipal_seeds, run_proposed_seeds
 
 METHODS = ("proposed", "comp", "ipal")
 ORACLE_INSTANCES = 200
@@ -210,17 +210,21 @@ def shared_of_graph(cfg: ExperimentConfig, source: Dataset) -> propagation.Weigh
     return propagation.build_graph(encode_of(source), cfg.k)
 
 
-def run_method(cfg: ExperimentConfig, ds: Dataset, seed: int,
-               of_graph: propagation.WeightGraph | None = None) -> EstimationResult:
+def run_methods(cfg: ExperimentConfig, datasets: list[Dataset], seeds: tuple[int, ...],
+                of_graph: propagation.WeightGraph | None = None) -> list[EstimationResult]:
+    """``cfg.method``'s result for each seed's dataset; the graph methods
+    propagate the seeds stacked, in their :func:`~compfeat.propagation.seed_groups`."""
     if cfg.method == "proposed":
-        result = run_proposed(ds, T=cfg.T, k=cfg.k, gamma=cfg.gamma, of_graph=of_graph)
+        results = run_proposed_seeds(datasets, T=cfg.T, k=cfg.k, gamma=cfg.gamma,
+                                     of_graph=of_graph)
     elif cfg.method == "ipal":
-        result = run_ipal(ds, T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
+        results = run_ipal_seeds(datasets, T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
     else:
-        result = run_comp(ds, seed)
+        results = [run_comp(ds, seed) for ds, seed in zip(datasets, seeds)]
     if cfg.estimate_only:
-        result = restrict_to_subset(cfg, ds, result, seed)
-    return result
+        results = [restrict_to_subset(cfg, ds, result, seed)
+                   for ds, result, seed in zip(datasets, results, seeds)]
+    return results
 
 
 def restrict_to_subset(cfg: ExperimentConfig, ds: Dataset,
@@ -321,16 +325,34 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
 
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
+    """Estimate every seed and write its file.
+
+    The seeds run in the :func:`~compfeat.propagation.seed_groups` of
+    their row counts (every seed has ``max_n`` rows when subsampling, and
+    the source's otherwise).  A graph method propagates a group's seeds
+    as one stacked system, which is cheaper per step while the group's
+    rows stay within ``propagation._STACK_ROWS``; larger seeds run one at
+    a time.
+    """
     os.makedirs(cfg.out, exist_ok=True)
     source = load_source(cfg)
     of_graph = shared_of_graph(cfg, source)
-    for seed in cfg.seeds:
-        ds = experiment_dataset(cfg, source, seed)
-        result = run_method(cfg, ds, seed, of_graph)
+    n = cfg.max_n if subsamples(cfg, source) else source.n
+    for group in propagation.seed_groups([n] * len(cfg.seeds)):
+        write_estimates(cfg, source, cfg.seeds[group], of_graph)
+    return 0
+
+
+def write_estimates(cfg: ExperimentConfig, source: Dataset, seeds: tuple[int, ...],
+                    of_graph: propagation.WeightGraph | None):
+    """Estimate one group of seeds and write each seed's file.  Its own
+    function, so that no dataset or result of a group is held while the
+    next group runs."""
+    datasets = [experiment_dataset(cfg, source, seed) for seed in seeds]
+    for ds, seed, result in zip(datasets, seeds, run_methods(cfg, datasets, seeds, of_graph)):
         path = result_path(cfg, cfg.method, seed)
         result.save(path, extra=provenance(cfg, ds, seed))
         print(f"wrote {path}")
-    return 0
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
@@ -413,10 +435,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
     for point in points:
         if point.k not in of_graphs:
             of_graphs[point.k] = shared_of_graph(point, source)
-        accs = []
-        for ds, seed in zip(datasets, cfg.seeds):
-            scores = score_cf(run_method(point, ds, seed, of_graphs[point.k]), ds.cf_truth)
-            accs.append(float(np.mean([s.acc for s in scores])))
+        results = run_methods(point, datasets, cfg.seeds, of_graphs[point.k])
+        accs = [float(np.mean([s.acc for s in score_cf(result, ds.cf_truth)]))
+                for result, ds in zip(results, datasets)]
         curve.append({"value": getattr(point, axis), "mean_acc": float(np.mean(accs)),
                       "std_acc": float(np.std(accs))})
     means = [pt["mean_acc"] for pt in curve]

@@ -22,6 +22,7 @@ names the first bad row and its column.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass, replace
@@ -201,7 +202,8 @@ def _read_lines(path, newline=None):
 
 
 def load_schema(path) -> FeatureSchema:
-    return FeatureSchema(tuple(_read_columns(_read_lines(path))))
+    with contextlib.closing(_read_lines(path)) as lines:
+        return FeatureSchema(tuple(_read_columns(lines)))
 
 
 def _read_columns(lines) -> list[Column]:
@@ -279,7 +281,15 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
        that is not a finite number (:class:`ParseError`) or a value
        outside a declared vocabulary (:class:`UnknownCategoryError`).
     """
-    reader = csv.reader(_read_lines(path, newline=""))
+    # A caller that keeps a raised error keeps, through its traceback,
+    # the reader and its open file; so the file is closed as the error
+    # leaves, not when the cycle collector finds it.
+    with contextlib.closing(_read_lines(path, newline="")) as lines:
+        return _read_csv(lines, schema)
+
+
+def _read_csv(lines, schema: FeatureSchema) -> Dataset:
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:

@@ -33,6 +33,7 @@ confidences, :func:`propagate_step`, lives here beside the layout it reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -185,12 +186,22 @@ def _vectors(x: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_lists(neighbors: np.ndarray, n: int | None = None) -> np.ndarray:
-    """``neighbors`` as a new, checked (n, k) int64 array; n defaults to its rows."""
-    nb = np.array(neighbors, dtype=np.int64)
+    """``neighbors`` as a new, checked (n, k) int64 array; n defaults to its rows.
+
+    The indices must already be integers: a float, bool or text entry is
+    refused, never truncated or cast.
+    """
+    try:
+        nb = np.asarray(neighbors)
+    except ValueError:  # ragged rows
+        raise ShapeMismatchError("neighbor lists must form an (n, k) array") from None
     if nb.ndim != 2 or (n is not None and nb.shape[0] != n):
         raise ShapeMismatchError(f"neighbor lists need one row per instance, got shape {nb.shape}")
     if not nb.size:
         raise DataError(f"a graph needs at least one row and one neighbor slot, got {nb.shape}")
+    if not np.issubdtype(nb.dtype, np.integer):
+        raise DataError(f"neighbor indices must be integers, got dtype {nb.dtype}")
+    nb = nb.astype(np.int64)
     if nb.min() < 0 or nb.max() >= nb.shape[0]:
         raise DataError("neighbor index out of range")
     if np.any(nb == np.arange(nb.shape[0])[:, None]):
@@ -366,3 +377,17 @@ def _weight_gradients(x: np.ndarray, g: WeightGraph) -> np.ndarray:
 def build_graph(x: np.ndarray, k: int) -> WeightGraph:
     """k-NN search followed by weight solving."""
     return solve_weights(x, knn(x, k))
+
+
+def stack_graphs(graphs: Sequence[WeightGraph]) -> WeightGraph:
+    """The block-diagonal union of ``graphs``, checked as any graph is.
+
+    Graph s's rows follow those of graphs 0..s-1, and its neighbor
+    indices are offset by their total rows, so each row keeps its
+    neighbors, weights and slot order.  A single graph is returned as it is.
+    """
+    if len(graphs) == 1:
+        return graphs[0]
+    offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
+    return WeightGraph(neighbors=np.concatenate([g.neighbors + o for g, o in zip(graphs, offsets)]),
+                       weights=np.concatenate([g.weights for g in graphs]))

@@ -33,15 +33,22 @@ class CfScore:
 def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:
     """Score every CF of an estimation result against hidden truth codes.
 
-    ``truth`` must be (n, F), one code in 1..u_j per row and CF: a wrong
-    shape is a :class:`ShapeMismatchError`, a code outside is a :class:`DataError`.
+    ``truth`` must be (n, F), one integer code in 1..u_j per row and CF:
+    a wrong or ragged shape is a :class:`ShapeMismatchError`; a code of
+    another dtype, or outside 1..u_j, is a :class:`DataError`.
     """
     if truth is None:
         raise MissingTruthError("score_cf needs ground-truth CF values")
-    truth = np.asarray(truth, dtype=np.int64)
+    try:
+        truth = np.asarray(truth)
+    except ValueError:  # ragged rows
+        raise ShapeMismatchError("truth codes must form an (n, F) array") from None
     if truth.shape != (result.n, len(result.cf_names)):
         raise ShapeMismatchError(f"truth of shape {truth.shape} does not fit "
                                  f"{result.n} rows and {len(result.cf_names)} CFs")
+    if not np.issubdtype(truth.dtype, np.integer):
+        raise DataError(f"truth codes must be integers, got dtype {truth.dtype}")
+    truth = truth.astype(np.int64)
     if ((truth < 1) | (truth > np.array(result.sizes, dtype=np.int64))).any():
         raise DataError(f"truth codes outside the CF codes 1..u of widths {result.sizes}")
     scores = []

@@ -259,8 +259,9 @@ class TestRoundOneReuse:
     @pytest.mark.parametrize("max_n, builds", [(0, 1 + len(SEEDS)), (40, 2 * len(SEEDS))])
     def test_estimate_matches_per_seed_runs(self, bank_csv, graph_builds, max_n, builds):
         """Without subsampling the seeds share one round-1 graph; with it
-        each seed builds its own.  Either way every file equals a
-        ``run_proposed`` call that builds both of its graphs itself."""
+        each seed builds its own.  Either way the seeds run stacked, and
+        every file has the bytes of a ``run_proposed`` call that builds
+        both of its graphs itself."""
         seeds = ",".join(map(str, SEEDS))
         args = ["estimate", "--seed", seeds, "--max-n", str(max_n), *SMALL, *bank_csv]
         assert main(args) == 0
@@ -269,8 +270,30 @@ class TestRoundOneReuse:
             ds = seed_dataset(bank_csv, seed, max_n)
             expected = run_proposed(ds, T=5, k=8, gamma=0.25)
             got = EstimationResult.load(out_file(bank_csv, f"estimate_proposed_seed{seed}.npz"))
-            np.testing.assert_array_equal(got.hard_estimates, expected.hard_estimates)
-            np.testing.assert_array_equal(got.confidences, expected.confidences)
+            assert got.hard_estimates.tobytes() == expected.hard_estimates.tobytes()
+            assert got.confidences.tobytes() == expected.confidences.tobytes()
+
+    @pytest.mark.parametrize("stack_rows", [None, 100], ids=["stacked", "budget_100"])
+    @pytest.mark.parametrize("max_n", [0, 40])
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_joint_run_writes_the_files_of_single_seed_runs(self, bank_csv, tmp_path,
+                                                            monkeypatch, method, max_n,
+                                                            stack_rows):
+        """``--seed 0,1`` stacks both seeds; its files have the bytes of
+        the ``--seed 0`` and ``--seed 1`` runs' files.  So do they under a
+        budget of 100 rows, which runs the 60-row seeds one at a time and
+        stacks the 40-row ones."""
+        if stack_rows:
+            monkeypatch.setattr(propagation, "_STACK_ROWS", stack_rows)
+        common = ["estimate", "--method", method, "--max-n", str(max_n), *SMALL, *bank_csv]
+        assert main([*common, "--seed", "0,1"]) == 0
+        for seed in (0, 1):
+            single = str(tmp_path / f"single{seed}")
+            assert main([*common, "--seed", str(seed), "--out", single]) == 0
+            for suffix in ("npz", "json"):
+                name = f"estimate_{method}_seed{seed}.{suffix}"
+                joint = Path(out_file(bank_csv, name)).read_bytes()
+                assert joint == (Path(single) / name).read_bytes()
 
     def test_sweep_gamma_curve_matches_per_seed_runs(self, bank_csv, graph_builds):
         gammas = (0.0, 0.5)

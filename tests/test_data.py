@@ -206,6 +206,26 @@ class TestLoadCsv:
             load_csv(path, tiny_schema)
         assert err.value.row == row
 
+    @pytest.mark.parametrize("read, text", [
+        ("csv", "age,color,status,y\n1.0,{big},a,no\n2.0,blue,a,no\n"),
+        ("csv", "age,{big},status,y\n1.0,blue,a,no\n"),
+        ("schema", "age = quantitative OF\nno equals sign\ny = binary label no,yes\n"),
+    ], ids=["data_row", "header", "schema"])
+    def test_error_leaves_no_file_open(self, tiny_schema, tmp_path, monkeypatch, read, text):
+        """The file is closed when the error leaves the reader, though the
+        caller keeps the error and with it the reader's frames; it used to
+        stay open until the cycle collector ran, and the ResourceWarning
+        then failed whichever test was running."""
+        opened = []
+        monkeypatch.setattr(data, "open", lambda *args, **kwargs: opened.append(
+            open(*args, **kwargs)) or opened[-1], raising=False)
+        path = tmp_path / "d.txt"
+        path.write_text(text.format(big='"' + "x" * 200_000 + '"'))
+        with pytest.raises(ParseError) as err:
+            load_csv(path, tiny_schema) if read == "csv" else load_schema(path)
+        assert len(opened) == 1 and opened[0].closed
+        assert err.value.__traceback__ is not None
+
     @pytest.mark.parametrize("ages, row", [
         (["1.0", "inf", "nope"], 1),     # non-finite before unparsable
         (["1.0", "nope", "-inf"], 1),    # unparsable before non-finite

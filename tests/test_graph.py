@@ -14,7 +14,9 @@ from compfeat.graph import (
     build_graph,
     knn,
     optimality_gap,
+    propagate_step,
     solve_weights,
+    stack_graphs,
 )
 from compfeat.encoding import encode_of
 from compfeat.oracle import make_bank_like
@@ -282,8 +284,15 @@ class TestSolveWeights:
         ([1, 0, 3, 2], ShapeMismatchError, "one row per instance"),
         ([[1], [1], [3], [2]], DataError, "self loops"),
         ([[1, 2], [0, 2], [3, 3], [0, 1]], DataError, "duplicate"),
+        ([[1.9], [2.2], [3.7], [0.1]], DataError, "must be integers"),
+        ([[1.0], [2.0], [3.0], [0.0]], DataError, "must be integers"),
+        ([[True], [False], [True], [False]], DataError, "must be integers"),
+        ([["1"], ["2"], ["3"], ["0"]], DataError, "must be integers"),
+        ([[1], [None], [3], [0]], DataError, "must be integers"),
+        ([[1], [2, 3], [3], [0]], ShapeMismatchError, r"\(n, k\) array"),
     ], ids=["k_zero", "index_n", "negative_index", "rows_not_len_x", "one_dimensional",
-            "self_loop", "duplicate"])
+            "self_loop", "duplicate", "float", "integral_float", "bool", "text", "none",
+            "ragged"])
     def test_malformed_neighbor_lists_rejected_before_solving(self, monkeypatch, neighbors,
                                                               error, match):
         monkeypatch.setattr(graph_module, "_solve_block", lambda diff: pytest.fail("solved"))
@@ -502,6 +511,14 @@ class TestWeightGraphType:
         with pytest.raises(DataError, match="one row and one neighbor slot"):
             WeightGraph(neighbors=np.zeros(shape, dtype=np.int64), weights=np.zeros(shape))
 
+    @pytest.mark.parametrize("neighbors, error", [
+        ([[1.5], [0.2]], DataError), ([[1], [0, 1]], ShapeMismatchError),
+    ], ids=["float", "ragged"])
+    def test_rejects_neighbor_lists_that_are_not_an_integer_array(self, neighbors, error):
+        """Float indices are refused, not truncated to [[1], [0]]."""
+        with pytest.raises(error, match="integers|array"):
+            WeightGraph(neighbors=neighbors, weights=[[1.0], [1.0]])
+
     def test_rejects_bad_row_sum(self):
         with pytest.raises(DataError, match="sum to 1"):
             WeightGraph(neighbors=np.array([[1], [0]]), weights=np.array([[0.5], [1.0]]))
@@ -538,3 +555,23 @@ class TestWeightGraphType:
         with pytest.raises(ValueError):
             g.weights[0, 0] = 0.5
 
+
+class TestStackGraphs:
+    def test_one_graph_is_returned_as_it_is(self):
+        g = build_graph(np.random.default_rng(1).normal(size=(10, 2)), 3)
+        assert stack_graphs([g]) is g
+
+    def test_block_diagonal_union_steps_each_block_bit_for_bit(self):
+        """Graphs of 12, 7 and 12 rows stack into 31 rows whose neighbor
+        indices are offset by 0, 12 and 19; a step on the stacked
+        confidences has the bytes of each graph's own step."""
+        rng = np.random.default_rng(4)
+        a = build_graph(rng.normal(size=(12, 3)), 4)
+        b = build_graph(rng.normal(size=(7, 3)), 4)
+        g = stack_graphs([a, b, a])
+        np.testing.assert_array_equal(g.neighbors, np.vstack([a.neighbors, b.neighbors + 12,
+                                                              a.neighbors + 19]))
+        np.testing.assert_array_equal(g.weights, np.vstack([a.weights, b.weights, a.weights]))
+        qs = [rng.dirichlet(np.ones(5), size=n) for n in (12, 7, 12)]
+        want = np.vstack([propagate_step(h, q) for h, q in zip((a, b, a), qs)])
+        assert propagate_step(g, np.vstack(qs)).tobytes() == want.tobytes()

@@ -49,6 +49,18 @@ class TestScoreCf:
         with pytest.raises(DataError, match="truth codes"):
             score_cf(run_comp(ds, 0), truth)
 
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda t: t + 0.4, DataError, "must be integers"),
+        (lambda t: t.astype(np.float64), DataError, "must be integers"),
+        (lambda t: t.astype(str), DataError, "must be integers"),
+        (lambda t: [list(row) for row in t[:-1]] + [[1]], ShapeMismatchError, "array"),
+    ], ids=["float", "integral_float", "text", "ragged"])
+    def test_truth_codes_that_are_not_an_integer_array_rejected(self, edit, error, match):
+        """Float codes are refused, not truncated to the codes below them."""
+        ds = observed_dataset([3, 5], 30, seed=1)
+        with pytest.raises(error, match=match):
+            score_cf(run_comp(ds, 0), edit(np.array(ds.cf_truth)))
+
     def test_reported_decimals(self):
         assert round(math.log(11), 4) == 2.3979
         assert round(math.log(2), 4) == 0.6931

@@ -503,6 +503,109 @@ class TestRunIpal:
                                       hard_from_blocks(res.confidences, res.sizes))
 
 
+def seed_datasets(S, subsample):
+    """S seeds' datasets of one 45-row source; with ``subsample``, seed s
+    keeps its own 30 + 5 s rows, so the seeds differ in rows and count."""
+    base = build_dataset(cf_schema(3, 5, n_of=2), 45, seed=30)
+    datasets = [synthesize_cf(base, seed) for seed in range(S)]
+    if subsample:
+        datasets = [ds.subset(np.sort(np.random.default_rng(s).choice(45, 30 + 5 * s,
+                                                                      replace=False)))
+                    for s, ds in enumerate(datasets)]
+    return base, datasets
+
+
+STACKED_RUNS = {
+    "proposed": (propagation.run_proposed_seeds, run_proposed, {"gamma": 0.25}),
+    "ipal": (propagation.run_ipal_seeds, run_ipal, {"alpha": 0.9}),
+}
+
+
+class TestStackedSeeds:
+    @pytest.mark.parametrize("subsample", [False, True], ids=["shared", "subsampled"])
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_stacked_results_equal_separate_runs(self, method, S, subsample):
+        """Every seed's result from one stacked run has the bytes of its
+        own run, with and without a shared round-1 graph."""
+        stacked, single, params = STACKED_RUNS[method]
+        base, datasets = seed_datasets(S, subsample)
+        of_graph = None if subsample else build_graph(encode_of(base), 6)
+        got = stacked(datasets, T=7, k=6, of_graph=of_graph, **params)
+        assert len(got) == S
+        for ds, res in zip(datasets, got, strict=True):
+            for graph in (None, of_graph):
+                want = single(ds, T=7, k=6, of_graph=graph, **params)
+                assert res.confidences.tobytes() == want.confidences.tobytes()
+                assert res.hard_estimates.tobytes() == want.hard_estimates.tobytes()
+                assert (res.method, res.hyperparams) == (want.method, want.hyperparams)
+
+    @pytest.mark.parametrize("stack_rows", [1, 80])
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_row_budget_splits_groups_without_changing_results(self, monkeypatch, method,
+                                                               stack_rows):
+        """A budget of 1 row runs each seed alone; one of 80 rows runs the
+        seeds of 30 and 35 rows together and the seed of 40 alone."""
+        stacked, _, params = STACKED_RUNS[method]
+        _, datasets = seed_datasets(3, subsample=True)
+        want = stacked(datasets, T=5, k=4, **params)
+        shapes = []
+        step = propagation.propagate_step
+        monkeypatch.setattr(propagation, "propagate_step",
+                            lambda graph, q: shapes.append(q.shape[0]) or step(graph, q))
+        monkeypatch.setattr(propagation, "_STACK_ROWS", stack_rows)
+        got = stacked(datasets, T=5, k=4, **params)
+        rows = [30, 35, 40] if stack_rows == 1 else [65, 40]
+        rounds = 2 if method == "proposed" else 1
+        assert shapes == [n for n in rows for _ in range(rounds * 5)]
+        for a, b in zip(got, want, strict=True):
+            assert a.confidences.tobytes() == b.confidences.tobytes()
+            assert a.hard_estimates.tobytes() == b.hard_estimates.tobytes()
+
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_one_group_runs_each_step_once_on_the_stacked_matrix(self, monkeypatch, method,
+                                                                 S):
+        """A group of S seeds calls the module's propagate_step (and, for
+        proposed, correct) T times per round, each on an (S n, sum u)
+        array, and builds one graph per seed and round."""
+        stacked, _, params = STACKED_RUNS[method]
+        _, datasets = seed_datasets(S, subsample=False)
+        calls = []
+        for name in ("propagate_step", "correct"):
+            fn = getattr(propagation, name)
+            monkeypatch.setattr(propagation, name, lambda *a, _fn=fn, _name=name:
+                                calls.append((_name, a[1].shape)) or _fn(*a))
+        build = propagation.build_graph
+        builds = []
+        monkeypatch.setattr(propagation, "build_graph",
+                            lambda x, k: builds.append(len(x)) or build(x, k))
+        stacked(datasets, T=4, k=5, **params)
+        shape = (S * 45, 8)
+        if method == "proposed":
+            assert calls == [("propagate_step", shape), ("correct", shape)] * 8
+            assert builds == [45] * (2 * S)
+        else:
+            assert calls == [("propagate_step", shape)] * 4
+            assert builds == [45] * S
+
+    def test_seed_groups_fill_the_row_budget_in_order(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_STACK_ROWS", 100)
+        assert propagation.seed_groups([]) == []
+        assert propagation.seed_groups([40, 40, 40]) == [slice(0, 2), slice(2, 3)]
+        assert propagation.seed_groups([50, 50, 150, 10]) == [slice(0, 2), slice(2, 3),
+                                                              slice(3, 4)]
+        assert propagation.seed_groups([100] * 3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_seeds_of_other_cf_widths_rejected(self):
+        a = observed_dataset([3], 20, seed=1)
+        b = observed_dataset([4], 20, seed=2)
+        for run, params in ((propagation.run_proposed_seeds, {"gamma": 0.25}),
+                            (propagation.run_ipal_seeds, {"alpha": 0.9})):
+            with pytest.raises(ShapeMismatchError, match="cannot be stacked"):
+                run([a, b], T=2, k=3, **params)
+
+
 # Entries a saved file must carry exactly: exact zeros, subnormals, the
 # smallest normal float, and values below 1e-4, whose saved text differs
 # from Python's repr (e.g. 0.00004830844254893549 for 4.830844254893549e-05).
