@@ -37,7 +37,15 @@ stores the seed and a hash of the seed's inputs, and a reader refuses a
 file estimated from other inputs.
 
 Every command but ``oracle`` reads the source CSV and needs at least 2
-rows in it.  ``sweep`` estimates each point with ``--method`` and
+rows in it.  Seed s's dataset holds the source rows with observed CF
+values drawn for s (:func:`~compfeat.data.synthesize_cf`).  When
+``max_n`` is set below the source's row count, it keeps only the
+``max_n`` rows that come first in ``seeded_order(s, n,
+STREAM_SUBSAMPLE)``, in row order.  ``predict`` trains on the first
+``floor(fraction * n)`` rows of ``seeded_order(s, n, STREAM_SPLIT)``
+over seed s's n rows and scores the rest (see
+:mod:`compfeat.data`'s counter-based draws); it runs one seed at a
+time.  ``sweep`` estimates each point with ``--method`` and
 honours ``--estimate-only`` as ``estimate`` does.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
@@ -60,8 +68,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import oracle as oracle_mod
 from . import propagation
-from .data import (Dataset, format_columns, load_csv, load_schema, split_train_test,
-                   synthesize_cf, write_columns)
+from .data import (STREAM_SUBSAMPLE, Dataset, format_columns, load_csv, load_schema,
+                   seeded_order, split_train_test, synthesize_cf, write_columns)
 from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
@@ -192,11 +200,12 @@ def subsamples(cfg: ExperimentConfig, source: Dataset) -> bool:
 
 
 def experiment_dataset(cfg: ExperimentConfig, source: Dataset, seed: int) -> Dataset:
-    """Synthesize observations, and optionally subsample, per seed."""
+    """Seed ``seed``'s dataset: the source with observations synthesized
+    for the seed.  When :func:`subsamples`, only the first ``max_n`` rows
+    of ``seeded_order(seed, n, STREAM_SUBSAMPLE)`` are kept, in row order."""
     ds = synthesize_cf(source, seed)
     if subsamples(cfg, source):
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(ds.n, size=cfg.max_n, replace=False))
+        keep = np.sort(seeded_order(seed, ds.n, STREAM_SUBSAMPLE)[:cfg.max_n])
         ds = ds.subset(keep)
     return ds
 
@@ -380,17 +389,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
 def cmd_predict(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     source = load_source(cfg)
-    f1s = []
-    for seed in cfg.seeds:
-        ds = experiment_dataset(cfg, source, seed)
-        result = None
-        if cfg.mode in ("soft", "hard"):
-            result = load_result(cfg, result_path(cfg, cfg.method, seed), ds, seed)
-        design = assemble(ds, cfg.mode, result=result)
-        train_idx, test_idx = split_train_test(ds, cfg.fraction, seed)
-        model = train(design[train_idx], ds.labels[train_idx], l2=cfg.l2)
-        probs = predict(model, design[test_idx])
-        f1s.append(score_labels(probs, ds.labels[test_idx]))
+    f1s = [predict_seed(cfg, source, seed) for seed in cfg.seeds]
     report = {
         "config": config_echo(cfg),
         "macro_f1": {"mean": float(np.mean(f1s)), "std": float(np.std(f1s)),
@@ -399,6 +398,22 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
     finalize_report(report, os.path.join(cfg.out, f"prediction_{cfg.mode}.json"))
     print(f"macro-F1 ({cfg.mode}): {np.mean(f1s):.4f} ±{np.std(f1s):.4f}")
     return 0
+
+
+def predict_seed(cfg: ExperimentConfig, source: Dataset, seed: int) -> float:
+    """The label macro-F1 of one seed.  Its own function, so that no
+    dataset, result, design or model of a seed is held while the next
+    seed runs."""
+    ds = experiment_dataset(cfg, source, seed)
+    result = None
+    if cfg.mode in ("soft", "hard"):
+        result = load_result(cfg, result_path(cfg, cfg.method, seed), ds, seed)
+    design = assemble(ds, cfg.mode, result=result)
+    del result  # the design holds what predict needs of it
+    train_idx, test_idx = split_train_test(ds, cfg.fraction, seed)
+    model = train(design[train_idx], ds.labels[train_idx], l2=cfg.l2)
+    probs = predict(model, design[test_idx])
+    return score_labels(probs, ds.labels[test_idx])
 
 
 def cmd_oracle(cfg: ExperimentConfig) -> int:

@@ -34,6 +34,7 @@ from .errors import (
     MissingColumnError,
     MissingTruthError,
     ParseError,
+    ShapeMismatchError,
     UnknownCategoryError,
 )
 
@@ -41,8 +42,10 @@ KINDS = ("quantitative", "binary", "categorical")
 ROLES = ("OF", "CF", "label")
 
 # Stream tags keep independent counter-based draws from colliding.
-STREAM_OBSERVE = 0  # synthesize_cf
-STREAM_GUESS = 1    # baseline hard estimates
+STREAM_OBSERVE = 0    # synthesize_cf
+STREAM_GUESS = 1      # baseline hard estimates
+STREAM_SPLIT = 2      # split_train_test
+STREAM_SUBSAMPLE = 3  # a seed's max_n row subset
 
 _CSV_BLOCK = 512  # data rows load_csv converts at a time
 
@@ -119,10 +122,26 @@ class FeatureSchema:
         return next(c for c in self.columns if c.role == "label")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _as_array(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:  # ragged rows
+        raise ShapeMismatchError(f"{name} must form a rectangular array") from None
+
+
+def _code_array(values, name: str, copy: bool) -> np.ndarray:
+    """``values`` as frozen int64 codes, copied when ``copy``.  The codes
+    must already be integers: a float, bool or text entry is refused,
+    never truncated or cast."""
+    arr = _as_array(values, name)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise DataError(f"{name} must hold integer codes, got dtype {arr.dtype}")
+    return _frozen(arr.astype(np.int64, copy=copy))
 
 
 @dataclass(frozen=True)
@@ -132,7 +151,12 @@ class Dataset:
     ``of_values`` holds one array per OF column in schema order: float64
     for quantitative columns, 1-based int64 codes otherwise.
     ``cf_observed`` / ``cf_truth`` are (n, F_c) code arrays; either may
-    be None.  All arrays are frozen after construction.
+    be None.  Codes must be given as integers, and a ragged array is a
+    :class:`ShapeMismatchError`.  All arrays are frozen after
+    construction.  The constructor freezes copies of the arrays it is
+    handed, so a caller's later writes cannot reach the dataset; the
+    package's own builders (:func:`load_csv`, :meth:`subset`,
+    :func:`synthesize_cf`) go through :meth:`_adopt` instead.
     """
 
     schema: FeatureSchema
@@ -142,23 +166,52 @@ class Dataset:
     cf_observed: np.ndarray | None = None
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    @classmethod
+    def _adopt(cls, schema: FeatureSchema, of_values, labels, cf_truth=None,
+               cf_observed=None) -> "Dataset":
+        """A dataset that holds the arrays it is handed, not copies.  Each
+        must be an array its builder made for it, which is frozen in place,
+        or one that another dataset already froze, which is shared."""
+        ds = object.__new__(cls)
+        vars(ds).update(schema=schema, of_values=of_values, labels=labels, cf_truth=cf_truth,
+                        cf_observed=cf_observed)
+        ds._settle(copy=False)
+        return ds
+
+    def _settle(self, copy: bool):
+        """Check every field and freeze the arrays, or copies of them when ``copy``."""
         self.schema.validate_complete()
-        object.__setattr__(self, "of_values", tuple(_freeze(a) for a in self.of_values))
-        object.__setattr__(self, "labels", _freeze(np.asarray(self.labels, dtype=np.int64)))
-        n = self.labels.shape[0]
-        for arr, col in zip(self.of_values, self.schema.of_columns, strict=True):
+        labels = _code_array(self.labels, "labels", copy)
+        if labels.ndim != 1:
+            raise DataError(f"labels have shape {labels.shape}, expected one code per row")
+        n = labels.shape[0]
+        if len(self.of_values) != len(self.schema.of_columns):
+            raise ShapeMismatchError(f"{len(self.of_values)} OF arrays for "
+                                     f"{len(self.schema.of_columns)} OF columns")
+        of_values = []
+        for arr, col in zip(self.of_values, self.schema.of_columns):
+            name = f"column {col.name!r}"
+            if col.kind == "quantitative":
+                arr = _as_array(arr, name)
+                arr = _frozen(arr.copy() if copy else arr)
+            else:
+                arr = _code_array(arr, name, copy)
             if arr.shape != (n,):
-                raise DataError(f"column {col.name!r} has {arr.shape[0]} rows, expected {n}")
+                raise DataError(f"{name} has shape {arr.shape}, expected {(n,)}")
             if col.kind != "quantitative":
                 _check_codes(arr, col)
-        lab = self.schema.label_column
-        _check_codes(self.labels, lab)
+            of_values.append(arr)
+        _check_codes(labels, self.schema.label_column)
+        object.__setattr__(self, "of_values", tuple(of_values))
+        object.__setattr__(self, "labels", labels)
         f_c = len(self.schema.cf_columns)
         for attr in ("cf_truth", "cf_observed"):
             val = getattr(self, attr)
             if val is None:
                 continue
-            val = _freeze(np.asarray(val, dtype=np.int64))
+            val = _code_array(val, attr, copy)
             if val.shape != (n, f_c):
                 raise DataError(f"{attr} has shape {val.shape}, expected {(n, f_c)}")
             for j, col in enumerate(self.schema.cf_columns):
@@ -174,7 +227,7 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
+        return Dataset._adopt(
             schema=self.schema,
             of_values=tuple(a[idx] for a in self.of_values),
             labels=self.labels[idx],
@@ -333,9 +386,10 @@ def _read_csv(lines, schema: FeatureSchema) -> Dataset:
             raise chunk.error
     values = {chunk.col.name: chunk.values() for chunk in chunks}
     cf = [values[c.name] for c in schema.cf_columns]
-    return Dataset(schema=schema, of_values=tuple(values[c.name] for c in schema.of_columns),
-                   labels=values[schema.label_column.name],
-                   cf_truth=np.column_stack(cf) if cf else np.zeros((n, 0), dtype=np.int64))
+    return Dataset._adopt(
+        schema=schema, of_values=tuple(values[c.name] for c in schema.of_columns),
+        labels=values[schema.label_column.name],
+        cf_truth=np.column_stack(cf) if cf else np.zeros((n, 0), dtype=np.int64))
 
 
 def _row_blocks(reader):
@@ -477,13 +531,19 @@ def _cell_text(arr: np.ndarray, col: Column) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Counter-based complement draws
+# Counter-based draws
 #
-# Draws depend only on (seed, instance, feature, stream), never on call
-# order, so synthesis is reproducible and parallelizable.  The mixer is
-# the SplitMix64 finalizer; modulo bias over <= 64 categories is ~2^-58.
+# Draws depend only on (seed, instance, stream), and for complements on
+# the feature too, never on call order, so synthesis, splits and subsets
+# are reproducible and parallelizable.  Each row's key is the SplitMix64
+# finalizer of the seed, stream and row index (:func:`_row_keys`); the
+# finalizer and the step by an odd constant are bijections of the 64-bit
+# integers, so the keys of distinct rows are distinct.  A complement
+# draw mixes the feature into the key and reduces it modulo the
+# complement's size, with a modulo bias over <= 64 categories of ~2^-58.
+# A split or ``max_n`` subset orders the rows by their keys
+# (:func:`seeded_order`) and takes a prefix.
 
-_M = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -493,31 +553,47 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _row_keys(seed: int, indices, stream: int) -> np.ndarray:
+    """The uint64 key of each row index under ``seed`` and ``stream``."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point
+        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(np.uint64(stream) + _GOLDEN)
+        return _mix64(z + idx * _GOLDEN)
+
+
 def complement_draws(seed: int, indices, j, u, avoid: np.ndarray, stream: int) -> np.ndarray:
     """Uniform draws from ``{1..u} \\ {avoid}``, keyed per (seed, i, j).  The
     arguments broadcast: (n, 1) ``indices`` with (F,) ``j`` and ``u`` draw
     all F features at once, each entry as its own (i, j) call would."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(np.uint64(stream) + _GOLDEN)
-        z = _mix64(z + idx * _GOLDEN)
+    z = _row_keys(seed, indices, stream)
+    with np.errstate(over="ignore"):
         z = _mix64(z ^ ((np.asarray(j, dtype=np.uint64) + np.uint64(1))
                         * np.uint64(0xD1B54A32D192ED03)))
     r = (z % (np.asarray(u, dtype=np.uint64) - np.uint64(1))).astype(np.int64) + 1
     return np.where(r < avoid, r, r + 1)
 
 
+def seeded_order(seed: int, n: int, stream: int) -> np.ndarray:
+    """The row indices ``0..n-1`` in increasing order of their keys under
+    ``seed`` and ``stream``.  Row i's key depends on (seed, i, stream)
+    alone, so the order of ``n`` rows is that of any larger ``n`` with
+    the rows past ``n`` left out."""
+    return np.argsort(_row_keys(seed, np.arange(n), stream))
+
+
 def synthesize_cf(ds: Dataset, seed: int) -> Dataset:
     """Draw observed CF values uniformly from the complement of the truth.
 
     Same seed gives bit-identical output regardless of evaluation order.
+    The new dataset shares every array of ``ds``; only ``cf_observed``
+    is new.
     """
     if ds.cf_truth is None:
         raise MissingTruthError("synthesize_cf needs cf_truth on every CF column")
     sizes = ds.schema.cf_sizes
     observed = complement_draws(seed, np.arange(ds.n)[:, None], np.arange(len(sizes)), sizes,
                                 ds.cf_truth, STREAM_OBSERVE)
-    return Dataset(
+    return Dataset._adopt(
         schema=ds.schema,
         of_values=ds.of_values,
         labels=ds.labels,
@@ -527,11 +603,15 @@ def synthesize_cf(ds: Dataset, seed: int) -> Dataset:
 
 
 def split_train_test(ds: Dataset, fraction: float, seed: int):
-    """Seeded disjoint split; the train side gets ``floor(fraction * n)``."""
+    """Seeded disjoint split, each side's indices in increasing order.
+
+    The train side is the first ``floor(fraction * n)`` rows of
+    ``seeded_order(seed, n, STREAM_SPLIT)`` and the test side the rest.
+    """
     if ds.n < 2:
         raise DataError("need at least 2 instances to split")
     if not 0.0 < fraction < 1.0:
         raise DataError("fraction must lie in (0, 1)")
-    perm = np.random.default_rng(seed).permutation(ds.n)
+    order = seeded_order(seed, ds.n, STREAM_SPLIT)
     n_train = int(fraction * ds.n)
-    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+    return np.sort(order[:n_train]), np.sort(order[n_train:])

@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import STREAM_GUESS, Dataset, complement_draws
+from .data import STREAM_GUESS, Dataset, _as_array, _code_array, complement_draws
 from .encoding import encode_of, encode_with_confidence, segment_starts, segments_stochastic
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph, propagate_step, stack_graphs
@@ -86,16 +86,18 @@ class EstimationResult:
 
     def __post_init__(self):
         names = tuple(self.cf_names)
-        hard = np.array(self.hard_estimates, dtype=np.int64, copy=True)
+        hard = _code_array(self.hard_estimates, "hard estimates", copy=True)
         if hard.ndim != 2 or hard.shape[1] != len(names):
             raise ShapeMismatchError(
                 f"hard estimates of shape {hard.shape} do not fit {len(names)} CF names")
-        hard.flags.writeable = False
         object.__setattr__(self, "cf_names", names)
         object.__setattr__(self, "hard_estimates", hard)
         object.__setattr__(self, "hyperparams", dict(self.hyperparams))
         sizes = tuple(int(u) for u in self.sizes)
-        q = np.array(self.confidences, dtype=np.float64, copy=True)
+        q = _as_array(self.confidences, "confidences")
+        if q.dtype.kind not in "biuf":
+            raise DataError(f"confidences must be real numbers, got dtype {q.dtype}")
+        q = q.astype(np.float64)
         if len(sizes) != len(names) or q.shape != (hard.shape[0], sum(sizes)):
             raise ShapeMismatchError(
                 f"confidences of shape {q.shape} do not fit {hard.shape[0]} rows "

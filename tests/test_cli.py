@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import compfeat
+from compfeat import cli
 from compfeat import data as data_mod
 from compfeat import oracle, propagation
 from compfeat.cli import main
@@ -57,12 +59,14 @@ def graph_builds(monkeypatch):
 
 
 def seed_dataset(flags, seed, max_n=0):
-    """The per-seed dataset, derived here without the CLI helpers."""
+    """The per-seed dataset, derived here without the CLI helpers: a
+    ``max_n`` subset keeps the rows of the ``max_n`` smallest keys under
+    ``STREAM_SUBSAMPLE``, in row order."""
     paths = dict(zip(flags[::2], flags[1::2]))
     ds = synthesize_cf(load_csv(paths["--data"], load_schema(paths["--schema"])), seed)
     if max_n:
-        keep = np.sort(np.random.default_rng(seed).choice(ds.n, size=max_n, replace=False))
-        ds = ds.subset(keep)
+        keys = data_mod._row_keys(seed, np.arange(ds.n), data_mod.STREAM_SUBSAMPLE)
+        ds = ds.subset(np.sort(np.argsort(keys)[:max_n]))
     return ds
 
 
@@ -124,6 +128,56 @@ def test_readers_of_estimates_do_not_import_orjson(bank_csv):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path})
+
+
+def test_commands_but_oracle_do_not_import_numpy_random(bank_csv):
+    """Splits and max_n subsets are counter-based draws, so no command
+    but oracle imports numpy.random."""
+    seeds, flags = ["--seed", "0,1"], [*SMALL, *bank_csv]
+    commands = [["prepare", *seeds, *bank_csv], ["prepare", *seeds, "--max-n", "40", *bank_csv],
+                ["estimate", *seeds, *flags], ["evaluate", *seeds, *flags],
+                ["predict", *seeds, *flags],
+                ["sweep", *seeds, "--max-n", "40", "--axis", "T", "--values", "2,3", *flags]]
+    code = ("import sys\n"
+            "from compfeat.cli import main\n"
+            + "".join(f"assert main({command!r}) == 0\n" for command in commands)
+            + "assert 'numpy.random' not in sys.modules\n")
+    src = str(Path(compfeat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
+def test_max_n_subset_of_ten_rows():
+    """The max_n subset is pinned: seed 7 keeps the 4 rows that come first
+    in ``seeded_order(7, 10, STREAM_SUBSAMPLE)``, in row order."""
+    schema = FeatureSchema((Column("x0", "quantitative", "OF"),
+                            Column("s", "categorical", "CF", ("a", "b", "c")),
+                            Column("y", "binary", "label", ("n", "p"))))
+    source = Dataset(schema=schema, of_values=(np.arange(10.0),), labels=np.tile([1, 2], 5),
+                     cf_truth=np.ones((10, 1), dtype=np.int64))
+    ds = cli.experiment_dataset(cli.ExperimentConfig(max_n=4), source, seed=7)
+    assert ds.of_values[0].tolist() == [0.0, 6.0, 7.0, 8.0]
+    np.testing.assert_array_equal(data_mod.seeded_order(7, 10, data_mod.STREAM_SUBSAMPLE),
+                                  [7, 8, 6, 0, 3, 5, 9, 2, 1, 4])
+
+
+def test_predict_holds_one_seed_at_a_time(bank_csv, monkeypatch):
+    """A seed's result and design are dead by the time the next seed's
+    assemble runs."""
+    assert main(["estimate", "--seed", "0,1,2", *SMALL, *bank_csv]) == 0
+    refs = []
+    assemble = cli.assemble
+
+    def recording(ds, mode, result=None):
+        assert all(ref() is None for ref in refs)
+        design = assemble(ds, mode, result=result)
+        refs.extend((weakref.ref(result), weakref.ref(design)))
+        return design
+
+    monkeypatch.setattr(cli, "assemble", recording)
+    assert main(["predict", "--seed", "0,1,2", *bank_csv]) == 0
+    assert len(refs) == 6
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

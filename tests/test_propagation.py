@@ -702,7 +702,8 @@ class TestEstimationResultIo:
     def test_non_stochastic_confidences_rejected(self, q):
         with pytest.raises(DataError, match="row-stochastic"):
             EstimationResult(cf_names=("a", "b"), sizes=(3, 2), confidences=q,
-                             hard_estimates=np.ones((1, 2)), method="m", hyperparams={})
+                             hard_estimates=np.ones((1, 2), dtype=np.int64), method="m",
+                             hyperparams={})
 
     @pytest.mark.parametrize("sizes, shape, hard_shape", [
         ((3, 2), (2, 6), (2, 2)),  # widths sum to 5, the matrix has 6 columns
@@ -713,7 +714,8 @@ class TestEstimationResultIo:
     def test_wrong_shape_rejected(self, sizes, shape, hard_shape):
         with pytest.raises(ShapeMismatchError):
             EstimationResult(cf_names=("a", "b"), sizes=sizes, confidences=np.zeros(shape),
-                             hard_estimates=np.ones(hard_shape), method="m", hyperparams={})
+                             hard_estimates=np.ones(hard_shape, dtype=np.int64), method="m",
+                             hyperparams={})
 
     @pytest.mark.parametrize("hard", [[[0, 1]], [[4, 1]], [[1, 3]]])
     def test_hard_estimate_outside_codes_rejected(self, hard):
@@ -722,6 +724,21 @@ class TestEstimationResultIo:
         with pytest.raises(DataError, match="outside the CF codes"):
             EstimationResult(cf_names=("a", "b"), sizes=(3, 2),
                              confidences=np.array([[1.0, 0.0, 0.0, 0.0, 1.0]]),
+                             hard_estimates=hard, method="m", hyperparams={})
+
+    @pytest.mark.parametrize("hard, confidences, error", [
+        ([[2.9, 1.0]], [[0.0, 0.5, 0.5, 1.0, 0.0]], DataError),         # float codes
+        ([[True, True]], [[1.0, 0.0, 0.0, 1.0, 0.0]], DataError),       # bool codes
+        (np.array([["1", "1"]]), [[1.0, 0.0, 0.0, 1.0, 0.0]], DataError),
+        ([[1], [2, 1]], [[1.0, 0.0, 0.0, 1.0, 0.0]] * 2, ShapeMismatchError),
+        ([[1, 1]], [[1.0, 0.0, 0.0], [1.0, 0.0]], ShapeMismatchError),  # ragged confidences
+        ([[1, 1]], [["1", "0", "0", "1", "0"]], DataError),             # text confidences
+    ], ids=["float", "bool", "text", "ragged", "ragged_confidences", "text_confidences"])
+    def test_malformed_arrays_refused(self, hard, confidences, error):
+        """Hard estimates are refused, never truncated, unless they are
+        integers, and ragged input is a shape error, not a raw ValueError."""
+        with pytest.raises(error):
+            EstimationResult(cf_names=("a", "b"), sizes=(3, 2), confidences=confidences,
                              hard_estimates=hard, method="m", hyperparams={})
 
     @pytest.mark.parametrize("make", [
