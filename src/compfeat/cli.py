@@ -26,8 +26,9 @@ test suite.
 
 ``prepare`` writes ``prepared_seed<s>.csv`` per seed: the source
 columns, CF cells holding the truth, then one ``<cf>__observed`` column
-per CF.  Without ``max_n`` subsampling the seeds share the source rows,
-and their source columns are formatted once per command.
+per CF.  Without ``max_n`` subsampling the seeds share the source rows:
+the source columns' CSV text is rendered once per command, and each
+seed's file joins it, row by row, to the text of its observed columns.
 
 ``estimate`` writes ``estimate_<method>_seed<s>.npz`` per seed, the file
 ``evaluate`` and ``predict --mode soft|hard`` read, and beside it
@@ -68,8 +69,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import oracle as oracle_mod
 from . import propagation
-from .data import (STREAM_SUBSAMPLE, Dataset, format_columns, load_csv, load_schema,
-                   seeded_order, split_train_test, synthesize_cf, write_columns)
+from .data import (STREAM_SUBSAMPLE, Dataset, format_rows, load_csv, load_schema, seeded_order,
+                   split_train_test, synthesize_cf, write_rows)
 from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
@@ -313,14 +314,14 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     source = load_source(cfg)
     # Synthesis changes only the observed columns, so seeds that share
     # the source rows share the text of every other column.
-    shared = None if subsamples(cfg, source) else format_columns(source)
+    shared = None if subsamples(cfg, source) else format_rows(source)
     files = {}
     for seed in cfg.seeds:
         ds = experiment_dataset(cfg, source, seed)
         name = f"prepared_seed{seed}.csv"
         path = os.path.join(cfg.out, name)
-        columns = format_columns(ds) if shared is None else shared
-        write_columns(path, columns + format_columns(ds, observed=True))
+        rows = format_rows(ds) if shared is None else shared
+        write_rows(path, rows, format_rows(ds, observed=True))
         files[name] = {"sha256": _sha256_file(path), "n": ds.n}
     manifest = {
         "config": config_echo(cfg),

@@ -15,9 +15,11 @@ role is one of ``OF``, ``CF``, ``label``.  The trailing ``|``-joined
 vocabulary is optional for non-quantitative columns; when absent it is
 inferred from the data, sorted lexicographically.
 
-CSVs are read in blocks of rows, each converted a column at a time, and
-written a column at a time.  A malformed CSV raises a typed error that
-names the first bad row and its column.
+CSVs are read in blocks of rows, each converted a column at a time.  They
+are written a row at a time, each row joined from the text of its
+groups of columns, so columns that several files share are rendered
+once.  A malformed CSV raises a typed error that names the first bad row
+and its column.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import contextlib
 import csv
 import io
 from dataclasses import dataclass, replace
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -134,14 +138,19 @@ def _as_array(values, name: str) -> np.ndarray:
         raise ShapeMismatchError(f"{name} must form a rectangular array") from None
 
 
-def _code_array(values, name: str, copy: bool) -> np.ndarray:
-    """``values`` as frozen int64 codes, copied when ``copy``.  The codes
-    must already be integers: a float, bool or text entry is refused,
-    never truncated or cast."""
+def _integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an array of an integer dtype: a float, bool or text
+    entry is refused, never truncated or cast."""
     arr = _as_array(values, name)
     if not np.issubdtype(arr.dtype, np.integer):
-        raise DataError(f"{name} must hold integer codes, got dtype {arr.dtype}")
-    return _frozen(arr.astype(np.int64, copy=copy))
+        raise DataError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr
+
+
+def _code_array(values, name: str, copy: bool) -> np.ndarray:
+    """``values`` as frozen int64 codes, copied when ``copy``; the codes
+    must already be integers (:func:`_integer_array`)."""
+    return _frozen(_integer_array(values, name).astype(np.int64, copy=copy))
 
 
 @dataclass(frozen=True)
@@ -226,7 +235,9 @@ class Dataset:
         return int(self.labels.shape[0])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at ``indices``, which must be integers: a float index
+        or a boolean mask is a :class:`DataError`."""
+        idx = _integer_array(indices, "subset indices")
         return Dataset._adopt(
             schema=self.schema,
             of_values=tuple(a[idx] for a in self.of_values),
@@ -485,43 +496,60 @@ def write_csv(ds: Dataset, path, observed_columns: bool = False):
 
     CF cells hold the ground-truth values, so ``load_csv`` on the output
     reproduces the dataset.  With ``observed_columns=True`` an extra
-    ``<name>__observed`` column per CF is appended.  The bytes are those
-    of :func:`write_columns` on the :func:`format_columns` output, which
-    ``compfeat prepare`` uses directly: when its seeds share the source
-    rows it formats the schema columns (OFs, label and CF truth) once
-    per command and only the observed columns per seed.
+    ``<name>__observed`` column per CF is appended.  The file is
+    :func:`write_rows` of the :func:`format_rows` parts, which
+    ``compfeat prepare`` calls itself: when its seeds share the source
+    rows it renders the schema columns' rows once per command and only
+    the observed columns' rows per seed.
     """
-    columns = format_columns(ds)
+    parts = [format_rows(ds)]
     if observed_columns:
-        columns += format_columns(ds, observed=True)
-    write_columns(path, columns)
+        parts.append(format_rows(ds, observed=True))
+    write_rows(path, *parts)
 
 
-def format_columns(ds: Dataset, observed: bool = False) -> list[tuple[str, list[str]]]:
-    """The CSV header name and cell texts of each schema column, CF cells
-    holding the truth, or with ``observed=True`` of each
-    ``<name>__observed`` column."""
+def format_rows(ds: Dataset, observed: bool = False) -> list[str]:
+    """The CSV text of the header and of each row over the schema columns,
+    CF cells holding the truth, or with ``observed=True`` over the
+    ``<name>__observed`` columns, for :func:`write_rows` to join.
+
+    Each text is rendered with an empty first field and without its line
+    terminator, so it starts with the comma that joins it to the text
+    before it; with no columns each text is empty.
+    """
     schema = ds.schema
     cf_cols = schema.cf_columns
     if observed:
         if ds.cf_observed is None:
             raise MissingTruthError("no observed CF values to write")
-        return [(f"{c.name}__observed", _cell_text(ds.cf_observed[:, j], c))
-                for j, c in enumerate(cf_cols)]
-    if cf_cols and ds.cf_truth is None:
-        raise MissingTruthError("dataset has no CF ground truth to write")
-    arrays = dict(zip((c.name for c in schema.of_columns), ds.of_values))
-    arrays[schema.label_column.name] = ds.labels
-    arrays.update((c.name, ds.cf_truth[:, j]) for j, c in enumerate(cf_cols))
-    return [(c.name, _cell_text(arrays[c.name], c)) for c in schema.columns]
+        names = [f"{c.name}__observed" for c in cf_cols]
+        cells = [_cell_text(ds.cf_observed[:, j], c) for j, c in enumerate(cf_cols)]
+    else:
+        if cf_cols and ds.cf_truth is None:
+            raise MissingTruthError("dataset has no CF ground truth to write")
+        arrays = dict(zip((c.name for c in schema.of_columns), ds.of_values))
+        arrays[schema.label_column.name] = ds.labels
+        arrays.update((c.name, ds.cf_truth[:, j]) for j, c in enumerate(cf_cols))
+        names = [c.name for c in schema.columns]
+        cells = [_cell_text(arrays[c.name], c) for c in schema.columns]
+    if not names:
+        return [""] * (ds.n + 1)
+    rows = []
+    # The C writer passes each whole row to write().  Its default line
+    # terminator, cut here and put back by write_rows, also decides how
+    # fields holding \r or \n are quoted.
+    writer = csv.writer(SimpleNamespace(write=lambda row: rows.append(row[:-2])))
+    writer.writerow(("", *names))
+    writer.writerows(zip(repeat(""), *cells))
+    return rows
 
 
-def write_columns(path, columns: list[tuple[str, list[str]]]):
-    """Write :func:`format_columns` output, header row first, as one CSV."""
+def write_rows(path, *parts: list[str]):
+    """Write one CSV whose row i, the header first, joins text i of each
+    :func:`format_rows` part.  A row of one empty field is written as
+    ``""``, as ``csv.writer`` writes it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
-        writer.writerows(zip(*(cells for _, cells in columns)))
+        fh.writelines((row[1:] or '""') + "\r\n" for row in map("".join, zip(*parts)))
 
 
 def _cell_text(arr: np.ndarray, col: Column) -> list[str]:

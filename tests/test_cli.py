@@ -251,7 +251,14 @@ class TestEstimateOnly:
 
 class TestPrepare:
     @staticmethod
-    def awkward_source(tmp_path):
+    def write_source(ds, tmp_path):
+        data, schema_path = tmp_path / "source.csv", tmp_path / "source.schema"
+        write_csv(ds, data)
+        save_schema(ds.schema, schema_path)
+        return ["--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "out")]
+
+    @staticmethod
+    def awkward_source():
         """make_bank_like(60) with a CF vocabulary entry holding a comma and
         a double quote, and a quantitative OF holding float extremes."""
         ds, _ = make_bank_like(60, seed=0)
@@ -262,19 +269,42 @@ class TestPrepare:
         j = next(i for i, c in enumerate(schema.of_columns) if c.kind == "quantitative")
         col = np.array(ds.of_values[j])
         col[:4] = (-0.0, 5e-324, 1e16, 1.7e308)
-        ds = dataclasses.replace(ds, schema=schema,
-                                 of_values=(*ds.of_values[:j], col, *ds.of_values[j + 1:]))
-        data, schema_path = tmp_path / "awkward.csv", tmp_path / "awkward.schema"
-        write_csv(ds, data)
-        save_schema(schema, schema_path)
-        return ["--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "out")]
+        return dataclasses.replace(ds, schema=schema,
+                                   of_values=(*ds.of_values[:j], col, *ds.of_values[j + 1:]))
 
-    @pytest.mark.parametrize("max_n, awkward", [(0, False), (40, False), (0, True)],
-                             ids=["all_rows", "max_n", "awkward_source"])
-    def test_files_equal_per_seed_write_csv(self, bank_csv, tmp_path, max_n, awkward):
+    @staticmethod
+    def no_cf_source():
+        """make_bank_like(60) without its CF columns."""
+        ds, _ = make_bank_like(60, seed=0)
+        schema = FeatureSchema(tuple(c for c in ds.schema.columns if c.role != "CF"))
+        return Dataset(schema, ds.of_values, ds.labels, cf_truth=np.zeros((ds.n, 0), np.int64))
+
+    @staticmethod
+    def empty_value_source():
+        """make_bank_like(60) with one CF, whose first vocabulary entry is
+        the empty string."""
+        ds, _ = make_bank_like(60, seed=0)
+        cf = ds.schema.cf_columns[0]
+        schema = FeatureSchema(tuple(
+            dataclasses.replace(c, vocabulary=("", *c.vocabulary[1:])) if c is cf else c
+            for c in ds.schema.columns if c.role != "CF" or c is cf))
+        return Dataset(schema, ds.of_values, ds.labels, cf_truth=ds.cf_truth[:, :1])
+
+    @pytest.mark.parametrize("max_n, source", [
+        (0, "bank"), (40, "bank"), (0, "awkward"), (0, "no_cf"), (40, "no_cf"),
+        (0, "empty_value"), (40, "empty_value"),
+    ], ids=["all_rows", "max_n", "awkward_source", "no_cf", "no_cf_max_n", "empty_value",
+            "empty_value_max_n"])
+    def test_files_equal_per_seed_write_csv(self, bank_csv, tmp_path, max_n, source):
         """Each prepared CSV has the bytes of ``write_csv`` on that seed's
-        dataset, whether or not the seeds share their source columns."""
-        flags = self.awkward_source(tmp_path) if awkward else bank_csv
+        dataset, whether or not the seeds share their source columns.  A
+        schema without CFs has no observed columns to join, and an
+        observed cell holding the empty string is one empty field of a
+        row, not the ``""`` that ``csv.writer`` writes for a row of one
+        empty field."""
+        sources = {"awkward": self.awkward_source, "no_cf": self.no_cf_source,
+                   "empty_value": self.empty_value_source}
+        flags = bank_csv if source == "bank" else self.write_source(sources[source](), tmp_path)
         seeds = ",".join(map(str, SEEDS))
         assert main(["prepare", "--seed", seeds, "--max-n", str(max_n), *flags]) == 0
         manifest = read_json(out_file(flags, "manifest.json"))
@@ -283,11 +313,32 @@ class TestPrepare:
             want = tmp_path / f"want{seed}.csv"
             write_csv(ds, want, observed_columns=True)
             name = f"prepared_seed{seed}.csv"
-            with open(out_file(flags, name), "rb") as got:
-                assert got.read() == want.read_bytes()
+            got = Path(out_file(flags, name)).read_bytes()
+            assert got == want.read_bytes()
             assert manifest["files"][name]["n"] == ds.n
-        if awkward:
-            assert b'"admin, ""senior"""' in want.read_bytes()
+            assert got.count(b"\r\n") == ds.n + 1
+            if source == "empty_value":
+                assert (ds.cf_observed == 1).any()
+                assert b'""' not in got
+        if source == "awkward":
+            assert b'"admin, ""senior"""' in got
+
+    @pytest.mark.parametrize("max_n, renders", [(0, 1), (40, len(SEEDS))])
+    def test_shared_rows_rendered_once(self, bank_csv, monkeypatch, max_n, renders):
+        """With three seeds and no max_n, the source columns' rows are
+        rendered once per command; with max_n, each seed renders its own.
+        Each seed renders its observed columns' rows."""
+        calls = []
+
+        def counting(ds, observed=False):
+            calls.append(observed)
+            return data_mod.format_rows(ds, observed)
+
+        monkeypatch.setattr(cli, "format_rows", counting)
+        seeds = ",".join(map(str, SEEDS))
+        assert main(["prepare", "--seed", seeds, "--max-n", str(max_n), *bank_csv]) == 0
+        assert calls.count(False) == renders
+        assert calls.count(True) == len(SEEDS)
 
     def test_shared_columns_formatted_once(self, bank_csv, monkeypatch):
         """With three seeds and no max_n, each quantitative source column

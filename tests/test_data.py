@@ -277,6 +277,17 @@ class TestLoadCsv:
         for a, b in zip(again.of_values, ds.of_values):
             np.testing.assert_array_equal(a, b)
 
+    def test_row_of_one_empty_cell_round_trips(self, tmp_path):
+        """A row whose one cell is the empty string is written as ``""``,
+        as ``csv.writer`` writes it, and reads back as that cell."""
+        schema = FeatureSchema((Column("y", "categorical", "label", ("", "a")),))
+        ds = Dataset(schema=schema, of_values=(), labels=np.array([1, 2, 1]),
+                     cf_truth=np.zeros((3, 0), np.int64))
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == b'y\r\n""\r\na\r\n""\r\n'
+        np.testing.assert_array_equal(load_csv(path, schema).labels, ds.labels)
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(
@@ -494,6 +505,15 @@ class TestDatasetInvariants:
         with pytest.raises(error):
             Dataset(schema=tiny_schema, of_values=(arrays.pop("age"), arrays.pop("color")),
                     **arrays)
+
+    @pytest.mark.parametrize("indices", [np.array([1.9]), [True, False], np.array([True] * 40),
+                                         np.array(["1"])],
+                             ids=["float", "bool_list", "bool_mask", "text"])
+    def test_subset_refuses_non_integer_indices(self, tiny_dataset, indices):
+        """A float index is refused, not truncated, and a boolean mask is
+        refused, not read as the indices 0 and 1."""
+        with pytest.raises(DataError, match="subset indices must hold integers"):
+            tiny_dataset.subset(indices)
 
     @pytest.mark.parametrize("of_values", [(np.array([1.5, 2.5]),), ()])
     def test_one_array_per_of_column(self, tiny_schema, of_values):
