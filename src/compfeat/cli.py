@@ -35,7 +35,12 @@ seed's file joins it, row by row, to the text of its observed columns.
 ``estimate_<method>_seed<s>.json``, an export of the same result as JSON
 that no command reads (see :meth:`EstimationResult.save`).  Each file
 stores the seed and a hash of the seed's inputs, and a reader refuses a
-file estimated from other inputs.
+file estimated from other inputs.  The graph methods propagate groups
+of seeds together (see :mod:`compfeat.propagation`); ``estimate`` writes
+each seed's files as soon as its group finishes and holds none of its
+results while the next group runs.  An interrupted run leaves the files
+of the groups that finished, and ``evaluate`` refuses a method whose
+files exist for only some of its seeds.
 
 Every command but ``oracle`` reads the source CSV and needs at least 2
 rows in it.  Seed s's dataset holds the source rows with observed CF
@@ -63,6 +68,8 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -221,19 +228,19 @@ def shared_of_graph(cfg: ExperimentConfig, source: Dataset) -> propagation.Weigh
 
 
 def run_methods(cfg: ExperimentConfig, datasets: list[Dataset], seeds: tuple[int, ...],
-                of_graph: propagation.WeightGraph | None = None) -> list[EstimationResult]:
-    """``cfg.method``'s result for each seed's dataset; the graph methods
-    propagate the seeds stacked, in their :func:`~compfeat.propagation.seed_groups`."""
+                of_graph: propagation.WeightGraph | None = None) -> Iterator[EstimationResult]:
+    """``cfg.method``'s result for each seed's dataset, in order, from an
+    iterator built of the methods' iterators and ``map``, which holds no
+    result once it has passed it on (see :mod:`compfeat.propagation`)."""
     if cfg.method == "proposed":
         results = run_proposed_seeds(datasets, T=cfg.T, k=cfg.k, gamma=cfg.gamma,
                                      of_graph=of_graph)
     elif cfg.method == "ipal":
         results = run_ipal_seeds(datasets, T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
     else:
-        results = [run_comp(ds, seed) for ds, seed in zip(datasets, seeds)]
+        results = map(run_comp, datasets, seeds)
     if cfg.estimate_only:
-        results = [restrict_to_subset(cfg, ds, result, seed)
-                   for ds, result, seed in zip(datasets, results, seeds)]
+        results = map(partial(restrict_to_subset, cfg), datasets, results, seeds)
     return results
 
 
@@ -335,34 +342,21 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
 
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
-    """Estimate every seed and write its file.
-
-    The seeds run in the :func:`~compfeat.propagation.seed_groups` of
-    their row counts (every seed has ``max_n`` rows when subsampling, and
-    the source's otherwise).  A graph method propagates a group's seeds
-    as one stacked system, which is cheaper per step while the group's
-    rows stay within ``propagation._STACK_ROWS``; larger seeds run one at
-    a time.
-    """
     os.makedirs(cfg.out, exist_ok=True)
     source = load_source(cfg)
     of_graph = shared_of_graph(cfg, source)
-    n = cfg.max_n if subsamples(cfg, source) else source.n
-    for group in propagation.seed_groups([n] * len(cfg.seeds)):
-        write_estimates(cfg, source, cfg.seeds[group], of_graph)
+    datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
+    results = run_methods(cfg, datasets, cfg.seeds, of_graph)
+    for path in map(partial(save_result, cfg), datasets, cfg.seeds, results):
+        print(f"wrote {path}")
     return 0
 
 
-def write_estimates(cfg: ExperimentConfig, source: Dataset, seeds: tuple[int, ...],
-                    of_graph: propagation.WeightGraph | None):
-    """Estimate one group of seeds and write each seed's file.  Its own
-    function, so that no dataset or result of a group is held while the
-    next group runs."""
-    datasets = [experiment_dataset(cfg, source, seed) for seed in seeds]
-    for ds, seed, result in zip(datasets, seeds, run_methods(cfg, datasets, seeds, of_graph)):
-        path = result_path(cfg, cfg.method, seed)
-        result.save(path, extra=provenance(cfg, ds, seed))
-        print(f"wrote {path}")
+def save_result(cfg: ExperimentConfig, ds: Dataset, seed: int, result: EstimationResult) -> str:
+    """Write ``result``, seed ``seed``'s estimate of ``ds``, to its file; return the path."""
+    path = result_path(cfg, cfg.method, seed)
+    result.save(path, extra=provenance(cfg, ds, seed))
+    return path
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
@@ -371,8 +365,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
     per_method: dict[str, list] = {}
     for method in METHODS:
         paths = [result_path(cfg, method, s) for s in cfg.seeds]
-        if not all(os.path.exists(p) for p in paths):
-            continue
+        if not any(os.path.exists(p) for p in paths):
+            continue  # load_result refuses a method estimated for only some seeds
         per_seed = [score_cf(load_result(cfg, path, ds, seed), ds.cf_truth)
                     for ds, path, seed in zip(datasets, paths, cfg.seeds)]
         per_method[method] = aggregate_cf_scores(per_seed)

@@ -158,7 +158,8 @@ class Dataset:
     """Column-typed table with optional hidden CF ground truth.
 
     ``of_values`` holds one array per OF column in schema order: float64
-    for quantitative columns, 1-based int64 codes otherwise.
+    for quantitative columns, given as finite bool, integer or float
+    values, and 1-based int64 codes otherwise.
     ``cf_observed`` / ``cf_truth`` are (n, F_c) code arrays; either may
     be None.  Codes must be given as integers, and a ragged array is a
     :class:`ShapeMismatchError`.  All arrays are frozen after
@@ -204,7 +205,12 @@ class Dataset:
             name = f"column {col.name!r}"
             if col.kind == "quantitative":
                 arr = _as_array(arr, name)
-                arr = _frozen(arr.copy() if copy else arr)
+                if arr.dtype.kind not in "biuf":
+                    raise DataError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+                with np.errstate(over="ignore"):  # a wider float past float64's range: inf
+                    arr = _frozen(arr.astype(np.float64, copy=copy))
+                if not np.isfinite(arr).all():
+                    raise DataError(f"{name} holds a value that is not a finite float64")
             else:
                 arr = _code_array(arr, name, copy)
             if arr.shape != (n,):

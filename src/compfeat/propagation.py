@@ -37,8 +37,10 @@ exactly what a step on its own seed's matrix does, so the results are
 bit for bit those of one seed at a time, in fewer numpy calls.  Seeds
 are stacked only while their rows total at most ``_STACK_ROWS``
 (:func:`seed_groups`): past a few thousand rows a stacked step is no
-cheaper per row, and the stacked arrays only cost memory.
-:func:`run_proposed` and :func:`run_ipal` are the one-seed case.
+cheaper per row, and the stacked arrays only cost memory.  Both methods
+run their seeds through :func:`_run_seeds`, the only caller of
+:func:`seed_groups`, which runs a group when its first result is asked
+for; :func:`run_proposed` and :func:`run_ipal` are the one-seed case.
 
 The step is :func:`compfeat.graph.propagate_step`, imported here.  The
 procedures look it, :func:`correct` and ``build_graph`` up in this
@@ -55,7 +57,8 @@ import os
 import tokenize
 import zipfile
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -338,22 +341,6 @@ def seed_groups(ns: Sequence[int]) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(ns)])]
 
 
-def _of_graph(ds: Dataset, k: int, of_graph: WeightGraph) -> WeightGraph:
-    """``of_graph`` after checking that it is a graph of ``ds``'s rows at this ``k``."""
-    if (of_graph.n, of_graph.k) != (ds.n, min(k, ds.n - 1)):
-        raise ShapeMismatchError(f"round-1 graph is {of_graph.n} x {of_graph.k}, "
-                                 f"expected {ds.n} x {min(k, ds.n - 1)}")
-    return of_graph
-
-
-def _check_stackable(datasets: Sequence[Dataset]):
-    for ds in datasets:
-        _require_cfs(ds.schema.cf_sizes)
-        if ds.schema.cf_sizes != datasets[0].schema.cf_sizes:
-            raise ShapeMismatchError(f"seeds of CF widths {datasets[0].schema.cf_sizes} and "
-                                     f"{ds.schema.cf_sizes} cannot be stacked")
-
-
 def _split(q: np.ndarray, datasets: Sequence[Dataset]) -> list[np.ndarray]:
     """The stacked confidences ``q`` cut into each dataset's rows."""
     return np.split(q, np.cumsum([ds.n for ds in datasets])[:-1])
@@ -374,7 +361,7 @@ def run_proposed(
     for ``encode_of(ds)``; it is built here when omitted.  This is
     :func:`run_proposed_seeds` of the one dataset.
     """
-    return run_proposed_seeds([ds], T, k, gamma, of_graph)[0]
+    return next(run_proposed_seeds([ds], T, k, gamma, of_graph))
 
 
 def run_proposed_seeds(
@@ -383,48 +370,23 @@ def run_proposed_seeds(
     k: int,
     gamma: float,
     of_graph: WeightGraph | None = None,
-) -> list[EstimationResult]:
-    """:func:`run_proposed` of each dataset, one result per dataset.
-
-    The datasets (one per seed, with the same CF widths) run in the
-    :func:`seed_groups` of their row counts.  A group propagates its
-    seeds as one stacked system: their confidences, seed-major, form
-    one (sum n, sum u_j) matrix, each seed owning its rows in order, and
-    each round runs T steps on the :func:`stack_graphs` union of the
-    seeds' graphs, one module-level ``propagate_step`` and ``correct``
-    per step on the stacked matrix.  Every row goes through the same
-    floating-point operations as alone, so each result is bit for bit
-    that of :func:`run_proposed`.  ``of_graph``, when given, is every
-    dataset's round-1 graph: the seeds share their rows.
+) -> Iterator[EstimationResult]:
+    """:func:`run_proposed` of each dataset, from the iterator
+    :func:`_run_seeds` returns.  Each round runs T steps, one module-level
+    ``propagate_step`` and ``correct`` each, on the stacked matrix of a
+    group of seeds; every row goes through the floating-point operations
+    it would alone, so each result is bit for bit :func:`run_proposed`'s.
     """
-    if T < 1:
-        raise DataError("T must be >= 1")
     if not 0.0 <= gamma <= 1.0:
         raise DataError(f"gamma must lie in [0, 1], got {gamma}")
-    _check_stackable(datasets)
-    results = []
-    for group in seed_groups([ds.n for ds in datasets]):
-        seeds = datasets[group]
-        sizes = seeds[0].schema.cf_sizes
-        q0 = np.concatenate([init_marginal(ds) for ds in seeds])
 
-        def one_round(graph: WeightGraph) -> np.ndarray:
-            q = q0
-            for _ in range(T):
-                q = correct(propagate_step(graph, q), q0, sizes)
-            return q
+    def round2_encodings(seeds: Sequence[Dataset], q: np.ndarray) -> list[np.ndarray]:
+        return [encode_with_confidence(encode_of(ds), qs, ds.schema.cf_columns, gamma)
+                for ds, qs in zip(seeds, _split(q, seeds))]
 
-        bases = [encode_of(ds) for ds in seeds]
-        round1 = one_round(stack_graphs([
-            build_graph(base, k) if of_graph is None else _of_graph(ds, k, of_graph)
-            for ds, base in zip(seeds, bases)]))
-        round2 = one_round(stack_graphs([
-            build_graph(encode_with_confidence(base, q, ds.schema.cf_columns, gamma), k)
-            for ds, base, q in zip(seeds, bases, _split(round1, seeds))]))
-        results += [_result(ds, q, hard_from_blocks(q, sizes), "proposed",
-                            {"T": T, "k": k, "gamma": gamma})
-                    for ds, q in zip(seeds, _split(round2, seeds))]
-    return results
+    return _run_seeds(datasets, T, k, of_graph, "proposed", {"T": T, "k": k, "gamma": gamma},
+                      lambda graph, q, q0, sizes: correct(propagate_step(graph, q), q0, sizes),
+                      round2_encodings)
 
 
 def run_comp(ds: Dataset, seed: int) -> EstimationResult:
@@ -457,7 +419,7 @@ def run_ipal(
     is as in :func:`run_proposed`; ``ds`` is encoded only when it is
     omitted.  This is :func:`run_ipal_seeds` of the one dataset.
     """
-    return run_ipal_seeds([ds], T, k, alpha, of_graph)[0]
+    return next(run_ipal_seeds([ds], T, k, alpha, of_graph))
 
 
 def run_ipal_seeds(
@@ -466,31 +428,66 @@ def run_ipal_seeds(
     k: int,
     alpha: float,
     of_graph: WeightGraph | None = None,
-) -> list[EstimationResult]:
-    """:func:`run_ipal` of each dataset, one result per dataset, each
-    group of seeds propagated as one stacked system as in
-    :func:`run_proposed_seeds`: T module-level ``propagate_step`` calls
-    per group on the seed-major (sum n, sum u_j) matrix."""
-    if T < 1:
-        raise DataError("T must be >= 1")
+) -> Iterator[EstimationResult]:
+    """:func:`run_ipal` of each dataset, from the iterator
+    :func:`_run_seeds` returns: T module-level ``propagate_step`` calls
+    per group of seeds, on their stacked matrix."""
     if not 0.0 < alpha < 1.0:
         raise DataError("alpha must lie in (0, 1)")
-    _check_stackable(datasets)
-    results = []
-    for group in seed_groups([ds.n for ds in datasets]):
-        seeds = datasets[group]
-        sizes = seeds[0].schema.cf_sizes
-        q0 = np.concatenate([init_marginal(ds) for ds in seeds])
-        graph = stack_graphs([
-            build_graph(encode_of(ds), k) if of_graph is None else _of_graph(ds, k, of_graph)
-            for ds in seeds])
+    return _run_seeds(datasets, T, k, of_graph, "ipal", {"T": T, "k": k, "alpha": alpha},
+                      lambda graph, q, q0, sizes: _normalize(
+                          alpha * propagate_step(graph, q) + (1.0 - alpha) * q0, q0, sizes))
+
+
+def _run_seeds(datasets: Sequence[Dataset], T: int, k: int, of_graph: WeightGraph | None,
+               method: str, hyperparams: dict, step: Callable[..., np.ndarray],
+               round2_encodings: Callable[..., list[np.ndarray]] | None = None,
+               ) -> Iterator[EstimationResult]:
+    """``method``'s result for each dataset, in order, from an iterator
+    that runs one :func:`seed_groups` group at a time, when its first
+    result is asked for; the arguments are checked before it is returned.
+
+    A group's stacked confidences take T ``step(graph, q, q0, sizes)``
+    from their initial ones on the :func:`stack_graphs` union of the
+    seeds' round-1 graphs (``of_graph``, or each seed's graph of its OF
+    encoding); with ``round2_encodings``, T more from the initial ones on
+    the union of the graphs of the encodings it returns for the seeds and
+    their round-1 confidences.  A graph is only an argument of the steps,
+    so it is freed before the next is built; the round-1 confidences are
+    freed before round 2's k-NN, and no array of a group outlives its
+    last result.
+    """
+    if T < 1:
+        raise DataError("T must be >= 1")
+    for ds in datasets:
+        _require_cfs(ds.schema.cf_sizes)
+        if ds.schema.cf_sizes != datasets[0].schema.cf_sizes:
+            raise ShapeMismatchError(f"seeds of CF widths {datasets[0].schema.cf_sizes} and "
+                                     f"{ds.schema.cf_sizes} cannot be stacked")
+        if of_graph is not None and (of_graph.n, of_graph.k) != (ds.n, min(k, ds.n - 1)):
+            raise ShapeMismatchError(f"round-1 graph is {of_graph.n} x {of_graph.k}, "
+                                     f"expected {ds.n} x {min(k, ds.n - 1)}")
+
+    def propagate(graph: WeightGraph, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
         q = q0
         for _ in range(T):
-            q = _normalize(alpha * propagate_step(graph, q) + (1.0 - alpha) * q0, q0, sizes)
-        results += [_result(ds, qs, hard_from_blocks(qs, sizes), "ipal",
-                            {"T": T, "k": k, "alpha": alpha})
-                    for ds, qs in zip(seeds, _split(q, seeds))]
-    return results
+            q = step(graph, q, q0, sizes)
+        return q
+
+    def group_results(seeds: Sequence[Dataset]) -> Iterator[EstimationResult]:
+        sizes = seeds[0].schema.cf_sizes
+        q0 = np.concatenate([init_marginal(ds) for ds in seeds])
+        q = propagate(stack_graphs([build_graph(encode_of(ds), k) if of_graph is None else of_graph
+                                    for ds in seeds]), q0, sizes)
+        if round2_encodings is not None:
+            encodings = round2_encodings(seeds, q)
+            del q  # the encodings hold what round 2 needs of it; free it before their k-NN
+            q = propagate(stack_graphs([build_graph(x, k) for x in encodings]), q0, sizes)
+        return map(lambda ds, qs: _result(ds, qs, hard_from_blocks(qs, sizes), method,
+                                          hyperparams), seeds, _split(q, seeds))
+
+    groups = [datasets[group] for group in seed_groups([ds.n for ds in datasets])]
+    return chain.from_iterable(map(group_results, groups))
 
 
 def _result(ds: Dataset, q: np.ndarray, hard: np.ndarray, method: str,

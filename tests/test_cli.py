@@ -400,6 +400,35 @@ class TestRoundOneReuse:
                 joint = Path(out_file(bank_csv, name)).read_bytes()
                 assert joint == (Path(single) / name).read_bytes()
 
+    @pytest.mark.parametrize("method, max_n, builds_per_seed", [
+        ("proposed", 0, 1), ("proposed", 40, 2), ("ipal", 40, 1)])
+    def test_each_seed_written_and_freed_before_the_next_runs(self, bank_csv, monkeypatch,
+                                                              method, max_n, builds_per_seed):
+        """With a budget of 1 row each seed runs alone.  Whenever a later
+        seed builds a graph, every earlier seed's file is on disk and its
+        EstimationResult is dead: estimate saves each result as it arrives
+        and holds none while the next seed runs."""
+        monkeypatch.setattr(propagation, "_STACK_ROWS", 1)
+        saved, checks = [], []
+        save, build = EstimationResult.save, propagation.build_graph
+
+        def recording_save(result, path, extra=None):
+            save(result, path, extra)
+            saved.append((path, weakref.ref(result)))
+
+        def checking_build(x, k):
+            checks.append((len(saved), all(os.path.exists(path) and ref() is None
+                                           for path, ref in saved)))
+            return build(x, k)
+
+        monkeypatch.setattr(EstimationResult, "save", recording_save)
+        monkeypatch.setattr(propagation, "build_graph", checking_build)
+        args = ["estimate", "--method", method, "--max-n", str(max_n), "--seed", "0,1,2"]
+        assert main([*args, *SMALL, *bank_csv]) == 0
+        shared = [(0, True)] if max_n == 0 else []
+        assert checks == shared + [(s, True) for s in SEEDS for _ in range(builds_per_seed)]
+        assert len(saved) == len(SEEDS)
+
     def test_sweep_gamma_curve_matches_per_seed_runs(self, bank_csv, graph_builds):
         gammas = (0.0, 0.5)
         args = ["sweep", "--axis", "gamma", "--values", "0,0.5", "--seed", "0,1", *SMALL,
@@ -488,6 +517,18 @@ class TestExitCodes:
         cfg.write_text(line + "\n")
         assert main([*command, "--config", str(cfg), *bank_csv]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_evaluate_refuses_a_method_missing_some_seeds(self, bank_csv, capsys):
+        """A method estimated for only some of the seeds is refused with
+        exit 3, naming its first missing file, not dropped from the report."""
+        assert main(["estimate", "--seed", "0", *SMALL, *bank_csv]) == 0
+        assert main(["estimate", "--method", "comp", "--seed", "0,1", *bank_csv]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--seed", "0,1", *bank_csv]) == 3
+        missing = out_file(bank_csv, "estimate_proposed_seed1.npz")
+        assert capsys.readouterr().err == (f"data error: missing estimation result {missing}; "
+                                           f"run estimate first\n")
+        assert not os.path.exists(out_file(bank_csv, "evaluation.json"))
 
     def test_data_errors_exit_3(self, bank_csv, tmp_path):
         missing = list(bank_csv)

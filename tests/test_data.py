@@ -494,10 +494,22 @@ class TestDatasetInvariants:
         ("labels", [[1], [2, 1]], ShapeMismatchError),
         ("cf_truth", [[1], [2, 1]], ShapeMismatchError),
         ("age", [[1.5], [2.5, 3.5]], ShapeMismatchError),
+        ("age", np.array(["1", "2"]), DataError),
+        ("age", np.array([1.5, 2.5], dtype=object), DataError),
+        ("age", np.array([1.5 + 0j, 2.5]), DataError),
+        ("age", [1.5, np.nan], DataError),
+        ("age", [np.inf, 2.5], DataError),
+        pytest.param("age", np.array(["1e600", "2"]).astype(np.longdouble), DataError,
+                     marks=pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024,
+                                              reason="long double is float64 here")),
     ])
     def test_malformed_arrays_refused(self, tiny_schema, field, value, error):
         """Codes must be integers: a float or bool code is refused, not
-        truncated.  A ragged array is a shape error, not a raw ValueError."""
+        truncated.  A ragged array is a shape error, not a raw ValueError.
+        A quantitative column holds finite reals, as load_csv requires: text,
+        object and complex values, NaN or inf, and a long double past
+        float64's range are refused, not left for the encoder or the CSV
+        writer to trip on."""
         arrays = {"age": np.array([1.5, 2.5]), "color": np.array([2, 3]),
                   "labels": np.array([1, 2]), "cf_truth": np.array([[1], [2]]),
                   "cf_observed": np.array([[2], [3]])}
@@ -505,6 +517,15 @@ class TestDatasetInvariants:
         with pytest.raises(error):
             Dataset(schema=tiny_schema, of_values=(arrays.pop("age"), arrays.pop("color")),
                     **arrays)
+
+    @pytest.mark.parametrize("age", [np.array([1, 2]), np.array([True, False]),
+                                     np.array([1.5, 2.5], np.float32)],
+                             ids=["int", "bool", "float32"])
+    def test_quantitative_column_stored_as_float64(self, tiny_schema, age):
+        ds = Dataset(schema=tiny_schema, of_values=(age, np.array([2, 3])),
+                     labels=np.array([1, 2]))
+        assert ds.of_values[0].dtype == np.float64
+        np.testing.assert_array_equal(ds.of_values[0], age)
 
     @pytest.mark.parametrize("indices", [np.array([1.9]), [True, False], np.array([True] * 40),
                                          np.array(["1"])],

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import weakref
 import zipfile
 
 import numpy as np
@@ -531,7 +532,7 @@ class TestStackedSeeds:
         stacked, single, params = STACKED_RUNS[method]
         base, datasets = seed_datasets(S, subsample)
         of_graph = None if subsample else build_graph(encode_of(base), 6)
-        got = stacked(datasets, T=7, k=6, of_graph=of_graph, **params)
+        got = list(stacked(datasets, T=7, k=6, of_graph=of_graph, **params))
         assert len(got) == S
         for ds, res in zip(datasets, got, strict=True):
             for graph in (None, of_graph):
@@ -548,13 +549,13 @@ class TestStackedSeeds:
         seeds of 30 and 35 rows together and the seed of 40 alone."""
         stacked, _, params = STACKED_RUNS[method]
         _, datasets = seed_datasets(3, subsample=True)
-        want = stacked(datasets, T=5, k=4, **params)
+        want = list(stacked(datasets, T=5, k=4, **params))
         shapes = []
         step = propagation.propagate_step
         monkeypatch.setattr(propagation, "propagate_step",
                             lambda graph, q: shapes.append(q.shape[0]) or step(graph, q))
         monkeypatch.setattr(propagation, "_STACK_ROWS", stack_rows)
-        got = stacked(datasets, T=5, k=4, **params)
+        got = list(stacked(datasets, T=5, k=4, **params))
         rows = [30, 35, 40] if stack_rows == 1 else [65, 40]
         rounds = 2 if method == "proposed" else 1
         assert shapes == [n for n in rows for _ in range(rounds * 5)]
@@ -580,7 +581,7 @@ class TestStackedSeeds:
         builds = []
         monkeypatch.setattr(propagation, "build_graph",
                             lambda x, k: builds.append(len(x)) or build(x, k))
-        stacked(datasets, T=4, k=5, **params)
+        list(stacked(datasets, T=4, k=5, **params))
         shape = (S * 45, 8)
         if method == "proposed":
             assert calls == [("propagate_step", shape), ("correct", shape)] * 8
@@ -588,6 +589,50 @@ class TestStackedSeeds:
         else:
             assert calls == [("propagate_step", shape)] * 4
             assert builds == [45] * S
+
+    def test_round_one_graph_freed_before_round_two(self, monkeypatch):
+        """Without a shared round-1 graph, the stacked round-1 graph of 2
+        seeds is dead when round 2 encodes its first seed: it lives only as
+        an argument of round 1's steps."""
+        _, datasets = seed_datasets(2, subsample=False)
+        stacked, alive = [], []
+        stack, encode = propagation.stack_graphs, propagation.encode_with_confidence
+
+        def recording_stack(graphs):
+            graph = stack(graphs)
+            stacked.append(weakref.ref(graph))
+            return graph
+
+        def checking_encode(*args):
+            alive.append(stacked[0]() is not None)
+            return encode(*args)
+
+        monkeypatch.setattr(propagation, "stack_graphs", recording_stack)
+        monkeypatch.setattr(propagation, "encode_with_confidence", checking_encode)
+        list(propagation.run_proposed_seeds(datasets, T=3, k=4, gamma=0.25))
+        assert len(stacked) == 2 and alive == [False, False]
+
+    def test_round_one_confidences_freed_before_round_two_builds(self, monkeypatch):
+        """Round 2 builds its graphs, whose k-NN is the peak of a run at
+        paper scale, once the stacked round-1 confidences are dead: the
+        round-2 encodings hold what it needs of them."""
+        _, datasets = seed_datasets(2, subsample=False)
+        round1, alive = [], []
+        encode, build = propagation.encode_with_confidence, propagation.build_graph
+
+        def recording_encode(base, q, *args):
+            round1.append(weakref.ref(q.base))
+            return encode(base, q, *args)
+
+        def checking_build(x, k):
+            if round1:  # round 2
+                alive.append(round1[0]() is not None)
+            return build(x, k)
+
+        monkeypatch.setattr(propagation, "encode_with_confidence", recording_encode)
+        monkeypatch.setattr(propagation, "build_graph", checking_build)
+        list(propagation.run_proposed_seeds(datasets, T=3, k=4, gamma=0.25))
+        assert len(round1) == 2 and alive == [False, False]
 
     def test_seed_groups_fill_the_row_budget_in_order(self, monkeypatch):
         monkeypatch.setattr(propagation, "_STACK_ROWS", 100)
