@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         if min(self.seeds) < 0 or max(self.seeds) >= 2**64:
             raise ConfigError("seeds must lie in [0, 2**64)")
+        if len(set(self.estimate_only)) != len(self.estimate_only):
+            raise ConfigError("estimate_only names must be distinct")
         if not 0.0 <= self.l2 < math.inf:
             raise ConfigError("l2 must be finite and >= 0")
 

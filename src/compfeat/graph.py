@@ -15,15 +15,17 @@ which upper-bounds the objective suboptimality for convex problems over
 the simplex (see :func:`optimality_gap`).
 
 Neighbors are ranked by the exact squared distances
-``((x_i - x_j) ** 2).sum()``, ties by ascending index.  Per block of 64
-rows, one partition of the GEMM distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j
-picks the 2k smallest as candidates, and a stable sort re-ranks them by
-exact distance.  Both distances lie within (d + 2) u (|x_i| + |x_j|)^2
-of the real one (u = eps / 2, any summation order), so the candidates
-hold the k nearest when the GEMM gap between the k-th and (2k+1)-th
-exceeds 2 (2d + 4) eps (|x_i| + max |x|)^2, a factor-2 margin; other
-rows (ties or near ties at the k-th place, large common offsets) rank
-all n rows exactly.  Instance vectors must be finite.
+``((x_i - x_j) ** 2).sum()``, ties by ascending index.  Rows go in
+blocks whose (rows, n) GEMM distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j hold
+at most ``_KNN_ELEMENTS`` entries (64 rows, fewer past n = 8,192).  Per
+block, one partition of those distances picks the 2k smallest as
+candidates, and a stable sort re-ranks them by exact distance.  Both
+distances lie within (d + 2) u (|x_i| + |x_j|)^2 of the real one
+(u = eps / 2, any summation order), so the candidates hold the k nearest
+when the GEMM gap between the k-th and (2k+1)-th exceeds
+2 (2d + 4) eps (|x_i| + max |x|)^2, a factor-2 margin; other rows (ties
+or near ties at the k-th place, large common offsets) rank all n rows
+exactly.  Instance vectors must be finite.
 
 The graph is row-stochastic with an empty diagonal and is computed once
 per propagation round, never per iteration.  Its product with the
@@ -40,6 +42,7 @@ import numpy as np
 from .errors import DataError, ShapeMismatchError
 
 _KNN_BLOCK = 64
+_KNN_ELEMENTS = 2**19  # most entries of a k-NN block's (rows, n) distances
 _SOLVE_BLOCK = 256
 _RIDGE = 1e-9      # delta in the ridge delta * tr(C) / k
 _KKT_TOL = 1e-14   # times tr(C); well below the ridge (see solve_weights)
@@ -76,16 +79,17 @@ class WeightGraph:
         w.flags.writeable = False
         object.__setattr__(self, "neighbors", nb)
         object.__setattr__(self, "weights", w)
-        nonzero = w != 0.0
-        counts = nonzero.sum(axis=1)
+        counts = np.count_nonzero(w, axis=1)
         order = np.argsort(-counts, kind="stable")
-        slots = np.argsort(~nonzero[order], axis=1, kind="stable")  # nonzeros first
-        nb_rank = np.take_along_axis(nb[order], slots, axis=1)
-        w_rank = np.take_along_axis(w[order], slots, axis=1)
-        ends = (counts[:, None] > np.arange(nb.shape[1])).sum(axis=0)
+        # The flat indices of the nonzero slots, row after row, slots in
+        # order, and where each row's run of them starts, rows in rank order.
+        flat = np.flatnonzero(w)
+        starts = (np.cumsum(counts) - counts)[order]
+        ends = np.searchsorted(-counts[order], -np.arange(nb.shape[1]))  # rows with > j nonzeros
         object.__setattr__(self, "_rank_order", order)
         object.__setattr__(self, "_rank_slots", tuple(
-            (nb_rank[:e, j].copy(), w_rank[:e, j, None].copy()) for j, e in enumerate(ends) if e))
+            (nb.ravel()[at], w.ravel()[at, None])
+            for at in (flat[starts[:e] + j] for j, e in enumerate(ends) if e)))
 
     @property
     def n(self) -> int:
@@ -133,11 +137,14 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
     Distance ties break by ascending index (the module docstring gives
     the exactness contract).  The effective k is min(k, n-1).
 
-    Each block of rows forms its GEMM distances in place and partitions
-    them once, at c = min(2k, n - 1): the first c columns are the
-    candidates and column c is the (c+1)-th smallest distance.  The
-    certificate's k-th smallest distance is the same order statistic of
-    the c candidates' values, so a partition of those c values gives it.
+    Each block of :func:`_knn_rows` rows forms its (rows, n) GEMM
+    distances in place and partitions them once, at c = min(2k, n - 1):
+    the first c columns are the candidates and column c is the (c+1)-th
+    smallest distance.  The certificate's k-th smallest distance is the
+    same order statistic of the c candidates' values, so a partition of
+    those c values gives it.  The candidates' exact distances are formed
+    in their gathered (rows, c, d) vectors.  The neighbors do not depend
+    on the block size.
     """
     x = _vectors(x)
     n, d = x.shape
@@ -151,8 +158,9 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
     norms = np.sqrt(sq)
     err = (2 * d + 4) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
     out = np.empty((n, k_eff), dtype=np.int64)
-    for start in range(0, n, _KNN_BLOCK):
-        rows = np.arange(start, min(start + _KNN_BLOCK, n))
+    block = _knn_rows(n)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
         local = rows - start
         approx = x[rows] @ x.T
         approx *= -2.0
@@ -166,13 +174,24 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
         # k-th nearest when the approximate gap exceeds twice the bound.
         certified = kept[:, c] - kth > 2.0 * err[rows]
         cand = np.sort(part[:, :c], axis=1)
-        order = np.argsort(((x[rows, None, :] - x[cand]) ** 2).sum(axis=-1), axis=1, kind="stable")
+        diff = x[cand]
+        np.subtract(x[rows, None, :], diff, out=diff)
+        np.square(diff, out=diff)
+        order = np.argsort(diff.sum(axis=-1), axis=1, kind="stable")
         out[rows] = np.take_along_axis(cand, order[:, :k_eff], axis=1)
         for i in rows[~certified]:
             d2 = ((x[i] - x) ** 2).sum(axis=-1)
             d2[i] = np.inf
             out[i] = np.argsort(d2, kind="stable")[:k_eff]
     return out
+
+
+def _knn_rows(n: int) -> int:
+    """Rows per :func:`knn` block over n instances: ``_KNN_BLOCK``, or
+    fewer (at least 1) so that the block's (rows, n) distances hold at
+    most ``_KNN_ELEMENTS`` entries.  That is 64 rows up to n = 8,192 and
+    11 at n = 45,211."""
+    return max(1, min(_KNN_BLOCK, _KNN_ELEMENTS // n))
 
 
 def _vectors(x: np.ndarray) -> np.ndarray:
@@ -206,7 +225,8 @@ def _neighbor_lists(neighbors: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DataError("neighbor index out of range")
     if np.any(nb == np.arange(nb.shape[0])[:, None]):
         raise DataError("self loops are not allowed")
-    if (np.diff(np.sort(nb, axis=1), axis=1) == 0).any():
+    ranked = np.sort(nb, axis=1)
+    if (ranked[:, 1:] == ranked[:, :-1]).any():
         raise DataError("duplicate neighbor indices in a row")
     return nb
 
@@ -248,8 +268,11 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
     ``neighbors`` is checked before anything is gathered, as
     :class:`WeightGraph` checks it, with n = len(x).  Rows are solved in
     blocks of ``_SOLVE_BLOCK`` rows, each by one batched active set
-    (:func:`_solve_block`), which keeps the stacked (rows, k, d)
-    temporaries small.  Rows whose gradient at uniform weights is flat
+    (:func:`_solve_block`).  A block gathers its rows' (rows, k, d)
+    neighbor vectors, subtracts them from x_i in place to form the
+    offsets, and forms their (rows, k, k) Grams; the offsets are freed
+    before the active set runs, which holds only the Grams and its
+    (rows, k) iterates.  Rows whose gradient at uniform weights is flat
     (all neighbors coincide with each other) keep exactly uniform weights.
     """
     x = _vectors(x)
@@ -258,12 +281,17 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
     h = np.empty((n, k))
     for start in range(0, n, _SOLVE_BLOCK):
         rows = slice(start, min(start + _SOLVE_BLOCK, n))
-        h[rows] = _solve_block(x[rows, None, :] - x[nb[rows]])
+        offsets = x[nb[rows]]
+        np.subtract(x[rows, None, :], offsets, out=offsets)
+        gram = offsets @ offsets.transpose(0, 2, 1)
+        del offsets  # the active set needs only the Gram
+        h[rows] = _solve_block(gram)
     return WeightGraph(neighbors=nb, weights=h)
 
 
-def _solve_block(diff: np.ndarray) -> np.ndarray:
-    """Simplex weights of a block of rows from their (m, k, d) offsets x_i - x_nb.
+def _solve_block(gram: np.ndarray) -> np.ndarray:
+    """Simplex weights of a block of rows from the (m, k, k) Grams of their
+    offsets x_i - x_nb, which it adds the ridge to in place.
 
     A primal active set run on all unfinished rows at once.  Each
     iteration solves every row's ridge Gram restricted to its support in
@@ -293,8 +321,7 @@ def _solve_block(diff: np.ndarray) -> np.ndarray:
     Rows still unfinished after 6k + 16 iterations keep their current
     feasible point; on bank-like data every row finishes within 31.
     """
-    m, k, _ = diff.shape
-    gram = diff @ diff.transpose(0, 2, 1)               # (m, k, k)
+    m, k, _ = gram.shape
     out = np.full((m, k), 1.0 / k)
     trace = np.trace(gram, axis1=1, axis2=2)
     tol = _KKT_TOL * trace

@@ -288,10 +288,11 @@ def correct(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
 
 def _normalize(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Row-normalize each CF's column segment of ``q``.
+    """Row-normalize each CF's column segment of ``q``, in place.
 
     A segment row whose sum is not positive becomes the matching
-    segment row of ``q0`` instead.
+    segment row of ``q0`` instead.  ``q`` must be a new array that no
+    caller reads again: every caller passes the expression it computed.
     """
     _require_cfs(sizes)
     sums = np.add.reduceat(q, segment_starts(sizes), axis=1)
@@ -299,7 +300,7 @@ def _normalize(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarra
     if dead.any():
         q = np.where(np.repeat(dead, sizes, axis=1), q0, q)
         sums[dead] = 1.0
-    return q / np.repeat(sums, sizes, axis=1)
+    return np.divide(q, np.repeat(sums, sizes, axis=1), out=q)
 
 
 def hard_from_blocks(q: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -454,8 +455,9 @@ def _run_seeds(datasets: Sequence[Dataset], T: int, k: int, of_graph: WeightGrap
     the union of the graphs of the encodings it returns for the seeds and
     their round-1 confidences.  A graph is only an argument of the steps,
     so it is freed before the next is built; the round-1 confidences are
-    freed before round 2's k-NN, and no array of a group outlives its
-    last result.
+    freed before round 2's k-NN, each round-2 encoding once its graph is
+    built, before round 2's first step, and no array of a group outlives
+    its last result.
     """
     if T < 1:
         raise DataError("T must be >= 1")
@@ -482,7 +484,10 @@ def _run_seeds(datasets: Sequence[Dataset], T: int, k: int, of_graph: WeightGrap
         if round2_encodings is not None:
             encodings = round2_encodings(seeds, q)
             del q  # the encodings hold what round 2 needs of it; free it before their k-NN
-            q = propagate(stack_graphs([build_graph(x, k) for x in encodings]), q0, sizes)
+            # Each encoding leaves the list as its graph is built, so none
+            # outlives its graph.
+            q = propagate(stack_graphs([build_graph(encodings.pop(0), k) for _ in seeds]),
+                          q0, sizes)
         return map(lambda ds, qs: _result(ds, qs, hard_from_blocks(qs, sizes), method,
                                           hyperparams), seeds, _split(q, seeds))
 

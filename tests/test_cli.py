@@ -507,10 +507,13 @@ class TestExitCodes:
         (["estimate"], f"k = {2**64}"),
         (["estimate", *SMALL], "seeds = 0,0,1"),
         (["prepare", "--seed", "0,0"], ""),
+        (["estimate", *SMALL], "estimate_only = job job"),
+        (["estimate", *SMALL, "--estimate-only", "job,job"], ""),
     ], ids=["unknown_key", "oracle_monotone_instances", "oracle_bound_instances",
             "predict_seed", "estimate_seed", "l2_nan", "l2_inf", "l2_negative", "epochs",
             "oracle_equivalence_instances", "oracle_slack", "seed_over_64_bits",
-            "k_over_64_bits", "duplicate_seed_line", "duplicate_seed_flag"])
+            "k_over_64_bits", "duplicate_seed_line", "duplicate_seed_flag",
+            "duplicate_estimate_only_line", "duplicate_estimate_only_flag"])
     def test_bad_config_line_exits_2(self, bank_csv, tmp_path, capsys, command, line):
         """Rejected with exit 2 when the config loads, not with a traceback."""
         cfg = tmp_path / "run.cfg"

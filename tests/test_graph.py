@@ -174,6 +174,22 @@ def tie_heavy_rows(draw):
     return x, draw(st.integers(1, n + 2))
 
 
+def knn_in_blocks(x, k, rows):
+    """knn with ``_KNN_ELEMENTS`` set so that its blocks hold ``rows``
+    rows, checking that they do: every block's distances pass through
+    np.argpartition once."""
+    n = len(x)
+    blocks = []
+    argpartition = np.argpartition
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_KNN_ELEMENTS", rows * n)
+        mp.setattr(np, "argpartition",
+                   lambda a, kth, axis: blocks.append(a.shape[0]) or argpartition(a, kth, axis))
+        got = knn(x, k)
+    assert blocks == [min(rows, n - start) for start in range(0, n, rows)]
+    return got
+
+
 class TestKnnExactness:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_rows())
@@ -185,6 +201,28 @@ class TestKnnExactness:
         _, enc1, enc2, _, _ = bank_like_rounds
         for enc in (enc1, enc2):
             np.testing.assert_array_equal(knn(enc, 20), stable_argsort_knn(enc, 20))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_rows())
+    def test_block_size_does_not_change_neighbors_on_ties(self, case):
+        x, k = case
+        want = knn(x, k)
+        for rows in (1, 7):
+            np.testing.assert_array_equal(knn_in_blocks(x, k, rows), want)
+
+    def test_block_size_does_not_change_neighbors_on_bank_like_rounds(self, bank_like_rounds):
+        _, enc1, enc2, _, _ = bank_like_rounds
+        for enc in (enc1, enc2):
+            want = knn(enc, 20)
+            for rows in (1, 7):
+                np.testing.assert_array_equal(knn_in_blocks(enc, 20, rows), want)
+
+    @pytest.mark.parametrize("n, rows", [(2, 64), (400, 64), (5000, 64), (8192, 64),
+                                         (8193, 63), (45211, 11), (2**19, 1), (2**20, 1)])
+    def test_rows_per_block_follow_n(self, n, rows):
+        """64 rows per block while a block's n distances fit the element
+        budget; fewer past it, down to 1."""
+        assert graph_module._knn_rows(n) == rows
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_ties_straddle_the_partition_index(self, k):

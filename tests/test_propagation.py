@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import weakref
@@ -166,6 +167,30 @@ class TestPropagateStep:
         graph, q = case
         np.testing.assert_array_equal(propagate_step(graph, q), slot_order_sum(graph, q))
 
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graph_steps())
+    def test_compact_form_equals_sorted_slot_reference(self, case):
+        """The graph's rank order and rank slots are those of a stable
+        argsort of the rows by nonzero count and of each row's slots,
+        nonzeros first, over (n, k) copies of its neighbors and weights."""
+        graph, _ = case
+        nb, w = graph.neighbors, graph.weights
+        nonzero = w != 0.0
+        counts = nonzero.sum(axis=1)
+        order = np.argsort(-counts, kind="stable")
+        slots = np.argsort(~nonzero[order], axis=1, kind="stable")
+        nb_rank = np.take_along_axis(nb[order], slots, axis=1)
+        w_rank = np.take_along_axis(w[order], slots, axis=1)
+        ends = (counts[:, None] > np.arange(nb.shape[1])).sum(axis=0)
+        want = [(nb_rank[:e, j], w_rank[:e, j, None]) for j, e in enumerate(ends) if e]
+        np.testing.assert_array_equal(graph._rank_order, order)
+        assert len(graph._rank_slots) == len(want) == counts.max()
+        for (idx, weights), (want_idx, want_weights) in zip(graph._rank_slots, want):
+            assert idx.dtype == np.int64 and weights.dtype == np.float64
+            assert idx.shape == want_idx.shape and weights.shape == want_weights.shape
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(weights, want_weights)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             propagate_step(swap_graph(), np.full((3, 3), 1 / 3))
@@ -219,6 +244,18 @@ class TestCorrect:
         q = np.array([[0.0, 1.0, 0.0, 0.2, 0.8]])
         q0 = np.array([[0.5, 0.0, 0.5, 0.5, 0.5]])
         np.testing.assert_allclose(correct(q, q0, (3, 2)), [[0.5, 0.0, 0.5, 0.2, 0.8]])
+
+    @pytest.mark.parametrize("q", [[[0.2, 0.3, 0.5, 0.4, 0.6]], [[0.0, 1.0, 0.0, 0.2, 0.8]]],
+                             ids=["live", "dead_segment"])
+    def test_inputs_unchanged_and_result_new(self, q):
+        """correct normalizes in place only the product it computed."""
+        q = np.array(q)
+        q0 = np.array([[0.5, 0.0, 0.5, 0.5, 0.5]])
+        before = q.copy(), q0.copy()
+        out = correct(q, q0, (3, 2))
+        np.testing.assert_array_equal(q, before[0])
+        np.testing.assert_array_equal(q0, before[1])
+        assert not np.shares_memory(out, q) and not np.shares_memory(out, q0)
 
     def test_vanishing_product_with_three_values(self, monkeypatch):
         """u=3, k=1 graph 0->1, 1->2, 2->1, observed codes 1, 2, 3: after
@@ -497,6 +534,24 @@ class TestRunIpal:
             out = alpha * propagate_step(g, out) + (1 - alpha) * q0
         np.testing.assert_allclose(out, q2, atol=1e-12)
 
+    def test_update_leaves_its_inputs_unchanged(self, monkeypatch):
+        """Each step's update normalizes in place only the array it
+        computed: the confidences every step received, the initial ones
+        first, are unchanged after the run, and no two share memory."""
+        ds = observed_dataset([3, 4], 30, seed=17)
+        seen = []
+        step = propagation.propagate_step
+        monkeypatch.setattr(propagation, "propagate_step",
+                            lambda graph, q: seen.append((q, q.copy())) or step(graph, q))
+        res = run_ipal(ds, T=4, k=4, alpha=0.9)
+        assert len(seen) == 4
+        np.testing.assert_array_equal(seen[0][0], init_marginal(ds))
+        for q, copy in seen:
+            np.testing.assert_array_equal(q, copy)
+        arrays = [q for q, _ in seen] + [res.confidences]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
     def test_hard_estimates_are_argmax(self):
         ds = observed_dataset([4], 30, seed=16)
         res = run_ipal(ds, T=5, k=4, alpha=0.9)
@@ -633,6 +688,30 @@ class TestStackedSeeds:
         monkeypatch.setattr(propagation, "build_graph", checking_build)
         list(propagation.run_proposed_seeds(datasets, T=3, k=4, gamma=0.25))
         assert len(round1) == 2 and alive == [False, False]
+
+    def test_round_two_encodings_freed_before_round_two_steps(self, monkeypatch):
+        """With a shared round-1 graph and 2 seeds, every round-2 encoding
+        is dead when round 2's first step runs: each lives until its
+        graph is built."""
+        base, datasets = seed_datasets(2, subsample=False)
+        of_graph = build_graph(encode_of(base), 4)
+        encodings, alive = [], []
+        encode, step = propagation.encode_with_confidence, propagation.propagate_step
+
+        def recording_encode(*args):
+            x = encode(*args)
+            encodings.append(weakref.ref(x))
+            return x
+
+        def checking_step(graph, q):
+            if encodings and not alive:  # round 2's first step
+                alive.extend(ref() is not None for ref in encodings)
+            return step(graph, q)
+
+        monkeypatch.setattr(propagation, "encode_with_confidence", recording_encode)
+        monkeypatch.setattr(propagation, "propagate_step", checking_step)
+        list(propagation.run_proposed_seeds(datasets, T=3, k=4, gamma=0.25, of_graph=of_graph))
+        assert len(encodings) == 2 and alive == [False, False]
 
     def test_seed_groups_fill_the_row_budget_in_order(self, monkeypatch):
         monkeypatch.setattr(propagation, "_STACK_ROWS", 100)
