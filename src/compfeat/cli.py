@@ -29,6 +29,9 @@ columns, CF cells holding the truth, then one ``<cf>__observed`` column
 per CF.  Without ``max_n`` subsampling the seeds share the source rows:
 the source columns' CSV text is rendered once per command, and each
 seed's file joins it, row by row, to the text of its observed columns.
+``manifest.json`` records the SHA-256 of the bytes each file was
+written with, hashed as they were written, beside those of the source
+and schema files.
 
 ``estimate`` writes ``estimate_<method>_seed<s>.npz`` per seed, the file
 ``evaluate`` and ``predict --mode soft|hard`` read, and beside it
@@ -74,7 +77,6 @@ from typing import Iterator
 import numpy as np
 
 from . import metrics as metrics_mod
-from . import oracle as oracle_mod
 from . import propagation
 from .data import (STREAM_SUBSAMPLE, Dataset, format_rows, load_csv, load_schema, seeded_order,
                    split_train_test, synthesize_cf, write_rows)
@@ -330,8 +332,8 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
         name = f"prepared_seed{seed}.csv"
         path = os.path.join(cfg.out, name)
         rows = format_rows(ds) if shared is None else shared
-        write_rows(path, rows, format_rows(ds, observed=True))
-        files[name] = {"sha256": _sha256_file(path), "n": ds.n}
+        files[name] = {"sha256": write_rows(path, rows, format_rows(ds, observed=True)),
+                       "n": ds.n}
     manifest = {
         "config": config_echo(cfg),
         "source_sha256": _sha256_file(cfg.data),
@@ -414,8 +416,10 @@ def predict_seed(cfg: ExperimentConfig, source: Dataset, seed: int) -> float:
 
 
 def cmd_oracle(cfg: ExperimentConfig) -> int:
+    from .oracle import run_equivalence_suite  # no other command needs it
+
     os.makedirs(cfg.out, exist_ok=True)
-    check = oracle_mod.run_equivalence_suite(ORACLE_INSTANCES)
+    check = run_equivalence_suite(ORACLE_INSTANCES)
     failures = check["failures"]
     report = {
         "config": config_echo(cfg),

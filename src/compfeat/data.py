@@ -15,20 +15,23 @@ role is one of ``OF``, ``CF``, ``label``.  The trailing ``|``-joined
 vocabulary is optional for non-quantitative columns; when absent it is
 inferred from the data, sorted lexicographically.
 
-CSVs are read in blocks of rows, each converted a column at a time.  They
-are written a row at a time, each row joined from the text of its
-groups of columns, so columns that several files share are rendered
-once.  A malformed CSV raises a typed error that names the first bad row
-and its column.
+CSVs are read in blocks of rows, each converted a column at a time.  A
+row is written as the comma join of its cells' texts: a float's
+``repr``, or a vocabulary entry as ``csv.writer`` quotes it, each
+distinct entry rendered once per column.  Columns that several files
+share are rendered once, and each file is written and hashed in blocks
+of rows, its SHA-256 returned to the caller.  A malformed CSV raises a
+typed error that names the first bad row and its column.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import islice, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +55,7 @@ STREAM_SPLIT = 2      # split_train_test
 STREAM_SUBSAMPLE = 3  # a seed's max_n row subset
 
 _CSV_BLOCK = 512  # data rows load_csv converts at a time
+_WRITE_BLOCK = 1024  # rows write_rows encodes, hashes and writes at a time
 
 
 @dataclass(frozen=True)
@@ -521,7 +525,10 @@ def format_rows(ds: Dataset, observed: bool = False) -> list[str]:
 
     Each text is rendered with an empty first field and without its line
     terminator, so it starts with the comma that joins it to the text
-    before it; with no columns each text is empty.
+    before it; with no columns each text is empty.  The header goes
+    through ``csv.writer``; a data row is a plain comma join of its
+    cells' texts from :func:`_cell_text`, which renders each distinct
+    categorical value once.
     """
     schema = ds.schema
     cf_cols = schema.cf_columns
@@ -540,28 +547,44 @@ def format_rows(ds: Dataset, observed: bool = False) -> list[str]:
         cells = [_cell_text(arrays[c.name], c) for c in schema.columns]
     if not names:
         return [""] * (ds.n + 1)
-    rows = []
-    # The C writer passes each whole row to write().  Its default line
-    # terminator, cut here and put back by write_rows, also decides how
-    # fields holding \r or \n are quoted.
-    writer = csv.writer(SimpleNamespace(write=lambda row: rows.append(row[:-2])))
-    writer.writerow(("", *names))
-    writer.writerows(zip(repeat(""), *cells))
-    return rows
+    return [*_csv_texts([("", *names)]), *map(",".join, zip(repeat(""), *cells))]
 
 
-def write_rows(path, *parts: list[str]):
+def write_rows(path, *parts: list[str]) -> str:
     """Write one CSV whose row i, the header first, joins text i of each
-    :func:`format_rows` part.  A row of one empty field is written as
-    ``""``, as ``csv.writer`` writes it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines((row[1:] or '""') + "\r\n" for row in map("".join, zip(*parts)))
+    :func:`format_rows` part, and return the SHA-256 hex digest of the
+    bytes written.  A row of one empty field is written as ``""``, as
+    ``csv.writer`` writes it.  Rows are encoded, hashed and written
+    ``_WRITE_BLOCK`` at a time, so the file's whole text is never held."""
+    digest = hashlib.sha256()
+    rows = ((row[1:] or '""') + "\r\n" for row in map("".join, zip(*parts)))
+    with open(path, "wb") as fh:
+        while block := "".join(islice(rows, _WRITE_BLOCK)).encode("utf-8"):
+            digest.update(block)
+            fh.write(block)
+    return digest.hexdigest()
 
 
 def _cell_text(arr: np.ndarray, col: Column) -> list[str]:
+    """The CSV text of each of ``col``'s values ``arr`` within a row.  A
+    finite float's is its ``repr``, which never needs quoting.  A code's
+    is its vocabulary entry as ``csv.writer`` renders it inside a row,
+    each entry rendered once."""
     if col.kind == "quantitative":
-        return [repr(v) for v in np.asarray(arr, dtype=np.float64).tolist()]
-    return [col.vocabulary[code - 1] for code in np.asarray(arr, dtype=np.int64).tolist()]
+        return list(map(repr, np.asarray(arr, dtype=np.float64).tolist()))
+    texts = [text[1:] for text in _csv_texts(("", v) for v in col.vocabulary)]
+    return list(map(texts.__getitem__, (np.asarray(arr, dtype=np.int64) - 1).tolist()))
+
+
+def _csv_texts(rows) -> list[str]:
+    """The text ``csv.writer`` writes for each of ``rows``, without its
+    line terminator."""
+    texts = []
+    # The C writer passes each whole row to write().  Its default line
+    # terminator, cut here and put back by write_rows, also decides how
+    # fields holding \r or \n are quoted.
+    csv.writer(SimpleNamespace(write=lambda row: texts.append(row[:-2]))).writerows(rows)
+    return texts
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,24 @@ class WeightGraph:
     weights: np.ndarray    # (n, k) float64, nonnegative, rows sum to 1
 
     def __post_init__(self):
-        nb = _neighbor_lists(self.neighbors)
-        w = np.array(self.weights, dtype=np.float64, copy=True)
+        self._settle(_neighbor_lists(self.neighbors),
+                     np.array(self.weights, dtype=np.float64, copy=True))
+
+    @classmethod
+    def _adopt(cls, neighbors: np.ndarray, weights: np.ndarray) -> "WeightGraph":
+        """A graph that holds the arrays it is handed, not copies, and
+        freezes them in place: (n, k) int64 neighbor lists that its
+        builder made from lists :func:`_neighbor_lists` checked, and float64
+        weights.  Every check that copies neither array runs again; the
+        copy and the sort of the constructor's checks do not."""
+        _check_indices(neighbors)
+        graph = object.__new__(cls)
+        graph._settle(neighbors, weights)
+        return graph
+
+    def _settle(self, nb: np.ndarray, w: np.ndarray):
+        """Check the weights against the checked neighbor lists ``nb``,
+        freeze and keep both, and build the compact form."""
         if w.shape != nb.shape:
             raise ShapeMismatchError("neighbors and weights must share an (n, k) shape")
         if (not np.isfinite(w).all() or w.min() < 0.0
@@ -221,14 +237,20 @@ def _neighbor_lists(neighbors: np.ndarray, n: int | None = None) -> np.ndarray:
     if not np.issubdtype(nb.dtype, np.integer):
         raise DataError(f"neighbor indices must be integers, got dtype {nb.dtype}")
     nb = nb.astype(np.int64)
-    if nb.min() < 0 or nb.max() >= nb.shape[0]:
-        raise DataError("neighbor index out of range")
-    if np.any(nb == np.arange(nb.shape[0])[:, None]):
-        raise DataError("self loops are not allowed")
+    _check_indices(nb)
     ranked = np.sort(nb, axis=1)
     if (ranked[:, 1:] == ranked[:, :-1]).any():
         raise DataError("duplicate neighbor indices in a row")
     return nb
+
+
+def _check_indices(nb: np.ndarray):
+    """Refuse (n, k) int64 neighbor lists holding an index out of range or
+    a row's own index, copying neither."""
+    if nb.min() < 0 or nb.max() >= nb.shape[0]:
+        raise DataError("neighbor index out of range")
+    if np.any(nb == np.arange(nb.shape[0])[:, None]):
+        raise DataError("self loops are not allowed")
 
 
 def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
@@ -266,7 +288,8 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
     at any scale.
 
     ``neighbors`` is checked before anything is gathered, as
-    :class:`WeightGraph` checks it, with n = len(x).  Rows are solved in
+    :class:`WeightGraph` checks it, with n = len(x), and the graph
+    adopts that checked copy and the weights (:meth:`WeightGraph._adopt`).  Rows are solved in
     blocks of ``_SOLVE_BLOCK`` rows, each by one batched active set
     (:func:`_solve_block`).  A block gathers its rows' (rows, k, d)
     neighbor vectors, subtracts them from x_i in place to form the
@@ -286,7 +309,7 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
         gram = offsets @ offsets.transpose(0, 2, 1)
         del offsets  # the active set needs only the Gram
         h[rows] = _solve_block(gram)
-    return WeightGraph(neighbors=nb, weights=h)
+    return WeightGraph._adopt(nb, h)
 
 
 def _solve_block(gram: np.ndarray) -> np.ndarray:
@@ -416,5 +439,5 @@ def stack_graphs(graphs: Sequence[WeightGraph]) -> WeightGraph:
     if len(graphs) == 1:
         return graphs[0]
     offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
-    return WeightGraph(neighbors=np.concatenate([g.neighbors + o for g, o in zip(graphs, offsets)]),
-                       weights=np.concatenate([g.weights for g in graphs]))
+    return WeightGraph._adopt(np.concatenate([g.neighbors + o for g, o in zip(graphs, offsets)]),
+                              np.concatenate([g.weights for g in graphs]))

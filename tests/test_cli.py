@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -132,7 +133,7 @@ def test_readers_of_estimates_do_not_import_orjson(bank_csv):
 
 def test_commands_but_oracle_do_not_import_numpy_random(bank_csv):
     """Splits and max_n subsets are counter-based draws, so no command
-    but oracle imports numpy.random."""
+    but oracle imports numpy.random; nor does any import compfeat.oracle."""
     seeds, flags = ["--seed", "0,1"], [*SMALL, *bank_csv]
     commands = [["prepare", *seeds, *bank_csv], ["prepare", *seeds, "--max-n", "40", *bank_csv],
                 ["estimate", *seeds, *flags], ["evaluate", *seeds, *flags],
@@ -141,7 +142,8 @@ def test_commands_but_oracle_do_not_import_numpy_random(bank_csv):
     code = ("import sys\n"
             "from compfeat.cli import main\n"
             + "".join(f"assert main({command!r}) == 0\n" for command in commands)
-            + "assert 'numpy.random' not in sys.modules\n")
+            + "assert 'numpy.random' not in sys.modules\n"
+            + "assert 'compfeat.oracle' not in sys.modules\n")
     src = str(Path(compfeat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,
@@ -322,6 +324,26 @@ class TestPrepare:
                 assert b'""' not in got
         if source == "awkward":
             assert b'"admin, ""senior"""' in got
+
+    @pytest.mark.parametrize("max_n", [0, 40], ids=["all_rows", "max_n"])
+    def test_manifest_hashes_the_bytes_on_disk(self, tmp_path, max_n):
+        """Every SHA-256 in ``manifest.json``, each prepared file's and
+        the source's and schema's, is ``hashlib.sha256`` of the file's
+        bytes, for a source whose vocabulary needs quoting."""
+        flags = self.write_source(self.awkward_source(), tmp_path)
+        assert main(["prepare", "--seed", ",".join(map(str, SEEDS)), "--max-n", str(max_n),
+                     *flags]) == 0
+        manifest = read_json(out_file(flags, "manifest.json"))
+
+        def sha256(path):
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+        assert sorted(manifest["files"]) == [f"prepared_seed{seed}.csv" for seed in SEEDS]
+        for name, entry in manifest["files"].items():
+            assert entry["sha256"] == sha256(out_file(flags, name))
+        paths = dict(zip(flags[::2], flags[1::2]))
+        assert manifest["source_sha256"] == sha256(paths["--data"])
+        assert manifest["schema_sha256"] == sha256(paths["--schema"])
 
     @pytest.mark.parametrize("max_n, renders", [(0, 1), (40, len(SEEDS))])
     def test_shared_rows_rendered_once(self, bank_csv, monkeypatch, max_n, renders):

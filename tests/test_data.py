@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import os
 import tracemalloc
 
@@ -311,6 +313,80 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.labels, ds.labels)
         write_csv(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# Vocabulary entries: every character csv.writer may quote for, edge
+# spaces, non-ASCII text and the empty string.
+VOCAB_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "a", "é", "€", "𝄞"]),
+                     max_size=4)
+
+
+class TestWriteCsvAgainstCsvModule:
+    """``write_csv`` renders each distinct cell text once; its files must
+    still be what ``csv.writer`` writes cell by cell."""
+
+    @staticmethod
+    def expected_bytes(ds, observed_columns, tmp_path):
+        """The bytes ``csv.writer(fh).writerows`` writes for the header and
+        rows of ``ds``, floats as ``repr``, each code as its entry."""
+        columns = list(ds.schema.columns)
+        arrays = dict(zip((c.name for c in ds.schema.of_columns), ds.of_values))
+        arrays[ds.schema.label_column.name] = ds.labels
+        arrays.update((c.name, ds.cf_truth[:, j]) for j, c in enumerate(ds.schema.cf_columns))
+        header = [c.name for c in columns]
+        cells = [[repr(float(v)) if c.kind == "quantitative" else c.vocabulary[v - 1]
+                  for v in arrays[c.name]] for c in columns]
+        if observed_columns:
+            for j, c in enumerate(ds.schema.cf_columns):
+                header.append(f"{c.name}__observed")
+                cells.append([c.vocabulary[v - 1] for v in ds.cf_observed[:, j]])
+        path = tmp_path / "want.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([header, *zip(*cells)])
+        return path.read_bytes()
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(of_vocab=st.lists(VOCAB_TEXT, min_size=1, max_size=4, unique=True),
+           cf_vocab=st.lists(VOCAB_TEXT, min_size=3, max_size=5, unique=True),
+           label_vocab=st.lists(VOCAB_TEXT, min_size=2, max_size=2, unique=True),
+           rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(0, 3), st.integers(0, 4), st.integers(0, 1)),
+                         max_size=10),
+           seed=st.integers(0, 2**64 - 1))
+    def test_bytes_equal_csv_writer(self, tmp_path, of_vocab, cf_vocab, label_vocab, rows, seed):
+        schema = FeatureSchema((
+            Column("x", "quantitative", "OF"),
+            Column('c, "of"', "categorical", "OF", tuple(of_vocab)),
+            Column("f", "categorical", "CF", tuple(cf_vocab)),
+            Column("y é", "binary", "label", tuple(label_vocab)),
+        ))
+        n = len(rows)
+        ds = synthesize_cf(Dataset(
+            schema=schema,
+            of_values=(np.array([r[0] for r in rows], dtype=np.float64),
+                       np.array([r[1] % len(of_vocab) + 1 for r in rows], dtype=np.int64)),
+            labels=np.array([r[3] + 1 for r in rows], dtype=np.int64),
+            cf_truth=np.array([[r[2] % len(cf_vocab) + 1] for r in rows],
+                              dtype=np.int64).reshape(n, 1)), seed)
+        for observed_columns in (False, True):
+            path = tmp_path / "got.csv"
+            write_csv(ds, path, observed_columns=observed_columns)
+            assert path.read_bytes() == self.expected_bytes(ds, observed_columns, tmp_path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    def test_write_rows_returns_the_hash_of_the_bytes_written(self, tmp_path, monkeypatch,
+                                                               block):
+        """Whatever the rows per block, ``write_rows`` writes the same
+        bytes and returns their SHA-256."""
+        ds = synthesize_cf(make_bank_like(7, seed=0)[0], 3)
+        want = tmp_path / "want.csv"
+        write_csv(ds, want, observed_columns=True)
+        monkeypatch.setattr(data, "_WRITE_BLOCK", block)
+        path = tmp_path / "got.csv"
+        digest = data.write_rows(path, data.format_rows(ds), data.format_rows(ds, observed=True))
+        assert path.read_bytes() == want.read_bytes()
+        assert digest == hashlib.sha256(want.read_bytes()).hexdigest()
 
 
 class TestLoadCsvInSmallBlocks(TestLoadCsv):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -592,6 +593,37 @@ class TestWeightGraphType:
         g = WeightGraph(neighbors=np.array([[1], [0]]), weights=np.array([[1.0], [1.0]]))
         with pytest.raises(ValueError):
             g.weights[0, 0] = 0.5
+
+
+def test_built_graphs_hold_the_arrays_they_were_built_from():
+    """The graphs that ``solve_weights`` and ``stack_graphs`` build adopt
+    the arrays those calls made, frozen in place, so no traced peak holds
+    a second copy of the graph (1.94x and 1.92x the graph's bytes when
+    the graph copied them, 1.28x and 1.15x now); the caller's neighbor
+    lists are neither frozen nor shared."""
+    n, k = 10_000, 20
+    x = np.random.default_rng(5).normal(size=(n, 10))
+    nb = (np.arange(n)[:, None] + np.arange(1, k + 1)) % n
+
+    def graph_bytes(g):
+        return (g.neighbors.nbytes + g.weights.nbytes + g._rank_order.nbytes
+                + sum(idx.nbytes + w.nbytes for idx, w in g._rank_slots))
+
+    tracemalloc.start()
+    try:
+        g = solve_weights(x, nb)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        stacked = stack_graphs([g, g])
+        stack_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert solve_peak < 1.5 * graph_bytes(g)
+    assert stack_peak < 1.5 * graph_bytes(stacked)
+    for graph in (g, stacked):
+        assert not graph.neighbors.flags.writeable and not graph.weights.flags.writeable
+    assert nb.flags.writeable and not np.shares_memory(nb, g.neighbors)
 
 
 class TestStackGraphs:
