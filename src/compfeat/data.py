@@ -22,6 +22,10 @@ distinct entry rendered once per column.  Columns that several files
 share are rendered once, and each file is written and hashed in blocks
 of rows, its SHA-256 returned to the caller.  A malformed CSV raises a
 typed error that names the first bad row and its column.
+
+This module owns the package's array checks, which every public function
+admits its arrays through: a ragged array, integers given as floats, bools
+or text, reals of another dtype or codes outside 1..u raise typed errors.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def _integer_array(values, name: str) -> np.ndarray:
     entry is refused, never truncated or cast."""
     arr = _as_array(values, name)
     if not np.issubdtype(arr.dtype, np.integer):
-        raise DataError(f"{name} must hold integers, got dtype {arr.dtype}")
+        raise DataError(f"{name} must be integers, got dtype {arr.dtype}")
     return arr
 
 
@@ -155,6 +159,23 @@ def _code_array(values, name: str, copy: bool) -> np.ndarray:
     """``values`` as frozen int64 codes, copied when ``copy``; the codes
     must already be integers (:func:`_integer_array`)."""
     return _frozen(_integer_array(values, name).astype(np.int64, copy=copy))
+
+
+def _real_array(values, name: str, copy: bool = False) -> np.ndarray:
+    """``values`` as float64, copied when ``copy``: a bool, integer or
+    float array; a wider float past float64's range becomes inf."""
+    arr = _as_array(values, name)
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    with np.errstate(over="ignore"):
+        return arr.astype(np.float64, copy=copy)
+
+
+def _check_codes(codes: np.ndarray, sizes, name: str):
+    """Refuse integer codes outside 1..u: (n,) codes of the int width
+    ``sizes``, or (n, F) codes whose column j has width ``sizes[j]``."""
+    if codes.size and (codes.min() < 1 or (codes.max(axis=0) > np.asarray(sizes)).any()):
+        raise DataError(f"{name} out of range: codes must lie in 1..u, u = {sizes}")
 
 
 @dataclass(frozen=True)
@@ -208,11 +229,7 @@ class Dataset:
         for arr, col in zip(self.of_values, self.schema.of_columns):
             name = f"column {col.name!r}"
             if col.kind == "quantitative":
-                arr = _as_array(arr, name)
-                if arr.dtype.kind not in "biuf":
-                    raise DataError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-                with np.errstate(over="ignore"):  # a wider float past float64's range: inf
-                    arr = _frozen(arr.astype(np.float64, copy=copy))
+                arr = _frozen(_real_array(arr, name, copy))
                 if not np.isfinite(arr).all():
                     raise DataError(f"{name} holds a value that is not a finite float64")
             else:
@@ -220,9 +237,9 @@ class Dataset:
             if arr.shape != (n,):
                 raise DataError(f"{name} has shape {arr.shape}, expected {(n,)}")
             if col.kind != "quantitative":
-                _check_codes(arr, col)
+                _check_codes(arr, col.size, name)
             of_values.append(arr)
-        _check_codes(labels, self.schema.label_column)
+        _check_codes(labels, self.schema.label_column.size, "labels")
         object.__setattr__(self, "of_values", tuple(of_values))
         object.__setattr__(self, "labels", labels)
         f_c = len(self.schema.cf_columns)
@@ -233,8 +250,7 @@ class Dataset:
             val = _code_array(val, attr, copy)
             if val.shape != (n, f_c):
                 raise DataError(f"{attr} has shape {val.shape}, expected {(n, f_c)}")
-            for j, col in enumerate(self.schema.cf_columns):
-                _check_codes(val[:, j], col)
+            _check_codes(val, self.schema.cf_sizes, attr)
             object.__setattr__(self, attr, val)
         if self.cf_truth is not None and self.cf_observed is not None:
             if np.any(self.cf_truth == self.cf_observed):
@@ -255,11 +271,6 @@ class Dataset:
             cf_truth=None if self.cf_truth is None else self.cf_truth[idx],
             cf_observed=None if self.cf_observed is None else self.cf_observed[idx],
         )
-
-
-def _check_codes(arr: np.ndarray, col: Column):
-    if arr.size and (arr.min() < 1 or arr.max() > col.size):
-        raise DataError(f"codes out of range 1..{col.size} in column {col.name!r}")
 
 
 # ---------------------------------------------------------------------------

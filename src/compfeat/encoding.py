@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Column, Dataset
+from .data import Column, Dataset, _frozen, _real_array
 from .errors import DataError, ShapeMismatchError
 
 
@@ -48,7 +48,7 @@ def encode_of(ds: Dataset) -> np.ndarray:
             parts.append((arr - 1).astype(np.float64)[:, None])
         else:
             parts.append(one_hot(arr[:, None], (col.size,)) / math.sqrt(col.size))
-    return _read_only(np.hstack(parts) if parts else np.zeros((ds.n, 0)))
+    return _frozen(np.hstack(parts) if parts else np.zeros((ds.n, 0)))
 
 
 def encode_with_confidence(
@@ -66,21 +66,16 @@ def encode_with_confidence(
     """
     if not 0.0 <= gamma <= 1.0:
         raise DataError(f"gamma must lie in [0, 1], got {gamma}")
-    conf = np.asarray(conf, dtype=np.float64)
+    base = _real_array(base, "base encoding")
+    conf = _real_array(conf, "confidences")
     sizes = [col.size for col in cf_columns]
-    if conf.shape != (base.shape[0], sum(sizes)):
-        raise ShapeMismatchError(
-            f"confidences have shape {conf.shape}, expected ({base.shape[0]}, {sum(sizes)})"
-        )
+    if base.ndim != 2 or conf.shape != (base.shape[0], sum(sizes)):
+        raise ShapeMismatchError(f"confidences of shape {conf.shape} do not fit a base "
+                                 f"encoding of shape {base.shape} and CF widths {sizes}")
     if not segments_stochastic(conf, sizes):
         raise ShapeMismatchError("confidences are not row-stochastic in every CF segment")
     scale = np.repeat([math.sqrt(gamma) / math.sqrt(u) for u in sizes], sizes)
-    return _read_only(np.hstack([base, conf * scale]))
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
+    return _frozen(np.hstack([base, conf * scale]))
 
 
 STOCHASTIC_TOL = 1e-10  # largest |row sum - 1| of a confidence segment
@@ -101,7 +96,8 @@ def one_hot(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
 def segments_stochastic(q: np.ndarray, sizes: Sequence[int]) -> bool:
     """Whether the stacked matrix ``q`` is nonnegative and each row of
-    each segment sums to 1 within ``STOCHASTIC_TOL``; NaN fails."""
-    sums = np.add.reduceat(q, segment_starts(sizes), axis=1)
+    each segment sums to 1 within ``STOCHASTIC_TOL``; NaN and inf fail."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a row: NaN, which fails
+        sums = np.add.reduceat(q, segment_starts(sizes), axis=1)
     return bool(q.min(initial=0.0) >= 0.0
                 and np.abs(sums - 1.0).max(initial=0.0) <= STOCHASTIC_TOL)

@@ -12,8 +12,8 @@ class ConfigError(CompfeatError):
 
 
 class DataError(CompfeatError):
-    """Base class for input-file problems: unreadable or non-UTF-8 files,
-    malformed CSV, schema or estimate files."""
+    """Base class for malformed input: unreadable or non-UTF-8 files, malformed
+    CSV, schema or estimate files, arrays of a wrong dtype or values out of range."""
 
 
 class MissingColumnError(DataError):
@@ -38,7 +38,7 @@ class MissingTruthError(DataError):
 
 
 class ShapeMismatchError(CompfeatError):
-    """Array arguments disagree on rows, columns, or block layout."""
+    """A ragged array, or arrays that disagree on rows, columns, ndim or block layout."""
 
 
 class SingleClassError(CompfeatError):

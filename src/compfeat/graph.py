@@ -39,6 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import _frozen, _integer_array, _real_array
+from .encoding import segments_stochastic
 from .errors import DataError, ShapeMismatchError
 
 _KNN_BLOCK = 64
@@ -69,7 +71,7 @@ class WeightGraph:
 
     def __post_init__(self):
         self._settle(_neighbor_lists(self.neighbors),
-                     np.array(self.weights, dtype=np.float64, copy=True))
+                     _real_array(self.weights, "weights", copy=True))
 
     @classmethod
     def _adopt(cls, neighbors: np.ndarray, weights: np.ndarray) -> "WeightGraph":
@@ -88,13 +90,10 @@ class WeightGraph:
         freeze and keep both, and build the compact form."""
         if w.shape != nb.shape:
             raise ShapeMismatchError("neighbors and weights must share an (n, k) shape")
-        if (not np.isfinite(w).all() or w.min() < 0.0
-                or np.abs(w.sum(axis=1) - 1.0).max() > 1e-10):
+        if not segments_stochastic(w, [w.shape[1]]):
             raise DataError("weights must be finite, nonnegative and sum to 1 per row")
-        nb.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "neighbors", nb)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "neighbors", _frozen(nb))
+        object.__setattr__(self, "weights", _frozen(w))
         counts = np.count_nonzero(w, axis=1)
         order = np.argsort(-counts, kind="stable")
         # The flat indices of the nonzero slots, row after row, slots in
@@ -132,9 +131,9 @@ def propagate_step(graph: WeightGraph, q: np.ndarray) -> np.ndarray:
     0 * q = 0 for finite q, and x + 0 = x.  Only weights equal to 0 are
     skipped, never small ones.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != graph.n:
-        raise ShapeMismatchError(f"confidences have {q.shape[0]} rows, graph has {graph.n}")
+    q = _real_array(q, "confidences")
+    if q.ndim != 2 or q.shape[0] != graph.n:
+        raise ShapeMismatchError(f"confidences of shape {q.shape} do not fit {graph.n} rows")
     (idx, w), *rest = graph._rank_slots
     acc = q.take(idx, axis=0)
     acc *= w
@@ -212,7 +211,7 @@ def _knn_rows(n: int) -> int:
 
 def _vectors(x: np.ndarray) -> np.ndarray:
     """``x`` as an (n, d) float64 array of finite instance vectors."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _real_array(x, "instance vectors")
     if arr.ndim != 2:
         raise ShapeMismatchError("expected a 2-D array of instance vectors")
     if not np.isfinite(arr).all():
@@ -221,21 +220,13 @@ def _vectors(x: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_lists(neighbors: np.ndarray, n: int | None = None) -> np.ndarray:
-    """``neighbors`` as a new, checked (n, k) int64 array; n defaults to its rows.
-
-    The indices must already be integers: a float, bool or text entry is
-    refused, never truncated or cast.
-    """
-    try:
-        nb = np.asarray(neighbors)
-    except ValueError:  # ragged rows
-        raise ShapeMismatchError("neighbor lists must form an (n, k) array") from None
+    """``neighbors``, given as integers, as a new, checked (n, k) int64
+    array; n defaults to its rows."""
+    nb = _integer_array(neighbors, "neighbor indices")
     if nb.ndim != 2 or (n is not None and nb.shape[0] != n):
         raise ShapeMismatchError(f"neighbor lists need one row per instance, got shape {nb.shape}")
     if not nb.size:
         raise DataError(f"a graph needs at least one row and one neighbor slot, got {nb.shape}")
-    if not np.issubdtype(nb.dtype, np.integer):
-        raise DataError(f"neighbor indices must be integers, got dtype {nb.dtype}")
     nb = nb.astype(np.int64)
     _check_indices(nb)
     ranked = np.sort(nb, axis=1)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MissingTruthError, ShapeMismatchError
+from .data import _as_array, _check_codes, _integer_array
+from .errors import MissingTruthError, ShapeMismatchError
 from .propagation import EstimationResult
 
 CE_CLIP = 1e-12
@@ -39,25 +40,17 @@ def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:
     """
     if truth is None:
         raise MissingTruthError("score_cf needs ground-truth CF values")
-    try:
-        truth = np.asarray(truth)
-    except ValueError:  # ragged rows
-        raise ShapeMismatchError("truth codes must form an (n, F) array") from None
+    truth = _integer_array(truth, "truth codes")
     if truth.shape != (result.n, len(result.cf_names)):
         raise ShapeMismatchError(f"truth of shape {truth.shape} does not fit "
                                  f"{result.n} rows and {len(result.cf_names)} CFs")
-    if not np.issubdtype(truth.dtype, np.integer):
-        raise DataError(f"truth codes must be integers, got dtype {truth.dtype}")
-    truth = truth.astype(np.int64)
-    if ((truth < 1) | (truth > np.array(result.sizes, dtype=np.int64))).any():
-        raise DataError(f"truth codes outside the CF codes 1..u of widths {result.sizes}")
     scores = []
     for j, name in enumerate(result.cf_names):
         block = result.block(j)
         t = truth[:, j]
         hard = result.hard_estimates[:, j]
         acc = float(np.mean(hard == t))
-        f1 = macro_f1(hard, t, n_classes=block.shape[1])
+        f1 = macro_f1(hard, t, n_classes=block.shape[1])  # checks t's codes
         at_truth = block[np.arange(result.n), t - 1]
         clipped = int(np.sum(at_truth < CE_CLIP))
         ce = float(np.mean(-np.log(np.maximum(at_truth, CE_CLIP))))
@@ -68,7 +61,13 @@ def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:
 
 
 def macro_f1(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
-    """Unweighted mean of per-class F1 over codes 1..n_classes."""
+    """Unweighted mean of per-class F1 of two code arrays of one shape over codes 1..n_classes."""
+    pred = _integer_array(pred, "predicted codes")
+    truth = _integer_array(truth, "truth codes")
+    if pred.shape != truth.shape:
+        raise ShapeMismatchError(f"predicted codes {pred.shape} do not match truth {truth.shape}")
+    _check_codes(pred, n_classes, "predicted codes")
+    _check_codes(truth, n_classes, "truth codes")
     total = 0.0
     for c in range(1, n_classes + 1):
         tp = np.sum((pred == c) & (truth == c))
@@ -80,12 +79,12 @@ def macro_f1(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
 
 
 def score_labels(pred, truth: np.ndarray) -> float:
-    """Binary macro-F1; probabilities are thresholded at 0.5."""
-    truth = np.asarray(truth, dtype=np.int64)
-    pred = np.asarray(pred)
+    """Binary macro-F1 of label codes in {1, 2}; ``pred`` holds codes, or
+    probabilities of code 2, thresholded at 0.5."""
+    pred = _as_array(pred, "predictions")
     if np.issubdtype(pred.dtype, np.floating):
         pred = np.where(pred >= 0.5, 2, 1)
-    return macro_f1(pred.astype(np.int64), truth, n_classes=2)
+    return macro_f1(pred, truth, n_classes=2)
 
 
 def _row_entropy(values: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_codes, _frozen, _integer_array, _real_array
 from .encoding import encode_of, one_hot
-from .errors import DataError, SingleClassError
+from .errors import DataError, ShapeMismatchError, SingleClassError
 from .propagation import EstimationResult, init_marginal
 
 MODES = ("ord", "comp", "soft", "hard")
@@ -52,8 +52,7 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
     design = np.hstack(parts)
     if not np.isfinite(design).all():
         raise DataError("design matrix must be finite")
-    design.flags.writeable = False
-    return design
+    return _frozen(design)
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +86,20 @@ def train(x, y: np.ndarray, l2: float = 1e-4) -> LrModel:
     :func:`loss_and_grad`, halved until the Armijo condition holds.
     ``_MAX_ITERS`` caps the number of iterations.  Training stops earlier
     at stationarity: once the gradient is at rounding level, or once no
-    step of the line search lowers the loss any further.
+    step of the line search lowers the loss any further.  ``y`` holds the
+    label codes, integers in {1, 2}, of the rows of the (n, d) design ``x``.
     """
-    mat = np.asarray(x, dtype=np.float64)
+    mat = _real_array(x, "design matrix")
+    y = _integer_array(y, "labels")
+    if mat.ndim != 2 or y.shape != mat.shape[:1]:
+        raise ShapeMismatchError(f"labels of shape {y.shape} do not fit a design {mat.shape}")
     if not np.isfinite(mat).all():
         raise DataError("design matrix must be finite")
-    y = np.asarray(y, dtype=np.int64)
+    _check_codes(y, 2, "labels")
     # min/max, not np.unique, which imports numpy.ma on its first call.
     if y.size == 0 or y.min() == y.max():
         raise SingleClassError("training needs both label classes present")
-    if ((y != y.min()) & (y != y.max())).any():
-        raise DataError("only binary labels are supported")
-    targets = (y == y.max()).astype(np.float64)
+    targets = (y == 2).astype(np.float64)
     if not 0.0 <= l2 < math.inf:
         raise DataError("l2 must be finite and nonnegative")
 
@@ -160,8 +161,10 @@ def _backtrack(params, direction, loss, grad, mat, targets, l2):
 
 
 def predict(model: LrModel, x) -> np.ndarray:
-    """Probability of the higher label code, per row."""
-    mat = np.asarray(x, dtype=np.float64)
+    """Probability of label code 2 for each row of the (n, d) design ``x``."""
+    mat = _real_array(x, "design matrix")
+    if mat.ndim != 2 or mat.shape[1] != model.weights.size:
+        raise ShapeMismatchError(f"a design {mat.shape} does not fit {model.weights.size} weights")
     return _sigmoid(mat @ model.weights + model.bias)
 
 

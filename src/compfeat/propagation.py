@@ -62,7 +62,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import STREAM_GUESS, Dataset, _as_array, _code_array, complement_draws
+from .data import (STREAM_GUESS, Dataset, _check_codes, _code_array, _frozen, _real_array,
+                   complement_draws)
 from .encoding import encode_of, encode_with_confidence, segment_starts, segments_stochastic
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph, propagate_step, stack_graphs
@@ -97,21 +98,16 @@ class EstimationResult:
         object.__setattr__(self, "hard_estimates", hard)
         object.__setattr__(self, "hyperparams", dict(self.hyperparams))
         sizes = tuple(int(u) for u in self.sizes)
-        q = _as_array(self.confidences, "confidences")
-        if q.dtype.kind not in "biuf":
-            raise DataError(f"confidences must be real numbers, got dtype {q.dtype}")
-        q = q.astype(np.float64)
+        q = _real_array(self.confidences, "confidences", copy=True)
         if len(sizes) != len(names) or q.shape != (hard.shape[0], sum(sizes)):
             raise ShapeMismatchError(
                 f"confidences of shape {q.shape} do not fit {hard.shape[0]} rows "
                 f"and CF widths {sizes}")
-        if hard.size and (hard.min() < 1 or (hard > np.array(sizes)).any()):
-            raise DataError(f"hard estimates outside the CF codes 1..u of widths {sizes}")
+        _check_codes(hard, sizes, "hard estimates")
         if not segments_stochastic(q, sizes):
             raise DataError("confidences must be row-stochastic in every CF segment")
-        q.flags.writeable = False
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "confidences", q)
+        object.__setattr__(self, "confidences", _frozen(q))
 
     @property
     def n(self) -> int:
@@ -281,7 +277,9 @@ def correct(q: np.ndarray, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     neighbor's mass sits on the row's observed value, e.g. for u = 3
     when the neighbors have already collapsed onto it.
     """
-    if q.shape != q0.shape or q.shape[1] != sum(sizes):
+    q = _real_array(q, "confidences")
+    q0 = _real_array(q0, "initial confidences")
+    if q.ndim != 2 or q.shape != q0.shape or q.shape[1] != sum(sizes):
         raise ShapeMismatchError(f"confidences {q.shape} and initial {q0.shape} "
                                  f"do not match CF widths {tuple(sizes)}")
     return _normalize(q * q0, q0, sizes)

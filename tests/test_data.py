@@ -609,7 +609,7 @@ class TestDatasetInvariants:
     def test_subset_refuses_non_integer_indices(self, tiny_dataset, indices):
         """A float index is refused, not truncated, and a boolean mask is
         refused, not read as the indices 0 and 1."""
-        with pytest.raises(DataError, match="subset indices must hold integers"):
+        with pytest.raises(DataError, match="subset indices must be integers"):
             tiny_dataset.subset(indices)
 
     @pytest.mark.parametrize("of_values", [(np.array([1.5, 2.5]),), ()])

@@ -328,7 +328,7 @@ class TestSolveWeights:
         ([[True], [False], [True], [False]], DataError, "must be integers"),
         ([["1"], ["2"], ["3"], ["0"]], DataError, "must be integers"),
         ([[1], [None], [3], [0]], DataError, "must be integers"),
-        ([[1], [2, 3], [3], [0]], ShapeMismatchError, r"\(n, k\) array"),
+        ([[1], [2, 3], [3], [0]], ShapeMismatchError, "must form a rectangular array"),
     ], ids=["k_zero", "index_n", "negative_index", "rows_not_len_x", "one_dimensional",
             "self_loop", "duplicate", "float", "integral_float", "bool", "text", "none",
             "ragged"])

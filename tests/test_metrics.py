@@ -132,6 +132,21 @@ class TestMacroF1:
         pred = np.array([1, 1])
         assert macro_f1(pred, truth, 3) == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("pred, truth, error, match", [
+        ([[1], [1, 2]], [1, 2], ShapeMismatchError, "predicted codes must form a rectangular"),
+        ([1, 2, 1], [1, 2], ShapeMismatchError, "do not match truth"),
+        ([[1, 2]], [1, 2], ShapeMismatchError, "do not match truth"),
+        ([1.0, 2.0], [1, 2], DataError, "predicted codes must be integers"),
+        ([1, 2], [1, 2.5], DataError, "truth codes must be integers"),
+        ([1, 3], [1, 2], DataError, "predicted codes out of range"),
+        ([1, 2], [0, 2], DataError, "truth codes out of range"),
+    ], ids=["ragged", "lengths", "shapes", "float_pred", "float_truth", "pred_code_3",
+            "truth_code_0"])
+    def test_malformed_codes_rejected(self, pred, truth, error, match):
+        """Ragged or mismatched codes once scored 0.0 without complaint."""
+        with pytest.raises(error, match=match):
+            macro_f1(pred, truth, 2)
+
 
 class TestScoreLabels:
     def test_perfect_probabilities(self):
@@ -141,6 +156,21 @@ class TestScoreLabels:
     def test_hard_codes_accepted(self):
         truth = np.array([1, 2, 2])
         assert score_labels(np.array([1, 2, 2]), truth) == 1.0
+
+    @pytest.mark.parametrize("truth", [[1.0, 2.0, 1.7, 1.0], [1.0, 2.0, 2.0, 1.0]],
+                             ids=["float", "integral_float"])
+    def test_truth_labels_are_codes_not_floats(self, truth):
+        with pytest.raises(DataError, match="truth codes must be integers"):
+            score_labels(np.array([1, 2, 2, 1]), np.array(truth))
+
+    @pytest.mark.parametrize("pred, truth, match", [
+        ([0, 3], [1, 2], "predicted codes out of range"),
+        ([1, 2], [0, 2], "truth codes out of range"),
+        ([0.2, 0.7], [1, 3], "truth codes out of range"),
+    ])
+    def test_codes_outside_1_2_rejected(self, pred, truth, match):
+        with pytest.raises(DataError, match=match):
+            score_labels(np.array(pred), np.array(truth))
 
     def test_coin_flips_near_half(self):
         rng = np.random.default_rng(4)

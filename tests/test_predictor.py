@@ -186,6 +186,20 @@ class TestTrain:
         with pytest.raises(DataError):
             train(np.zeros((3, 2)), np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("y", [np.array([1.0, 1.7, 2.0, 2.2]), np.array([1.0, 2.0, 1.0, 2.0]),
+                                   np.array([True, False, True, False])],
+                             ids=["float", "integral_float", "bool"])
+    def test_labels_are_codes_not_floats(self, y):
+        """Labels are refused unless they are integers: 1.7 and 2.2 are
+        not truncated to the codes 1 and 2."""
+        with pytest.raises(DataError, match="labels must be integers"):
+            train(np.eye(4), y)
+
+    @pytest.mark.parametrize("y", [[0, 1, 0, 1], [1, 3, 1, 3], [2, 3, 2, 3]])
+    def test_labels_outside_1_2_rejected(self, y):
+        with pytest.raises(DataError, match="labels out of range"):
+            train(np.eye(4), np.array(y))
+
     def test_does_not_import_numpy_ma(self):
         """np.unique imports numpy.ma on its first call, which every
         ``predict`` process would pay for; train must not trigger it."""

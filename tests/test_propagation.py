@@ -845,7 +845,7 @@ class TestEstimationResultIo:
     def test_hard_estimate_outside_codes_rejected(self, hard):
         """A hard estimate is a code in 1..u: 0 would one-hot the last
         category through index -1."""
-        with pytest.raises(DataError, match="outside the CF codes"):
+        with pytest.raises(DataError, match="hard estimates out of range"):
             EstimationResult(cf_names=("a", "b"), sizes=(3, 2),
                              confidences=np.array([[1.0, 0.0, 0.0, 0.0, 1.0]]),
                              hard_estimates=hard, method="m", hyperparams={})
