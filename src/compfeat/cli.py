@@ -66,7 +66,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -78,8 +77,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import propagation
-from .data import (STREAM_SUBSAMPLE, Dataset, format_rows, load_csv, load_schema, seeded_order,
-                   split_train_test, synthesize_cf, write_rows)
+from .data import (STREAM_SUBSAMPLE, Dataset, _scalar, format_rows, load_csv, load_schema,
+                   seeded_order, split_train_test, synthesize_cf, write_rows)
 from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
@@ -108,33 +107,29 @@ class ExperimentConfig:
     l2: float = 1e-4
 
     def validate(self):
-        if self.T < 1:
-            raise ConfigError("T must be >= 1")
-        # Estimate files store k and the seed; their writer takes 64-bit integers.
-        if not 1 <= self.k < 2**64:
-            raise ConfigError("k must lie in [1, 2**64)")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if not 0.0 < self.fraction < 1.0:
-            raise ConfigError("fraction must lie in (0, 1)")
+        try:
+            _scalar(self.T, "T", 1, integer=True)
+            # Estimate files store k and the seed; their writer takes 64-bit integers.
+            _scalar(self.k, "k", 1, 2**64, integer=True)
+            _scalar(self.gamma, "gamma", 0, 1, "[]")
+            _scalar(self.alpha, "alpha", 0, 1, "()")
+            _scalar(self.fraction, "fraction", 0, 1, "()")
+            _scalar(self.max_n, "max_n", 0, integer=True)
+            _scalar(self.l2, "l2", 0)
+            for seed in self.seeds:
+                _scalar(seed, "seeds", 0, 2**64, integer=True)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.max_n < 0:
-            raise ConfigError("max_n must be >= 0")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        if min(self.seeds) < 0 or max(self.seeds) >= 2**64:
-            raise ConfigError("seeds must lie in [0, 2**64)")
         if len(set(self.estimate_only)) != len(self.estimate_only):
             raise ConfigError("estimate_only names must be distinct")
-        if not 0.0 <= self.l2 < math.inf:
-            raise ConfigError("l2 must be finite and >= 0")
 
 
 _KEYS = frozenset(f.name for f in fields(ExperimentConfig))

@@ -26,6 +26,10 @@ typed error that names the first bad row and its column.
 This module owns the package's array checks, which every public function
 admits its arrays through: a ragged array, integers given as floats, bools
 or text, reals of another dtype or codes outside 1..u raise typed errors.
+It also owns the scalar check (:func:`_scalar`), which every public
+function and the configuration admit each count, seed and bounded real
+through: a bool, text, None, NaN, a float where an integer belongs, or a
+value outside its interval raises :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -171,6 +175,24 @@ def _real_array(values, name: str, copy: bool = False) -> np.ndarray:
         return arr.astype(np.float64, copy=copy)
 
 
+def _scalar(value, name: str, lo, hi=np.inf, ends: str = "[)", integer: bool = False):
+    """``value`` as an ``int`` when ``integer``, else as a ``float``, once
+    it lies between ``lo`` and ``hi``; ``ends`` brackets the interval,
+    ``"[)"`` (closed below, open above) by default.  An integer must be a
+    Python or numpy integer, a real an integer or float that is not NaN; a
+    bool, text or None is neither."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds) or value != value:
+        raise DataError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        value = int(value) if integer else float(value)
+    except OverflowError:  # an integer past float64's range
+        value = np.inf if value > 0 else -np.inf
+    if not (lo < value < hi or value == lo and ends[0] == "[" or value == hi and ends[1] == "]"):
+        raise DataError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
+    return value
+
+
 def _check_codes(codes: np.ndarray, sizes, name: str):
     """Refuse integer codes outside 1..u: (n,) codes of the int width
     ``sizes``, or (n, F) codes whose column j has width ``sizes[j]``."""
@@ -261,9 +283,12 @@ class Dataset:
         return int(self.labels.shape[0])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """The rows at ``indices``, which must be integers: a float index
-        or a boolean mask is a :class:`DataError`."""
+        """The rows at ``indices``, which must be integers in [0, n): a
+        float index, an index outside [0, n) or a boolean mask is a
+        :class:`DataError`."""
         idx = _integer_array(indices, "subset indices")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise DataError(f"subset indices must lie in [0, {self.n})")
         return Dataset._adopt(
             schema=self.schema,
             of_values=tuple(a[idx] for a in self.of_values),
@@ -622,10 +647,12 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(seed: int, indices, stream: int) -> np.ndarray:
-    """The uint64 key of each row index under ``seed`` and ``stream``."""
+    """The uint64 key of each row index under ``seed``, an integer in
+    [0, 2**64), and ``stream``."""
+    seed = _scalar(seed, "seed", 0, 2**64, integer=True)
     idx = np.asarray(indices, dtype=np.uint64)
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(np.uint64(stream) + _GOLDEN)
+        z = np.uint64(seed) ^ _mix64(np.uint64(stream) + _GOLDEN)
         return _mix64(z + idx * _GOLDEN)
 
 
@@ -646,7 +673,7 @@ def seeded_order(seed: int, n: int, stream: int) -> np.ndarray:
     ``seed`` and ``stream``.  Row i's key depends on (seed, i, stream)
     alone, so the order of ``n`` rows is that of any larger ``n`` with
     the rows past ``n`` left out."""
-    return np.argsort(_row_keys(seed, np.arange(n), stream))
+    return np.argsort(_row_keys(seed, np.arange(_scalar(n, "n", 0, integer=True)), stream))
 
 
 def synthesize_cf(ds: Dataset, seed: int) -> Dataset:
@@ -678,8 +705,7 @@ def split_train_test(ds: Dataset, fraction: float, seed: int):
     """
     if ds.n < 2:
         raise DataError("need at least 2 instances to split")
-    if not 0.0 < fraction < 1.0:
-        raise DataError("fraction must lie in (0, 1)")
+    fraction = _scalar(fraction, "fraction", 0, 1, "()")
     order = seeded_order(seed, ds.n, STREAM_SPLIT)
     n_train = int(fraction * ds.n)
     return np.sort(order[:n_train]), np.sort(order[n_train:])

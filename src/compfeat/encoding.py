@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Column, Dataset, _frozen, _real_array
-from .errors import DataError, ShapeMismatchError
+from .data import Column, Dataset, _frozen, _real_array, _scalar
+from .errors import ShapeMismatchError
 
 
 def encode_of(ds: Dataset) -> np.ndarray:
@@ -64,8 +64,7 @@ def encode_with_confidence(
     its rows must be stochastic.  The result is read-only, with the
     columns of ``base`` first.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise DataError(f"gamma must lie in [0, 1], got {gamma}")
+    gamma = _scalar(gamma, "gamma", 0, 1, "[]")
     base = _real_array(base, "base encoding")
     conf = _real_array(conf, "confidences")
     sizes = [col.size for col in cf_columns]
@@ -89,6 +88,7 @@ def segment_starts(sizes: Sequence[int]) -> np.ndarray:
 def one_hot(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """The (n, sum u_j) stacked one-hot of an (n, F) matrix of 1-based
     codes: row i holds a 1 at code ``codes[i, j]`` of segment j."""
+    sizes = [_scalar(u, "segment width", 1, integer=True) for u in sizes]
     out = np.zeros((codes.shape[0], sum(sizes)))
     out[np.arange(codes.shape[0])[:, None], codes - 1 + segment_starts(sizes)] = 1.0
     return out

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import _frozen, _integer_array, _real_array
+from .data import _frozen, _integer_array, _real_array, _scalar
 from .encoding import segments_stochastic
 from .errors import DataError, ShapeMismatchError
 
@@ -165,9 +165,7 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
     n, d = x.shape
     if n < 2:
         raise DataError("k-NN needs at least 2 instances")
-    if k < 1:
-        raise DataError("k must be positive")
-    k_eff = min(k, n - 1)
+    k_eff = min(_scalar(k, "k", 1, integer=True), n - 1)
     c = min(2 * k_eff, n - 1)  # candidates per row
     sq = np.einsum("ij,ij->i", x, x)
     norms = np.sqrt(sq)
@@ -425,9 +423,10 @@ def stack_graphs(graphs: Sequence[WeightGraph]) -> WeightGraph:
 
     Graph s's rows follow those of graphs 0..s-1, and its neighbor
     indices are offset by their total rows, so each row keeps its
-    neighbors, weights and slot order.  A single graph is returned as it is.
+    neighbors, weights and slot order.  A single graph is returned as it
+    is, and no graph is a :class:`DataError`.
     """
-    if len(graphs) == 1:
+    if _scalar(len(graphs), "graph count", 1, integer=True) == 1:
         return graphs[0]
     offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
     return WeightGraph._adopt(np.concatenate([g.neighbors + o for g, o in zip(graphs, offsets)]),

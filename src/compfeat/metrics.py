@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _as_array, _check_codes, _integer_array
-from .errors import MissingTruthError, ShapeMismatchError
+from .data import _as_array, _check_codes, _integer_array, _scalar
+from .errors import DataError, MissingTruthError, ShapeMismatchError
 from .propagation import EstimationResult
 
 CE_CLIP = 1e-12
@@ -62,6 +62,7 @@ def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:
 
 def macro_f1(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
     """Unweighted mean of per-class F1 of two code arrays of one shape over codes 1..n_classes."""
+    n_classes = _scalar(n_classes, "n_classes", 1, integer=True)
     pred = _integer_array(pred, "predicted codes")
     truth = _integer_array(truth, "truth codes")
     if pred.shape != truth.shape:
@@ -80,9 +81,12 @@ def macro_f1(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
 
 def score_labels(pred, truth: np.ndarray) -> float:
     """Binary macro-F1 of label codes in {1, 2}; ``pred`` holds codes, or
-    probabilities of code 2, thresholded at 0.5."""
+    probabilities of code 2 in [0, 1], thresholded at 0.5.  A probability
+    that is NaN or outside [0, 1] is a :class:`DataError`."""
     pred = _as_array(pred, "predictions")
     if np.issubdtype(pred.dtype, np.floating):
+        if not (pred.min(initial=0.0) >= 0.0 and pred.max(initial=1.0) <= 1.0):
+            raise DataError("predicted probabilities must lie in [0, 1]")
         pred = np.where(pred >= 0.5, 2, 1)
     return macro_f1(pred, truth, n_classes=2)
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .data import Column, Dataset, FeatureSchema, synthesize_cf
+from .data import Column, Dataset, FeatureSchema, _scalar, synthesize_cf
 from .graph import build_graph, propagate_step
 
 
@@ -134,6 +134,8 @@ def run_equivalence_suite(count: int, seed0: int = 0) -> dict:
     :func:`compfeat.propagation.init_marginal`.  A deviation above the
     tolerance or NaN fails; a non-finite one is reported as None, for JSON.
     """
+    count = _scalar(count, "count", 0, integer=True)
+    seed0 = _scalar(seed0, "seed0", 0, integer=True)
     devs, failures = [], []
     for s in range(count):
         rng = np.random.default_rng(seed0 + s)

@@ -15,12 +15,11 @@ reproducible without seed bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_codes, _frozen, _integer_array, _real_array
+from .data import Dataset, _check_codes, _frozen, _integer_array, _real_array, _scalar
 from .encoding import encode_of, one_hot
 from .errors import DataError, ShapeMismatchError, SingleClassError
 from .propagation import EstimationResult, init_marginal
@@ -100,8 +99,7 @@ def train(x, y: np.ndarray, l2: float = 1e-4) -> LrModel:
     if y.size == 0 or y.min() == y.max():
         raise SingleClassError("training needs both label classes present")
     targets = (y == 2).astype(np.float64)
-    if not 0.0 <= l2 < math.inf:
-        raise DataError("l2 must be finite and nonnegative")
+    l2 = _scalar(l2, "l2", 0)
 
     n = mat.shape[0]
     design = np.hstack([mat, np.ones((n, 1))])
@@ -161,10 +159,13 @@ def _backtrack(params, direction, loss, grad, mat, targets, l2):
 
 
 def predict(model: LrModel, x) -> np.ndarray:
-    """Probability of label code 2 for each row of the (n, d) design ``x``."""
+    """Probability of label code 2 for each row of the (n, d) design
+    ``x``, which must be finite, as in :func:`train`."""
     mat = _real_array(x, "design matrix")
     if mat.ndim != 2 or mat.shape[1] != model.weights.size:
         raise ShapeMismatchError(f"a design {mat.shape} does not fit {model.weights.size} weights")
+    if not np.isfinite(mat).all():
+        raise DataError("design matrix must be finite")
     return _sigmoid(mat @ model.weights + model.bias)
 
 

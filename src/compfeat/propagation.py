@@ -63,7 +63,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .data import (STREAM_GUESS, Dataset, _check_codes, _code_array, _frozen, _real_array,
-                   complement_draws)
+                   _scalar, complement_draws)
 from .encoding import encode_of, encode_with_confidence, segment_starts, segments_stochastic
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph, propagate_step, stack_graphs
@@ -97,7 +97,7 @@ class EstimationResult:
         object.__setattr__(self, "cf_names", names)
         object.__setattr__(self, "hard_estimates", hard)
         object.__setattr__(self, "hyperparams", dict(self.hyperparams))
-        sizes = tuple(int(u) for u in self.sizes)
+        sizes = tuple(_scalar(u, "CF width", 1, integer=True) for u in self.sizes)
         q = _real_array(self.confidences, "confidences", copy=True)
         if len(sizes) != len(names) or q.shape != (hard.shape[0], sum(sizes)):
             raise ShapeMismatchError(
@@ -186,10 +186,10 @@ class EstimationResult:
         with a header whose shape accounts for exactly its member's bytes,
         and have the dtype and number of dimensions that :meth:`save`
         writes; ``meta`` must hold a JSON object with a list of CF names and
-        a list of positive integer widths, and the result must pass the
-        constructor's checks.  A file that does not, or is not a readable
-        archive, raises :class:`DataError`, as does one whose stored
-        ``expect`` keys are missing or differ.
+        their widths, and the result must pass the constructor's checks,
+        which admit each width as a positive integer.  A file that does
+        not, or is not a readable archive, raises :class:`DataError`, as
+        does one whose stored ``expect`` keys are missing or differ.
         """
         try:
             # From an open file: np.load(path) leaves the file it opened
@@ -209,10 +209,8 @@ class EstimationResult:
             doc = json.loads(meta.item())
             names, sizes = doc["cf_names"], doc["sizes"]
             if not (isinstance(names, list) and all(isinstance(s, str) for s in names)
-                    and isinstance(sizes, list) and all(type(u) is int and u > 0 for u in sizes)
                     and isinstance(doc["method"], str) and isinstance(doc["hyperparams"], dict)):
-                raise DataError("meta needs a method, hyperparameters, CF names and "
-                                "positive integer CF widths")
+                raise DataError("meta needs a method, hyperparameters and CF names")
             result = cls(cf_names=names, sizes=sizes, confidences=q, hard_estimates=hard,
                          method=doc["method"], hyperparams=doc["hyperparams"])
         # zipfile raises NotImplementedError for an unsupported zip version or
@@ -376,8 +374,7 @@ def run_proposed_seeds(
     group of seeds; every row goes through the floating-point operations
     it would alone, so each result is bit for bit :func:`run_proposed`'s.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise DataError(f"gamma must lie in [0, 1], got {gamma}")
+    gamma = _scalar(gamma, "gamma", 0, 1, "[]")
 
     def round2_encodings(seeds: Sequence[Dataset], q: np.ndarray) -> list[np.ndarray]:
         return [encode_with_confidence(encode_of(ds), qs, ds.schema.cf_columns, gamma)
@@ -431,8 +428,7 @@ def run_ipal_seeds(
     """:func:`run_ipal` of each dataset, from the iterator
     :func:`_run_seeds` returns: T module-level ``propagate_step`` calls
     per group of seeds, on their stacked matrix."""
-    if not 0.0 < alpha < 1.0:
-        raise DataError("alpha must lie in (0, 1)")
+    alpha = _scalar(alpha, "alpha", 0, 1, "()")
     return _run_seeds(datasets, T, k, of_graph, "ipal", {"T": T, "k": k, "alpha": alpha},
                       lambda graph, q, q0, sizes: _normalize(
                           alpha * propagate_step(graph, q) + (1.0 - alpha) * q0, q0, sizes))
@@ -457,8 +453,7 @@ def _run_seeds(datasets: Sequence[Dataset], T: int, k: int, of_graph: WeightGrap
     built, before round 2's first step, and no array of a group outlives
     its last result.
     """
-    if T < 1:
-        raise DataError("T must be >= 1")
+    T, k = _scalar(T, "T", 1, integer=True), _scalar(k, "k", 1, integer=True)
     for ds in datasets:
         _require_cfs(ds.schema.cf_sizes)
         if ds.schema.cf_sizes != datasets[0].schema.cf_sizes:

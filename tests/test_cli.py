@@ -531,17 +531,25 @@ class TestExitCodes:
         (["prepare", "--seed", "0,0"], ""),
         (["estimate", *SMALL], "estimate_only = job job"),
         (["estimate", *SMALL, "--estimate-only", "job,job"], ""),
+        (["estimate", "--method", "ipal"], "alpha = 1"),
+        (["predict", "--mode", "ord"], "fraction = 0"),
+        (["estimate"], "max_n = -1"),
+        (["estimate"], "gamma = nan"),
     ], ids=["unknown_key", "oracle_monotone_instances", "oracle_bound_instances",
             "predict_seed", "estimate_seed", "l2_nan", "l2_inf", "l2_negative", "epochs",
             "oracle_equivalence_instances", "oracle_slack", "seed_over_64_bits",
             "k_over_64_bits", "duplicate_seed_line", "duplicate_seed_flag",
-            "duplicate_estimate_only_line", "duplicate_estimate_only_flag"])
+            "duplicate_estimate_only_line", "duplicate_estimate_only_flag", "alpha_1",
+            "fraction_0", "max_n_negative", "gamma_nan"])
     def test_bad_config_line_exits_2(self, bank_csv, tmp_path, capsys, command, line):
-        """Rejected with exit 2 when the config loads, not with a traceback."""
+        """Rejected with exit 2 when the config loads, not with a traceback,
+        and the message names the key, or the flag's key, at fault."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         assert main([*command, "--config", str(cfg), *bank_csv]) == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert (line.split("=")[0].strip() or command[-2].lstrip("-").replace("-", "_")) in err
 
     def test_evaluate_refuses_a_method_missing_some_seeds(self, bank_csv, capsys):
         """A method estimated for only some of the seeds is refused with

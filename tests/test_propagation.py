@@ -456,7 +456,7 @@ class TestRunProposed:
 ], ids=["proposed", "ipal"])
 def test_fewer_than_one_step_rejected(run, T):
     """Neither procedure returns the initial confidences for T < 1."""
-    with pytest.raises(DataError, match=r"T must be >= 1"):
+    with pytest.raises(DataError, match=r"T must lie in \[1, inf\)"):
         run(observed_dataset([3], 20, seed=21), T)
 
 
