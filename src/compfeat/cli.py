@@ -57,6 +57,18 @@ over seed s's n rows and scores the rest (see
 time.  ``sweep`` estimates each point with ``--method`` and
 honours ``--estimate-only`` as ``estimate`` does.
 
+A process enters through :func:`run`, both as the ``compfeat`` console
+script and as ``python -m compfeat.cli``.  Before it calls :func:`main`,
+``run`` calls ``gc.freeze()``, which moves every object the imports
+made (numpy's and the package's, some 22,000 that the collector tracks)
+into the collector's permanent generation, so that neither the
+command's collections nor the final ones at interpreter exit walk them
+again.  The cost: an import-time object that is, or later becomes,
+cyclic garbage is never collected.  The imports make about 350 such
+objects, but the collections that run during the imports reclaim them
+before the freeze.  :func:`main` itself never freezes, so tests and
+library callers keep a normal collector.
+
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 verification failure.
 """
@@ -64,6 +76,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -500,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code.  It never freezes the collector; :func:`run` does."""
     args = build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items() if key in _KEYS}
     try:
@@ -529,5 +544,11 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """The process entry: freeze the import-time heap, then :func:`main`."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Column, Dataset, _frozen, _real_array, _scalar
+from .data import Column, Dataset, _check_codes, _frozen, _integer_array, _real_array, _scalar
 from .errors import ShapeMismatchError
 
 
@@ -87,8 +87,13 @@ def segment_starts(sizes: Sequence[int]) -> np.ndarray:
 
 def one_hot(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """The (n, sum u_j) stacked one-hot of an (n, F) matrix of 1-based
-    codes: row i holds a 1 at code ``codes[i, j]`` of segment j."""
+    codes: row i holds a 1 at code ``codes[i, j]`` of segment j, an
+    integer in 1..sizes[j]."""
     sizes = [_scalar(u, "segment width", 1, integer=True) for u in sizes]
+    codes = _integer_array(codes, "codes")
+    if codes.ndim != 2 or codes.shape[1] != len(sizes):
+        raise ShapeMismatchError(f"codes of shape {codes.shape} do not fit {len(sizes)} segments")
+    _check_codes(codes, sizes, "codes")
     out = np.zeros((codes.shape[0], sum(sizes)))
     out[np.arange(codes.shape[0])[:, None], codes - 1 + segment_starts(sizes)] = 1.0
     return out

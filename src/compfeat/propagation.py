@@ -124,7 +124,8 @@ class EstimationResult:
                 f"{list(names)} of widths {list(ds.schema.cf_sizes)} on {ds.n} rows")
 
     def block(self, j: int) -> np.ndarray:
-        """Read-only view of CF j's (n, u_j) confidence segment."""
+        """Read-only view of CF j's (n, u_j) confidence segment, 0 <= j < F."""
+        j = _scalar(j, "CF index", 0, len(self.sizes), integer=True)
         start = segment_starts(self.sizes)[j]
         return self.confidences[:, start:start + self.sizes[j]]
 

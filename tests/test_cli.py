@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -569,6 +570,33 @@ class TestExitCodes:
         assert main(["estimate", *missing]) == 3
         assert main(["evaluate", *bank_csv]) == 3
         assert main(["predict", "--mode", "soft", *bank_csv]) == 3
+
+    def test_run_freezes_once_before_main(self, monkeypatch):
+        """run(), the process entry, freezes the collector once and then
+        runs main() on sys.argv; main() never freezes.  A recorder stands
+        in for gc.freeze, so the test process keeps a normal collector."""
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert main(["estimate", "--T", "0"]) == 2
+        assert calls == []
+        monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or main(argv))
+        monkeypatch.setattr(sys, "argv", ["compfeat", "estimate", "--T", "0"])
+        assert cli.run() == 2
+        assert calls == ["freeze", "main"]
+
+    def test_module_entry_exit_codes(self, bank_csv, tmp_path):
+        """``python -m compfeat.cli`` goes through run() and keeps the exit
+        codes: 2 for a configuration error, 3 for a missing --data file."""
+        missing = list(bank_csv)
+        missing[1] = str(tmp_path / "absent.csv")
+        src = str(Path(compfeat.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for args, code, kind in ((["estimate", "--T", "0"], 2, "configuration error:"),
+                                 (["estimate", *missing], 3, "data error:")):
+            proc = subprocess.run([sys.executable, "-m", "compfeat.cli", *args],
+                                  env=env, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr.startswith(kind)) == (code, True), proc.stderr
 
     @pytest.mark.parametrize("flag, code, kind", [
         ("--data", 3, "data error:"), ("--schema", 3, "data error:"),

@@ -67,6 +67,9 @@ DS = synthesize_cf(build_dataset(FeatureSchema((Column("x", "quantitative", "OF"
     (lambda: score_labels(np.array([0.2, 0.9, 7.0]), np.array([1, 2, 2])), DataError),
     (lambda: DS.subset([99]), DataError),
     (lambda: DS.subset([-1]), DataError),
+    (lambda: one_hot(np.array([[0, 1]]), (3, 3)), DataError),
+    (lambda: one_hot(np.array([[1.0], [2.0]]), (3,)), DataError),
+    (lambda: one_hot(np.array([1, 2]), (3,)), ShapeMismatchError),
 ], ids=["knn-ragged", "knn-text", "solve_weights-text", "optimality_gap-ragged",
         "weights-ragged", "weights-text", "encode_with_confidence-ragged",
         "encode_with_confidence-text", "encode_with_confidence-1d-base",
@@ -75,7 +78,7 @@ DS = synthesize_cf(build_dataset(FeatureSchema((Column("x", "quantitative", "OF"
         "score_labels-codes-0-and-3", "macro_f1-ragged", "macro_f1-lengths", "train-float-labels",
         "train-lengths", "predict-width", "predict-text", "predict-nan-design",
         "score_labels-nan-probability", "score_labels-probability-7", "subset-index-past-rows",
-        "subset-index-negative"])
+        "subset-index-negative", "one_hot-code-0", "one_hot-float-codes", "one_hot-1d-codes"])
 def test_malformed_array_arguments_raise_typed_errors(call, error):
     """Every public function admits its arrays through the same checks: a
     ragged, text, float-code, out-of-range, wrong-ndim or mismatched
@@ -118,6 +121,8 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
     (lambda: stack_graphs([]), DataError),
     (lambda: correct(Q, Q, (2.5,)), ShapeMismatchError),
     (lambda: assemble(DS, None), DataError),
+    (lambda: EstimationResult(sizes=(3,), **RESULT).block(-1), DataError),
+    (lambda: EstimationResult(sizes=(3,), **RESULT).block(1), DataError),
 ], ids=["knn-k-2.5", "knn-k-text", "build_graph-k-bool", "build_graph-k-nan",
         "run_proposed-T-2.5", "run_proposed-k-None", "run_proposed-gamma-text",
         "run_ipal-alpha-None", "run_ipal-T-text",
@@ -126,7 +131,7 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
         "train-l2-text", "encode_with_confidence-gamma-None", "one_hot-size-2.5",
         "EstimationResult-size-text", "EstimationResult-size-3.7", "macro_f1-n_classes-2.5",
         "macro_f1-n_classes-text", "run_equivalence_suite-count-2.5", "stack_graphs-none",
-        "correct-size-2.5", "assemble-mode-None"])
+        "correct-size-2.5", "assemble-mode-None", "block-index--1", "block-index-past-CFs"])
 def test_malformed_scalar_arguments_raise_typed_errors(call, error):
     """Every public function admits its counts, seeds and bounded reals
     through the same check: a float where an integer belongs, a bool,
