@@ -36,14 +36,17 @@ and schema files.
 ``estimate`` writes ``estimate_<method>_seed<s>.npz`` per seed, the file
 ``evaluate`` and ``predict --mode soft|hard`` read, and beside it
 ``estimate_<method>_seed<s>.json``, an export of the same result as JSON
-that no command reads (see :meth:`EstimationResult.save`).  Each file
-stores the seed and a hash of the seed's inputs, and a reader refuses a
-file estimated from other inputs.  The graph methods propagate groups
-of seeds together (see :mod:`compfeat.propagation`); ``estimate`` writes
-each seed's files as soon as its group finishes and holds none of its
-results while the next group runs.  An interrupted run leaves the files
-of the groups that finished, and ``evaluate`` refuses a method whose
-files exist for only some of its seeds.
+(:func:`export_result`).  No command reads the export.  It is written
+for readers that do not parse the archive, the benchmark's correctness
+check among them, and :func:`save_result` writes it, because
+:meth:`EstimationResult.save` writes the archive alone.  Each file
+stores the seed and a hash of the seed's inputs, and a reader of the
+archive refuses one estimated from other inputs.  The graph methods
+propagate groups of seeds together (see :mod:`compfeat.propagation`);
+``estimate`` writes each seed's files as soon as its group finishes and
+holds none of its results while the next group runs.  An interrupted
+run leaves the files of the groups that finished, and ``evaluate``
+refuses a method whose files exist for only some of its seeds.
 
 Every command but ``oracle`` reads the source CSV and needs at least 2
 rows in it.  Seed s's dataset holds the source rows with observed CF
@@ -88,7 +91,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from . import propagation
 from .data import (STREAM_SUBSAMPLE, Dataset, _scalar, format_rows, load_csv, load_schema,
                    seeded_order, split_train_test, synthesize_cf, write_rows)
@@ -313,7 +315,9 @@ def finalize_report(doc: dict, path: str):
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     doc["content_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
     doc.setdefault("generated_at", datetime.now(timezone.utc).isoformat())
-    metrics_mod.write_json(doc, path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _sha256_file(path: str) -> str:
@@ -365,10 +369,42 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
 
 
 def save_result(cfg: ExperimentConfig, ds: Dataset, seed: int, result: EstimationResult) -> str:
-    """Write ``result``, seed ``seed``'s estimate of ``ds``, to its file; return the path."""
+    """Write ``result``, seed ``seed``'s estimate of ``ds``, to its file and
+    beside it its JSON export, the path with ``.json`` for ``.npz``;
+    return the path."""
     path = result_path(cfg, cfg.method, seed)
-    result.save(path, extra=provenance(cfg, ds, seed))
+    extra = provenance(cfg, ds, seed)
+    result.save(path, extra=extra)
+    export_result(result, os.path.splitext(path)[0] + ".json", extra)
     return path
+
+
+def export_result(result: EstimationResult, path: str, extra: dict):
+    """Write ``result`` to ``path`` as one line of UTF-8 JSON with sorted
+    keys and no whitespace, ending in a newline.
+
+    It holds ``method``, ``hyperparams``, ``cf_names``,
+    ``hard_estimates`` (n lists of codes), ``confidences`` (one (n, u_j)
+    list of lists per CF name) and the ``extra`` keys.  Every float is
+    written as the shortest text that reads back as the same float64, so
+    any JSON reader recovers the saved values exactly.  The text differs
+    from Python's ``repr`` only for entries below 1e-4:
+    ``0.00004830844254893549`` for ``4.830844254893549e-05``, ``5e-8``
+    for ``5e-08``.  Integers must fit in 64 bits.
+    """
+    # Imported here, where only estimate pays for it; formatting the
+    # floats is most of the export, and orjson does it about ten times
+    # faster than json.dumps.
+    import orjson
+
+    doc = {"method": result.method, "hyperparams": result.hyperparams,
+           "cf_names": list(result.cf_names), **extra,
+           "hard_estimates": np.ascontiguousarray(result.hard_estimates),
+           "confidences": {name: np.ascontiguousarray(result.block(j))
+                           for j, name in enumerate(result.cf_names)}}
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+                              | orjson.OPT_APPEND_NEWLINE))
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:

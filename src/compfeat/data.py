@@ -41,6 +41,7 @@ import io
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
@@ -564,7 +565,8 @@ def format_rows(ds: Dataset, observed: bool = False) -> list[str]:
     before it; with no columns each text is empty.  The header goes
     through ``csv.writer``; a data row is a plain comma join of its
     cells' texts from :func:`_cell_text`, which renders each distinct
-    categorical value once.
+    categorical value once and makes each cell's text as its row is
+    joined, so only the row texts are held.
     """
     schema = ds.schema
     cf_cols = schema.cf_columns
@@ -601,15 +603,16 @@ def write_rows(path, *parts: list[str]) -> str:
     return digest.hexdigest()
 
 
-def _cell_text(arr: np.ndarray, col: Column) -> list[str]:
-    """The CSV text of each of ``col``'s values ``arr`` within a row.  A
-    finite float's is its ``repr``, which never needs quoting.  A code's
-    is its vocabulary entry as ``csv.writer`` renders it inside a row,
-    each entry rendered once."""
+def _cell_text(arr: np.ndarray, col: Column) -> Iterator[str]:
+    """The CSV text of each of ``col``'s values ``arr`` within a row, each
+    made as it is read, so a column's texts are never all held.  A finite
+    float's is its ``repr``, which never needs quoting.  A code's is its
+    vocabulary entry as ``csv.writer`` renders it inside a row, each entry
+    rendered once."""
     if col.kind == "quantitative":
-        return list(map(repr, np.asarray(arr, dtype=np.float64).tolist()))
+        return map(repr, np.asarray(arr, dtype=np.float64).tolist())
     texts = [text[1:] for text in _csv_texts(("", v) for v in col.vocabulary)]
-    return list(map(texts.__getitem__, (np.asarray(arr, dtype=np.int64) - 1).tolist()))
+    return map(texts.__getitem__, (np.asarray(arr, dtype=np.int64) - 1).tolist())
 
 
 def _csv_texts(rows) -> list[str]:

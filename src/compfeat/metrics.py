@@ -8,7 +8,6 @@ entropy of the confidence rows.  Entropies are in nats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +128,3 @@ def format_cf_table(aggregated: dict[str, list[dict]]) -> str:
             lines.append(f"{name:<16}{method:<10}" + "".join(f"{c:<18}" for c in cells))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def write_json(doc: dict, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")

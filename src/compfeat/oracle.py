@@ -40,10 +40,17 @@ def make_smooth_synthetic(
     Labels follow a logistic model on the OFs and the true CF values.
     Returns the dataset (with complement observations already drawn)
     and the per-CF list of (n, u_j) ground-truth conditional tables.
+    The counts, each CF's cardinality (at least 3), ``roughness`` and
+    ``seed`` (in [0, 2**64)) go through the package's scalar check, so
+    a malformed one raises :class:`DataError`.
     """
     sharpness, n_waves = 12.0, 8
-    rng = np.random.default_rng(seed)
-    cards = list(cf_cards)
+    n = _scalar(n, "n", 0, integer=True)
+    n_of = _scalar(n_of, "n_of", 0, integer=True)
+    n_binary_of = _scalar(n_binary_of, "n_binary_of", 0, integer=True)
+    cards = [_scalar(u, "CF cardinality", 3, integer=True) for u in cf_cards]
+    roughness = _scalar(roughness, "roughness", 0)
+    rng = np.random.default_rng(_scalar(seed, "seed", 0, 2**64, integer=True))
     if cf_names is None:
         cf_names = [f"cf{j + 1}" for j in range(len(cards))]
 

@@ -13,9 +13,11 @@ initial matrix, then row normalization.
 The full procedure runs two rounds: round 1 propagates on the OF-only
 encoding; round 2 rebuilds the graph with the round-1 confidences
 appended as gamma-weighted coordinates, resets the confidences to
-their initial state, and propagates again.  The round-1 graph depends only on
-the OFs and k, so callers running several seeds on the same rows build
-it once and pass it in as ``of_graph``.
+their initial state, and propagates again.  The round-1 graph depends
+only on the OFs and k, so the seed runners (:func:`run_proposed_seeds`,
+:func:`run_ipal_seeds`) take it as ``of_graph`` from a caller whose
+seeds share their rows; the one-seed :func:`run_proposed` and
+:func:`run_ipal` always build it.
 
 All CFs' matrices are stacked side by side into one (n, sum u_j) array,
 CF j owning the column segment of width u_j that follows CF j-1's, in
@@ -130,53 +132,23 @@ class EstimationResult:
         return self.confidences[:, start:start + self.sizes[j]]
 
     def save(self, path, extra: dict | None = None):
-        """Write the result to ``path`` for :meth:`load`, and export it as JSON.
+        """Write the result to ``path``, and nothing else, for :meth:`load`.
 
         ``path`` receives one uncompressed ``np.savez`` archive, whatever
-        its suffix but ``.json``, holding three arrays: ``confidences`` (float64, (n,
+        its suffix, holding three arrays: ``confidences`` (float64, (n,
         sum u_j)), ``hard_estimates`` (int64, (n, F)) and ``meta``, a 0-d
         unicode array holding the sorted-key JSON of ``method``,
         ``hyperparams``, ``cf_names``, ``sizes`` and the ``extra`` keys.
         numpy dates every zip entry 1980-01-01, so saving one result twice
         gives the same bytes.
-
-        The export goes beside ``path``, with its suffix replaced by
-        ``.json``; nothing in this package reads it.  It is one line of
-        UTF-8 JSON with sorted keys and no whitespace, ending in a newline,
-        and holds ``method``, ``hyperparams``, ``cf_names``,
-        ``hard_estimates`` (n lists of codes), ``confidences`` (one (n,
-        u_j) list of lists per CF name) and the ``extra`` keys.  Every
-        float is written as the shortest text that reads back as the same
-        float64, so any JSON reader recovers the saved values exactly.
-        The text differs from Python's ``repr`` only for entries below
-        1e-4: ``0.00004830844254893549`` for ``4.830844254893549e-05``,
-        ``5e-8`` for ``5e-08``.  Integers must fit in 64 bits.  A ``path``
-        ending in ``.json`` raises :class:`ValueError`: the export would
-        overwrite the archive.
         """
-        export = os.path.splitext(path)[0] + ".json"
-        if os.path.splitext(path)[1].lower() == ".json":
-            raise ValueError(f"{path}: the archive path must not end in .json, "
-                             f"the suffix of its JSON export")
-        # Imported here, where only the commands that write estimates pay
-        # for it; formatting the floats is most of the export, and orjson
-        # does it about ten times faster than json.dumps.
-        import orjson
-
         meta = {"method": self.method, "hyperparams": self.hyperparams,
-                "cf_names": list(self.cf_names), **(extra or {})}
-        hard = np.ascontiguousarray(self.hard_estimates)
+                "cf_names": list(self.cf_names), **(extra or {}), "sizes": list(self.sizes)}
         # To an open file, so that np.savez appends no ".npz" suffix.
         with open(path, "wb") as fh:
-            np.savez(fh, confidences=np.ascontiguousarray(self.confidences), hard_estimates=hard,
-                     meta=np.array(json.dumps({**meta, "sizes": list(self.sizes)},
-                                              sort_keys=True)))
-        doc = {**meta, "hard_estimates": hard,
-               "confidences": {name: np.ascontiguousarray(self.block(j))
-                               for j, name in enumerate(self.cf_names)}}
-        with open(export, "wb") as fh:
-            fh.write(orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-                                  | orjson.OPT_APPEND_NEWLINE))
+            np.savez(fh, confidences=np.ascontiguousarray(self.confidences),
+                     hard_estimates=np.ascontiguousarray(self.hard_estimates),
+                     meta=np.array(json.dumps(meta, sort_keys=True)))
 
     @classmethod
     def load(cls, path, expect: dict | None = None) -> "EstimationResult":
@@ -344,22 +316,14 @@ def _split(q: np.ndarray, datasets: Sequence[Dataset]) -> list[np.ndarray]:
     return np.split(q, np.cumsum([ds.n for ds in datasets])[:-1])
 
 
-def run_proposed(
-    ds: Dataset,
-    T: int,
-    k: int,
-    gamma: float,
-    of_graph: WeightGraph | None = None,
-) -> EstimationResult:
+def run_proposed(ds: Dataset, T: int, k: int, gamma: float) -> EstimationResult:
     """Two-round graph-based estimation of every CF's exact value.
 
-    Round 1 runs on the graph of ``ds``'s OF encoding; round 2 rebuilds
-    the graph with the round-1 confidences appended.  ``of_graph`` is
-    the round-1 graph at this ``k``, as :func:`build_graph` returns it
-    for ``encode_of(ds)``; it is built here when omitted.  This is
+    Round 1 runs on the graph of ``ds``'s OF encoding, built here; round
+    2 rebuilds the graph with the round-1 confidences appended.  This is
     :func:`run_proposed_seeds` of the one dataset.
     """
-    return next(run_proposed_seeds([ds], T, k, gamma, of_graph))
+    return next(run_proposed_seeds([ds], T, k, gamma))
 
 
 def run_proposed_seeds(
@@ -374,6 +338,12 @@ def run_proposed_seeds(
     ``propagate_step`` and ``correct`` each, on the stacked matrix of a
     group of seeds; every row goes through the floating-point operations
     it would alone, so each result is bit for bit :func:`run_proposed`'s.
+
+    ``of_graph`` is the round-1 graph the datasets share, as
+    :func:`build_graph` returns it at this ``k`` for their common OF
+    encoding; each dataset's own is built when it is omitted.  Only its
+    shape is checked, so the caller vouches that it was built from these
+    OFs.
     """
     gamma = _scalar(gamma, "gamma", 0, 1, "[]")
 
@@ -400,23 +370,16 @@ def run_comp(ds: Dataset, seed: int) -> EstimationResult:
     return _result(ds, q0, hard, "comp", {"seed": seed})
 
 
-def run_ipal(
-    ds: Dataset,
-    T: int,
-    k: int,
-    alpha: float,
-    of_graph: WeightGraph | None = None,
-) -> EstimationResult:
+def run_ipal(ds: Dataset, T: int, k: int, alpha: float) -> EstimationResult:
     """Re-anchored propagation baseline, run transductively.
 
-    Single round on the OF graph with the affine update
-    Q^(t) = alpha H Q^(t-1) + (1 - alpha) Q^(0) and no correction step;
-    the affine map preserves row sums analytically, and every step
-    re-normalizes the CF segments to guard against drift.  ``of_graph``
-    is as in :func:`run_proposed`; ``ds`` is encoded only when it is
-    omitted.  This is :func:`run_ipal_seeds` of the one dataset.
+    Single round on the graph of ``ds``'s OF encoding, built here, with
+    the affine update Q^(t) = alpha H Q^(t-1) + (1 - alpha) Q^(0) and no
+    correction step; the affine map preserves row sums analytically, and
+    every step re-normalizes the CF segments to guard against drift.
+    This is :func:`run_ipal_seeds` of the one dataset.
     """
-    return next(run_ipal_seeds([ds], T, k, alpha, of_graph))
+    return next(run_ipal_seeds([ds], T, k, alpha))
 
 
 def run_ipal_seeds(
@@ -428,7 +391,9 @@ def run_ipal_seeds(
 ) -> Iterator[EstimationResult]:
     """:func:`run_ipal` of each dataset, from the iterator
     :func:`_run_seeds` returns: T module-level ``propagate_step`` calls
-    per group of seeds, on their stacked matrix."""
+    per group of seeds, on their stacked matrix.  ``of_graph`` is as in
+    :func:`run_proposed_seeds`; the datasets are encoded only when it is
+    omitted."""
     alpha = _scalar(alpha, "alpha", 0, 1, "()")
     return _run_seeds(datasets, T, k, of_graph, "ipal", {"T": T, "k": k, "alpha": alpha},
                       lambda graph, q, q0, sizes: _normalize(

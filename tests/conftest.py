@@ -43,10 +43,9 @@ def record_rounds(mp, ds, **params):
     ``propagate_step`` and ``correct`` wrapped, on the monkeypatch
     ``mp``, in the propagation module where the procedure looks them up.
 
-    Returns the result and one dict per graph built, that is per round
-    when no ``of_graph`` is passed: the ``graph``, the confidences each
-    step received (``inputs``) and those each correction returned
-    (``outputs``).
+    Returns the result and one dict per graph built, that is per round:
+    the ``graph``, the confidences each step received (``inputs``) and
+    those each correction returned (``outputs``).
     """
     from compfeat import propagation
 

@@ -9,7 +9,7 @@ from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.graph import (WeightGraph, build_graph, knn, optimality_gap, propagate_step,
                             solve_weights, stack_graphs)
 from compfeat.metrics import macro_f1, score_labels
-from compfeat.oracle import run_equivalence_suite
+from compfeat.oracle import make_bank_like, make_smooth_synthetic, run_equivalence_suite
 from compfeat.predictor import LrModel, assemble, predict, train
 from compfeat.propagation import EstimationResult, correct, run_comp, run_ipal, run_proposed
 from conftest import build_dataset
@@ -123,6 +123,11 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
     (lambda: assemble(DS, None), DataError),
     (lambda: EstimationResult(sizes=(3,), **RESULT).block(-1), DataError),
     (lambda: EstimationResult(sizes=(3,), **RESULT).block(1), DataError),
+    (lambda: make_bank_like(2.5, 0), DataError),
+    (lambda: make_bank_like(10, -1), DataError),
+    (lambda: make_bank_like(10, 1.5), DataError),
+    (lambda: make_smooth_synthetic(10, [3], 2, -0.5, 0), DataError),
+    (lambda: make_smooth_synthetic(10, [3.0], 2, 0.5, 0), DataError),
 ], ids=["knn-k-2.5", "knn-k-text", "build_graph-k-bool", "build_graph-k-nan",
         "run_proposed-T-2.5", "run_proposed-k-None", "run_proposed-gamma-text",
         "run_ipal-alpha-None", "run_ipal-T-text",
@@ -131,7 +136,9 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
         "train-l2-text", "encode_with_confidence-gamma-None", "one_hot-size-2.5",
         "EstimationResult-size-text", "EstimationResult-size-3.7", "macro_f1-n_classes-2.5",
         "macro_f1-n_classes-text", "run_equivalence_suite-count-2.5", "stack_graphs-none",
-        "correct-size-2.5", "assemble-mode-None", "block-index--1", "block-index-past-CFs"])
+        "correct-size-2.5", "assemble-mode-None", "block-index--1", "block-index-past-CFs",
+        "make_bank_like-n-2.5", "make_bank_like-seed--1", "make_bank_like-seed-1.5",
+        "make_smooth_synthetic-roughness--0.5", "make_smooth_synthetic-cardinality-3.0"])
 def test_malformed_scalar_arguments_raise_typed_errors(call, error):
     """Every public function admits its counts, seeds and bounded reals
     through the same check: a float where an integer belongs, a bool,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from compfeat.cli import export_result
 from compfeat.data import Column, Dataset, FeatureSchema, synthesize_cf
 from compfeat.encoding import encode_of
 from compfeat import propagation
@@ -442,11 +443,11 @@ class TestRunProposed:
 
     def test_of_graph_of_another_shape_rejected(self):
         ds = observed_dataset([3], 30, seed=20)
-        enc = encode_of(ds)
+        graph = build_graph(encode_of(ds), 4)
         with pytest.raises(ShapeMismatchError, match="round-1 graph"):
-            run_proposed(ds, T=2, k=5, gamma=0.25, of_graph=build_graph(enc, 4))
+            propagation.run_proposed_seeds([ds], T=2, k=5, gamma=0.25, of_graph=graph)
         with pytest.raises(ShapeMismatchError, match="round-1 graph"):
-            run_ipal(ds, T=2, k=5, alpha=0.9, of_graph=build_graph(enc, 4))
+            propagation.run_ipal_seeds([ds], T=2, k=5, alpha=0.9, of_graph=graph)
 
 
 @pytest.mark.parametrize("T", [0, -3])
@@ -583,15 +584,17 @@ class TestStackedSeeds:
     @pytest.mark.parametrize("method", ["proposed", "ipal"])
     def test_stacked_results_equal_separate_runs(self, method, S, subsample):
         """Every seed's result from one stacked run has the bytes of its
-        own run, with and without a shared round-1 graph."""
+        own run: the one-seed runner's, which builds its round-1 graph,
+        and the seed runner's on its dataset alone with the stacked run's
+        round-1 graph, shared or not."""
         stacked, single, params = STACKED_RUNS[method]
         base, datasets = seed_datasets(S, subsample)
         of_graph = None if subsample else build_graph(encode_of(base), 6)
         got = list(stacked(datasets, T=7, k=6, of_graph=of_graph, **params))
         assert len(got) == S
         for ds, res in zip(datasets, got, strict=True):
-            for graph in (None, of_graph):
-                want = single(ds, T=7, k=6, of_graph=graph, **params)
+            for want in (single(ds, T=7, k=6, **params),
+                         next(stacked([ds], T=7, k=6, of_graph=of_graph, **params))):
                 assert res.confidences.tobytes() == want.confidences.tobytes()
                 assert res.hard_estimates.tobytes() == want.hard_estimates.tobytes()
                 assert (res.method, res.hyperparams) == (want.method, want.hyperparams)
@@ -768,12 +771,13 @@ def saved_results(draw):
 
 class TestEstimationResultIo:
     def test_json_round_trip(self, tmp_path):
-        """``save`` writes the archive that ``load`` reads and, beside it, a
-        JSON export of the same result."""
+        """``save`` writes only the archive that ``load`` reads; the CLI's
+        ``export_result`` writes the same result as JSON."""
         ds = observed_dataset([3, 4], 15, seed=18)
         res = run_proposed(ds, T=3, k=4, gamma=0.25)
         path = tmp_path / "r.npz"
         res.save(path, extra={"seed": 0})
+        assert [p.name for p in tmp_path.iterdir()] == ["r.npz"]
         loaded = EstimationResult.load(path)
         np.testing.assert_array_equal(loaded.hard_estimates, res.hard_estimates)
         assert loaded.cf_names == res.cf_names == ("s0", "s1")
@@ -782,6 +786,7 @@ class TestEstimationResultIo:
         np.testing.assert_array_equal(loaded.block(1), res.confidences[:, 3:])
         assert loaded.method == "proposed"
         assert loaded.hyperparams == res.hyperparams
+        export_result(res, tmp_path / "r.json", {"seed": 0})
         with open(tmp_path / "r.json", encoding="utf-8") as fh:
             doc = json.load(fh)
         assert (doc["method"], doc["hyperparams"], doc["seed"]) == ("proposed", res.hyperparams, 0)
@@ -791,12 +796,13 @@ class TestEstimationResultIo:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(saved_results())
     def test_saved_values_read_back_exactly(self, tmp_path, res):
-        """Every float reads back as the same float64, through load and
-        through the standard library's json on the export, and saving
-        twice gives the same bytes in both files."""
+        """Every float reads back as the same float64, through load of the
+        archive and through the standard library's json on the CLI's
+        export, and writing twice gives the same bytes in both files."""
         first, second = tmp_path / "first.npz", tmp_path / "second.npz"
-        res.save(first, extra={"seed": 0})
-        res.save(second, extra={"seed": 0})
+        for path in (first, second):
+            res.save(path, extra={"seed": 0})
+            export_result(res, path.with_suffix(".json"), {"seed": 0})
         assert first.read_bytes() == second.read_bytes()
         assert first.with_suffix(".json").read_bytes() == second.with_suffix(".json").read_bytes()
         loaded = EstimationResult.load(first, expect={"seed": 0})
@@ -934,15 +940,6 @@ class TestEstimationResultIo:
         path.write_bytes(make())
         res = EstimationResult.load(path)
         assert (res.cf_names, res.sizes, res.method) == (("s0",), (2,), "m")
-
-    def test_save_refuses_json_suffix(self, tmp_path):
-        """The JSON export is written at the archive's path with a .json
-        suffix, so it would overwrite an archive saved under that suffix."""
-        res = run_comp(observed_dataset([3], 4, seed=5), seed=0)
-        for name in ("r.json", "r.JSON"):
-            with pytest.raises(ValueError, match="must not end in .json"):
-                res.save(tmp_path / name)
-        assert not list(tmp_path.iterdir())
 
 
 META = {"cf_names": ["s0"], "sizes": [2], "method": "m", "hyperparams": {}}
