@@ -58,7 +58,16 @@ STREAM_SUBSAMPLE)``, in row order.  ``predict`` trains on the first
 over seed s's n rows and scores the rest (see
 :mod:`compfeat.data`'s counter-based draws); it runs one seed at a
 time.  ``sweep`` estimates each point with ``--method`` and
-honours ``--estimate-only`` as ``estimate`` does.
+honours ``--estimate-only`` as ``estimate`` does.  It runs all its
+points in one call of the method's seed runner, which shares round 1
+between them (see :mod:`compfeat.propagation`): it builds one round-1
+graph per k for the seeds that share the source rows, or per seed and
+k under ``max_n`` subsets, and a point of the same k and at least the T
+of the point before it continues that point's round-1 steps.  So a
+gamma sweep, or a T sweep in ascending order, holds per group of seeds
+their (sum n, sum u_j) float64 round-1 confidences from one point to
+the next, 9.4 MB per paper-scale seed; ``estimate`` runs one point and
+holds none.
 
 A process enters through :func:`run`, both as the ``compfeat`` console
 script and as ``python -m compfeat.cli``.  Before it calls :func:`main`,
@@ -91,10 +100,8 @@ from typing import Iterator
 
 import numpy as np
 
-from . import propagation
 from .data import (STREAM_SUBSAMPLE, Dataset, _scalar, format_rows, load_csv, load_schema,
                    seeded_order, split_train_test, synthesize_cf, write_rows)
-from .encoding import encode_of
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
@@ -232,30 +239,25 @@ def experiment_dataset(cfg: ExperimentConfig, source: Dataset, seed: int) -> Dat
     return ds
 
 
-def shared_of_graph(cfg: ExperimentConfig, source: Dataset) -> propagation.WeightGraph | None:
-    """The round-1 graph every seed shares (synthesis never changes the
-    OFs), or None for the graph-free baseline and when each seed
-    subsamples its own rows."""
-    if cfg.method == "comp" or subsamples(cfg, source):
-        return None
-    return propagation.build_graph(encode_of(source), cfg.k)
-
-
-def run_methods(cfg: ExperimentConfig, datasets: list[Dataset], seeds: tuple[int, ...],
-                of_graph: propagation.WeightGraph | None = None) -> Iterator[EstimationResult]:
-    """``cfg.method``'s result for each seed's dataset, in order, from an
-    iterator built of the methods' iterators and ``map``, which holds no
-    result once it has passed it on (see :mod:`compfeat.propagation`)."""
+def run_methods(points: list[ExperimentConfig],
+                datasets: list[Dataset]) -> list[Iterator[EstimationResult]]:
+    """The method's result for each seed's dataset at each point, configs
+    that differ at most in T, k and gamma: one iterator per point, built
+    of the methods' iterators and ``map``, which holds no result once it
+    has passed it on.  The iterators are consumed in order, and the graph
+    methods share round-1 work between them (see
+    :mod:`compfeat.propagation`)."""
+    cfg = points[0]
     if cfg.method == "proposed":
-        results = run_proposed_seeds(datasets, T=cfg.T, k=cfg.k, gamma=cfg.gamma,
-                                     of_graph=of_graph)
+        runs = run_proposed_seeds(datasets, [(p.T, p.k, p.gamma) for p in points])
     elif cfg.method == "ipal":
-        results = run_ipal_seeds(datasets, T=cfg.T, k=cfg.k, alpha=cfg.alpha, of_graph=of_graph)
+        runs = run_ipal_seeds(datasets, [(p.T, p.k) for p in points], cfg.alpha)
     else:
-        results = map(run_comp, datasets, seeds)
+        runs = [map(run_comp, datasets, cfg.seeds) for _ in points]
     if cfg.estimate_only:
-        results = map(partial(restrict_to_subset, cfg), datasets, results, seeds)
-    return results
+        runs = [map(partial(restrict_to_subset, cfg), datasets, results, cfg.seeds)
+                for results in runs]
+    return runs
 
 
 def restrict_to_subset(cfg: ExperimentConfig, ds: Dataset,
@@ -360,9 +362,8 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     source = load_source(cfg)
-    of_graph = shared_of_graph(cfg, source)
     datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
-    results = run_methods(cfg, datasets, cfg.seeds, of_graph)
+    (results,) = run_methods([cfg], datasets)
     for path in map(partial(save_result, cfg), datasets, cfg.seeds, results):
         print(f"wrote {path}")
     return 0
@@ -490,12 +491,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
 
     source = load_source(cfg)
     datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
-    of_graphs: dict[int, propagation.WeightGraph | None] = {}  # by k
     curve = []
-    for point in points:
-        if point.k not in of_graphs:
-            of_graphs[point.k] = shared_of_graph(point, source)
-        results = run_methods(point, datasets, cfg.seeds, of_graphs[point.k])
+    for point, results in zip(points, run_methods(points, datasets)):
         accs = [float(np.mean([s.acc for s in score_cf(result, ds.cf_truth)]))
                 for result, ds in zip(results, datasets)]
         curve.append({"value": getattr(point, axis), "mean_acc": float(np.mean(accs)),
@@ -505,11 +502,11 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
         "config": config_echo(cfg),
         "axis": axis,
         "curve": curve,
-        # Soft expectation, reported but never enforced: accuracy tends
-        # to improve along k on smooth data.
-        "soft_monotone_nondecreasing": bool(
-            all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
-        ),
+        # Whether the mean accuracy never falls from one value to the
+        # next, in the order given; reported, never enforced.  Only
+        # along k is it expected: accuracy tends to rise with k on
+        # smooth data.
+        "soft_monotone_nondecreasing": all(b >= a - 1e-12 for a, b in zip(means, means[1:])),
     }
     finalize_report(report, os.path.join(cfg.out, f"sweep_{axis}.json"))
     csv_path = os.path.join(cfg.out, f"sweep_{axis}.csv")

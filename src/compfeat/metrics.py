@@ -101,10 +101,11 @@ def _row_entropy(values: np.ndarray) -> np.ndarray:
 
 
 def aggregate_cf_scores(per_seed: list[list[CfScore]]) -> list[dict]:
-    """Mean and standard deviation of each metric across seeds."""
+    """Mean and standard deviation of each metric across seeds, which
+    must score the same CFs (see :func:`_common_cfs`)."""
+    _common_cfs([[e.name for e in seed_scores] for seed_scores in per_seed], "seeds")
     rows = []
-    for j in range(len(per_seed[0])):
-        entries = [seed_scores[j] for seed_scores in per_seed]
+    for j, entries in enumerate(zip(*per_seed)):
         row = {"cf_index": j, "name": entries[0].name}
         for metric in ("acc", "macro_f1", "ce", "se"):
             vals = np.array([getattr(e, metric) for e in entries])
@@ -114,17 +115,26 @@ def aggregate_cf_scores(per_seed: list[list[CfScore]]) -> list[dict]:
 
 
 def format_cf_table(aggregated: dict[str, list[dict]]) -> str:
-    """Aligned text table: one row per (CF, method), mean +/- std."""
+    """Aligned text table: one row per (CF, method), mean +/- std.  The
+    methods must score the same CFs (see :func:`_common_cfs`)."""
+    names = _common_cfs([[r["name"] for r in rows] for rows in aggregated.values()], "methods")
     header = f"{'feature':<16}{'method':<10}{'Acc':<18}{'F1':<18}{'CE':<18}{'SE':<18}"
     lines = [header, "-" * len(header)]
-    names = [row["name"] for row in next(iter(aggregated.values()))]
-    for name in names:
+    for j, name in enumerate(names):
         for method, rows in aggregated.items():
-            row = next(r for r in rows if r["name"] == name)
-            cells = [
-                f"{row[m]['mean']:.4f} ±{row[m]['std']:.4f}"
-                for m in ("acc", "macro_f1", "ce", "se")
-            ]
+            cells = [f"{rows[j][m]['mean']:.4f} ±{rows[j][m]['std']:.4f}"
+                     for m in ("acc", "macro_f1", "ce", "se")]
             lines.append(f"{name:<16}{method:<10}" + "".join(f"{c:<18}" for c in cells))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
+
+
+def _common_cfs(names: list[list[str]], what: str) -> list[str]:
+    """The CF names that each of ``what`` scores, in order: ``names[i]``
+    are those of the i-th.  No ``what`` is a :class:`DataError`, and ones
+    that score other CFs, or in another order, a :class:`ShapeMismatchError`."""
+    if not names:
+        raise DataError(f"no {what} to aggregate")
+    if any(other != names[0] for other in names):
+        raise ShapeMismatchError(f"the {what} score other CFs than {names[0]}")
+    return names[0]

@@ -13,11 +13,19 @@ initial matrix, then row normalization.
 The full procedure runs two rounds: round 1 propagates on the OF-only
 encoding; round 2 rebuilds the graph with the round-1 confidences
 appended as gamma-weighted coordinates, resets the confidences to
-their initial state, and propagates again.  The round-1 graph depends
-only on the OFs and k, so the seed runners (:func:`run_proposed_seeds`,
-:func:`run_ipal_seeds`) take it as ``of_graph`` from a caller whose
-seeds share their rows; the one-seed :func:`run_proposed` and
-:func:`run_ipal` always build it.
+their initial state, and propagates again.  Round 1 depends only on
+the OFs, k and T, so one call of a seed runner
+(:func:`run_proposed_seeds`, :func:`run_ipal_seeds`) on several points,
+as ``sweep`` makes, shares it between them (:func:`_run_seeds`): seeds
+whose OF arrays are the same objects share one round-1 graph per k, and
+a point continues the round-1 steps of the point before it when that
+has the same k and at most its T.  The cost is memory.  Such a call
+holds, per group of seeds, the (sum n, sum u_j) float64 round-1
+confidences of a point that the next one continues: 9.4 MB for one
+bank-like seed at paper scale (45,211 rows, 26 CF values).  It also
+holds each round-1 graph that a later group or point will use.  A
+one-point call, as ``estimate`` makes, holds no round-1 confidences,
+and a seed's own round-1 graph only until its round 1 has run.
 
 All CFs' matrices are stacked side by side into one (n, sum u_j) array,
 CF j owning the column segment of width u_j that follows CF j-1's, in
@@ -48,7 +56,8 @@ The step is :func:`compfeat.graph.propagate_step`, imported here.  The
 procedures look it, :func:`correct` and ``build_graph`` up in this
 module, so patching them here observes every graph and step of a run.
 A patched step or correction receives the stacked matrix of the group
-of seeds being run, and there is one graph build per seed and round.
+of seeds being run.  There is one graph build per round-1 graph that a
+call shares as above, and one per seed and point in round 2.
 """
 
 from __future__ import annotations
@@ -58,7 +67,9 @@ import math
 import os
 import tokenize
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
@@ -321,37 +332,29 @@ def run_proposed(ds: Dataset, T: int, k: int, gamma: float) -> EstimationResult:
 
     Round 1 runs on the graph of ``ds``'s OF encoding, built here; round
     2 rebuilds the graph with the round-1 confidences appended.  This is
-    :func:`run_proposed_seeds` of the one dataset.
+    :func:`run_proposed_seeds` of the one dataset and point.
     """
-    return next(run_proposed_seeds([ds], T, k, gamma))
+    return next(run_proposed_seeds([ds], [(T, k, gamma)])[0])
 
 
-def run_proposed_seeds(
-    datasets: Sequence[Dataset],
-    T: int,
-    k: int,
-    gamma: float,
-    of_graph: WeightGraph | None = None,
-) -> Iterator[EstimationResult]:
-    """:func:`run_proposed` of each dataset, from the iterator
-    :func:`_run_seeds` returns.  Each round runs T steps, one module-level
+def run_proposed_seeds(datasets: Sequence[Dataset], points: Sequence[tuple[int, int, float]],
+                       ) -> list[Iterator[EstimationResult]]:
+    """:func:`run_proposed` of each dataset at each point ``(T, k,
+    gamma)``: one iterator of the datasets' results per point, from
+    :func:`_run_seeds`.  Each round runs T steps, one module-level
     ``propagate_step`` and ``correct`` each, on the stacked matrix of a
-    group of seeds; every row goes through the floating-point operations
+    group of seeds, less the round-1 steps a point continues from the
+    point before; every row goes through the floating-point operations
     it would alone, so each result is bit for bit :func:`run_proposed`'s.
-
-    ``of_graph`` is the round-1 graph the datasets share, as
-    :func:`build_graph` returns it at this ``k`` for their common OF
-    encoding; each dataset's own is built when it is omitted.  Only its
-    shape is checked, so the caller vouches that it was built from these
-    OFs.
     """
-    gamma = _scalar(gamma, "gamma", 0, 1, "[]")
+    points = [{"T": T, "k": k, "gamma": _scalar(gamma, "gamma", 0, 1, "[]")}
+              for T, k, gamma in points]
 
-    def round2_encodings(seeds: Sequence[Dataset], q: np.ndarray) -> list[np.ndarray]:
-        return [encode_with_confidence(encode_of(ds), qs, ds.schema.cf_columns, gamma)
+    def round2_encodings(seeds: Sequence[Dataset], q: np.ndarray, point: dict) -> list[np.ndarray]:
+        return [encode_with_confidence(encode_of(ds), qs, ds.schema.cf_columns, point["gamma"])
                 for ds, qs in zip(seeds, _split(q, seeds))]
 
-    return _run_seeds(datasets, T, k, of_graph, "proposed", {"T": T, "k": k, "gamma": gamma},
+    return _run_seeds(datasets, points, "proposed",
                       lambda graph, q, q0, sizes: correct(propagate_step(graph, q), q0, sizes),
                       round2_encodings)
 
@@ -377,81 +380,119 @@ def run_ipal(ds: Dataset, T: int, k: int, alpha: float) -> EstimationResult:
     the affine update Q^(t) = alpha H Q^(t-1) + (1 - alpha) Q^(0) and no
     correction step; the affine map preserves row sums analytically, and
     every step re-normalizes the CF segments to guard against drift.
-    This is :func:`run_ipal_seeds` of the one dataset.
+    This is :func:`run_ipal_seeds` of the one dataset and point.
     """
-    return next(run_ipal_seeds([ds], T, k, alpha))
+    return next(run_ipal_seeds([ds], [(T, k)], alpha)[0])
 
 
-def run_ipal_seeds(
-    datasets: Sequence[Dataset],
-    T: int,
-    k: int,
-    alpha: float,
-    of_graph: WeightGraph | None = None,
-) -> Iterator[EstimationResult]:
-    """:func:`run_ipal` of each dataset, from the iterator
-    :func:`_run_seeds` returns: T module-level ``propagate_step`` calls
-    per group of seeds, on their stacked matrix.  ``of_graph`` is as in
-    :func:`run_proposed_seeds`; the datasets are encoded only when it is
-    omitted."""
+def run_ipal_seeds(datasets: Sequence[Dataset], points: Sequence[tuple[int, int]],
+                   alpha: float) -> list[Iterator[EstimationResult]]:
+    """:func:`run_ipal` of each dataset at each point ``(T, k)``: one
+    iterator of the datasets' results per point, from :func:`_run_seeds`.
+    A group of seeds takes T module-level ``propagate_step`` calls on
+    their stacked matrix, less those a point continues from the point
+    before."""
     alpha = _scalar(alpha, "alpha", 0, 1, "()")
-    return _run_seeds(datasets, T, k, of_graph, "ipal", {"T": T, "k": k, "alpha": alpha},
+    return _run_seeds(datasets, [{"T": T, "k": k, "alpha": alpha} for T, k in points], "ipal",
                       lambda graph, q, q0, sizes: _normalize(
                           alpha * propagate_step(graph, q) + (1.0 - alpha) * q0, q0, sizes))
 
 
-def _run_seeds(datasets: Sequence[Dataset], T: int, k: int, of_graph: WeightGraph | None,
-               method: str, hyperparams: dict, step: Callable[..., np.ndarray],
-               round2_encodings: Callable[..., list[np.ndarray]] | None = None,
-               ) -> Iterator[EstimationResult]:
-    """``method``'s result for each dataset, in order, from an iterator
-    that runs one :func:`seed_groups` group at a time, when its first
-    result is asked for; the arguments are checked before it is returned.
+def _run_seeds(datasets: Sequence[Dataset], points: Sequence[dict], method: str, step: Callable,
+               round2_encodings: Callable | None = None) -> list[Iterator[EstimationResult]]:
+    """``method``'s result for each dataset at each point, a dict of the
+    results' hyperparameters that holds ``T`` and ``k``: one iterator per
+    point, which runs one :func:`seed_groups` group at a time, when its
+    first result is asked for.  The arguments are checked before the
+    iterators are returned.  Consumed point by point, in order, they
+    share the work described below; consumed in any other order, they
+    give the same results with less sharing.
 
     A group's stacked confidences take T ``step(graph, q, q0, sizes)``
     from their initial ones on the :func:`stack_graphs` union of the
-    seeds' round-1 graphs (``of_graph``, or each seed's graph of its OF
-    encoding); with ``round2_encodings``, T more from the initial ones on
-    the union of the graphs of the encodings it returns for the seeds and
-    their round-1 confidences.  A graph is only an argument of the steps,
-    so it is freed before the next is built; the round-1 confidences are
-    freed before round 2's k-NN, each round-2 encoding once its graph is
-    built, before round 2's first step, and no array of a group outlives
-    its last result.
+    seeds' round-1 graphs, each built from its seed's OF encoding; with
+    ``round2_encodings``, T more from the initial ones on the union of
+    the graphs of the encodings it returns for the seeds, their round-1
+    confidences and the point.
+
+    Round 1 does not depend on the round-2 parameters, so the points
+    share it, and what is held, and for how long, is counted up front
+    from the points and datasets:
+
+    * datasets whose OF arrays are the same objects, as
+      :func:`~compfeat.data.synthesize_cf` leaves them, share one
+      round-1 graph per k.  It is held only while a later group or point
+      will use it;
+    * a group's round-1 confidences after a point are held only when the
+      next point has the same k and at least the same T, and only until
+      it has run; it continues them with the steps that remain.  A step
+      depends only on the graph, q and q0, so the results have the bits
+      of a fresh run.
+
+    Otherwise a graph is only an argument of the steps, so it is freed
+    before the next is built.  The round-1 confidences are freed before
+    round 2's k-NN, and each round-2 encoding once its graph is built,
+    before round 2's first step.  No array of a group outlives its last
+    result but the round-1 graph and confidences held for a later one.
     """
-    T, k = _scalar(T, "T", 1, integer=True), _scalar(k, "k", 1, integer=True)
+    runs = [(_scalar(p["T"], "T", 1, integer=True), _scalar(p["k"], "k", 1, integer=True))
+            for p in points]
+    points = [{**p, "T": T, "k": k} for p, (T, k) in zip(points, runs)]  # as the results store them
     for ds in datasets:
         _require_cfs(ds.schema.cf_sizes)
         if ds.schema.cf_sizes != datasets[0].schema.cf_sizes:
             raise ShapeMismatchError(f"seeds of CF widths {datasets[0].schema.cf_sizes} and "
                                      f"{ds.schema.cf_sizes} cannot be stacked")
-        if of_graph is not None and (of_graph.n, of_graph.k) != (ds.n, min(k, ds.n - 1)):
-            raise ShapeMismatchError(f"round-1 graph is {of_graph.n} x {of_graph.k}, "
-                                     f"expected {ds.n} x {min(k, ds.n - 1)}")
 
-    def propagate(graph: WeightGraph, q0: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-        q = q0
-        for _ in range(T):
-            q = step(graph, q, q0, sizes)
-        return q
+    def continues(i: int) -> bool:
+        """Whether point i continues the round-1 steps of point i - 1."""
+        return 0 < i < len(runs) and runs[i - 1][1] == runs[i][1] and runs[i - 1][0] <= runs[i][0]
 
-    def group_results(seeds: Sequence[Dataset]) -> Iterator[EstimationResult]:
+    def graph_key(ds: Dataset, k: int) -> tuple:
+        """Equal for datasets whose round-1 graphs at k are equal: the OF
+        arrays are the same objects, and n tells apart those with none."""
+        return (k, ds.n, *map(id, ds.of_values))
+
+    # Each dataset fetches its round-1 graph at each point that runs round-1 steps.
+    uses = Counter(graph_key(ds, k) for i, (T, k) in enumerate(runs)
+                   if not (continues(i) and runs[i - 1][0] == T) for ds in datasets)
+    graphs: dict[tuple, WeightGraph] = {}
+    kept: dict[tuple[int, int], tuple[np.ndarray, int]] = {}  # by group and point
+
+    def round1_graph(ds: Dataset, k: int) -> WeightGraph:
+        key = graph_key(ds, k)
+        if key not in graphs:
+            graphs[key] = build_graph(encode_of(ds), k)
+        uses[key] -= 1
+        return graphs[key] if uses[key] > 0 else graphs.pop(key)
+
+    def group_results(i: int, g: int) -> Iterator[EstimationResult]:
+        (T, k), seeds = runs[i], groups[g]
         sizes = seeds[0].schema.cf_sizes
         q0 = np.concatenate([init_marginal(ds) for ds in seeds])
-        q = propagate(stack_graphs([build_graph(encode_of(ds), k) if of_graph is None else of_graph
-                                    for ds in seeds]), q0, sizes)
+
+        def propagate(graph: WeightGraph, q: np.ndarray, steps: int) -> np.ndarray:
+            for _ in range(steps):
+                q = step(graph, q, q0, sizes)
+            return q
+
+        q, done = kept.pop((g, i - 1), (q0, 0))
+        if done < T:
+            q = propagate(stack_graphs([round1_graph(ds, k) for ds in seeds]), q, T - done)
+        if continues(i + 1):
+            kept[g, i] = q, T
         if round2_encodings is not None:
-            encodings = round2_encodings(seeds, q)
-            del q  # the encodings hold what round 2 needs of it; free it before their k-NN
+            encodings = round2_encodings(seeds, q, points[i])
+            del q  # unless kept for the next point, free it before the encodings' k-NN
             # Each encoding leaves the list as its graph is built, so none
             # outlives its graph.
-            q = propagate(stack_graphs([build_graph(encodings.pop(0), k) for _ in seeds]),
-                          q0, sizes)
+            q = propagate(stack_graphs([build_graph(encodings.pop(0), k) for _ in seeds]), q0, T)
         return map(lambda ds, qs: _result(ds, qs, hard_from_blocks(qs, sizes), method,
-                                          hyperparams), seeds, _split(q, seeds))
+                                          points[i]), seeds, _split(q, seeds))
 
     groups = [datasets[group] for group in seed_groups([ds.n for ds in datasets])]
-    return chain.from_iterable(map(group_results, groups))
+    return [chain.from_iterable(map(partial(group_results, i), range(len(groups))))
+            for i in range(len(runs))]
 
 
 def _result(ds: Dataset, q: np.ndarray, hard: np.ndarray, method: str,

@@ -30,7 +30,7 @@ from compfeat.data import (
 )
 from compfeat.metrics import score_cf
 from compfeat.oracle import make_bank_like
-from compfeat.propagation import EstimationResult, run_comp, run_proposed
+from compfeat.propagation import EstimationResult, run_comp, run_ipal, run_proposed
 
 SEEDS = (0, 1, 2)
 SMALL = ("--k", "8", "--T", "5")
@@ -452,21 +452,76 @@ class TestRoundOneReuse:
         assert checks == shared + [(s, True) for s in SEEDS for _ in range(builds_per_seed)]
         assert len(saved) == len(SEEDS)
 
-    def test_sweep_gamma_curve_matches_per_seed_runs(self, bank_csv, graph_builds):
-        gammas = (0.0, 0.5)
-        args = ["sweep", "--axis", "gamma", "--values", "0,0.5", "--seed", "0,1", *SMALL,
-                *bank_csv]
+    @pytest.mark.parametrize("max_n", [0, 40])
+    @pytest.mark.parametrize("axis, values", [("gamma", "0,0.5"), ("T", "5,2,3"), ("k", "8,5,8")],
+                             ids=["gamma", "T", "k"])
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_sweep_curve_matches_per_seed_runs(self, bank_csv, monkeypatch, method, axis,
+                                               values, max_n):
+        """The points of a sweep share round-1 graphs and steps, yet each
+        scores results with the bits of per-seed ``run_proposed`` or
+        ``run_ipal`` calls at that point, whatever the axis and the order
+        of its values."""
+        scored, score = [], cli.score_cf
+        monkeypatch.setattr(cli, "score_cf",
+                            lambda result, truth: scored.append(result) or score(result, truth))
+        args = ["sweep", "--method", method, "--axis", axis, "--values", values, "--seed", "0,1",
+                "--max-n", str(max_n), *SMALL, *bank_csv]
         assert main(args) == 0
-        assert len(graph_builds) == 1 + len(gammas) * 2
-        curve = read_json(out_file(bank_csv, "sweep_gamma.json"))["curve"]
-        for point, gamma in zip(curve, gammas, strict=True):
+        curve = read_json(out_file(bank_csv, f"sweep_{axis}.json"))["curve"]
+        assert len(curve) == len(values.split(",")) and len(scored) == 2 * len(curve)
+        for p, point in enumerate(curve):
+            params = {"T": 5, "k": 8, "gamma": 0.25, axis: point["value"]}
             accs = []
-            for seed in (0, 1):
-                ds = seed_dataset(bank_csv, seed)
-                res = run_proposed(ds, T=5, k=8, gamma=gamma)
-                accs.append(float(np.mean([s.acc for s in score_cf(res, ds.cf_truth)])))
+            for seed, res in zip((0, 1), scored[2 * p:2 * p + 2], strict=True):
+                ds = seed_dataset(bank_csv, seed, max_n)
+                want = (run_proposed(ds, **params) if method == "proposed"
+                        else run_ipal(ds, params["T"], params["k"], 0.9))
+                assert res.confidences.tobytes() == want.confidences.tobytes()
+                assert res.hard_estimates.tobytes() == want.hard_estimates.tobytes()
+                accs.append(float(np.mean([s.acc for s in score_cf(want, ds.cf_truth)])))
             assert point["mean_acc"] == float(np.mean(accs))
             assert point["std_acc"] == float(np.std(accs))
+
+    @pytest.mark.parametrize("axis, values", [("gamma", "0,0.5,1"), ("T", "2,3,5")])
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_sweep_runs_round_one_steps_once_per_group(self, bank_csv, monkeypatch, method,
+                                                       axis, values):
+        """With each 60-row seed a group of its own, a gamma sweep runs
+        round 1's T steps once per group, and an ascending T sweep
+        max(T): each point continues the round-1 steps of the point
+        before.  Round 2 runs each point's T steps."""
+        monkeypatch.setattr(propagation, "_STACK_ROWS", 60)
+        steps, step = [], propagation.propagate_step
+        monkeypatch.setattr(propagation, "propagate_step",
+                            lambda graph, q: steps.append(q.shape[0]) or step(graph, q))
+        args = ["sweep", "--method", method, "--axis", axis, "--values", values, "--seed", "0,1",
+                *SMALL, *bank_csv]
+        assert main(args) == 0
+        Ts = [int(v) for v in values.split(",")] if axis == "T" else [5] * 3
+        round2 = sum(Ts) if method == "proposed" else 0
+        assert steps == [60] * (2 * (max(Ts) + round2))
+
+    @pytest.mark.parametrize("max_n", [0, 40])
+    @pytest.mark.parametrize("axis, values", [("gamma", "0,0.5"), ("T", "3,2,5"), ("k", "8,5,8")],
+                             ids=["gamma", "T", "k"])
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_sweep_builds_each_round_one_graph_once_per_k(self, bank_csv, monkeypatch, method,
+                                                          axis, values, max_n):
+        """Seeds that share the source rows share one round-1 graph per k;
+        under --max-n each seed builds its own, once per k, not once per
+        point.  Round 2 builds one graph per seed and point."""
+        widths, build = [], propagation.build_graph
+        monkeypatch.setattr(propagation, "build_graph",
+                            lambda x, k: widths.append(x.shape[1]) or build(x, k))
+        args = ["sweep", "--method", method, "--axis", axis, "--values", values, "--seed", "0,1",
+                "--max-n", str(max_n), *SMALL, *bank_csv]
+        assert main(args) == 0
+        of_width = min(widths)  # round 2 appends the CFs' confidences
+        ks = {int(v) for v in values.split(",")} if axis == "k" else {8}
+        assert widths.count(of_width) == len(ks) * (2 if max_n else 1)
+        points = len(values.split(","))
+        assert len(widths) - widths.count(of_width) == (2 * points if method == "proposed" else 0)
 
 
 class TestExitCodes:

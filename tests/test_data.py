@@ -633,6 +633,15 @@ class TestSynthesizeCf:
         with pytest.raises(MissingTruthError):
             synthesize_cf(ds, seed=0)
 
+    def test_shares_the_source_of_arrays(self, tiny_dataset):
+        """The seed runners share a round-1 graph between datasets that
+        hold the same OF arrays: ``synthesize_cf`` hands on its source's,
+        and ``subset``, even of every row, makes its own."""
+        ds = synthesize_cf(tiny_dataset, seed=5)
+        assert all(a is b for a, b in zip(ds.of_values, tiny_dataset.of_values, strict=True))
+        every = ds.subset(np.arange(ds.n))
+        assert not any(a is b for a, b in zip(every.of_values, ds.of_values, strict=True))
+
     def test_deterministic(self, tiny_dataset):
         a = synthesize_cf(tiny_dataset, seed=3)
         b = synthesize_cf(tiny_dataset, seed=3)

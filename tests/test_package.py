@@ -8,7 +8,7 @@ from compfeat.encoding import encode_with_confidence, one_hot
 from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.graph import (WeightGraph, build_graph, knn, optimality_gap, propagate_step,
                             solve_weights, stack_graphs)
-from compfeat.metrics import macro_f1, score_labels
+from compfeat.metrics import CfScore, aggregate_cf_scores, format_cf_table, macro_f1, score_labels
 from compfeat.oracle import make_bank_like, make_smooth_synthetic, run_equivalence_suite
 from compfeat.predictor import LrModel, assemble, predict, train
 from compfeat.propagation import EstimationResult, correct, run_comp, run_ipal, run_proposed
@@ -37,6 +37,9 @@ TEXT_Q = np.full((4, 3), "0.5")
 DS = synthesize_cf(build_dataset(FeatureSchema((Column("x", "quantitative", "OF"), *CF,
                                                 Column("y", "binary", "label", ("n", "p")))),
                                  12, seed=3), 0)
+# Two CFs' scores of one seed, and their aggregate.
+SCORE_C, SCORE_D = CfScore(0, "c", 0.5, 0.5, 1.0, 1.0), CfScore(1, "d", 0.5, 0.5, 1.0, 1.0)
+ROWS = aggregate_cf_scores([[SCORE_C, SCORE_D]])
 
 
 @pytest.mark.parametrize("call, error", [
@@ -70,6 +73,12 @@ DS = synthesize_cf(build_dataset(FeatureSchema((Column("x", "quantitative", "OF"
     (lambda: one_hot(np.array([[0, 1]]), (3, 3)), DataError),
     (lambda: one_hot(np.array([[1.0], [2.0]]), (3,)), DataError),
     (lambda: one_hot(np.array([1, 2]), (3,)), ShapeMismatchError),
+    (lambda: aggregate_cf_scores([]), DataError),
+    (lambda: aggregate_cf_scores([[SCORE_C, SCORE_D], [SCORE_C]]), ShapeMismatchError),
+    (lambda: aggregate_cf_scores([[SCORE_C], [SCORE_C, SCORE_D]]), ShapeMismatchError),
+    (lambda: aggregate_cf_scores([[SCORE_C], [SCORE_D]]), ShapeMismatchError),
+    (lambda: format_cf_table({}), DataError),
+    (lambda: format_cf_table({"a": ROWS, "b": ROWS[:1]}), ShapeMismatchError),
 ], ids=["knn-ragged", "knn-text", "solve_weights-text", "optimality_gap-ragged",
         "weights-ragged", "weights-text", "encode_with_confidence-ragged",
         "encode_with_confidence-text", "encode_with_confidence-1d-base",
@@ -78,7 +87,10 @@ DS = synthesize_cf(build_dataset(FeatureSchema((Column("x", "quantitative", "OF"
         "score_labels-codes-0-and-3", "macro_f1-ragged", "macro_f1-lengths", "train-float-labels",
         "train-lengths", "predict-width", "predict-text", "predict-nan-design",
         "score_labels-nan-probability", "score_labels-probability-7", "subset-index-past-rows",
-        "subset-index-negative", "one_hot-code-0", "one_hot-float-codes", "one_hot-1d-codes"])
+        "subset-index-negative", "one_hot-code-0", "one_hot-float-codes", "one_hot-1d-codes",
+        "aggregate_cf_scores-no-seeds", "aggregate_cf_scores-fewer-cfs",
+        "aggregate_cf_scores-more-cfs", "aggregate_cf_scores-other-names",
+        "format_cf_table-no-methods", "format_cf_table-method-lacks-cf"])
 def test_malformed_array_arguments_raise_typed_errors(call, error):
     """Every public function admits its arrays through the same checks: a
     ragged, text, float-code, out-of-range, wrong-ndim or mismatched

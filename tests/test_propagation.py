@@ -441,13 +441,18 @@ class TestRunProposed:
         res_p = run_proposed(permuted, T=5, k=4, gamma=0.25)
         np.testing.assert_allclose(res_p.confidences, res.confidences[perm], atol=1e-9)
 
-    def test_of_graph_of_another_shape_rejected(self):
-        ds = observed_dataset([3], 30, seed=20)
-        graph = build_graph(encode_of(ds), 4)
-        with pytest.raises(ShapeMismatchError, match="round-1 graph"):
-            propagation.run_proposed_seeds([ds], T=2, k=5, gamma=0.25, of_graph=graph)
-        with pytest.raises(ShapeMismatchError, match="round-1 graph"):
-            propagation.run_ipal_seeds([ds], T=2, k=5, alpha=0.9, of_graph=graph)
+
+@pytest.mark.parametrize("run", [
+    lambda ds: run_proposed(ds, T=np.int64(3), k=np.uint8(4), gamma=0.25),
+    lambda ds: run_ipal(ds, T=np.int64(3), k=np.uint8(4), alpha=0.9),
+], ids=["proposed", "ipal"])
+def test_numpy_integer_T_and_k_stored_as_ints(tmp_path, run):
+    """Numpy integers are valid T and k; the result stores them as ints,
+    so that its file can be written and read back."""
+    res = run(observed_dataset([3], 20, seed=4))
+    assert [type(res.hyperparams[key]) for key in ("T", "k")] == [int, int]
+    res.save(tmp_path / "r.npz")
+    assert EstimationResult.load(tmp_path / "r.npz").hyperparams == res.hyperparams
 
 
 @pytest.mark.parametrize("T", [0, -3])
@@ -573,8 +578,11 @@ def seed_datasets(S, subsample):
 
 
 STACKED_RUNS = {
-    "proposed": (propagation.run_proposed_seeds, run_proposed, {"gamma": 0.25}),
-    "ipal": (propagation.run_ipal_seeds, run_ipal, {"alpha": 0.9}),
+    "proposed": (lambda datasets, T, k, gamma:
+                 propagation.run_proposed_seeds(datasets, [(T, k, gamma)])[0],
+                 run_proposed, {"gamma": 0.25}),
+    "ipal": (lambda datasets, T, k, alpha: propagation.run_ipal_seeds(datasets, [(T, k)], alpha)[0],
+             run_ipal, {"alpha": 0.9}),
 }
 
 
@@ -583,18 +591,17 @@ class TestStackedSeeds:
     @pytest.mark.parametrize("S", [1, 2, 3])
     @pytest.mark.parametrize("method", ["proposed", "ipal"])
     def test_stacked_results_equal_separate_runs(self, method, S, subsample):
-        """Every seed's result from one stacked run has the bytes of its
-        own run: the one-seed runner's, which builds its round-1 graph,
-        and the seed runner's on its dataset alone with the stacked run's
-        round-1 graph, shared or not."""
+        """Every seed's result from one stacked run, whose seeds share
+        their round-1 graph unless they subsample, has the bytes of its
+        own run: the one-seed runner's and the seed runner's on its
+        dataset alone."""
         stacked, single, params = STACKED_RUNS[method]
-        base, datasets = seed_datasets(S, subsample)
-        of_graph = None if subsample else build_graph(encode_of(base), 6)
-        got = list(stacked(datasets, T=7, k=6, of_graph=of_graph, **params))
+        _, datasets = seed_datasets(S, subsample)
+        got = list(stacked(datasets, T=7, k=6, **params))
         assert len(got) == S
         for ds, res in zip(datasets, got, strict=True):
             for want in (single(ds, T=7, k=6, **params),
-                         next(stacked([ds], T=7, k=6, of_graph=of_graph, **params))):
+                         next(stacked([ds], T=7, k=6, **params))):
                 assert res.confidences.tobytes() == want.confidences.tobytes()
                 assert res.hard_estimates.tobytes() == want.hard_estimates.tobytes()
                 assert (res.method, res.hyperparams) == (want.method, want.hyperparams)
@@ -627,7 +634,8 @@ class TestStackedSeeds:
                                                                  S):
         """A group of S seeds calls the module's propagate_step (and, for
         proposed, correct) T times per round, each on an (S n, sum u)
-        array, and builds one graph per seed and round."""
+        array.  The seeds share their OF arrays, so they build one
+        round-1 graph, and one round-2 graph each."""
         stacked, _, params = STACKED_RUNS[method]
         _, datasets = seed_datasets(S, subsample=False)
         calls = []
@@ -643,15 +651,37 @@ class TestStackedSeeds:
         shape = (S * 45, 8)
         if method == "proposed":
             assert calls == [("propagate_step", shape), ("correct", shape)] * 8
-            assert builds == [45] * (2 * S)
+            assert builds == [45] * (1 + S)
         else:
             assert calls == [("propagate_step", shape)] * 4
-            assert builds == [45] * S
+            assert builds == [45]
+
+    @pytest.mark.parametrize("method", ["proposed", "ipal"])
+    def test_seeds_of_other_ofs_get_their_own_round_one_graphs(self, monkeypatch, method):
+        """Two seeds of one n and schema whose OF arrays differ, run in
+        one stacked call, each propagate round 1 on the graph of their
+        own OF encoding, and each result has the bytes of its own run."""
+        stacked, single, params = STACKED_RUNS[method]
+        schema = cf_schema(3, 5, n_of=2)
+        datasets = [synthesize_cf(build_dataset(schema, 45, seed=s), s) for s in (30, 31)]
+        want = [single(ds, T=7, k=6, **params) for ds in datasets]
+        encodings = []
+        build = propagation.build_graph
+        monkeypatch.setattr(propagation, "build_graph",
+                            lambda x, k: encodings.append(x) or build(x, k))
+        got = list(stacked(datasets, T=7, k=6, **params))
+        assert len(encodings) == (4 if method == "proposed" else 2)
+        for x, ds in zip(encodings[:2], datasets, strict=True):
+            assert x.tobytes() == encode_of(ds).tobytes()
+        assert encodings[0].tobytes() != encodings[1].tobytes()
+        for res, w in zip(got, want, strict=True):
+            assert res.confidences.tobytes() == w.confidences.tobytes()
+            assert res.hard_estimates.tobytes() == w.hard_estimates.tobytes()
 
     def test_round_one_graph_freed_before_round_two(self, monkeypatch):
-        """Without a shared round-1 graph, the stacked round-1 graph of 2
-        seeds is dead when round 2 encodes its first seed: it lives only as
-        an argument of round 1's steps."""
+        """The stacked round-1 graph of 2 seeds, which share their OFs'
+        graph, is dead when round 2 encodes its first seed: it lives only
+        as an argument of round 1's steps."""
         _, datasets = seed_datasets(2, subsample=False)
         stacked, alive = [], []
         stack, encode = propagation.stack_graphs, propagation.encode_with_confidence
@@ -667,7 +697,7 @@ class TestStackedSeeds:
 
         monkeypatch.setattr(propagation, "stack_graphs", recording_stack)
         monkeypatch.setattr(propagation, "encode_with_confidence", checking_encode)
-        list(propagation.run_proposed_seeds(datasets, T=3, k=4, gamma=0.25))
+        list(propagation.run_proposed_seeds(datasets, [(3, 4, 0.25)])[0])
         assert len(stacked) == 2 and alive == [False, False]
 
     def test_round_one_confidences_freed_before_round_two_builds(self, monkeypatch):
@@ -689,15 +719,14 @@ class TestStackedSeeds:
 
         monkeypatch.setattr(propagation, "encode_with_confidence", recording_encode)
         monkeypatch.setattr(propagation, "build_graph", checking_build)
-        list(propagation.run_proposed_seeds(datasets, T=3, k=4, gamma=0.25))
+        list(propagation.run_proposed_seeds(datasets, [(3, 4, 0.25)])[0])
         assert len(round1) == 2 and alive == [False, False]
 
     def test_round_two_encodings_freed_before_round_two_steps(self, monkeypatch):
         """With a shared round-1 graph and 2 seeds, every round-2 encoding
         is dead when round 2's first step runs: each lives until its
         graph is built."""
-        base, datasets = seed_datasets(2, subsample=False)
-        of_graph = build_graph(encode_of(base), 4)
+        _, datasets = seed_datasets(2, subsample=False)
         encodings, alive = [], []
         encode, step = propagation.encode_with_confidence, propagation.propagate_step
 
@@ -713,7 +742,7 @@ class TestStackedSeeds:
 
         monkeypatch.setattr(propagation, "encode_with_confidence", recording_encode)
         monkeypatch.setattr(propagation, "propagate_step", checking_step)
-        list(propagation.run_proposed_seeds(datasets, T=3, k=4, gamma=0.25, of_graph=of_graph))
+        list(propagation.run_proposed_seeds(datasets, [(3, 4, 0.25)])[0])
         assert len(encodings) == 2 and alive == [False, False]
 
     def test_seed_groups_fill_the_row_budget_in_order(self, monkeypatch):
@@ -727,10 +756,10 @@ class TestStackedSeeds:
     def test_seeds_of_other_cf_widths_rejected(self):
         a = observed_dataset([3], 20, seed=1)
         b = observed_dataset([4], 20, seed=2)
-        for run, params in ((propagation.run_proposed_seeds, {"gamma": 0.25}),
-                            (propagation.run_ipal_seeds, {"alpha": 0.9})):
+        for run in (lambda: propagation.run_proposed_seeds([a, b], [(2, 3, 0.25)]),
+                    lambda: propagation.run_ipal_seeds([a, b], [(2, 3)], 0.9)):
             with pytest.raises(ShapeMismatchError, match="cannot be stacked"):
-                run([a, b], T=2, k=3, **params)
+                run()
 
 
 # Entries a saved file must carry exactly: exact zeros, subnormals, the
