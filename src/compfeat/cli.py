@@ -1,6 +1,6 @@
 """Reproducible experiment driver.
 
-Subcommands::
+Commands::
 
     compfeat prepare  --config FILE    synthesize observations, write one CSV per seed
     compfeat estimate --config FILE    run an estimation method per seed
@@ -8,6 +8,12 @@ Subcommands::
     compfeat predict  --config FILE    downstream label prediction per seed
     compfeat oracle   --config FILE    joint-marginal equivalence report
     compfeat sweep    --config FILE --axis k --values 5,10,20
+
+One parser (:func:`build_parser`) reads every command line: the command,
+from the table :data:`COMMANDS` that :func:`main` dispatches from, and
+the flags, which every command accepts but ``--axis`` and ``--values``.
+Those two belong to ``sweep``: it needs both, and any other command
+given either is a configuration error.
 
 Configuration is a flat ``key = value`` text file.  Every key but
 ``fraction`` and ``l2`` has a flag that overrides it (flags win):
@@ -67,7 +73,8 @@ of the point before it continues that point's round-1 steps.  So a
 gamma sweep, or a T sweep in ascending order, holds per group of seeds
 their (sum n, sum u_j) float64 round-1 confidences from one point to
 the next, 9.4 MB per paper-scale seed; ``estimate`` runs one point and
-holds none.
+holds none.  comp depends on none of T, k and gamma, so a comp sweep
+runs each seed once and scores the same results at every point.
 
 A process enters through :func:`run`, both as the ``compfeat`` console
 script and as ``python -m compfeat.cli``.  Before it calls :func:`main`,
@@ -96,6 +103,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
+from itertools import tee
 from typing import Iterator
 
 import numpy as np
@@ -246,14 +254,18 @@ def run_methods(points: list[ExperimentConfig],
     of the methods' iterators and ``map``, which holds no result once it
     has passed it on.  The iterators are consumed in order, and the graph
     methods share round-1 work between them (see
-    :mod:`compfeat.propagation`)."""
+    :mod:`compfeat.propagation`).  comp depends on none of T, k and
+    gamma, so its seeds run once.  One point streams their results;
+    several share them through ``tee``, which holds every result until
+    the last point's iterator is dropped."""
     cfg = points[0]
     if cfg.method == "proposed":
         runs = run_proposed_seeds(datasets, [(p.T, p.k, p.gamma) for p in points])
     elif cfg.method == "ipal":
         runs = run_ipal_seeds(datasets, [(p.T, p.k) for p in points], cfg.alpha)
     else:
-        runs = [map(run_comp, datasets, cfg.seeds) for _ in points]
+        results = map(run_comp, datasets, cfg.seeds)
+        runs = list(tee(results, len(points))) if len(points) > 1 else [results]
     if cfg.estimate_only:
         runs = [map(partial(restrict_to_subset, cfg), datasets, results, cfg.seeds)
                 for results in runs]
@@ -478,13 +490,13 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
+def cmd_sweep(cfg: ExperimentConfig, axis: str, values: str) -> int:
+    """Estimate at each of the comma-separated ``values`` of ``axis``."""
     if axis not in ("T", "k", "gamma"):
         raise ConfigError("sweep axis must be one of T, k, gamma")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    points = [replace(cfg) for _ in values]
-    for point, value in zip(points, values):
+    texts = values.split(",")
+    points = [replace(cfg) for _ in texts]
+    for point, value in zip(points, texts):
         _apply(point, axis, value)
         point.validate()
     os.makedirs(cfg.out, exist_ok=True)
@@ -526,22 +538,20 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list[str]) -> int:
 _NO_FLAG = ("fraction", "l2")
 _HELP = {"seeds": "comma-separated seed list",
          "estimate_only": "comma-separated CF names to estimate; others keep baseline"}
+COMMANDS = {"prepare": cmd_prepare, "estimate": cmd_estimate, "evaluate": cmd_evaluate,
+            "predict": cmd_predict, "oracle": cmd_oracle, "sweep": cmd_sweep}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="compfeat", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("prepare", "estimate", "evaluate", "predict", "oracle", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        for key in (f.name for f in fields(ExperimentConfig) if f.name not in _NO_FLAG):
-            flag = "--seed" if key == "seeds" else "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, default=None, help=_HELP.get(key))
-        if name == "sweep":
-            p.add_argument("--axis", required=True)
-            p.add_argument("--values", required=True,
-                           help="comma-separated sweep values")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None)
+    for key in (f.name for f in fields(ExperimentConfig) if f.name not in _NO_FLAG):
+        flag = "--seed" if key == "seeds" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, default=None, help=_HELP.get(key))
+    parser.add_argument("--axis", help="sweep only: the key to sweep, T, k or gamma")
+    parser.add_argument("--values", help="sweep only: comma-separated sweep values")
     return parser
 
 
@@ -551,18 +561,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items() if key in _KEYS}
     try:
-        cfg = load_config(args.config, overrides)
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "estimate":
-            return cmd_estimate(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
-        return cmd_sweep(cfg, args.axis, args.values.split(","))
+        sweep = [arg for arg in (args.axis, args.values) if arg is not None]
+        if len(sweep) != 2 * (args.command == "sweep"):
+            raise ConfigError("sweep needs both --axis and --values, "
+                              "and no other command takes either")
+        return COMMANDS[args.command](load_config(args.config, overrides), *sweep)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

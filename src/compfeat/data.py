@@ -39,7 +39,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -605,14 +605,19 @@ def write_rows(path, *parts: list[str]) -> str:
 
 def _cell_text(arr: np.ndarray, col: Column) -> Iterator[str]:
     """The CSV text of each of ``col``'s values ``arr`` within a row, each
-    made as it is read, so a column's texts are never all held.  A finite
-    float's is its ``repr``, which never needs quoting.  A code's is its
-    vocabulary entry as ``csv.writer`` renders it inside a row, each entry
-    rendered once."""
+    made as it is read from Python values converted ``_WRITE_BLOCK`` at a
+    time, so neither a column's texts nor its Python values are ever all
+    held.  A finite float's text is its ``repr``, which never needs
+    quoting.  A code's is its vocabulary entry as ``csv.writer`` renders
+    it inside a row, each entry rendered once."""
     if col.kind == "quantitative":
-        return map(repr, np.asarray(arr, dtype=np.float64).tolist())
-    texts = [text[1:] for text in _csv_texts(("", v) for v in col.vocabulary)]
-    return map(texts.__getitem__, (np.asarray(arr, dtype=np.int64) - 1).tolist())
+        values, text = np.asarray(arr, dtype=np.float64), repr
+    else:
+        # Indexed by code, 1..u; no code is 0.
+        texts = ["", *(text[1:] for text in _csv_texts(("", v) for v in col.vocabulary))]
+        values, text = np.asarray(arr, dtype=np.int64), texts.__getitem__
+    return map(text, chain.from_iterable(values[start:start + _WRITE_BLOCK].tolist()
+                                         for start in range(0, len(values), _WRITE_BLOCK)))
 
 
 def _csv_texts(rows) -> list[str]:

@@ -165,27 +165,23 @@ class EstimationResult:
     def load(cls, path, expect: dict | None = None) -> "EstimationResult":
         """Read the archive :meth:`save` wrote at ``path``.
 
-        It is read with ``allow_pickle=False``, so an object array is
-        refused.  Each array must be stored uncompressed and unencrypted,
-        with a header whose shape accounts for exactly its member's bytes,
-        and have the dtype and number of dimensions that :meth:`save`
-        writes; ``meta`` must hold a JSON object with a list of CF names and
-        their widths, and the result must pass the constructor's checks,
-        which admit each width as a positive integer.  A file that does
-        not, or is not a readable archive, raises :class:`DataError`, as
-        does one whose stored ``expect`` keys are missing or differ.
+        Each array is read once, by :func:`_read_member`.  It refuses an
+        object dtype in the array's header, before any data are read, so
+        it is that reader, not an ``allow_pickle`` flag, that keeps
+        anything from being unpickled.  Each array must be stored
+        uncompressed and unencrypted, with a header whose shape accounts
+        for exactly its member's bytes, and have the dtype and number of
+        dimensions that :meth:`save` writes; ``meta`` must hold a JSON
+        object with a list of CF names and their widths, and the result
+        must pass the constructor's checks, which admit each width as a
+        positive integer.  A file that does not, or is not a readable zip
+        archive, raises :class:`DataError`, as does one whose stored
+        ``expect`` keys are missing or differ.
         """
         try:
-            # From an open file: np.load(path) leaves the file it opened
-            # open when the zip directory is unreadable.
-            with open(path, "rb") as fh:
-                npz = np.load(fh, allow_pickle=False)
-                if not isinstance(npz, np.lib.npyio.NpzFile):
-                    raise DataError("not a zip archive of arrays")
-                size = os.fstat(fh.fileno()).st_size
-                with npz:
-                    q, hard, meta = [_read_member(npz, name, size)
-                                     for name in ("confidences", "hard_estimates", "meta")]
+            with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+                q, hard, meta = [_read_member(archive, name, os.fstat(fh.fileno()).st_size)
+                                 for name in ("confidences", "hard_estimates", "meta")]
             if not (q.dtype == np.float64 and q.ndim == 2 and hard.dtype == np.int64
                     and hard.ndim == 2 and meta.dtype.kind == "U" and meta.ndim == 0):
                 raise DataError("expected float64 confidences and int64 hard estimates, "
@@ -210,29 +206,39 @@ class EstimationResult:
         return result
 
 
-def _read_member(npz: np.lib.npyio.NpzFile, name: str, archive_size: int) -> np.ndarray:
-    """Array ``name`` of ``npz``, read only once its member is known to be
-    stored uncompressed and unencrypted within the archive's
-    ``archive_size`` bytes, and its header's shape to account for exactly
-    the member's data; so no header makes numpy allocate more than the
-    file holds, and no zip decompressor runs."""
-    info = npz.zip.getinfo(f"{name}.npy")
+def _read_member(archive: zipfile.ZipFile, name: str, archive_size: int) -> np.ndarray:
+    """Array ``name`` of ``archive``, read in one pass over its member.
+
+    The member must be stored uncompressed and unencrypted within the
+    archive's ``archive_size`` bytes, and its ``.npy`` header be of
+    version 1.0 or 2.0, describe no Python objects, and have a shape that
+    accounts for exactly the member's data; so no header makes this
+    allocate more than the file holds, no zip decompressor runs and
+    nothing is unpickled.  The data are then read into the array the
+    header describes, ``BUFFER_SIZE`` bytes at a time, and a member that
+    ends before them is refused.
+    """
+    info = archive.getinfo(f"{name}.npy")
     if (info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
             or not info.compress_size == info.file_size <= archive_size):
         raise DataError(f"array {name} is not stored uncompressed and unencrypted "
                         f"within the archive's {archive_size} bytes")
-    with npz.zip.open(info) as fp:
+    with archive.open(info) as fp:
         version = np.lib.format.read_magic(fp)
         if version not in ((1, 0), (2, 0)):
             raise DataError(f"array {name} has a .npy header of version {version}")
         read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                        else np.lib.format.read_array_header_2_0)
-        shape, _, dtype = read_header(fp)
+        shape, fortran, dtype = read_header(fp)
         data_size = info.file_size - fp.tell()
-    if math.prod(shape) * dtype.itemsize != data_size:
-        raise DataError(f"array {name}'s header shape {shape} does not fit its "
-                        f"{data_size} bytes of {dtype} data")
-    return npz[name]
+        if dtype.hasobject or math.prod(shape) * dtype.itemsize != data_size:
+            raise DataError(f"array {name}'s header shape {shape} of {dtype} does not fit "
+                            f"its {data_size} bytes of data, or holds Python objects")
+        array = np.ndarray(shape, dtype, order="F" if fortran else "C")
+        data, step = array.reshape(-1, order="A").view(np.uint8), np.lib.format.BUFFER_SIZE
+        if sum(fp.readinto(data[i:i + step]) for i in range(0, data_size, step)) != data_size:
+            raise DataError(f"array {name} ends before its {data_size} bytes of data")
+    return array
 
 
 # ---------------------------------------------------------------------------

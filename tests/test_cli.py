@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -452,6 +453,22 @@ class TestRoundOneReuse:
         assert checks == shared + [(s, True) for s in SEEDS for _ in range(builds_per_seed)]
         assert len(saved) == len(SEEDS)
 
+    def test_comp_estimate_frees_each_result_before_the_next_runs(self, bank_csv, monkeypatch):
+        """A comp estimate streams its results as the graph methods do:
+        whenever a later seed's comp runs, every earlier seed's result is
+        dead."""
+        made, checks, comp = [], [], cli.run_comp
+
+        def recording(ds, seed):
+            checks.append(all(ref() is None for ref in made))
+            result = comp(ds, seed)
+            made.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "run_comp", recording)
+        assert main(["estimate", "--method", "comp", "--seed", "0,1,2", *bank_csv]) == 0
+        assert checks == [True] * len(SEEDS)
+
     @pytest.mark.parametrize("max_n", [0, 40])
     @pytest.mark.parametrize("axis, values", [("gamma", "0,0.5"), ("T", "5,2,3"), ("k", "8,5,8")],
                              ids=["gamma", "T", "k"])
@@ -523,6 +540,22 @@ class TestRoundOneReuse:
         points = len(values.split(","))
         assert len(widths) - widths.count(of_width) == (2 * points if method == "proposed" else 0)
 
+    def test_comp_sweep_runs_comp_once_per_seed(self, bank_csv, monkeypatch):
+        """comp depends on none of T, k and gamma, so a 3-point comp sweep
+        over two seeds runs it twice, not six times, and its curve rows
+        are those of one-value sweeps."""
+        calls, comp = [], cli.run_comp
+        monkeypatch.setattr(cli, "run_comp", lambda ds, seed: calls.append(seed) or comp(ds, seed))
+        common = ["sweep", "--method", "comp", "--axis", "T", "--seed", "0,1", *SMALL]
+        assert main([*common, "--values", "2,1,3", *bank_csv]) == 0
+        assert calls == [0, 1]
+        with open(out_file(bank_csv, "sweep_T.csv"), encoding="utf-8") as fh:
+            header, *rows = fh.readlines()
+        for value, row in zip(("2", "1", "3"), rows, strict=True):
+            assert main([*common, "--values", value, *bank_csv]) == 0
+            with open(out_file(bank_csv, "sweep_T.csv"), encoding="utf-8") as fh:
+                assert fh.readlines() == [header, row]
+
 
 class TestExitCodes:
     PIPELINE = (
@@ -562,6 +595,11 @@ class TestExitCodes:
         ["estimate", "--k", "abc"],
         ["estimate", "--T", "1.5"],
         ["estimate", "--method", "bogus"],
+        ["sweep"],
+        ["sweep", "--axis", "k"],
+        ["sweep", "--values", "5"],
+        ["estimate", "--axis", "k", "--values", "5"],
+        ["prepare", "--values", "5"],
     ])
     def test_configuration_errors_exit_2(self, bank_csv, capsys, command):
         """Exit 2 with a typed message; a flag's value is parsed as its
@@ -625,6 +663,25 @@ class TestExitCodes:
         assert main(["estimate", *missing]) == 3
         assert main(["evaluate", *bank_csv]) == 3
         assert main(["predict", "--mode", "soft", *bank_csv]) == 3
+
+    def test_one_parser_dispatches_from_the_command_table(self, monkeypatch):
+        """One parser with no subparsers reads every command line, and
+        main runs the function that ``COMMANDS`` holds for the command,
+        with the sweep's axis and values for sweep alone."""
+        parser = cli.build_parser()
+        assert not any(isinstance(action, argparse._SubParsersAction)
+                       for action in parser._actions)
+        assert list(cli.COMMANDS) == ["prepare", "estimate", "evaluate", "predict", "oracle",
+                                      "sweep"]
+        calls = []
+        for name in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                lambda cfg, *sweep, name=name: calls.append((name, sweep)) or 0)
+        for name in cli.COMMANDS:
+            sweep = ["--axis", "k", "--values", "5,6"] if name == "sweep" else []
+            assert main([name, "--k", "7", *sweep]) == 0
+        assert calls == [(name, ("k", "5,6") if name == "sweep" else ())
+                         for name in cli.COMMANDS]
 
     def test_run_freezes_once_before_main(self, monkeypatch):
         """run(), the process entry, freezes the collector once and then

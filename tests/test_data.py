@@ -495,6 +495,22 @@ def test_load_csv_memory_is_a_small_multiple_of_the_file(tmp_path):
     assert peak < 4 * os.path.getsize(path)
 
 
+def test_format_rows_memory_is_close_to_the_text_it_returns():
+    """``format_rows`` of a 20,000-row bank-like table peaks within 1.2x
+    the row texts it returns (1.05x measured): each column's values are
+    converted to Python objects one ``_WRITE_BLOCK`` of rows at a time.
+    Converting every column whole first peaked at 2.33x."""
+    ds, _ = make_bank_like(20_000, seed=0)
+    tracemalloc.start()
+    try:
+        rows = data.format_rows(ds)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20_001
+    assert peak <= 1.2 * held
+
+
 class TestDatasetInvariants:
     def test_observed_equal_truth_rejected(self, tiny_schema):
         with pytest.raises(DataError, match="never equal"):

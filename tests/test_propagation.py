@@ -959,6 +959,36 @@ class TestEstimationResultIo:
         with pytest.raises(DataError, match="malformed estimation result"):
             EstimationResult.load(path)
 
+    def test_each_member_read_once_without_np_load(self, tmp_path, monkeypatch):
+        """``load`` opens each of the three members once, through zipfile
+        alone, and reads the saved arrays back."""
+        res = run_comp(observed_dataset([3, 4], 6, seed=5), seed=0)
+        res.save(tmp_path / "r.npz")
+        opened, open_member = [], zipfile.ZipFile.open
+        monkeypatch.setattr(zipfile.ZipFile, "open", lambda self, member, *args: opened.append(
+            getattr(member, "filename", member)) or open_member(self, member, *args))
+        monkeypatch.setattr(np, "load", None)
+        loaded = EstimationResult.load(tmp_path / "r.npz")
+        assert opened == ["confidences.npy", "hard_estimates.npy", "meta.npy"]
+        np.testing.assert_array_equal(loaded.confidences, res.confidences)
+        np.testing.assert_array_equal(loaded.hard_estimates, res.hard_estimates)
+
+    def test_object_array_refused_by_the_reader(self, tmp_path):
+        path = tmp_path / "r.npz"
+        path.write_bytes(npz_bytes(hard_estimates=np.array([[1], [2]], dtype=object)))
+        with pytest.raises(DataError, match="hard_estimates's header .* or holds Python objects"):
+            EstimationResult.load(path)
+
+    def test_short_read_refused(self, tmp_path, monkeypatch):
+        """A member whose data end before its header's shape is refused,
+        not returned with the rest of its array unset."""
+        path = tmp_path / "r.npz"
+        path.write_bytes(npz_bytes())
+        monkeypatch.setattr(zipfile.ZipExtFile, "readinto", lambda self, buffer: 0,
+                            raising=False)
+        with pytest.raises(DataError, match="array confidences ends before its 32 bytes"):
+            EstimationResult.load(path)
+
     @pytest.mark.parametrize("make", [lambda: npz_bytes(),
                                       lambda: zip_bytes(npz_bytes())],
                              ids=["savez", "rezipped"])
