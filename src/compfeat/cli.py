@@ -13,7 +13,9 @@ One parser (:func:`build_parser`) reads every command line: the command,
 from the table :data:`COMMANDS` that :func:`main` dispatches from, and
 the flags, which every command accepts but ``--axis`` and ``--values``.
 Those two belong to ``sweep``: it needs both, and any other command
-given either is a configuration error.
+given either is a configuration error.  Flags are matched whole, never
+by prefix, so adding a flag cannot make a working command line
+ambiguous.
 
 Configuration is a flat ``key = value`` text file.  Every key but
 ``fraction`` and ``l2`` has a flag that overrides it (flags win):
@@ -73,8 +75,7 @@ of the point before it continues that point's round-1 steps.  So a
 gamma sweep, or a T sweep in ascending order, holds per group of seeds
 their (sum n, sum u_j) float64 round-1 confidences from one point to
 the next, 9.4 MB per paper-scale seed; ``estimate`` runs one point and
-holds none.  comp depends on none of T, k and gamma, so a comp sweep
-runs each seed once and scores the same results at every point.
+holds none.
 
 A process enters through :func:`run`, both as the ``compfeat`` console
 script and as ``python -m compfeat.cli``.  Before it calls :func:`main`,
@@ -103,7 +104,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
-from itertools import tee
 from typing import Iterator
 
 import numpy as np
@@ -254,18 +254,14 @@ def run_methods(points: list[ExperimentConfig],
     of the methods' iterators and ``map``, which holds no result once it
     has passed it on.  The iterators are consumed in order, and the graph
     methods share round-1 work between them (see
-    :mod:`compfeat.propagation`).  comp depends on none of T, k and
-    gamma, so its seeds run once.  One point streams their results;
-    several share them through ``tee``, which holds every result until
-    the last point's iterator is dropped."""
+    :mod:`compfeat.propagation`)."""
     cfg = points[0]
     if cfg.method == "proposed":
         runs = run_proposed_seeds(datasets, [(p.T, p.k, p.gamma) for p in points])
     elif cfg.method == "ipal":
         runs = run_ipal_seeds(datasets, [(p.T, p.k) for p in points], cfg.alpha)
     else:
-        results = map(run_comp, datasets, cfg.seeds)
-        runs = list(tee(results, len(points))) if len(points) > 1 else [results]
+        runs = [map(run_comp, datasets, cfg.seeds) for _ in points]
     if cfg.estimate_only:
         runs = [map(partial(restrict_to_subset, cfg), datasets, results, cfg.seeds)
                 for results in runs]
@@ -543,7 +539,7 @@ COMMANDS = {"prepare": cmd_prepare, "estimate": cmd_estimate, "evaluate": cmd_ev
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="compfeat", description=__doc__,
+    parser = argparse.ArgumentParser(prog="compfeat", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None)

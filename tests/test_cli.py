@@ -453,22 +453,6 @@ class TestRoundOneReuse:
         assert checks == shared + [(s, True) for s in SEEDS for _ in range(builds_per_seed)]
         assert len(saved) == len(SEEDS)
 
-    def test_comp_estimate_frees_each_result_before_the_next_runs(self, bank_csv, monkeypatch):
-        """A comp estimate streams its results as the graph methods do:
-        whenever a later seed's comp runs, every earlier seed's result is
-        dead."""
-        made, checks, comp = [], [], cli.run_comp
-
-        def recording(ds, seed):
-            checks.append(all(ref() is None for ref in made))
-            result = comp(ds, seed)
-            made.append(weakref.ref(result))
-            return result
-
-        monkeypatch.setattr(cli, "run_comp", recording)
-        assert main(["estimate", "--method", "comp", "--seed", "0,1,2", *bank_csv]) == 0
-        assert checks == [True] * len(SEEDS)
-
     @pytest.mark.parametrize("max_n", [0, 40])
     @pytest.mark.parametrize("axis, values", [("gamma", "0,0.5"), ("T", "5,2,3"), ("k", "8,5,8")],
                              ids=["gamma", "T", "k"])
@@ -539,22 +523,6 @@ class TestRoundOneReuse:
         assert widths.count(of_width) == len(ks) * (2 if max_n else 1)
         points = len(values.split(","))
         assert len(widths) - widths.count(of_width) == (2 * points if method == "proposed" else 0)
-
-    def test_comp_sweep_runs_comp_once_per_seed(self, bank_csv, monkeypatch):
-        """comp depends on none of T, k and gamma, so a 3-point comp sweep
-        over two seeds runs it twice, not six times, and its curve rows
-        are those of one-value sweeps."""
-        calls, comp = [], cli.run_comp
-        monkeypatch.setattr(cli, "run_comp", lambda ds, seed: calls.append(seed) or comp(ds, seed))
-        common = ["sweep", "--method", "comp", "--axis", "T", "--seed", "0,1", *SMALL]
-        assert main([*common, "--values", "2,1,3", *bank_csv]) == 0
-        assert calls == [0, 1]
-        with open(out_file(bank_csv, "sweep_T.csv"), encoding="utf-8") as fh:
-            header, *rows = fh.readlines()
-        for value, row in zip(("2", "1", "3"), rows, strict=True):
-            assert main([*common, "--values", value, *bank_csv]) == 0
-            with open(out_file(bank_csv, "sweep_T.csv"), encoding="utf-8") as fh:
-                assert fh.readlines() == [header, row]
 
 
 class TestExitCodes:
@@ -667,7 +635,8 @@ class TestExitCodes:
     def test_one_parser_dispatches_from_the_command_table(self, monkeypatch):
         """One parser with no subparsers reads every command line, and
         main runs the function that ``COMMANDS`` holds for the command,
-        with the sweep's axis and values for sweep alone."""
+        with the sweep's axis and values for sweep alone.  Flags are
+        matched whole: a prefix of one is argparse's usage error."""
         parser = cli.build_parser()
         assert not any(isinstance(action, argparse._SubParsersAction)
                        for action in parser._actions)
@@ -682,6 +651,9 @@ class TestExitCodes:
             assert main([name, "--k", "7", *sweep]) == 0
         assert calls == [(name, ("k", "5,6") if name == "sweep" else ())
                          for name in cli.COMMANDS]
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--alp", "0.5"])  # no prefix stands for --alpha
+        assert exc.value.code == 2
 
     def test_run_freezes_once_before_main(self, monkeypatch):
         """run(), the process entry, freezes the collector once and then
