@@ -65,8 +65,11 @@ STREAM_SUBSAMPLE)``, in row order.  ``predict`` trains on the first
 ``floor(fraction * n)`` rows of ``seeded_order(s, n, STREAM_SPLIT)``
 over seed s's n rows and scores the rest (see
 :mod:`compfeat.data`'s counter-based draws); it runs one seed at a
-time.  ``sweep`` estimates each point with ``--method`` and
-honours ``--estimate-only`` as ``estimate`` does.  It runs all its
+time.  ``sweep`` estimates each point with ``--method``, which must
+be a graph method, proposed or ipal, and honours ``--estimate-only`` as
+``estimate`` does.  comp depends on none of T, k and gamma, so its curve
+would be constant: ``sweep --method comp`` is a configuration error,
+refused before the source is read or ``out`` is made.  It runs all its
 points in one call of the method's seed runner, which shares round 1
 between them (see :mod:`compfeat.propagation`): it builds one round-1
 graph per k for the seeds that share the source rows, or per seed and
@@ -89,8 +92,8 @@ objects, but the collections that run during the imports reclaim them
 before the freeze.  :func:`main` itself never freezes, so tests and
 library callers keep a normal collector.
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (``sweep --method comp``
+among them), 3 data error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import (STREAM_SUBSAMPLE, Dataset, _scalar, format_rows, load_csv, load_schema,
-                   seeded_order, split_train_test, synthesize_cf, write_rows)
+from .data import (STREAM_SUBSAMPLE, Dataset, _adopted, _scalar, format_rows, load_csv,
+                   load_schema, seeded_order, split_train_test, synthesize_cf, write_rows)
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
@@ -273,13 +276,15 @@ def restrict_to_subset(cfg: ExperimentConfig, ds: Dataset,
     """Replace confidences of CFs outside the subset with their baseline.
 
     Excluded CFs keep exactly their initial confidences and receive
-    seeded random complement guesses as hard estimates.
+    seeded random complement guesses as hard estimates: :func:`run_comp`'s
+    result for the seed, which under ``--method comp`` is ``result``
+    itself and is not run again.
     """
     cols = ds.schema.cf_columns
-    baseline = run_comp(ds, seed)
+    baseline = result if cfg.method == "comp" else run_comp(ds, seed)
     kept = np.array([c.name in cfg.estimate_only for c in cols], dtype=bool)
-    return EstimationResult(
-        cf_names=result.cf_names, sizes=result.sizes,
+    return _adopted(
+        EstimationResult, cf_names=result.cf_names, sizes=result.sizes,
         confidences=np.where(np.repeat(kept, result.sizes), result.confidences,
                              baseline.confidences),
         hard_estimates=np.where(kept, result.hard_estimates, baseline.hard_estimates),
@@ -490,6 +495,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: str) -> int:
     """Estimate at each of the comma-separated ``values`` of ``axis``."""
     if axis not in ("T", "k", "gamma"):
         raise ConfigError("sweep axis must be one of T, k, gamma")
+    if cfg.method == "comp":  # comp depends on none of T, k and gamma
+        raise ConfigError("sweep takes the graph methods, proposed and ipal; "
+                          "comp's curve is constant")
     texts = values.split(",")
     points = [replace(cfg) for _ in texts]
     for point, value in zip(points, texts):

@@ -201,6 +201,20 @@ def _check_codes(codes: np.ndarray, sizes, name: str):
         raise DataError(f"{name} out of range: codes must lie in 1..u, u = {sizes}")
 
 
+def _adopted(cls, **fields):
+    """An instance of the frozen dataclass ``cls``, :class:`Dataset` or
+    :class:`~compfeat.propagation.EstimationResult`, that holds the
+    arrays it is handed in ``fields``, not copies; a field left out takes
+    its default.  Each array must be one its builder made for it, which
+    is frozen in place, or one that another instance already froze,
+    which is shared.  ``cls._settle(copy=False)`` checks every field, as
+    the constructor's ``_settle(copy=True)`` checks copies."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    obj._settle(copy=False)
+    return obj
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Column-typed table with optional hidden CF ground truth.
@@ -214,7 +228,7 @@ class Dataset:
     construction.  The constructor freezes copies of the arrays it is
     handed, so a caller's later writes cannot reach the dataset; the
     package's own builders (:func:`load_csv`, :meth:`subset`,
-    :func:`synthesize_cf`) go through :meth:`_adopt` instead.
+    :func:`synthesize_cf`) go through :func:`_adopted` instead.
     """
 
     schema: FeatureSchema
@@ -225,18 +239,6 @@ class Dataset:
 
     def __post_init__(self):
         self._settle(copy=True)
-
-    @classmethod
-    def _adopt(cls, schema: FeatureSchema, of_values, labels, cf_truth=None,
-               cf_observed=None) -> "Dataset":
-        """A dataset that holds the arrays it is handed, not copies.  Each
-        must be an array its builder made for it, which is frozen in place,
-        or one that another dataset already froze, which is shared."""
-        ds = object.__new__(cls)
-        vars(ds).update(schema=schema, of_values=of_values, labels=labels, cf_truth=cf_truth,
-                        cf_observed=cf_observed)
-        ds._settle(copy=False)
-        return ds
 
     def _settle(self, copy: bool):
         """Check every field and freeze the arrays, or copies of them when ``copy``."""
@@ -290,8 +292,8 @@ class Dataset:
         idx = _integer_array(indices, "subset indices")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise DataError(f"subset indices must lie in [0, {self.n})")
-        return Dataset._adopt(
-            schema=self.schema,
+        return _adopted(
+            Dataset, schema=self.schema,
             of_values=tuple(a[idx] for a in self.of_values),
             labels=self.labels[idx],
             cf_truth=None if self.cf_truth is None else self.cf_truth[idx],
@@ -444,8 +446,8 @@ def _read_csv(lines, schema: FeatureSchema) -> Dataset:
             raise chunk.error
     values = {chunk.col.name: chunk.values() for chunk in chunks}
     cf = [values[c.name] for c in schema.cf_columns]
-    return Dataset._adopt(
-        schema=schema, of_values=tuple(values[c.name] for c in schema.of_columns),
+    return _adopted(
+        Dataset, schema=schema, of_values=tuple(values[c.name] for c in schema.of_columns),
         labels=values[schema.label_column.name],
         cf_truth=np.column_stack(cf) if cf else np.zeros((n, 0), dtype=np.int64))
 
@@ -696,13 +698,8 @@ def synthesize_cf(ds: Dataset, seed: int) -> Dataset:
     sizes = ds.schema.cf_sizes
     observed = complement_draws(seed, np.arange(ds.n)[:, None], np.arange(len(sizes)), sizes,
                                 ds.cf_truth, STREAM_OBSERVE)
-    return Dataset._adopt(
-        schema=ds.schema,
-        of_values=ds.of_values,
-        labels=ds.labels,
-        cf_truth=ds.cf_truth,
-        cf_observed=observed,
-    )
+    return _adopted(Dataset, schema=ds.schema, of_values=ds.of_values, labels=ds.labels,
+                    cf_truth=ds.cf_truth, cf_observed=observed)
 
 
 def split_train_test(ds: Dataset, fraction: float, seed: int):

@@ -68,14 +68,12 @@ def macro_f1(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
         raise ShapeMismatchError(f"predicted codes {pred.shape} do not match truth {truth.shape}")
     _check_codes(pred, n_classes, "predicted codes")
     _check_codes(truth, n_classes, "truth codes")
-    total = 0.0
-    for c in range(1, n_classes + 1):
-        tp = np.sum((pred == c) & (truth == c))
-        fp = np.sum((pred == c) & (truth != c))
-        fn = np.sum((pred != c) & (truth == c))
-        denom = 2 * tp + fp + fn
-        total += 0.0 if denom == 0 else 2 * tp / denom
-    return float(total / n_classes)
+    # Per class c, tp counts the rows where both codes are c, and
+    # 2 tp + fp + fn = (rows predicted c) + (rows truly c).
+    pred, truth = pred.astype(np.intp).ravel(), truth.astype(np.intp).ravel()
+    tp = np.bincount(pred[pred == truth], minlength=n_classes + 1)
+    denom = np.bincount(pred, minlength=n_classes + 1) + np.bincount(truth, minlength=n_classes + 1)
+    return float(sum(0.0 if d == 0 else 2 * t / d for t, d in zip(tp[1:], denom[1:])) / n_classes)
 
 
 def score_labels(pred, truth: np.ndarray) -> float:

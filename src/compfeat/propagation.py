@@ -75,8 +75,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import (STREAM_GUESS, Dataset, _check_codes, _code_array, _frozen, _real_array,
-                   _scalar, complement_draws)
+from .data import (STREAM_GUESS, Dataset, _adopted, _check_codes, _code_array, _frozen,
+                   _real_array, _scalar, complement_draws)
 from .encoding import encode_of, encode_with_confidence, segment_starts, segments_stochastic
 from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph, propagate_step, stack_graphs
@@ -91,7 +91,12 @@ class EstimationResult:
     confidences.  ``hard_estimates[i, j]`` is a code in ``1..sizes[j]``:
     the argmax of segment j row i (ties to the lowest code) for
     confidence-ranked methods; the uniform-complement baseline instead
-    draws seeded random complements.
+    draws seeded random complements.  Both arrays are frozen.  The
+    constructor freezes copies of the arrays it is handed, so a caller's
+    later writes cannot reach the result; the package's own builders
+    (:meth:`load`, the estimation procedures and
+    :func:`compfeat.cli.restrict_to_subset`) make the arrays for the
+    result and go through :func:`compfeat.data._adopted` instead.
     """
 
     cf_names: tuple[str, ...]
@@ -102,8 +107,12 @@ class EstimationResult:
     hyperparams: dict
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    def _settle(self, copy: bool):
+        """Check every field and freeze the arrays, or copies of them when ``copy``."""
         names = tuple(self.cf_names)
-        hard = _code_array(self.hard_estimates, "hard estimates", copy=True)
+        hard = _code_array(self.hard_estimates, "hard estimates", copy)
         if hard.ndim != 2 or hard.shape[1] != len(names):
             raise ShapeMismatchError(
                 f"hard estimates of shape {hard.shape} do not fit {len(names)} CF names")
@@ -111,7 +120,7 @@ class EstimationResult:
         object.__setattr__(self, "hard_estimates", hard)
         object.__setattr__(self, "hyperparams", dict(self.hyperparams))
         sizes = tuple(_scalar(u, "CF width", 1, integer=True) for u in self.sizes)
-        q = _real_array(self.confidences, "confidences", copy=True)
+        q = _real_array(self.confidences, "confidences", copy)
         if len(sizes) != len(names) or q.shape != (hard.shape[0], sum(sizes)):
             raise ShapeMismatchError(
                 f"confidences of shape {q.shape} do not fit {hard.shape[0]} rows "
@@ -191,8 +200,9 @@ class EstimationResult:
             if not (isinstance(names, list) and all(isinstance(s, str) for s in names)
                     and isinstance(doc["method"], str) and isinstance(doc["hyperparams"], dict)):
                 raise DataError("meta needs a method, hyperparameters and CF names")
-            result = cls(cf_names=names, sizes=sizes, confidences=q, hard_estimates=hard,
-                         method=doc["method"], hyperparams=doc["hyperparams"])
+            result = _adopted(cls, cf_names=names, sizes=sizes, confidences=q,
+                              hard_estimates=hard, method=doc["method"],
+                              hyperparams=doc["hyperparams"])
         # zipfile raises NotImplementedError for an unsupported zip version or
         # flag; numpy's fallback parse of a header that is not a literal raises
         # TokenError, and json raises RecursionError for a meta nested too deep.
@@ -503,6 +513,8 @@ def _run_seeds(datasets: Sequence[Dataset], points: Sequence[dict], method: str,
 
 def _result(ds: Dataset, q: np.ndarray, hard: np.ndarray, method: str,
             hyperparams: dict) -> EstimationResult:
-    return EstimationResult(cf_names=tuple(c.name for c in ds.schema.cf_columns),
-                            sizes=ds.schema.cf_sizes, confidences=q, hard_estimates=hard,
-                            method=method, hyperparams=hyperparams)
+    """The result that adopts ``q`` and ``hard``, arrays made for it, or
+    rows of a group's stacked confidences that no step writes again."""
+    return _adopted(EstimationResult, cf_names=tuple(c.name for c in ds.schema.cf_columns),
+                    sizes=ds.schema.cf_sizes, confidences=q, hard_estimates=hard,
+                    method=method, hyperparams=hyperparams)

@@ -235,15 +235,35 @@ class TestEstimateOnly:
         assert main([*command, "--estimate-only", "job,colour", *bank_csv]) == 2
         assert "colour" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["comp", "proposed"])
+    def test_run_comp_runs_once_per_seed(self, bank_csv, monkeypatch, method):
+        """Under --estimate-only, ``estimate`` runs comp once per seed:
+        under --method comp its result is the excluded CFs' baseline, and
+        a graph method runs it for that baseline alone."""
+        calls = []
+        monkeypatch.setattr(cli, "run_comp",
+                            lambda ds, seed: calls.append(seed) or run_comp(ds, seed))
+        assert main(["estimate", "--method", method, "--estimate-only", "job",
+                     "--seed", "0,1", *SMALL, *bank_csv]) == 0
+        assert calls == [0, 1]
+
     @pytest.mark.parametrize("flags", [
         ["--method", "comp"], ["--method", "ipal", "--estimate-only", "job"],
     ], ids=["comp", "ipal_job_only"])
-    def test_sweep_point_scores_the_estimate(self, bank_csv, flags):
+    def test_sweep_point_scores_the_estimate(self, bank_csv, capsys, flags):
         """A sweep point scores what ``estimate`` writes for the same
-        configuration: sweep honours --method and --estimate-only."""
+        configuration: sweep honours --method and --estimate-only.  comp
+        depends on none of T, k and gamma, so a comp sweep is refused as a
+        configuration error and writes no curve."""
         common = ["--seed", "0,1", *SMALL, *flags, *bank_csv]
         assert main(["estimate", *common]) == 0
-        assert main(["sweep", "--axis", "T", "--values", "5", *common]) == 0
+        sweep = main(["sweep", "--axis", "T", "--values", "5", *common])
+        if flags[1] == "comp":
+            assert sweep == 2
+            assert "comp" in capsys.readouterr().err
+            assert not [f for f in os.listdir(out_file(bank_csv, "")) if f.startswith("sweep_T")]
+            return
+        assert sweep == 0
         accs = []
         for seed in (0, 1):
             ds = seed_dataset(bank_csv, seed)
