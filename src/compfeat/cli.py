@@ -460,7 +460,14 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 def predict_seed(cfg: ExperimentConfig, source: Dataset, seed: int) -> float:
     """The label macro-F1 of one seed.  Its own function, so that no
     dataset, result, design or model of a seed is held while the next
-    seed runs."""
+    seed runs.
+
+    The design is cut into its train and test rows and dropped before
+    :func:`train`: while training runs, the seed's dataset, both row
+    sets and training's own arrays are alive, but no estimation result
+    and no whole design.  The train rows are dropped before
+    :func:`predict`.
+    """
     ds = experiment_dataset(cfg, source, seed)
     result = None
     if cfg.mode in ("soft", "hard"):
@@ -468,8 +475,11 @@ def predict_seed(cfg: ExperimentConfig, source: Dataset, seed: int) -> float:
     design = assemble(ds, cfg.mode, result=result)
     del result  # the design holds what predict needs of it
     train_idx, test_idx = split_train_test(ds, cfg.fraction, seed)
-    model = train(design[train_idx], ds.labels[train_idx], l2=cfg.l2)
-    probs = predict(model, design[test_idx])
+    x_train, x_test = design[train_idx], design[test_idx]
+    del design
+    model = train(x_train, ds.labels[train_idx], l2=cfg.l2)
+    del x_train
+    probs = predict(model, x_test)
     return score_labels(probs, ds.labels[test_idx])
 
 

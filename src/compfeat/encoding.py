@@ -88,13 +88,20 @@ def segment_starts(sizes: Sequence[int]) -> np.ndarray:
 def one_hot(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """The (n, sum u_j) stacked one-hot of an (n, F) matrix of 1-based
     codes: row i holds a 1 at code ``codes[i, j]`` of segment j, an
-    integer in 1..sizes[j]."""
+    integer in 1..sizes[j].  The codes are checked, and then written into
+    a new matrix by :func:`_one_hot_into`."""
     sizes = [_scalar(u, "segment width", 1, integer=True) for u in sizes]
     codes = _integer_array(codes, "codes")
     if codes.ndim != 2 or codes.shape[1] != len(sizes):
         raise ShapeMismatchError(f"codes of shape {codes.shape} do not fit {len(sizes)} segments")
     _check_codes(codes, sizes, "codes")
-    out = np.zeros((codes.shape[0], sum(sizes)))
+    return _one_hot_into(np.empty((codes.shape[0], sum(sizes))), codes, sizes)
+
+
+def _one_hot_into(out: np.ndarray, codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Write :func:`one_hot` of ``codes``, already checked against
+    ``sizes``, into ``out``, an (n, sum u_j) array or view; returns ``out``."""
+    out[...] = 0.0
     out[np.arange(codes.shape[0])[:, None], codes - 1 + segment_starts(sizes)] = 1.0
     return out
 

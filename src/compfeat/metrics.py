@@ -89,8 +89,10 @@ def score_labels(pred, truth: np.ndarray) -> float:
 
 
 def _row_entropy(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(values > 0, values * np.log(values), 0.0)
+    """Sum of -v log(v) over each row, with 0 log(0) = 0, in one
+    buffer of the shape of ``values``."""
+    terms = np.log(values, out=np.zeros(values.shape), where=values > 0)
+    terms *= values
     return -terms.sum(axis=1)
 
 

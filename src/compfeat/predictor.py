@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _check_codes, _frozen, _integer_array, _real_array, _scalar
-from .encoding import encode_of, one_hot
+from .encoding import _one_hot_into, encode_of
 from .errors import DataError, ShapeMismatchError, SingleClassError
 from .propagation import EstimationResult, init_marginal
 
@@ -31,24 +31,31 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
     """Build the model input: OFs in schema order, then CF blocks in schema order.
 
     Returns a read-only (n, d) float64 array whose last sum u_j columns
-    hold the CF blocks, CF j's block of width u_j after CF j-1's.
+    hold the CF blocks, CF j's block of width u_j after CF j-1's.  The
+    array is allocated once: :func:`encode_of` is copied into its first
+    columns, and the CF blocks into the rest, where ``ord`` and ``hard``
+    write their one-hot in place.  It equals ``np.hstack`` of the OF
+    encoding and the stacked block, bit for bit.
     """
     if mode not in MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
-    parts = [encode_of(ds)]
-    if mode == "comp":
-        parts.append(init_marginal(ds))
-    elif mode == "ord":
-        if ds.cf_truth is None:
-            raise DataError("ord mode needs ground-truth CF values")
-        parts.append(one_hot(ds.cf_truth, ds.schema.cf_sizes))
-    else:
+    if mode == "ord" and ds.cf_truth is None:
+        raise DataError("ord mode needs ground-truth CF values")
+    if mode in ("soft", "hard"):
         if result is None:
             raise DataError(f"mode {mode!r} needs an estimation result")
         result.check_fits(ds)
-        parts.append(result.confidences if mode == "soft"
-                     else one_hot(result.hard_estimates, result.sizes))
-    design = np.hstack(parts)
+    of = encode_of(ds)
+    design = np.empty((ds.n, of.shape[1] + sum(ds.schema.cf_sizes)))
+    design[:, :of.shape[1]] = of
+    block = design[:, of.shape[1]:]
+    if mode == "comp":
+        block[...] = init_marginal(ds)
+    elif mode == "soft":
+        block[...] = result.confidences
+    else:
+        _one_hot_into(block, ds.cf_truth if mode == "ord" else result.hard_estimates,
+                      ds.schema.cf_sizes)
     if not np.isfinite(design).all():
         raise DataError("design matrix must be finite")
     return _frozen(design)

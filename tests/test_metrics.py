@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from compfeat.data import synthesize_cf
 from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.metrics import (
     aggregate_cf_scores,
     format_cf_table,
     macro_f1,
+    _row_entropy,
     score_cf,
     score_labels,
 )
+from compfeat.oracle import make_bank_like
 from compfeat.propagation import EstimationResult, run_comp
 
 from test_propagation import observed_dataset
@@ -114,6 +118,36 @@ class TestScoreCf:
             se = -(row[row > 0] * np.log(row[row > 0])).sum()
             assert se <= prev + 1e-12
             prev = se
+
+
+class TestRowEntropy:
+    def test_equals_the_masked_product_bit_for_bit(self):
+        """Rows that hold zeros, subnormals and ones score the bits of
+        ``np.where(v > 0, v * log(v), 0)`` summed per row."""
+        rng = np.random.default_rng(11)
+        values = rng.dirichlet(np.ones(7), size=300) * (rng.uniform(size=(300, 7)) < 0.6)
+        values[:3] = [[0.0] * 7, [1.0] + [0.0] * 6, [5e-324, 1.0 - 5e-324] + [0.0] * 5]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = -np.where(values > 0, values * np.log(values), 0.0).sum(axis=1)
+        got = _row_entropy(values)
+        assert (values == 0).any(axis=1).mean() > 0.5
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_about_one_block(self):
+        """Scoring the 12-wide job block of a 20,000-row comp result
+        allocates one block-sized buffer, a mask and the row sums: a
+        traced peak within 1.3x the block's bytes (2.1x while the log,
+        the product and the masked copy were separate arrays)."""
+        ds = synthesize_cf(make_bank_like(20_000, seed=0)[0], seed=0)
+        block = run_comp(ds, 0).block(0)
+        assert block.shape == (20_000, 12)
+        tracemalloc.start()
+        try:
+            _row_entropy(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * block.shape[0] * block.shape[1] * block.itemsize
 
 
 class TestMacroF1:

@@ -71,6 +71,7 @@ ROWS = aggregate_cf_scores([[SCORE_C, SCORE_D]])
     (lambda: DS.subset([99]), DataError),
     (lambda: DS.subset([-1]), DataError),
     (lambda: one_hot(np.array([[0, 1]]), (3, 3)), DataError),
+    (lambda: one_hot(np.array([[1, 4]]), (3, 3)), DataError),
     (lambda: one_hot(np.array([[1.0], [2.0]]), (3,)), DataError),
     (lambda: one_hot(np.array([1, 2]), (3,)), ShapeMismatchError),
     (lambda: aggregate_cf_scores([]), DataError),
@@ -87,7 +88,8 @@ ROWS = aggregate_cf_scores([[SCORE_C, SCORE_D]])
         "score_labels-codes-0-and-3", "macro_f1-ragged", "macro_f1-lengths", "train-float-labels",
         "train-lengths", "predict-width", "predict-text", "predict-nan-design",
         "score_labels-nan-probability", "score_labels-probability-7", "subset-index-past-rows",
-        "subset-index-negative", "one_hot-code-0", "one_hot-float-codes", "one_hot-1d-codes",
+        "subset-index-negative", "one_hot-code-0", "one_hot-code-past-width",
+        "one_hot-float-codes", "one_hot-1d-codes",
         "aggregate_cf_scores-no-seeds", "aggregate_cf_scores-fewer-cfs",
         "aggregate_cf_scores-more-cfs", "aggregate_cf_scores-other-names",
         "format_cf_table-no-methods", "format_cf_table-method-lacks-cf"])

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import compfeat
-from compfeat.encoding import encode_of
+from compfeat.data import synthesize_cf
+from compfeat.encoding import encode_of, one_hot
 from compfeat.errors import DataError, ShapeMismatchError, SingleClassError
 from compfeat.metrics import score_labels
 from compfeat.oracle import make_bank_like, make_smooth_synthetic
@@ -19,7 +20,7 @@ from compfeat.predictor import (
     predict,
     train,
 )
-from compfeat.propagation import init_marginal, run_comp
+from compfeat.propagation import init_marginal, run_comp, run_proposed
 
 from test_propagation import observed_dataset
 
@@ -84,6 +85,22 @@ class TestAssemble:
         assert design.dtype == np.float64 and not design.flags.writeable
         np.testing.assert_array_equal(design[:, :enc.shape[1]], enc)
         np.testing.assert_array_equal(design[:, enc.shape[1]:], init_marginal(ds))
+
+    @pytest.mark.parametrize("mode", ["ord", "comp", "soft", "hard"])
+    def test_equals_the_stacked_parts_bit_for_bit(self, mode):
+        """The design built in place holds the bits of ``np.hstack`` of
+        the OF encoding and the mode's CF block."""
+        ds = synthesize_cf(make_bank_like(300, seed=0)[0], seed=0)
+        res = run_proposed(ds, T=5, k=8, gamma=0.25)
+        block = {"ord": lambda: one_hot(ds.cf_truth, ds.schema.cf_sizes),
+                 "comp": lambda: init_marginal(ds),
+                 "soft": lambda: res.confidences,
+                 "hard": lambda: one_hot(res.hard_estimates, res.sizes)}[mode]()
+        design = assemble(ds, mode, result=res)
+        expected = np.hstack([encode_of(ds), block])
+        assert design.dtype == expected.dtype and design.shape == expected.shape
+        assert design.tobytes() == expected.tobytes()
+        assert not design.flags.writeable
 
 
 class TestTrain:
