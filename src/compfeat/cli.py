@@ -17,7 +17,9 @@ given either is a configuration error.  Flags are matched whole, never
 by prefix, so adding a flag cannot make a working command line
 ambiguous.
 
-Configuration is a flat ``key = value`` text file.  Every key but
+Configuration is a flat ``key = value`` text file, read by the schema
+file's line rules: UTF-8, blank lines and ``#`` comments skipped, and a
+``=`` on every other line.  Every key but
 ``fraction`` and ``l2`` has a flag that overrides it (flags win):
 ``--seed`` for ``seeds``, otherwise the key with dashes for underscores.
 A flag's value is parsed as the key's config line is, so a bad one is a
@@ -99,6 +101,7 @@ among them), 3 data error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -111,8 +114,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import (STREAM_SUBSAMPLE, Dataset, _adopted, _scalar, format_rows, load_csv,
-                   load_schema, seeded_order, split_train_test, synthesize_cf, write_rows)
+from .data import (STREAM_SUBSAMPLE, Dataset, _adopted, _assignments, _read_lines, _scalar,
+                   format_rows, load_csv, load_schema, seeded_order, split_train_test,
+                   synthesize_cf, write_rows)
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
@@ -173,18 +177,11 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
+            with contextlib.closing(_read_lines(path)) as lines:
+                for _, key, value in _assignments(lines, "config"):
+                    _apply(cfg, key, value)
+        except (OSError, DataError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            _apply(cfg, key, value)
     for key, value in overrides.items():
         if value is None:
             continue

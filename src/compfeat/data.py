@@ -25,11 +25,16 @@ typed error that names the first bad row and its column.
 
 This module owns the package's array checks, which every public function
 admits its arrays through: a ragged array, integers given as floats, bools
-or text, reals of another dtype or codes outside 1..u raise typed errors.
+or text, reals of another dtype or codes outside 1..u raise typed errors,
+and so does a matrix of instance vectors or design rows that is not 2-D
+or holds NaN or inf (:func:`_finite_matrix`).
 It also owns the scalar check (:func:`_scalar`), which every public
 function and the configuration admit each count, seed and bounded real
 through: a bool, text, None, NaN, a float where an integer belongs, or a
-value outside its interval raises :class:`DataError`.
+value outside its interval raises :class:`DataError`.  The schema file
+and the configuration file share one line reader (:func:`_assignments`):
+blank lines and ``#`` comments are skipped, and any other line must hold
+``=``.
 """
 
 from __future__ import annotations
@@ -176,6 +181,16 @@ def _real_array(values, name: str, copy: bool = False) -> np.ndarray:
         return arr.astype(np.float64, copy=copy)
 
 
+def _finite_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a 2-D float64 array (:func:`_real_array`) of finite reals."""
+    arr = _real_array(values, name)
+    if arr.ndim != 2:
+        raise ShapeMismatchError(f"{name} must form a 2-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} must be finite")
+    return arr
+
+
 def _scalar(value, name: str, lo, hi=np.inf, ends: str = "[)", integer: bool = False):
     """``value`` as an ``int`` when ``integer``, else as a ``float``, once
     it lies between ``lo`` and ``hi``; ``ends`` brackets the interval,
@@ -202,7 +217,8 @@ def _check_codes(codes: np.ndarray, sizes, name: str):
 
 
 def _adopted(cls, **fields):
-    """An instance of the frozen dataclass ``cls``, :class:`Dataset` or
+    """An instance of the frozen dataclass ``cls``, :class:`Dataset`,
+    :class:`~compfeat.graph.WeightGraph` or
     :class:`~compfeat.propagation.EstimationResult`, that holds the
     arrays it is handed in ``fields``, not copies; a field left out takes
     its default.  Each array must be one its builder made for it, which
@@ -215,7 +231,7 @@ def _adopted(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Column-typed table with optional hidden CF ground truth.
 
@@ -319,21 +335,30 @@ def load_schema(path) -> FeatureSchema:
         return FeatureSchema(tuple(_read_columns(lines)))
 
 
-def _read_columns(lines) -> list[Column]:
-    columns = []
+def _assignments(lines, what: str) -> Iterator[tuple[int, str, str]]:
+    """``(lineno, name, rest)`` of each ``name = rest`` line of ``lines``,
+    numbered from 1, both sides stripped.  Blank lines and ``#`` comments
+    are skipped; any other line without ``=`` raises :class:`ParseError`
+    naming ``what`` and the line."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"schema line {lineno}: missing '='", row=lineno)
+            raise ParseError(f"{what} line {lineno}: missing '='", row=lineno)
         name, rest = line.split("=", 1)
-        parts = rest.strip().split(None, 2)
+        yield lineno, name.strip(), rest.strip()
+
+
+def _read_columns(lines) -> list[Column]:
+    columns = []
+    for lineno, name, rest in _assignments(lines, "schema"):
+        parts = rest.split(None, 2)
         if len(parts) < 2:
             raise ParseError(f"schema line {lineno}: need '<kind> <role>'", row=lineno)
         kind, role = parts[0], parts[1]
         vocab = tuple(parts[2].split("|")) if len(parts) == 3 else ()
-        columns.append(Column(name.strip(), kind, role, vocab))
+        columns.append(Column(name, kind, role, vocab))
     return columns
 
 

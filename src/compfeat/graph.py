@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import _frozen, _integer_array, _real_array, _scalar
+from .data import _adopted, _finite_matrix, _frozen, _integer_array, _real_array, _scalar
 from .encoding import segments_stochastic
 from .errors import DataError, ShapeMismatchError
 
@@ -51,10 +51,13 @@ _KKT_TOL = 1e-14   # times tr(C); well below the ridge (see solve_weights)
 _FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightGraph:
     """Sparse row-stochastic similarity graph (<= k neighbors per row),
     its neighbor lists checked as :func:`solve_weights` checks them.
+    The constructor freezes copies of the arrays it is handed; the
+    package's own builders (:func:`solve_weights`, :func:`stack_graphs`)
+    go through :func:`compfeat.data._adopted` instead.
 
     Besides the (n, k) slots, the graph keeps a compact form of its
     nonzero weights for :func:`propagate_step`, built once here rather
@@ -70,24 +73,17 @@ class WeightGraph:
     weights: np.ndarray    # (n, k) float64, nonnegative, rows sum to 1
 
     def __post_init__(self):
-        self._settle(_neighbor_lists(self.neighbors),
-                     _real_array(self.weights, "weights", copy=True))
+        self._settle(copy=True)
 
-    @classmethod
-    def _adopt(cls, neighbors: np.ndarray, weights: np.ndarray) -> "WeightGraph":
-        """A graph that holds the arrays it is handed, not copies, and
-        freezes them in place: (n, k) int64 neighbor lists that its
-        builder made from lists :func:`_neighbor_lists` checked, and float64
-        weights.  Every check that copies neither array runs again; the
-        copy and the sort of the constructor's checks do not."""
-        _check_indices(neighbors)
-        graph = object.__new__(cls)
-        graph._settle(neighbors, weights)
-        return graph
-
-    def _settle(self, nb: np.ndarray, w: np.ndarray):
-        """Check the weights against the checked neighbor lists ``nb``,
-        freeze and keep both, and build the compact form."""
+    def _settle(self, copy: bool):
+        """Check both fields, freeze the arrays, or copies of them when
+        ``copy``, and build the compact form.  Adopted neighbor lists
+        (``copy=False``) must be (n, k) int64 lists that their builder made
+        from lists :func:`_neighbor_lists` checked: every check that copies
+        neither array runs again on them, but the copy and the sort of
+        :func:`_neighbor_lists` do not."""
+        nb = _neighbor_lists(self.neighbors) if copy else _check_indices(self.neighbors)
+        w = _real_array(self.weights, "weights", copy)
         if w.shape != nb.shape:
             raise ShapeMismatchError("neighbors and weights must share an (n, k) shape")
         if not segments_stochastic(w, [w.shape[1]]):
@@ -161,7 +157,7 @@ def knn(x: np.ndarray, k: int) -> np.ndarray:
     in their gathered (rows, c, d) vectors.  The neighbors do not depend
     on the block size.
     """
-    x = _vectors(x)
+    x = _finite_matrix(x, "instance vectors")
     n, d = x.shape
     if n < 2:
         raise DataError("k-NN needs at least 2 instances")
@@ -207,16 +203,6 @@ def _knn_rows(n: int) -> int:
     return max(1, min(_KNN_BLOCK, _KNN_ELEMENTS // n))
 
 
-def _vectors(x: np.ndarray) -> np.ndarray:
-    """``x`` as an (n, d) float64 array of finite instance vectors."""
-    arr = _real_array(x, "instance vectors")
-    if arr.ndim != 2:
-        raise ShapeMismatchError("expected a 2-D array of instance vectors")
-    if not np.isfinite(arr).all():
-        raise DataError("instance vectors must be finite")
-    return arr
-
-
 def _neighbor_lists(neighbors: np.ndarray, n: int | None = None) -> np.ndarray:
     """``neighbors``, given as integers, as a new, checked (n, k) int64
     array; n defaults to its rows."""
@@ -233,13 +219,14 @@ def _neighbor_lists(neighbors: np.ndarray, n: int | None = None) -> np.ndarray:
     return nb
 
 
-def _check_indices(nb: np.ndarray):
-    """Refuse (n, k) int64 neighbor lists holding an index out of range or
-    a row's own index, copying neither."""
+def _check_indices(nb: np.ndarray) -> np.ndarray:
+    """``nb``, (n, k) int64 neighbor lists, once no index is out of range
+    or a row's own; nothing is copied."""
     if nb.min() < 0 or nb.max() >= nb.shape[0]:
         raise DataError("neighbor index out of range")
     if np.any(nb == np.arange(nb.shape[0])[:, None]):
         raise DataError("self loops are not allowed")
+    return nb
 
 
 def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
@@ -278,8 +265,9 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
 
     ``neighbors`` is checked before anything is gathered, as
     :class:`WeightGraph` checks it, with n = len(x), and the graph
-    adopts that checked copy and the weights (:meth:`WeightGraph._adopt`).  Rows are solved in
-    blocks of ``_SOLVE_BLOCK`` rows, each by one batched active set
+    adopts that checked copy and the weights
+    (:func:`compfeat.data._adopted`).  Rows are solved in blocks of
+    ``_SOLVE_BLOCK`` rows, each by one batched active set
     (:func:`_solve_block`).  A block gathers its rows' (rows, k, d)
     neighbor vectors, subtracts them from x_i in place to form the
     offsets, and forms their (rows, k, k) Grams; the offsets are freed
@@ -287,7 +275,7 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
     (rows, k) iterates.  Rows whose gradient at uniform weights is flat
     (all neighbors coincide with each other) keep exactly uniform weights.
     """
-    x = _vectors(x)
+    x = _finite_matrix(x, "instance vectors")
     nb = _neighbor_lists(neighbors, x.shape[0])
     n, k = nb.shape
     h = np.empty((n, k))
@@ -298,7 +286,7 @@ def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> WeightGraph:
         gram = offsets @ offsets.transpose(0, 2, 1)
         del offsets  # the active set needs only the Gram
         h[rows] = _solve_block(gram)
-    return WeightGraph._adopt(nb, h)
+    return _adopted(WeightGraph, neighbors=nb, weights=h)
 
 
 def _solve_block(gram: np.ndarray) -> np.ndarray:
@@ -407,7 +395,7 @@ def optimality_gap(x: np.ndarray, g: WeightGraph) -> np.ndarray:
 
 
 def _weight_gradients(x: np.ndarray, g: WeightGraph) -> np.ndarray:
-    x = _vectors(x)
+    x = _finite_matrix(x, "instance vectors")
     a = x[g.neighbors]
     gram_h = (a @ a.transpose(0, 2, 1) @ g.weights[..., None])[..., 0]
     return gram_h - (a * x[:, None, :]).sum(axis=-1)
@@ -429,5 +417,6 @@ def stack_graphs(graphs: Sequence[WeightGraph]) -> WeightGraph:
     if _scalar(len(graphs), "graph count", 1, integer=True) == 1:
         return graphs[0]
     offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
-    return WeightGraph._adopt(np.concatenate([g.neighbors + o for g, o in zip(graphs, offsets)]),
-                              np.concatenate([g.weights for g in graphs]))
+    return _adopted(WeightGraph,
+                    neighbors=np.concatenate([g.neighbors + o for g, o in zip(graphs, offsets)]),
+                    weights=np.concatenate([g.weights for g in graphs]))

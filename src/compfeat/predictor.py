@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_codes, _frozen, _integer_array, _real_array, _scalar
+from .data import Dataset, _check_codes, _finite_matrix, _frozen, _integer_array, _scalar
 from .encoding import _one_hot_into, encode_of
 from .errors import DataError, ShapeMismatchError, SingleClassError
 from .propagation import EstimationResult, init_marginal
@@ -35,7 +35,9 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
     array is allocated once: :func:`encode_of` is copied into its first
     columns, and the CF blocks into the rest, where ``ord`` and ``hard``
     write their one-hot in place.  It equals ``np.hstack`` of the OF
-    encoding and the stacked block, bit for bit.
+    encoding and the stacked block, bit for bit.  Every part is finite as
+    its maker admits it, so the design is not checked again here;
+    :func:`train` and :func:`predict` check whatever they are handed.
     """
     if mode not in MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -56,8 +58,6 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
     else:
         _one_hot_into(block, ds.cf_truth if mode == "ord" else result.hard_estimates,
                       ds.schema.cf_sizes)
-    if not np.isfinite(design).all():
-        raise DataError("design matrix must be finite")
     return _frozen(design)
 
 
@@ -65,7 +65,7 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
 # Logistic regression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LrModel:
     weights: np.ndarray
     bias: float
@@ -95,12 +95,10 @@ def train(x, y: np.ndarray, l2: float = 1e-4) -> LrModel:
     step of the line search lowers the loss any further.  ``y`` holds the
     label codes, integers in {1, 2}, of the rows of the (n, d) design ``x``.
     """
-    mat = _real_array(x, "design matrix")
+    mat = _finite_matrix(x, "design matrix")
     y = _integer_array(y, "labels")
-    if mat.ndim != 2 or y.shape != mat.shape[:1]:
+    if y.shape != mat.shape[:1]:
         raise ShapeMismatchError(f"labels of shape {y.shape} do not fit a design {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise DataError("design matrix must be finite")
     _check_codes(y, 2, "labels")
     # min/max, not np.unique, which imports numpy.ma on its first call.
     if y.size == 0 or y.min() == y.max():
@@ -168,11 +166,9 @@ def _backtrack(params, direction, loss, grad, mat, targets, l2):
 def predict(model: LrModel, x) -> np.ndarray:
     """Probability of label code 2 for each row of the (n, d) design
     ``x``, which must be finite, as in :func:`train`."""
-    mat = _real_array(x, "design matrix")
-    if mat.ndim != 2 or mat.shape[1] != model.weights.size:
+    mat = _finite_matrix(x, "design matrix")
+    if mat.shape[1] != model.weights.size:
         raise ShapeMismatchError(f"a design {mat.shape} does not fit {model.weights.size} weights")
-    if not np.isfinite(mat).all():
-        raise DataError("design matrix must be finite")
     return _sigmoid(mat @ model.weights + model.bias)
 
 

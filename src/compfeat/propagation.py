@@ -82,7 +82,7 @@ from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchEr
 from .graph import WeightGraph, build_graph, propagate_step, stack_graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationResult:
     """Final confidences and hard estimates for every CF.
 
@@ -97,6 +97,8 @@ class EstimationResult:
     (:meth:`load`, the estimation procedures and
     :func:`compfeat.cli.restrict_to_subset`) make the arrays for the
     result and go through :func:`compfeat.data._adopted` instead.
+    ``cf_names`` must be a list or tuple of ``str``, ``method`` a ``str``
+    and ``hyperparams`` a ``dict``.
     """
 
     cf_names: tuple[str, ...]
@@ -111,6 +113,11 @@ class EstimationResult:
 
     def _settle(self, copy: bool):
         """Check every field and freeze the arrays, or copies of them when ``copy``."""
+        if not (isinstance(self.cf_names, (list, tuple))
+                and all(isinstance(name, str) for name in self.cf_names)
+                and isinstance(self.method, str) and isinstance(self.hyperparams, dict)):
+            raise DataError("a result needs a list or tuple of str CF names, a str method "
+                            "and a dict of hyperparameters")
         names = tuple(self.cf_names)
         hard = _code_array(self.hard_estimates, "hard estimates", copy)
         if hard.ndim != 2 or hard.shape[1] != len(names):
@@ -181,11 +188,11 @@ class EstimationResult:
         uncompressed and unencrypted, with a header whose shape accounts
         for exactly its member's bytes, and have the dtype and number of
         dimensions that :meth:`save` writes; ``meta`` must hold a JSON
-        object with a list of CF names and their widths, and the result
-        must pass the constructor's checks, which admit each width as a
-        positive integer.  A file that does not, or is not a readable zip
-        archive, raises :class:`DataError`, as does one whose stored
-        ``expect`` keys are missing or differ.
+        object whose method, hyperparameters, CF names and widths pass the
+        constructor's checks, as every result's fields do.  A file that
+        does not, or is not a readable zip archive, raises
+        :class:`DataError`, as does one whose stored ``expect`` keys are
+        missing or differ.
         """
         try:
             with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
@@ -196,11 +203,7 @@ class EstimationResult:
                 raise DataError("expected float64 confidences and int64 hard estimates, "
                                 "both 2-d, and a 0-d unicode meta")
             doc = json.loads(meta.item())
-            names, sizes = doc["cf_names"], doc["sizes"]
-            if not (isinstance(names, list) and all(isinstance(s, str) for s in names)
-                    and isinstance(doc["method"], str) and isinstance(doc["hyperparams"], dict)):
-                raise DataError("meta needs a method, hyperparameters and CF names")
-            result = _adopted(cls, cf_names=names, sizes=sizes, confidences=q,
+            result = _adopted(cls, cf_names=doc["cf_names"], sizes=doc["sizes"], confidences=q,
                               hard_estimates=hard, method=doc["method"],
                               hyperparams=doc["hyperparams"])
         # zipfile raises NotImplementedError for an unsupported zip version or

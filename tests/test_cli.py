@@ -666,6 +666,15 @@ class TestExitCodes:
         assert err.startswith("configuration error:")
         assert (line.split("=")[0].strip() or command[-2].lstrip("-").replace("-", "_")) in err
 
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        """A config line that is neither blank, a comment nor ``key = value``
+        is a configuration error that names the line."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# estimate with k = 5\nk 5\n")
+        assert main(["estimate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "config line 2" in err
+
     def test_evaluate_refuses_a_method_missing_some_seeds(self, bank_csv, capsys):
         """A method estimated for only some of the seeds is refused with
         exit 3, naming its first missing file, not dropped from the report."""

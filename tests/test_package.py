@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,9 @@ ROWS = aggregate_cf_scores([[SCORE_C, SCORE_D]])
     (lambda: macro_f1(np.array([1, 2, 1]), np.array([1, 2]), 2), ShapeMismatchError),
     (lambda: train(X, np.array([1.0, 1.7, 2.0, 2.2])), DataError),
     (lambda: train(X, np.array([1, 2, 1])), ShapeMismatchError),
+    (lambda: train(X[:, 0], np.array([1, 2, 1, 2])), ShapeMismatchError),
+    (lambda: train(np.where(X > 0, np.inf, X), np.array([1, 2, 1, 2])), DataError),
+    (lambda: knn(X[:, 0], 2), ShapeMismatchError),
     (lambda: predict(MODEL, np.ones((3, 3))), ShapeMismatchError),
     (lambda: predict(MODEL, TEXT_X), DataError),
     (lambda: predict(MODEL, np.array([[0.0, np.nan]])), DataError),
@@ -86,7 +91,7 @@ ROWS = aggregate_cf_scores([[SCORE_C, SCORE_D]])
         "propagate_step-ragged", "propagate_step-text", "propagate_step-1d",
         "correct-ragged", "correct-text", "score_labels-float-truth",
         "score_labels-codes-0-and-3", "macro_f1-ragged", "macro_f1-lengths", "train-float-labels",
-        "train-lengths", "predict-width", "predict-text", "predict-nan-design",
+        "train-lengths", "train-1d-design", "train-inf-design", "knn-1d", "predict-width", "predict-text", "predict-nan-design",
         "score_labels-nan-probability", "score_labels-probability-7", "subset-index-past-rows",
         "subset-index-negative", "one_hot-code-0", "one_hot-code-past-width",
         "one_hot-float-codes", "one_hot-1d-codes",
@@ -129,6 +134,9 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
     (lambda: one_hot(np.array([[1], [2]]), (2.5,)), DataError),
     (lambda: EstimationResult(sizes=("x",), **RESULT), DataError),
     (lambda: EstimationResult(sizes=(3.7,), **RESULT), DataError),
+    (lambda: EstimationResult(sizes=(3,), **{**RESULT, "cf_names": "c"}), DataError),
+    (lambda: EstimationResult(sizes=(3,), **{**RESULT, "method": 3}), DataError),
+    (lambda: EstimationResult(sizes=(3,), **{**RESULT, "hyperparams": "x"}), DataError),
     (lambda: macro_f1(np.array([1, 2]), np.array([1, 2]), 2.5), DataError),
     (lambda: macro_f1(np.array([1, 2]), np.array([1, 2]), "2"), DataError),
     (lambda: run_equivalence_suite(2.5), DataError),
@@ -148,7 +156,8 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
         *(f"{fn}-seed-{seed}" for fn in SEEDED for seed in SEEDS),
         "split_train_test-fraction-None", "seeded_order-n-2.5", "train-l2-None",
         "train-l2-text", "encode_with_confidence-gamma-None", "one_hot-size-2.5",
-        "EstimationResult-size-text", "EstimationResult-size-3.7", "macro_f1-n_classes-2.5",
+        "EstimationResult-size-text", "EstimationResult-size-3.7", "EstimationResult-names-text",
+        "EstimationResult-method-int", "EstimationResult-hyperparams-text", "macro_f1-n_classes-2.5",
         "macro_f1-n_classes-text", "run_equivalence_suite-count-2.5", "stack_graphs-none",
         "correct-size-2.5", "assemble-mode-None", "block-index--1", "block-index-past-CFs",
         "make_bank_like-n-2.5", "make_bank_like-seed--1", "make_bank_like-seed-1.5",
@@ -161,3 +170,14 @@ def test_malformed_scalar_arguments_raise_typed_errors(call, error):
     builtin error and not a silent result."""
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("holder", [DS, GRAPH, EstimationResult(sizes=(3,), **RESULT), MODEL],
+                         ids=["Dataset", "WeightGraph", "EstimationResult", "LrModel"])
+def test_array_holders_compare_by_identity(holder):
+    """A class that holds arrays compares and hashes by identity, as
+    field-wise comparison of its arrays has no single truth value: an
+    instance hashes, sits in a set and equals itself, and no copy of it."""
+    assert hash(holder) == hash(holder) and holder in {holder}
+    assert holder == holder
+    assert holder != dataclasses.replace(holder)

@@ -16,7 +16,7 @@ from compfeat.encoding import encode_of
 from compfeat import propagation
 from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.graph import WeightGraph, build_graph
-from compfeat.oracle import make_bank_like
+from compfeat.oracle import make_bank_like, make_smooth_synthetic
 from compfeat.propagation import (
     EstimationResult,
     correct,
@@ -565,6 +565,32 @@ class TestRunIpal:
         res = run_ipal(ds, T=5, k=4, alpha=0.9)
         np.testing.assert_array_equal(res.hard_estimates,
                                       hard_from_blocks(res.confidences, res.sizes))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_converges_as_its_affine_step_implies(self, monkeypatch, seed):
+        """The step Q_t = alpha W Q_(t-1) + (1 - alpha) Q_0, W row-stochastic,
+        contracts by alpha in the max norm.  So, up to rounding, each
+        step's largest change is at most alpha times the one before, and
+        Q_T lies within alpha / (1 - alpha) times its last change of the
+        fixed point Q* = (1 - alpha) (I - alpha W)^-1 Q_0."""
+        rng = np.random.default_rng(seed)
+        n, k, T = int(rng.integers(12, 41)), int(rng.integers(2, 9)), int(rng.integers(3, 31))
+        alpha = float(rng.uniform(0.05, 0.9))
+        ds, _ = make_smooth_synthetic(n, [3, 5], 2, 1.0, seed)
+        seen = []
+        step = propagation.propagate_step
+        monkeypatch.setattr(propagation, "propagate_step",
+                            lambda graph, q: seen.append(q) or step(graph, q))
+        last = run_ipal(ds, T=T, k=k, alpha=alpha).confidences
+        qs = [*seen, last]
+        assert len(qs) == T + 1
+        eps = np.finfo(np.float64).eps
+        changes = [np.abs(after - before).max() for before, after in zip(qs, qs[1:])]
+        for before, after in zip(changes, changes[1:]):
+            assert after <= alpha * before + 8 * eps
+        w = build_graph(encode_of(ds), k).to_dense()
+        fixed = np.linalg.solve(np.eye(n) - alpha * w, (1 - alpha) * qs[0])
+        assert np.abs(last - fixed).max() <= alpha / (1 - alpha) * changes[-1] + 64 * eps
 
 
 def seed_datasets(S, subsample):
