@@ -461,8 +461,9 @@ def predict_seed(cfg: ExperimentConfig, source: Dataset, seed: int) -> float:
 
     The design is cut into its train and test rows and dropped before
     :func:`train`: while training runs, the seed's dataset, both row
-    sets and training's own arrays are alive, but no estimation result
-    and no whole design.  The train rows are dropped before
+    sets, training's vectors of one entry per row and its row-block
+    temporaries are alive, but no estimation result, no whole design and
+    no copy of the train rows.  The train rows are dropped before
     :func:`predict`.
     """
     ds = experiment_dataset(cfg, source, seed)

@@ -10,7 +10,10 @@ whose content depends on the input mode:
 
 Training is deterministic damped Newton (IRLS) with Armijo backtracking
 on the full batch, so the loss trace never increases and runs are
-reproducible without seed bookkeeping.
+reproducible without seed bookkeeping.  Its working set is the design it
+is handed, a few vectors of one entry per row, and row-block temporaries
+of a fixed size: the bias is added to each score, not stored as a column
+of ones, and the Hessian is summed over blocks of rows.
 """
 
 from __future__ import annotations
@@ -94,6 +97,13 @@ def train(x, y: np.ndarray, l2: float = 1e-4) -> LrModel:
     at stationarity: once the gradient is at rounding level, or once no
     step of the line search lowers the loss any further.  ``y`` holds the
     label codes, integers in {1, 2}, of the rows of the (n, d) design ``x``.
+
+    The bias enters every score as ``x @ w + b``, not through a column of
+    ones, and the Hessian is summed over row blocks (:func:`_hessian`).
+    So beside the float64 design, which is ``x`` itself when ``x`` is
+    float64, training holds vectors of one entry per row, temporaries of
+    at most ``_BLOCK_ELEMENTS`` entries and, while it checks that the
+    design is finite, one boolean mask of it.
     """
     mat = _finite_matrix(x, "design matrix")
     y = _integer_array(y, "labels")
@@ -106,21 +116,17 @@ def train(x, y: np.ndarray, l2: float = 1e-4) -> LrModel:
     targets = (y == 2).astype(np.float64)
     l2 = _scalar(l2, "l2", 0)
 
-    n = mat.shape[0]
-    design = np.hstack([mat, np.ones((n, 1))])
-    ridge = np.full(design.shape[1], float(l2))
-    ridge[-1] = 0.0
     # Gradient entries are means of terms bounded by the largest |x_ij|.
-    grad_tol = _GRAD_RTOL * max(1.0, float(np.abs(mat).max(initial=0.0)))
-    params = np.zeros(design.shape[1])
+    grad_tol = _GRAD_RTOL * max(1.0, -float(mat.min(initial=0.0)), float(mat.max(initial=0.0)))
+    params = np.zeros(mat.shape[1] + 1)
     loss, grad = loss_and_grad(params, mat, targets, l2)
     trace = [loss]
     for _ in range(_MAX_ITERS):
         if np.abs(grad).max() <= grad_tol:
             break
-        prob = _sigmoid(design @ params)
-        hess = (design.T * (prob * (1.0 - prob))) @ design / n
-        hess[np.diag_indices_from(hess)] += ridge
+        prob = _sigmoid(mat @ params[:-1] + params[-1])
+        hess = _hessian(mat, prob * (1.0 - prob))
+        hess[np.diag_indices(mat.shape[1])] += l2  # the bias, last, is unregularized
         # Least squares, because the Hessian is singular when l2 = 0 and
         # columns are collinear (the columns of every CF block sum to the
         # bias column); the gradient then lies in its range.
@@ -139,6 +145,26 @@ def train(x, y: np.ndarray, l2: float = 1e-4) -> LrModel:
 _ARMIJO = 1e-4      # required fraction of the decrease that the slope predicts
 _GRAD_RTOL = 1e-12  # stationarity, relative to the largest design entry
 _MAX_ITERS = 500
+_BLOCK_ELEMENTS = 1 << 14  # entries of one row block's Hessian temporary
+
+
+def _hessian(mat: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``(Dᵀ diag(s) D) / n`` of the design ``D = [mat, 1]``, its bias last.
+
+    That is ``[XᵀSX, XᵀS1; 1ᵀSX, Σs] / n`` for ``X = mat`` and
+    ``S = diag(s)``.  ``XᵀSX`` is summed over blocks of rows whose scaled
+    copy holds at most ``_BLOCK_ELEMENTS`` entries (one row at the least);
+    ``XᵀS1`` is one matrix-vector product, with no temporary.
+    """
+    n, d = mat.shape
+    hess = np.zeros((d + 1, d + 1))
+    rows = max(1, _BLOCK_ELEMENTS // (d + 1))
+    for start in range(0, n, rows):
+        block = mat[start:start + rows]
+        hess[:d, :d] += (block.T * s[start:start + rows]) @ block
+    hess[:d, d] = hess[d, :d] = mat.T @ s
+    hess[d, d] = s.sum()
+    return hess / n
 
 
 def _backtrack(params, direction, loss, grad, mat, targets, l2):

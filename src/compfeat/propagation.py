@@ -113,11 +113,11 @@ class EstimationResult:
 
     def _settle(self, copy: bool):
         """Check every field and freeze the arrays, or copies of them when ``copy``."""
-        if not (isinstance(self.cf_names, (list, tuple))
+        if not (isinstance(self.cf_names, (list, tuple)) and isinstance(self.sizes, (list, tuple))
                 and all(isinstance(name, str) for name in self.cf_names)
                 and isinstance(self.method, str) and isinstance(self.hyperparams, dict)):
-            raise DataError("a result needs a list or tuple of str CF names, a str method "
-                            "and a dict of hyperparameters")
+            raise DataError("a result needs a list or tuple of str CF names, a list or tuple "
+                            "of CF widths, a str method and a dict of hyperparameters")
         names = tuple(self.cf_names)
         hard = _code_array(self.hard_estimates, "hard estimates", copy)
         if hard.ndim != 2 or hard.shape[1] != len(names):

@@ -202,9 +202,10 @@ def comp_estimate_20000(tmp_path_factory):
 @pytest.mark.parametrize("mode", cli.MODES)
 def test_predict_seed_memory_is_a_small_multiple_of_the_design(comp_estimate_20000, mode):
     """On 20,000 rows, a seed's traced peak stays within 2.7x the design's
-    bytes (2.26-2.60x measured): the design is built in place, and only
-    its train and test rows outlive the split.  Training beside the whole
-    design and a separate one-hot block took 2.76-3.13x."""
+    bytes (2.17-2.60x measured): the design is built in place, only its
+    train and test rows outlive the split, and training copies neither.
+    Training beside the whole design and a separate one-hot block took
+    2.76-3.13x; training through a ones-augmented copy, 2.26x for ord."""
     cfg = dataclasses.replace(comp_estimate_20000, mode=mode)
     source = cli.load_source(cfg)
     design_bytes = cli.assemble(cli.experiment_dataset(cfg, source, 0), "comp").nbytes

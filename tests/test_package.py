@@ -134,6 +134,8 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
     (lambda: one_hot(np.array([[1], [2]]), (2.5,)), DataError),
     (lambda: EstimationResult(sizes=("x",), **RESULT), DataError),
     (lambda: EstimationResult(sizes=(3.7,), **RESULT), DataError),
+    (lambda: EstimationResult(sizes=3, **RESULT), DataError),
+    (lambda: EstimationResult(sizes=None, **RESULT), DataError),
     (lambda: EstimationResult(sizes=(3,), **{**RESULT, "cf_names": "c"}), DataError),
     (lambda: EstimationResult(sizes=(3,), **{**RESULT, "method": 3}), DataError),
     (lambda: EstimationResult(sizes=(3,), **{**RESULT, "hyperparams": "x"}), DataError),
@@ -156,7 +158,8 @@ RESULT = dict(cf_names=("c",), confidences=Q, hard_estimates=np.ones((4, 1), dty
         *(f"{fn}-seed-{seed}" for fn in SEEDED for seed in SEEDS),
         "split_train_test-fraction-None", "seeded_order-n-2.5", "train-l2-None",
         "train-l2-text", "encode_with_confidence-gamma-None", "one_hot-size-2.5",
-        "EstimationResult-size-text", "EstimationResult-size-3.7", "EstimationResult-names-text",
+        "EstimationResult-size-text", "EstimationResult-size-3.7", "EstimationResult-sizes-int",
+        "EstimationResult-sizes-none", "EstimationResult-names-text",
         "EstimationResult-method-int", "EstimationResult-hyperparams-text", "macro_f1-n_classes-2.5",
         "macro_f1-n_classes-text", "run_equivalence_suite-count-2.5", "stack_graphs-none",
         "correct-size-2.5", "assemble-mode-None", "block-index--1", "block-index-past-CFs",
