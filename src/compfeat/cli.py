@@ -58,8 +58,9 @@ holds none of its results while the next group runs.  An interrupted
 run leaves the files of the groups that finished, and ``evaluate``
 refuses a method whose files exist for only some of its seeds.
 
-Every command but ``oracle`` reads the source CSV and needs at least 2
-rows in it.  Seed s's dataset holds the source rows with observed CF
+Every command but ``oracle`` reads the source table, parsed from the
+CSV or read from the source cache below, and needs at least 2 rows in
+it.  Seed s's dataset holds the source rows with observed CF
 values drawn for s (:func:`~compfeat.data.synthesize_cf`).  When
 ``max_n`` is set below the source's row count, it keeps only the
 ``max_n`` rows that come first in ``seeded_order(s, n,
@@ -81,6 +82,23 @@ gamma sweep, or a T sweep in ascending order, holds per group of seeds
 their (sum n, sum u_j) float64 round-1 confidences from one point to
 the next, 9.4 MB per paper-scale seed; ``estimate`` runs one point and
 holds none.
+
+The source cache, ``source.npz`` in ``out``, spares the commands after
+the first one in an output directory from parsing the source CSV again.
+It is one uncompressed ``np.savez`` archive of the table
+:func:`load_csv` returned: the OF arrays ``of0``, ``of1``, ... in schema
+order, ``labels`` and ``cf_truth``, and in ``meta`` the JSON of the
+schema columns' vocabularies, inferred ones filled in, and of the key.
+The key is a format tag and the SHA-256 digests of the CSV's and of the
+schema file's bytes.  A command reads the table from the cache, through
+the package's one archive reader (:func:`compfeat.data._read_arrays`),
+when the key matches; the table is then admitted through the same checks
+as a parsed one.  Anything else is a miss: no archive, an unreadable or
+malformed one, one keyed to other inputs.  On a miss the command parses
+the CSV, and every command that reads the source, ``evaluate`` too,
+writes the cache when ``out`` exists, through a temporary file that
+replaces the old archive.  Neither a miss nor a failed write changes
+what a command does, writes elsewhere or raises.
 
 A process enters through :func:`run`, both as the ``compfeat`` console
 script and as ``python -m compfeat.cli``.  Before it calls :func:`main`,
@@ -107,6 +125,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -114,9 +133,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import (STREAM_SUBSAMPLE, Dataset, _adopted, _assignments, _read_lines, _scalar,
-                   format_rows, load_csv, load_schema, seeded_order, split_train_test,
-                   synthesize_cf, write_rows)
+from .data import (_ARCHIVE_ERRORS, STREAM_SUBSAMPLE, Column, Dataset, FeatureSchema, _adopted,
+                   _assignments, _read_arrays, _read_lines, _scalar, format_rows, load_csv,
+                   load_schema, seeded_order, split_train_test, synthesize_cf, write_rows)
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
@@ -213,11 +232,20 @@ def _apply(cfg: ExperimentConfig, key: str, value: str):
 # Shared pipeline pieces
 
 
-def load_source(cfg: ExperimentConfig) -> Dataset:
-    """Read the schema and the source CSV; done once per command.
+# The source cache's format tag, part of its key: bump it when what
+# load_csv returns for the same bytes, or the archive's layout, changes.
+_SOURCE_FORMAT = "compfeat-source-1"
 
-    ``estimate_only`` names that are not CFs of the schema are a
-    configuration error; a source of fewer than 2 rows is a data error.
+
+def load_source(cfg: ExperimentConfig) -> Dataset:
+    """Read the schema and the source table; done once per command.
+
+    The table is the source cache's, ``<out>/source.npz``, when that
+    holds it under the key of the CSV's and schema's bytes; otherwise
+    :func:`load_csv` parses it and the cache is rewritten (see the module
+    docstring).  ``estimate_only`` names that are not CFs of the schema
+    are a configuration error; a source of fewer than 2 rows is a data
+    error.
     """
     if not cfg.data or not cfg.schema:
         raise ConfigError("config needs both 'data' and 'schema' paths")
@@ -225,10 +253,50 @@ def load_source(cfg: ExperimentConfig) -> Dataset:
     unknown = set(cfg.estimate_only) - {c.name for c in schema.cf_columns}
     if unknown:
         raise ConfigError(f"estimate_only names not in schema: {sorted(unknown)}")
-    source = load_csv(cfg.data, schema)
+    path = os.path.join(cfg.out, "source.npz")
+    key = [_SOURCE_FORMAT, _sha256_file(cfg.data), _sha256_file(cfg.schema)]
+    try:
+        source = _cached_source(path, key, schema)
+    except _ARCHIVE_ERRORS:
+        source = load_csv(cfg.data, schema)
+        _cache_source(path, key, source)
     if source.n < 2:
         raise DataError(f"{cfg.data} has {source.n} rows; at least 2 are needed")
     return source
+
+
+def _cached_source(path: str, key: list, schema: FeatureSchema) -> Dataset:
+    """The table that the source cache at ``path`` holds under ``key`` for
+    ``schema``, its vocabularies filled in from the cache.  A cache that
+    does not hold one raises one of ``_ARCHIVE_ERRORS``."""
+    meta, labels, cf_truth, *of_values = _read_arrays(
+        path, ["meta", "labels", "cf_truth", *(f"of{i}" for i in range(len(schema.of_columns)))])
+    doc = json.loads(meta.item())
+    if doc["key"] != key:
+        raise DataError(f"{path} holds the table of other inputs")
+    columns = (Column(c.name, c.kind, c.role, tuple(vocabulary))
+               for c, vocabulary in zip(schema.columns, doc["vocabularies"], strict=True))
+    return _adopted(Dataset, schema=FeatureSchema(tuple(columns)), of_values=tuple(of_values),
+                    labels=labels, cf_truth=cf_truth)
+
+
+def _cache_source(path: str, key: list, source: Dataset):
+    """Write ``source`` to the source cache at ``path`` under ``key``:
+    to a temporary file in its directory, which then replaces ``path``.
+    When the directory does not exist, or a write fails, nothing is
+    written, no temporary file is left and nothing is raised."""
+    meta = {"key": key, "vocabularies": [list(c.vocabulary) for c in source.schema.columns]}
+    with contextlib.suppress(OSError):
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+        try:
+            with open(fd, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta)), labels=source.labels,
+                         cf_truth=source.cf_truth,
+                         **{f"of{i}": values for i, values in enumerate(source.of_values)})
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def subsamples(cfg: ExperimentConfig, source: Dataset) -> bool:

@@ -34,7 +34,9 @@ through: a bool, text, None, NaN, a float where an integer belongs, or a
 value outside its interval raises :class:`DataError`.  The schema file
 and the configuration file share one line reader (:func:`_assignments`):
 blank lines and ``#`` comments are skipped, and any other line must hold
-``=``.
+``=``.  The package reads every ``np.savez`` archive through one reader
+(:func:`_read_arrays`), which refuses what :func:`_read_member` lists and
+unpickles nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
+import os
+import tokenize
+import zipfile
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from types import SimpleNamespace
@@ -51,6 +57,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
+    CompfeatError,
     DataError,
     MissingColumnError,
     MissingTruthError,
@@ -186,7 +193,8 @@ def _finite_matrix(values, name: str) -> np.ndarray:
     arr = _real_array(values, name)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must form a 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # min and max propagate NaN, and unlike isfinite(arr) make no temporary as large as arr.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise DataError(f"{name} must be finite")
     return arr
 
@@ -380,6 +388,62 @@ def save_schema(schema: FeatureSchema, path):
 
 
 # ---------------------------------------------------------------------------
+# Archive I/O
+
+# What reading a malformed archive, or the fields stored in it, raises.
+# zipfile raises NotImplementedError for an unsupported zip version or
+# flag; numpy's fallback parse of a header that is not a literal raises
+# TokenError, and json raises RecursionError for a document nested too
+# deep.
+_ARCHIVE_ERRORS = (OSError, EOFError, zipfile.BadZipFile, NotImplementedError, RecursionError,
+                   tokenize.TokenError, ValueError, KeyError, TypeError, CompfeatError)
+
+
+def _read_arrays(path, names) -> list[np.ndarray]:
+    """The arrays ``names`` of the ``np.savez`` archive at ``path``, each
+    read by :func:`_read_member`."""
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+        size = os.fstat(fh.fileno()).st_size
+        return [_read_member(archive, name, size) for name in names]
+
+
+def _read_member(archive: zipfile.ZipFile, name: str, archive_size: int) -> np.ndarray:
+    """Array ``name`` of ``archive``, read in one pass over its member.
+
+    The member must be stored uncompressed and unencrypted within the
+    archive's ``archive_size`` bytes, and its ``.npy`` header be of
+    version 1.0 or 2.0, describe no Python objects, and have a shape that
+    accounts for exactly the member's data; so no header makes this
+    allocate more than the file holds, no zip decompressor runs and
+    nothing is unpickled.  The data are then read into the array the
+    header describes, ``BUFFER_SIZE`` bytes at a time, and a member that
+    ends before them is refused.  Read to its end, the member has its zip
+    CRC checked, so a changed byte raises ``zipfile.BadZipFile``.
+    """
+    info = archive.getinfo(f"{name}.npy")
+    if (info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
+            or not info.compress_size == info.file_size <= archive_size):
+        raise DataError(f"array {name} is not stored uncompressed and unencrypted "
+                        f"within the archive's {archive_size} bytes")
+    with archive.open(info) as fp:
+        version = np.lib.format.read_magic(fp)
+        if version not in ((1, 0), (2, 0)):
+            raise DataError(f"array {name} has a .npy header of version {version}")
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, fortran, dtype = read_header(fp)
+        data_size = info.file_size - fp.tell()
+        if dtype.hasobject or math.prod(shape) * dtype.itemsize != data_size:
+            raise DataError(f"array {name}'s header shape {shape} of {dtype} does not fit "
+                            f"its {data_size} bytes of data, or holds Python objects")
+        array = np.ndarray(shape, dtype, order="F" if fortran else "C")
+        data, step = array.reshape(-1, order="A").view(np.uint8), np.lib.format.BUFFER_SIZE
+        if sum(fp.readinto(data[i:i + step]) for i in range(0, data_size, step)) != data_size:
+            raise DataError(f"array {name} ends before its {data_size} bytes of data")
+    return array
+
+
+# ---------------------------------------------------------------------------
 # CSV I/O
 
 
@@ -418,6 +482,12 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     5. in schema order, a column's first bad cell: a quantitative cell
        that is not a finite number (:class:`ParseError`) or a value
        outside a declared vocabulary (:class:`UnknownCategoryError`).
+
+    Commands keep the table this returns in a source cache, which they
+    read in its place while the CSV's and schema's bytes are unchanged
+    (see :mod:`compfeat.cli`).  A change to what this returns for the
+    same bytes must bump the cache's format tag,
+    ``compfeat.cli._SOURCE_FORMAT``.
     """
     # A caller that keeps a raised error keeps, through its traceback,
     # the reader and its open file; so the file is closed as the error

@@ -63,10 +63,6 @@ call shares as above, and one per seed and point in round 2.
 from __future__ import annotations
 
 import json
-import math
-import os
-import tokenize
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -75,10 +71,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import (STREAM_GUESS, Dataset, _adopted, _check_codes, _code_array, _frozen,
-                   _real_array, _scalar, complement_draws)
+from .data import (_ARCHIVE_ERRORS, STREAM_GUESS, Dataset, _adopted, _check_codes, _code_array,
+                   _frozen, _read_arrays, _real_array, _scalar, complement_draws)
 from .encoding import encode_of, encode_with_confidence, segment_starts, segments_stochastic
-from .errors import CompfeatError, DataError, MissingTruthError, ShapeMismatchError
+from .errors import DataError, MissingTruthError, ShapeMismatchError
 from .graph import WeightGraph, build_graph, propagate_step, stack_graphs
 
 
@@ -181,10 +177,10 @@ class EstimationResult:
     def load(cls, path, expect: dict | None = None) -> "EstimationResult":
         """Read the archive :meth:`save` wrote at ``path``.
 
-        Each array is read once, by :func:`_read_member`.  It refuses an
-        object dtype in the array's header, before any data are read, so
-        it is that reader, not an ``allow_pickle`` flag, that keeps
-        anything from being unpickled.  Each array must be stored
+        Each array is read once, by :func:`compfeat.data._read_member`.
+        It refuses an object dtype in the array's header, before any data
+        are read, so it is that reader, not an ``allow_pickle`` flag, that
+        keeps anything from being unpickled.  Each array must be stored
         uncompressed and unencrypted, with a header whose shape accounts
         for exactly its member's bytes, and have the dtype and number of
         dimensions that :meth:`save` writes; ``meta`` must hold a JSON
@@ -195,9 +191,7 @@ class EstimationResult:
         missing or differ.
         """
         try:
-            with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
-                q, hard, meta = [_read_member(archive, name, os.fstat(fh.fileno()).st_size)
-                                 for name in ("confidences", "hard_estimates", "meta")]
+            q, hard, meta = _read_arrays(path, ("confidences", "hard_estimates", "meta"))
             if not (q.dtype == np.float64 and q.ndim == 2 and hard.dtype == np.int64
                     and hard.ndim == 2 and meta.dtype.kind == "U" and meta.ndim == 0):
                 raise DataError("expected float64 confidences and int64 hard estimates, "
@@ -206,52 +200,13 @@ class EstimationResult:
             result = _adopted(cls, cf_names=doc["cf_names"], sizes=doc["sizes"], confidences=q,
                               hard_estimates=hard, method=doc["method"],
                               hyperparams=doc["hyperparams"])
-        # zipfile raises NotImplementedError for an unsupported zip version or
-        # flag; numpy's fallback parse of a header that is not a literal raises
-        # TokenError, and json raises RecursionError for a meta nested too deep.
-        except (OSError, EOFError, zipfile.BadZipFile, NotImplementedError, RecursionError,
-                tokenize.TokenError, ValueError, KeyError, TypeError, CompfeatError) as exc:
+        except _ARCHIVE_ERRORS as exc:
             raise DataError(f"{path}: malformed estimation result ({exc})") from None
         for key, value in (expect or {}).items():
             if doc.get(key) != value:
                 raise DataError(f"{path}: stored {key} {doc.get(key)!r} is not {value!r}; "
                                 f"it was estimated from other inputs")
         return result
-
-
-def _read_member(archive: zipfile.ZipFile, name: str, archive_size: int) -> np.ndarray:
-    """Array ``name`` of ``archive``, read in one pass over its member.
-
-    The member must be stored uncompressed and unencrypted within the
-    archive's ``archive_size`` bytes, and its ``.npy`` header be of
-    version 1.0 or 2.0, describe no Python objects, and have a shape that
-    accounts for exactly the member's data; so no header makes this
-    allocate more than the file holds, no zip decompressor runs and
-    nothing is unpickled.  The data are then read into the array the
-    header describes, ``BUFFER_SIZE`` bytes at a time, and a member that
-    ends before them is refused.
-    """
-    info = archive.getinfo(f"{name}.npy")
-    if (info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
-            or not info.compress_size == info.file_size <= archive_size):
-        raise DataError(f"array {name} is not stored uncompressed and unencrypted "
-                        f"within the archive's {archive_size} bytes")
-    with archive.open(info) as fp:
-        version = np.lib.format.read_magic(fp)
-        if version not in ((1, 0), (2, 0)):
-            raise DataError(f"array {name} has a .npy header of version {version}")
-        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                       else np.lib.format.read_array_header_2_0)
-        shape, fortran, dtype = read_header(fp)
-        data_size = info.file_size - fp.tell()
-        if dtype.hasobject or math.prod(shape) * dtype.itemsize != data_size:
-            raise DataError(f"array {name}'s header shape {shape} of {dtype} does not fit "
-                            f"its {data_size} bytes of data, or holds Python objects")
-        array = np.ndarray(shape, dtype, order="F" if fortran else "C")
-        data, step = array.reshape(-1, order="A").view(np.uint8), np.lib.format.BUFFER_SIZE
-        if sum(fp.readinto(data[i:i + step]) for i in range(0, data_size, step)) != data_size:
-            raise DataError(f"array {name} ends before its {data_size} bytes of data")
-    return array
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +578,167 @@ class TestRoundOneReuse:
         assert widths.count(of_width) == len(ks) * (2 if max_n else 1)
         points = len(values.split(","))
         assert len(widths) - widths.count(of_width) == (2 * points if method == "proposed" else 0)
+
+
+@pytest.fixture
+def csv_parses(monkeypatch):
+    """Counts every parse of a source CSV through ``compfeat.cli.load_csv``."""
+    calls = []
+    parse = cli.load_csv
+
+    def counting(path, schema):
+        calls.append(path)
+        return parse(path, schema)
+
+    monkeypatch.setattr(cli, "load_csv", counting)
+    return calls
+
+
+def flip_last_data_byte(data):
+    """``data``, an archive, with the last stored byte of ``cf_truth`` flipped."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        info = archive.getinfo("cf_truth.npy")
+    at = info.header_offset  # its local header, 30 bytes, a name and an extra field
+    at += 30 + int.from_bytes(data[at + 26:at + 28], "little") \
+        + int.from_bytes(data[at + 28:at + 30], "little") + info.file_size - 1
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def read_cache(flags):
+    """The table that the source cache in ``flags``' out holds for their
+    CSV and schema; a miss raises."""
+    data, schema = flags[1], flags[3]
+    return cli._cached_source(out_file(flags, "source.npz"), [
+        cli._SOURCE_FORMAT, cli._sha256_file(data), cli._sha256_file(schema)], load_schema(schema))
+
+
+def rekey(position, value):
+    """Sets entry ``position`` of the source cache's key: the format tag,
+    then the digests of the CSV and of the schema file."""
+    def edit(data):
+        return rewrite_meta(data, lambda m: {**m, "key": [
+            value if i == position else k for i, k in enumerate(m["key"])]})
+    return edit
+
+
+class TestSourceCache:
+    COMMANDS = (["estimate", "--method", "comp"], ["evaluate"], ["predict", "--mode", "ord"],
+                ["predict", "--mode", "soft", "--method", "comp"])
+
+    def test_hit_equals_the_parsed_table(self, tmp_path, csv_parses, monkeypatch):
+        """With every vocabulary inferred, a command that reads the cache
+        gets the table load_csv returns: the same schema, the same array
+        bytes and dtypes, every array read-only.  It reads the cache
+        through the package's archive reader, not np.load."""
+        ds, _ = make_bank_like(60, seed=0)
+        flags = TestPrepare.write_source(ds, tmp_path)
+        schema = FeatureSchema(tuple(dataclasses.replace(c, vocabulary=())
+                                     for c in ds.schema.columns))
+        save_schema(schema, flags[3])
+        assert main(["predict", "--mode", "ord", "--seed", "0", *flags]) == 0
+        sources = []
+        monkeypatch.setattr(np, "load", None)
+        monkeypatch.setattr(cli, "synthesize_cf", lambda source, seed: sources.append(source)
+                            or synthesize_cf(source, seed))
+        assert main(["predict", "--mode", "ord", "--seed", "0", *flags]) == 0
+        assert len(csv_parses) == 1
+        (hit,), parsed = sources, load_csv(flags[1], schema)
+        assert hit.schema == parsed.schema != schema
+        for a, b in zip((*hit.of_values, hit.labels, hit.cf_truth),
+                        (*parsed.of_values, parsed.labels, parsed.cf_truth), strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+
+    def test_one_parse_per_output_directory(self, bank_csv, csv_parses):
+        """The paper's pipeline parses the CSV once in one output directory,
+        and its outputs are those of a pipeline in which every command
+        parses it: the same bytes, and for reports the same hash."""
+        reports = ("evaluation.json", "prediction_ord.json", "prediction_soft.json")
+        out = out_file(bank_csv, "")
+
+        def outputs():
+            return {name: read_json(Path(out, name))["content_hash"] if name in reports
+                    else Path(out, name).read_bytes() for name in os.listdir(out)}
+
+        for command in self.COMMANDS:
+            assert main([*command, "--seed", "0,1", *bank_csv]) == 0
+        assert len(csv_parses) == 1
+        cached = outputs()
+        for command in self.COMMANDS:
+            os.remove(out_file(bank_csv, "source.npz"))
+            assert main([*command, "--seed", "0,1", *bank_csv]) == 0
+        assert len(csv_parses) == 5
+        assert outputs() == cached and len(cached) == 9
+
+    def test_edited_csv_is_parsed_again(self, bank_csv, csv_parses):
+        assert main(["estimate", "--method", "comp", *bank_csv]) == 0
+        path = Path(bank_csv[1])
+        path.write_text("\n".join(path.read_text().splitlines()[:41]) + "\n")
+        assert main(["predict", "--mode", "ord", *bank_csv]) == 0
+        assert len(csv_parses) == 2
+        assert read_cache(bank_csv).n == 40
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(",no,", ",maybe,", 1),
+        lambda text: text.replace("\n", "\nnan", 1),
+        lambda text: "\n".join(text.splitlines()[:2]) + "\n",
+    ], ids=["unknown_category", "not_a_number", "one_row"])
+    @pytest.mark.parametrize("command", [["evaluate"], ["predict", "--mode", "ord"]])
+    def test_malformed_edit_raises_as_without_a_cache(self, bank_csv, capsys, edit, command):
+        assert main(["estimate", "--method", "comp", *bank_csv]) == 0
+        path = Path(bank_csv[1])
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        cached = main([*command, "--method", "comp", *bank_csv]), capsys.readouterr().err
+        os.remove(out_file(bank_csv, "source.npz"))
+        parsed = main([*command, "--method", "comp", *bank_csv]), capsys.readouterr().err
+        assert cached == parsed
+        assert cached[0] == 3 and cached[1].startswith("data error:")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[: len(data) // 2],
+        lambda data: rewrite_npz(data, labels=lambda a: a.astype(object)),
+        flip_last_data_byte,
+        rekey(0, "compfeat-source-0"),
+        rekey(1, "0" * 64),
+        rekey(2, "0" * 64),
+        lambda data: rewrite_npz(data, of0=lambda a: None),
+        lambda data: rewrite_meta(data, lambda m: {**m, "vocabularies": m["vocabularies"][1:]}),
+    ], ids=["truncated", "object_member", "flipped_data_byte", "other_format", "other_csv",
+           "other_schema", "member_missing", "vocabularies_short"])
+    def test_bad_archive_is_a_miss_then_rewritten(self, bank_csv, capsys, csv_parses, corrupt):
+        assert main(["estimate", "--method", "comp", *bank_csv]) == 0
+        path = Path(out_file(bank_csv, "source.npz"))
+        good = path.read_bytes()
+        path.write_bytes(corrupt(good))
+        with pytest.raises(cli._ARCHIVE_ERRORS):
+            read_cache(bank_csv)
+        capsys.readouterr()
+        assert main(["predict", "--mode", "soft", "--method", "comp", *bank_csv]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(csv_parses) == 2
+        assert path.read_bytes() == good
+
+    def test_writes_leave_no_temporary_file(self, bank_csv, monkeypatch):
+        """A write replaces the archive through a temporary file in ``out``;
+        a write that fails leaves neither, and the command runs as without
+        a cache.  Without ``out``, nothing is written."""
+        out = out_file(bank_csv, "")
+        assert main(["evaluate", *bank_csv]) == 3
+        assert not os.path.exists(out)
+        assert main(["estimate", "--method", "comp", *bank_csv]) == 0
+        names = {"source.npz", "estimate_comp_seed0.npz", "estimate_comp_seed0.json"}
+        assert set(os.listdir(out)) == names
+        assert main(["predict", "--mode", "ord", *bank_csv]) == 0
+        assert set(os.listdir(out)) == names | {"prediction_ord.json"}
+        os.remove(out_file(bank_csv, "source.npz"))
+
+        def failing(*args, **kwargs):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(np, "savez", failing)
+        assert main(["predict", "--mode", "ord", *bank_csv]) == 0
+        assert set(os.listdir(out)) == names - {"source.npz"} | {"prediction_ord.json"}
 
 
 class TestExitCodes:

@@ -511,6 +511,30 @@ def test_format_rows_memory_is_close_to_the_text_it_returns():
     assert peak <= 1.2 * held
 
 
+def test_finite_matrix_admits_without_a_temporary_of_its_size():
+    """Admitting a 20,000 x 37 float64 matrix allocates under 1% of its
+    bytes; a full-size ``np.isfinite`` mask took 1/8 of them.  An empty
+    matrix has no entry to check."""
+    assert data._finite_matrix(np.zeros((0, 37)), "m").shape == (0, 37)
+    mat = np.random.default_rng(0).normal(size=(20_000, 37))
+    tracemalloc.start()
+    try:
+        assert data._finite_matrix(mat, "m") is mat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * mat.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (7, 2), (-1, -1)])
+def test_finite_matrix_refuses_each_non_finite_entry(bad, at):
+    mat = np.ones((8, 3))
+    mat[at] = bad
+    with pytest.raises(DataError, match="m must be finite"):
+        data._finite_matrix(mat, "m")
+
+
 class TestDatasetInvariants:
     def test_observed_equal_truth_rejected(self, tiny_schema):
         with pytest.raises(DataError, match="never equal"):

@@ -1,7 +1,8 @@
 """Mutated input files through the CLI: every run exits 0, 2 or 3.
 
 Each example applies 1 to 3 edits to one valid input file (the source
-CSV, its schema, a config file or an estimate file) and runs in-process
+CSV, its schema, a config file, an estimate file or the source cache
+that ``estimate`` wrote) and runs in-process
 ``cli.main`` on it.  An edit puts a delimiter, a quote, a non-finite or
 out-of-range number, arbitrary bytes or a word of the same file in place
 of a few bytes or of one word.  An exception that escapes ``main`` fails
@@ -53,13 +54,15 @@ TARGETS = {
     "run.cfg": (["estimate", "--method", "comp"], ["predict", "--mode", "ord"]),
     "out/estimate_proposed_seed0.npz": (["evaluate"], ["predict", "--mode", "soft"],
                                         ["predict", "--mode", "hard"]),
+    "out/source.npz": (["evaluate"], ["predict", "--mode", "ord"], ["predict", "--mode", "soft"]),
 }
 
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
     """A directory holding a 40-row bank-like CSV, its schema, a config
-    file and the proposed method's estimate file for seed 0."""
+    file, and in ``out`` the proposed method's estimate file for seed 0
+    and the source cache."""
     root = tmp_path_factory.mktemp("valid")
     ds, _ = make_bank_like(40, seed=0)
     write_csv(ds, root / "data.csv")
