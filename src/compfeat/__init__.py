@@ -8,65 +8,41 @@ its neighbors, with a correction step that keeps the observed complement
 at probability zero.  Baselines, evaluation metrics, a downstream
 logistic-regression predictor, and a brute-force check of propagation
 against dense joint confidences round out the toolbox.
+
+Importing the package loads none of its modules.  Each public name is
+looked up in its defining module on first use (PEP 562 ``__getattr__``),
+which imports that module and its own imports, and is then bound here;
+so ``compfeat.score_cf`` loads no graph code, and a command line process
+loads only the modules its command runs (see :mod:`compfeat.cli`).
 """
 
-from .data import (
-    Column,
-    Dataset,
-    FeatureSchema,
-    load_csv,
-    load_schema,
-    save_schema,
-    split_train_test,
-    synthesize_cf,
-    write_csv,
-)
-from .encoding import encode_of, encode_with_confidence
-from .graph import WeightGraph, build_graph, knn, solve_weights
-from .metrics import CfScore, aggregate_cf_scores, macro_f1, score_cf, score_labels
-from .predictor import LrModel, assemble, predict, train
-from .propagation import (
-    EstimationResult,
-    correct,
-    init_marginal,
-    propagate_step,
-    run_comp,
-    run_ipal,
-    run_proposed,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Column",
-    "CfScore",
-    "Dataset",
-    "EstimationResult",
-    "FeatureSchema",
-    "LrModel",
-    "WeightGraph",
-    "aggregate_cf_scores",
-    "assemble",
-    "build_graph",
-    "correct",
-    "encode_of",
-    "encode_with_confidence",
-    "init_marginal",
-    "knn",
-    "load_csv",
-    "load_schema",
-    "macro_f1",
-    "predict",
-    "propagate_step",
-    "run_comp",
-    "run_ipal",
-    "run_proposed",
-    "save_schema",
-    "score_cf",
-    "score_labels",
-    "solve_weights",
-    "split_train_test",
-    "synthesize_cf",
-    "train",
-    "write_csv",
-]
+# The defining module of each public name.
+_MODULES = {
+    "data": ("Column", "Dataset", "FeatureSchema", "load_csv", "load_schema", "save_schema",
+             "split_train_test", "synthesize_cf", "write_csv"),
+    "encoding": ("encode_of", "encode_with_confidence"),
+    "graph": ("WeightGraph", "build_graph", "knn", "propagate_step", "solve_weights"),
+    "metrics": ("CfScore", "aggregate_cf_scores", "macro_f1", "score_cf", "score_labels"),
+    "predictor": ("LrModel", "assemble", "predict", "train"),
+    "propagation": ("correct", "run_ipal", "run_proposed"),
+    "result": ("EstimationResult", "init_marginal", "run_comp"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -100,6 +100,22 @@ writes the cache when ``out`` exists, through a temporary file that
 replaces the old archive.  Neither a miss nor a failed write changes
 what a command does, writes elsewhere or raises.
 
+A process loads only the modules its command runs, since at the
+benchmark's sizes most of a command's CPU is start-up.  This module
+imports :mod:`compfeat.data`, :mod:`compfeat.encoding`,
+:mod:`compfeat.metrics`, :mod:`compfeat.predictor` and
+:mod:`compfeat.result`, and all that ``prepare``, ``estimate --method
+comp``, ``evaluate`` and ``predict`` run is in those; none of them loads
+:mod:`compfeat.graph` or :mod:`compfeat.propagation`.
+:func:`run_methods` imports :mod:`compfeat.propagation`, and with it
+:mod:`compfeat.graph`, when a graph method runs: ``estimate --method
+proposed|ipal`` and ``sweep``.  ``oracle`` imports :mod:`compfeat.oracle`
+and :mod:`compfeat.graph`, and only writing an estimate imports
+``orjson``.  The functions a command calls from the modules above stay
+bound at this module's level, ``load_csv``, ``run_comp``, ``score_cf``,
+``assemble``, ``train`` and ``predict`` among them, because
+``perfbench/tracer.py`` times each layer by patching them here.
+
 A process enters through :func:`run`, both as the ``compfeat`` console
 script and as ``python -m compfeat.cli``.  Before it calls :func:`main`,
 ``run`` calls ``gc.freeze()``, which moves every object the imports
@@ -126,7 +142,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from typing import Iterator
@@ -134,33 +149,36 @@ from typing import Iterator
 import numpy as np
 
 from .data import (_ARCHIVE_ERRORS, STREAM_SUBSAMPLE, Column, Dataset, FeatureSchema, _adopted,
-                   _assignments, _read_arrays, _read_lines, _scalar, format_rows, load_csv,
-                   load_schema, seeded_order, split_train_test, synthesize_cf, write_rows)
+                   _assignments, _read_arrays, _read_lines, _scalar, _Value, format_rows,
+                   load_csv, load_schema, seeded_order, split_train_test, synthesize_cf,
+                   write_rows)
 from .errors import CompfeatError, ConfigError, DataError, ShapeMismatchError, VerificationError
 from .metrics import aggregate_cf_scores, format_cf_table, score_cf, score_labels
 from .predictor import MODES, assemble, predict, train
-from .propagation import EstimationResult, run_comp, run_ipal_seeds, run_proposed_seeds
+from .result import EstimationResult, run_comp
 
 METHODS = ("proposed", "comp", "ipal")
 ORACLE_INSTANCES = 200
 
 
-@dataclass
-class ExperimentConfig:
-    data: str = ""
-    schema: str = ""
-    out: str = "out"
-    seeds: tuple[int, ...] = (0,)
-    method: str = "proposed"
-    T: int = 100
-    k: int = 20
-    gamma: float = 0.25
-    alpha: float = 0.9
-    fraction: float = 0.5
-    max_n: int = 0                      # 0 disables subsampling
-    estimate_only: tuple[str, ...] = ()
-    mode: str = "soft"
-    l2: float = 1e-4
+class ExperimentConfig(_Value):
+    """One command's configuration, the keys of the config file.  Unlike
+    the package's other records it is mutable, so it has no hash; a copy
+    is ``ExperimentConfig(**vars(cfg))``."""
+
+    _fields = ("data", "schema", "out", "seeds", "method", "T", "k", "gamma", "alpha",
+               "fraction", "max_n", "estimate_only", "mode", "l2")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, data: str = "", schema: str = "", out: str = "out",
+                 seeds: tuple[int, ...] = (0,), method: str = "proposed", T: int = 100,
+                 k: int = 20, gamma: float = 0.25, alpha: float = 0.9, fraction: float = 0.5,
+                 max_n: int = 0, estimate_only: tuple[str, ...] = (), mode: str = "soft",
+                 l2: float = 1e-4):
+        # max_n = 0 disables subsampling.
+        vars(self).update(data=data, schema=schema, out=out, seeds=seeds, method=method, T=T, k=k,
+                          gamma=gamma, alpha=alpha, fraction=fraction, max_n=max_n,
+                          estimate_only=estimate_only, mode=mode, l2=l2)
 
     def validate(self):
         try:
@@ -188,7 +206,7 @@ class ExperimentConfig:
             raise ConfigError("estimate_only names must be distinct")
 
 
-_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+_KEYS = frozenset(ExperimentConfig._fields)
 _LIST_KEYS = {"seeds": int, "estimate_only": str}
 
 
@@ -237,15 +255,16 @@ def _apply(cfg: ExperimentConfig, key: str, value: str):
 _SOURCE_FORMAT = "compfeat-source-1"
 
 
-def load_source(cfg: ExperimentConfig) -> Dataset:
+def load_source(cfg: ExperimentConfig) -> tuple[Dataset, tuple[str, str]]:
     """Read the schema and the source table; done once per command.
+    Returns the table and the SHA-256 hex digests of the CSV's and the
+    schema's bytes, each file hashed once.
 
     The table is the source cache's, ``<out>/source.npz``, when that
-    holds it under the key of the CSV's and schema's bytes; otherwise
-    :func:`load_csv` parses it and the cache is rewritten (see the module
-    docstring).  ``estimate_only`` names that are not CFs of the schema
-    are a configuration error; a source of fewer than 2 rows is a data
-    error.
+    holds it under the key of those digests; otherwise :func:`load_csv`
+    parses it and the cache is rewritten (see the module docstring).
+    ``estimate_only`` names that are not CFs of the schema are a
+    configuration error; a source of fewer than 2 rows is a data error.
     """
     if not cfg.data or not cfg.schema:
         raise ConfigError("config needs both 'data' and 'schema' paths")
@@ -254,7 +273,8 @@ def load_source(cfg: ExperimentConfig) -> Dataset:
     if unknown:
         raise ConfigError(f"estimate_only names not in schema: {sorted(unknown)}")
     path = os.path.join(cfg.out, "source.npz")
-    key = [_SOURCE_FORMAT, _sha256_file(cfg.data), _sha256_file(cfg.schema)]
+    digests = _sha256_file(cfg.data), _sha256_file(cfg.schema)
+    key = [_SOURCE_FORMAT, *digests]
     try:
         source = _cached_source(path, key, schema)
     except _ARCHIVE_ERRORS:
@@ -262,7 +282,7 @@ def load_source(cfg: ExperimentConfig) -> Dataset:
         _cache_source(path, key, source)
     if source.n < 2:
         raise DataError(f"{cfg.data} has {source.n} rows; at least 2 are needed")
-    return source
+    return source, digests
 
 
 def _cached_source(path: str, key: list, schema: FeatureSchema) -> Dataset:
@@ -325,8 +345,12 @@ def run_methods(points: list[ExperimentConfig],
     :mod:`compfeat.propagation`)."""
     cfg = points[0]
     if cfg.method == "proposed":
+        from .propagation import run_proposed_seeds  # only the graph methods load the graph code
+
         runs = run_proposed_seeds(datasets, [(p.T, p.k, p.gamma) for p in points])
     elif cfg.method == "ipal":
+        from .propagation import run_ipal_seeds
+
         runs = run_ipal_seeds(datasets, [(p.T, p.k) for p in points], cfg.alpha)
     else:
         runs = [map(run_comp, datasets, cfg.seeds) for _ in points]
@@ -385,8 +409,8 @@ def load_result(cfg: ExperimentConfig, path: str, ds: Dataset, seed: int) -> Est
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    return {f.name: (list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v)
-            for f in fields(ExperimentConfig)}
+    return {key: (list(v) if isinstance(v := getattr(cfg, key), tuple) else v)
+            for key in ExperimentConfig._fields}
 
 
 def finalize_report(doc: dict, path: str):
@@ -414,7 +438,7 @@ def _sha256_file(path: str) -> str:
 
 def cmd_prepare(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
-    source = load_source(cfg)
+    source, (source_sha256, schema_sha256) = load_source(cfg)
     # Synthesis changes only the observed columns, so seeds that share
     # the source rows share the text of every other column.
     shared = None if subsamples(cfg, source) else format_rows(source)
@@ -428,8 +452,8 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
                        "n": ds.n}
     manifest = {
         "config": config_echo(cfg),
-        "source_sha256": _sha256_file(cfg.data),
-        "schema_sha256": _sha256_file(cfg.schema),
+        "source_sha256": source_sha256,
+        "schema_sha256": schema_sha256,
         "files": files,
     }
     finalize_report(manifest, os.path.join(cfg.out, "manifest.json"))
@@ -439,7 +463,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
-    source = load_source(cfg)
+    source, _ = load_source(cfg)
     datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
     (results,) = run_methods([cfg], datasets)
     for path in map(partial(save_result, cfg), datasets, cfg.seeds, results):
@@ -487,7 +511,7 @@ def export_result(result: EstimationResult, path: str, extra: dict):
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
-    source = load_source(cfg)
+    source, _ = load_source(cfg)
     datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
     per_method: dict[str, list] = {}
     for method in METHODS:
@@ -510,7 +534,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
 
 def cmd_predict(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
-    source = load_source(cfg)
+    source, _ = load_source(cfg)
     f1s = [predict_seed(cfg, source, seed) for seed in cfg.seeds]
     report = {
         "config": config_echo(cfg),
@@ -575,13 +599,13 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: str) -> int:
         raise ConfigError("sweep takes the graph methods, proposed and ipal; "
                           "comp's curve is constant")
     texts = values.split(",")
-    points = [replace(cfg) for _ in texts]
+    points = [ExperimentConfig(**vars(cfg)) for _ in texts]
     for point, value in zip(points, texts):
         _apply(point, axis, value)
         point.validate()
     os.makedirs(cfg.out, exist_ok=True)
 
-    source = load_source(cfg)
+    source, _ = load_source(cfg)
     datasets = [experiment_dataset(cfg, source, seed) for seed in cfg.seeds]
     curve = []
     for point, results in zip(points, run_methods(points, datasets)):
@@ -627,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None)
-    for key in (f.name for f in fields(ExperimentConfig) if f.name not in _NO_FLAG):
+    for key in (f for f in ExperimentConfig._fields if f not in _NO_FLAG):
         flag = "--seed" if key == "seeds" else "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=key, default=None, help=_HELP.get(key))
     parser.add_argument("--axis", help="sweep only: the key to sweep, T, k or gamma")

@@ -36,7 +36,9 @@ and the configuration file share one line reader (:func:`_assignments`):
 blank lines and ``#`` comments are skipped, and any other line must hold
 ``=``.  The package reads every ``np.savez`` archive through one reader
 (:func:`_read_arrays`), which refuses what :func:`_read_member` lists and
-unpickles nothing.
+unpickles nothing.  The package's record classes, this module's
+:class:`Column`, :class:`FeatureSchema` and :class:`Dataset` among them,
+derive from :class:`_Record`, which writes no code at import.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import math
 import os
 import tokenize
 import zipfile
-from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from types import SimpleNamespace
 from typing import Iterator
@@ -79,18 +80,50 @@ _CSV_BLOCK = 512  # data rows load_csv converts at a time
 _WRITE_BLOCK = 1024  # rows write_rows encodes, hashes and writes at a time
 
 
-@dataclass(frozen=True)
-class Column:
-    name: str
-    kind: str
-    role: str
-    vocabulary: tuple[str, ...] = ()
+class _Record:
+    """Base of the package's record classes.  ``_fields`` names, in order,
+    the arguments of a record's ``__init__``, which it keeps as the
+    attributes of the same names; ``repr`` shows them.  A record is
+    frozen: its constructor, or :func:`_adopted`, sets every attribute,
+    and assigning or deleting one raises ``AttributeError``.  It compares
+    and hashes by identity, unless it is a :class:`_Value`."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown kind {self.kind!r} for column {self.name!r}")
-        if self.role not in ROLES:
-            raise DataError(f"unknown role {self.role!r} for column {self.name!r}")
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+class _Value(_Record):
+    """A record equal to one of its own class whose fields are equal, and
+    hashed by its fields."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Column(_Value):
+    _fields = ("name", "kind", "role", "vocabulary")
+
+    def __init__(self, name: str, kind: str, role: str, vocabulary: tuple[str, ...] = ()):
+        if kind not in KINDS:
+            raise DataError(f"unknown kind {kind!r} for column {name!r}")
+        if role not in ROLES:
+            raise DataError(f"unknown role {role!r} for column {name!r}")
+        vars(self).update(name=name, kind=kind, role=role, vocabulary=vocabulary)
 
     @property
     def size(self) -> int:
@@ -98,26 +131,26 @@ class Column:
         return len(self.vocabulary)
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
+class FeatureSchema(_Value):
     """Ordered column declarations for one dataset."""
 
-    columns: tuple[Column, ...]
+    _fields = ("columns",)
 
-    def __post_init__(self):
-        names = [c.name for c in self.columns]
+    def __init__(self, columns: tuple[Column, ...]):
+        names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise DataError("duplicate column names in schema")
-        labels = [c for c in self.columns if c.role == "label"]
+        labels = [c for c in columns if c.role == "label"]
         if len(labels) != 1:
             raise DataError(f"schema must have exactly one label column, got {len(labels)}")
-        for c in self.columns:
+        for c in columns:
             if c.role == "CF" and c.kind != "categorical":
                 raise DataError(f"CF column {c.name!r} must be categorical")
             if c.vocabulary and len(set(c.vocabulary)) != len(c.vocabulary):
                 raise DataError(f"duplicate vocabulary entries in column {c.name!r}")
             if c.kind == "quantitative" and c.vocabulary:
                 raise DataError(f"quantitative column {c.name!r} cannot have a vocabulary")
+        vars(self).update(columns=columns)
 
     def validate_complete(self):
         """Check invariants that need filled-in vocabularies."""
@@ -225,22 +258,23 @@ def _check_codes(codes: np.ndarray, sizes, name: str):
 
 
 def _adopted(cls, **fields):
-    """An instance of the frozen dataclass ``cls``, :class:`Dataset`,
+    """An instance of the record class ``cls``, :class:`Dataset`,
     :class:`~compfeat.graph.WeightGraph` or
-    :class:`~compfeat.propagation.EstimationResult`, that holds the
-    arrays it is handed in ``fields``, not copies; a field left out takes
-    its default.  Each array must be one its builder made for it, which
-    is frozen in place, or one that another instance already froze,
-    which is shared.  ``cls._settle(copy=False)`` checks every field, as
-    the constructor's ``_settle(copy=True)`` checks copies."""
+    :class:`~compfeat.result.EstimationResult`, that holds the arrays it
+    is handed in ``fields``, not copies, built without its ``__init__``.
+    A field left out takes its default, which the class keeps as a class
+    attribute of the field's name.  Each array must be one its builder
+    made for it, which is frozen in place, or one that another instance
+    already froze, which is shared.  ``cls._settle(copy=False)`` checks
+    every field, as the constructor's ``_settle(copy=True)`` checks
+    copies."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     obj._settle(copy=False)
     return obj
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(_Record):
     """Column-typed table with optional hidden CF ground truth.
 
     ``of_values`` holds one array per OF column in schema order: float64
@@ -255,13 +289,14 @@ class Dataset:
     :func:`synthesize_cf`) go through :func:`_adopted` instead.
     """
 
-    schema: FeatureSchema
-    of_values: tuple[np.ndarray, ...]
-    labels: np.ndarray
-    cf_truth: np.ndarray | None = None
-    cf_observed: np.ndarray | None = None
+    _fields = ("schema", "of_values", "labels", "cf_truth", "cf_observed")
+    cf_truth = cf_observed = None  # the defaults, which _adopted leaves in place
 
-    def __post_init__(self):
+    def __init__(self, schema: FeatureSchema, of_values: tuple[np.ndarray, ...],
+                 labels: np.ndarray, cf_truth: np.ndarray | None = None,
+                 cf_observed: np.ndarray | None = None):
+        vars(self).update(schema=schema, of_values=of_values, labels=labels, cf_truth=cf_truth,
+                          cf_observed=cf_observed)
         self._settle(copy=True)
 
     def _settle(self, copy: bool):
@@ -584,7 +619,10 @@ class _ColumnChunks:
     @property
     def column(self) -> Column:
         """The column, its vocabulary filled in when inferred (sorted)."""
-        return replace(self.col, vocabulary=tuple(sorted(self.codes))) if self.infer else self.col
+        col = self.col
+        if not self.infer:
+            return col
+        return Column(col.name, col.kind, col.role, tuple(sorted(self.codes)))
 
     def add(self, start: int, cells: tuple[str, ...]):
         """Convert the cells of one block whose first row is data row

@@ -34,12 +34,11 @@ confidences, :func:`propagate_step`, lives here beside the layout it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import _adopted, _finite_matrix, _frozen, _integer_array, _real_array, _scalar
+from .data import _Record, _adopted, _finite_matrix, _frozen, _integer_array, _real_array, _scalar
 from .encoding import segments_stochastic
 from .errors import DataError, ShapeMismatchError
 
@@ -51,8 +50,7 @@ _KKT_TOL = 1e-14   # times tr(C); well below the ridge (see solve_weights)
 _FLOOR = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class WeightGraph:
+class WeightGraph(_Record):
     """Sparse row-stochastic similarity graph (<= k neighbors per row),
     its neighbor lists checked as :func:`solve_weights` checks them.
     The constructor freezes copies of the arrays it is handed; the
@@ -69,10 +67,12 @@ class WeightGraph:
     (as a column) of each row's j-th nonzero slot, slots in their order.
     """
 
-    neighbors: np.ndarray  # (n, k) int64, self excluded
-    weights: np.ndarray    # (n, k) float64, nonnegative, rows sum to 1
+    _fields = ("neighbors", "weights")
 
-    def __post_init__(self):
+    def __init__(self, neighbors: np.ndarray, weights: np.ndarray):
+        # (n, k) int64 neighbors, self excluded; (n, k) float64 weights,
+        # nonnegative, rows summing to 1.
+        vars(self).update(neighbors=neighbors, weights=weights)
         self._settle(copy=True)
 
     def _settle(self, copy: bool):

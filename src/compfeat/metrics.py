@@ -8,26 +8,25 @@ entropy of the confidence rows.  Entropies are in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import _as_array, _check_codes, _integer_array, _scalar
+from .data import _Value, _as_array, _check_codes, _integer_array, _scalar
 from .errors import DataError, MissingTruthError, ShapeMismatchError
-from .propagation import EstimationResult
+from .result import EstimationResult
 
 CE_CLIP = 1e-12
 
 
-@dataclass(frozen=True)
-class CfScore:
-    cf_index: int
-    name: str
-    acc: float
-    macro_f1: float
-    ce: float
-    se: float
-    ce_clipped: int = 0  # rows whose confidence at the truth hit the clip
+class CfScore(_Value):
+    """One CF's scores; ``ce_clipped`` counts the rows whose confidence at
+    the truth hit the clip."""
+
+    _fields = ("cf_index", "name", "acc", "macro_f1", "ce", "se", "ce_clipped")
+
+    def __init__(self, cf_index: int, name: str, acc: float, macro_f1: float, ce: float,
+                 se: float, ce_clipped: int = 0):
+        vars(self).update(cf_index=cf_index, name=name, acc=acc, macro_f1=macro_f1, ce=ce, se=se,
+                          ce_clipped=ce_clipped)
 
 
 def score_cf(result: EstimationResult, truth: np.ndarray) -> list[CfScore]:

@@ -138,7 +138,7 @@ def run_equivalence_suite(count: int, seed0: int = 0) -> dict:
     The marginal route is the production kernel,
     :func:`compfeat.graph.propagate_step`, on uniform-over-complement
     rows built here, independently of
-    :func:`compfeat.propagation.init_marginal`.  A deviation above the
+    :func:`compfeat.result.init_marginal`.  A deviation above the
     tolerance or NaN fails; a non-finite one is reported as None, for JSON.
     """
     count = _scalar(count, "count", 0, integer=True)

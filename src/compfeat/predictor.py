@@ -18,14 +18,12 @@ of ones, and the Hessian is summed over blocks of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Dataset, _check_codes, _finite_matrix, _frozen, _integer_array, _scalar
+from .data import Dataset, _Record, _check_codes, _finite_matrix, _frozen, _integer_array, _scalar
 from .encoding import _one_hot_into, encode_of
 from .errors import DataError, ShapeMismatchError, SingleClassError
-from .propagation import EstimationResult, init_marginal
+from .result import EstimationResult, init_marginal
 
 MODES = ("ord", "comp", "soft", "hard")
 
@@ -68,12 +66,13 @@ def assemble(ds: Dataset, mode: str, result: EstimationResult | None = None) -> 
 # Logistic regression
 
 
-@dataclass(frozen=True, eq=False)
-class LrModel:
-    weights: np.ndarray
-    bias: float
-    l2: float
-    trace: tuple[float, ...]  # loss per iteration, non-increasing
+class LrModel(_Record):
+    """A trained model; ``trace`` holds the loss per iteration, non-increasing."""
+
+    _fields = ("weights", "bias", "l2", "trace")
+
+    def __init__(self, weights: np.ndarray, bias: float, l2: float, trace: tuple[float, ...]):
+        vars(self).update(weights=weights, bias=bias, l2=l2, trace=trace)
 
 
 def loss_and_grad(params: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: float):

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import gc
 import hashlib
 import io
@@ -33,7 +32,8 @@ from compfeat.data import (
 )
 from compfeat.metrics import score_cf
 from compfeat.oracle import make_bank_like
-from compfeat.propagation import EstimationResult, run_comp, run_ipal, run_proposed
+from compfeat.propagation import EstimationResult, run_ipal, run_proposed
+from compfeat.result import run_comp
 
 SEEDS = (0, 1, 2)
 SMALL = ("--k", "8", "--T", "5")
@@ -120,6 +120,37 @@ def test_predict_creates_output_directory(tmp_path):
     assert os.path.exists(out / "prediction_ord.json")
 
 
+def src_env():
+    """The environment of a child Python that imports this checkout's compfeat."""
+    src = str(Path(compfeat.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_each_command_loads_only_what_it_runs(bank_csv):
+    """Each command, run as ``python -m compfeat.cli`` in its own process,
+    imports, by its ``-X importtime`` report, the graph and propagation
+    modules only when it runs a graph method, and no command that does
+    not imports ``dataclasses``."""
+    graph_code = {"compfeat.graph", "compfeat.propagation"}
+    flags = ["--seed", "0,1", *SMALL, *bank_csv]
+    no_graph = [["prepare"], ["estimate", "--method", "comp"], ["evaluate"],
+                *(["predict", "--method", "comp", "--mode", mode] for mode in cli.MODES)]
+    graph = [["estimate", "--method", "proposed"], ["estimate", "--method", "ipal"],
+             ["sweep", "--axis", "k", "--values", "3,4"]]
+    for command in [*no_graph, *graph]:
+        report = subprocess.run([sys.executable, "-X", "importtime", "-m", "compfeat.cli",
+                                 *command, *flags], capture_output=True, text=True, check=True,
+                                env=src_env()).stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in report.splitlines()
+                  if line.startswith("import time:")}
+        assert "compfeat.data" in loaded
+        if command in graph:
+            assert graph_code <= loaded, command
+        else:
+            assert not loaded & {*graph_code, "dataclasses"}, command
+
+
 def test_readers_of_estimates_do_not_import_orjson(bank_csv):
     """Only writing an estimate file imports orjson, for its JSON export;
     evaluate and predict read the .npz archive."""
@@ -129,10 +160,7 @@ def test_readers_of_estimates_do_not_import_orjson(bank_csv):
             f"assert main(['evaluate', '--seed', '0', *{bank_csv!r}]) == 0\n"
             f"assert main(['predict', '--mode', 'hard', '--seed', '0', *{bank_csv!r}]) == 0\n"
             "assert 'orjson' not in sys.modules\n")
-    src = str(Path(compfeat.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path})
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env())
 
 
 def test_commands_but_oracle_do_not_import_numpy_random(bank_csv):
@@ -148,10 +176,7 @@ def test_commands_but_oracle_do_not_import_numpy_random(bank_csv):
             + "".join(f"assert main({command!r}) == 0\n" for command in commands)
             + "assert 'numpy.random' not in sys.modules\n"
             + "assert 'compfeat.oracle' not in sys.modules\n")
-    src = str(Path(compfeat.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path})
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env())
 
 
 def test_max_n_subset_of_ten_rows():
@@ -207,8 +232,8 @@ def test_predict_seed_memory_is_a_small_multiple_of_the_design(comp_estimate_200
     train and test rows outlive the split, and training copies neither.
     Training beside the whole design and a separate one-hot block took
     2.76-3.13x; training through a ones-augmented copy, 2.26x for ord."""
-    cfg = dataclasses.replace(comp_estimate_20000, mode=mode)
-    source = cli.load_source(cfg)
+    cfg = cli.ExperimentConfig(**{**vars(comp_estimate_20000), "mode": mode})
+    source, _ = cli.load_source(cfg)
     design_bytes = cli.assemble(cli.experiment_dataset(cfg, source, 0), "comp").nbytes
     tracemalloc.start()
     try:
@@ -228,7 +253,8 @@ def test_quantitative_extremes_whose_difference_overflows(tmp_path):
     j = next(i for i, c in enumerate(ds.schema.of_columns) if c.kind == "quantitative")
     col = np.array(ds.of_values[j])
     col[:2] = (1.7e308, -1.7e308)
-    ds = dataclasses.replace(ds, of_values=(*ds.of_values[:j], col, *ds.of_values[j + 1:]))
+    ds = Dataset(ds.schema, (*ds.of_values[:j], col, *ds.of_values[j + 1:]), ds.labels,
+                 ds.cf_truth, ds.cf_observed)
     write_csv(ds, tmp_path / "d.csv")
     save_schema(ds.schema, tmp_path / "d.schema")
     flags = ["--data", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "d.schema"),
@@ -323,13 +349,13 @@ class TestPrepare:
         ds, _ = make_bank_like(60, seed=0)
         cf = ds.schema.cf_columns[0]
         vocab = ('admin, "senior"', *cf.vocabulary[1:])
-        schema = FeatureSchema(tuple(dataclasses.replace(c, vocabulary=vocab) if c is cf else c
+        schema = FeatureSchema(tuple(Column(c.name, c.kind, c.role, vocab) if c is cf else c
                                      for c in ds.schema.columns))
         j = next(i for i, c in enumerate(schema.of_columns) if c.kind == "quantitative")
         col = np.array(ds.of_values[j])
         col[:4] = (-0.0, 5e-324, 1e16, 1.7e308)
-        return dataclasses.replace(ds, schema=schema,
-                                   of_values=(*ds.of_values[:j], col, *ds.of_values[j + 1:]))
+        return Dataset(schema, (*ds.of_values[:j], col, *ds.of_values[j + 1:]), ds.labels,
+                       ds.cf_truth, ds.cf_observed)
 
     @staticmethod
     def no_cf_source():
@@ -345,7 +371,7 @@ class TestPrepare:
         ds, _ = make_bank_like(60, seed=0)
         cf = ds.schema.cf_columns[0]
         schema = FeatureSchema(tuple(
-            dataclasses.replace(c, vocabulary=("", *c.vocabulary[1:])) if c is cf else c
+            Column(c.name, c.kind, c.role, ("", *c.vocabulary[1:])) if c is cf else c
             for c in ds.schema.columns if c.role != "CF" or c is cf))
         return Dataset(schema, ds.of_values, ds.labels, cf_truth=ds.cf_truth[:, :1])
 
@@ -401,6 +427,23 @@ class TestPrepare:
         paths = dict(zip(flags[::2], flags[1::2]))
         assert manifest["source_sha256"] == sha256(paths["--data"])
         assert manifest["schema_sha256"] == sha256(paths["--schema"])
+
+    def test_each_input_hashed_once(self, bank_csv, monkeypatch):
+        """A prepare hashes the source CSV and the schema once each, for
+        the source cache's key and the manifest alike, whether it parses
+        the CSV or reads the cache that the first prepare wrote."""
+        calls = []
+        sha256_file = cli._sha256_file
+        monkeypatch.setattr(cli, "_sha256_file", lambda path: calls.append(path) or
+                            sha256_file(path))
+        paths = dict(zip(bank_csv[::2], bank_csv[1::2]))
+        for _ in range(2):
+            calls.clear()
+            assert main(["prepare", "--seed", ",".join(map(str, SEEDS)), *bank_csv]) == 0
+            assert sorted(calls) == sorted([paths["--data"], paths["--schema"]])
+        manifest = read_json(out_file(bank_csv, "manifest.json"))
+        assert manifest["source_sha256"] == sha256_file(paths["--data"])
+        assert manifest["schema_sha256"] == sha256_file(paths["--schema"])
 
     @pytest.mark.parametrize("max_n, renders", [(0, 1), (40, len(SEEDS))])
     def test_shared_rows_rendered_once(self, bank_csv, monkeypatch, max_n, renders):
@@ -632,8 +675,7 @@ class TestSourceCache:
         through the package's archive reader, not np.load."""
         ds, _ = make_bank_like(60, seed=0)
         flags = TestPrepare.write_source(ds, tmp_path)
-        schema = FeatureSchema(tuple(dataclasses.replace(c, vocabulary=())
-                                     for c in ds.schema.columns))
+        schema = FeatureSchema(tuple(Column(c.name, c.kind, c.role) for c in ds.schema.columns))
         save_schema(schema, flags[3])
         assert main(["predict", "--mode", "ord", "--seed", "0", *flags]) == 0
         sources = []

@@ -99,7 +99,7 @@ def compute_digests(work: str) -> dict[str, str]:
                 raise RuntimeError(f"compfeat {' '.join(command)} failed")
         cfg = cli.load_config(None, {"data": flags[1], "schema": flags[3],
                                      "max_n": str(max_n), "out": out})
-        source = cli.load_source(cfg)
+        source, _ = cli.load_source(cfg)
         for seed in SEEDS:
             key = f"max_n={max_n}/seed{seed}"
             digests[f"{key}/prepared_seed{seed}.csv"] = sha256(

@@ -15,7 +15,8 @@ from compfeat.metrics import (
     score_labels,
 )
 from compfeat.oracle import make_bank_like
-from compfeat.propagation import EstimationResult, run_comp
+from compfeat.propagation import EstimationResult
+from compfeat.result import run_comp
 
 from test_propagation import observed_dataset
 

@@ -1,11 +1,18 @@
-import dataclasses
+import importlib
+import importlib.util
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import compfeat
-from compfeat.data import (STREAM_SPLIT, Column, FeatureSchema, seeded_order, split_train_test,
-                           synthesize_cf)
+from compfeat.cli import ExperimentConfig
+from compfeat.data import (STREAM_SPLIT, Column, Dataset, FeatureSchema, seeded_order,
+                           split_train_test, synthesize_cf)
 from compfeat.encoding import encode_with_confidence, one_hot
 from compfeat.errors import DataError, ShapeMismatchError
 from compfeat.graph import (WeightGraph, build_graph, knn, optimality_gap, propagate_step,
@@ -13,7 +20,8 @@ from compfeat.graph import (WeightGraph, build_graph, knn, optimality_gap, propa
 from compfeat.metrics import CfScore, aggregate_cf_scores, format_cf_table, macro_f1, score_labels
 from compfeat.oracle import make_bank_like, make_smooth_synthetic, run_equivalence_suite
 from compfeat.predictor import LrModel, assemble, predict, train
-from compfeat.propagation import EstimationResult, correct, run_comp, run_ipal, run_proposed
+from compfeat.propagation import EstimationResult, correct, run_ipal, run_proposed
+from compfeat.result import run_comp
 from conftest import build_dataset
 
 
@@ -21,6 +29,61 @@ def test_every_exported_name_resolves():
     missing = [name for name in compfeat.__all__ if not hasattr(compfeat, name)]
     assert not missing
     assert len(set(compfeat.__all__)) == len(compfeat.__all__)
+
+
+def defined_where_found(obj, name: str) -> bool:
+    """Whether ``obj`` is what its defining module binds to ``name``."""
+    return getattr(importlib.import_module(obj.__module__), name, None) is obj
+
+
+def test_importing_the_package_loads_no_module():
+    code = ("import sys, compfeat\n"
+            "assert not [m for m in sys.modules if m.startswith('compfeat.')], sys.modules\n")
+    src = str(Path(compfeat.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_lazy_names_are_their_defining_modules_objects():
+    """Each public name resolves, on first use, to the object its defining
+    module binds; ``dir`` lists them and a star import binds them all."""
+    for name in compfeat.__all__:
+        obj = getattr(compfeat, name)
+        assert obj.__module__.startswith("compfeat.") and defined_where_found(obj, name), name
+    assert set(compfeat.__all__) <= set(dir(compfeat))
+    namespace = {}
+    exec("from compfeat import *", namespace)
+    assert all(namespace[name] is getattr(compfeat, name) for name in compfeat.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        compfeat.no_such_name
+
+
+# The tracer targets that the package no longer binds: the CLI calls none
+# of these functions itself.
+ABSENT_TARGETS = {("compfeat.cli", "encode_of"), ("compfeat.cli", "run_proposed"),
+                  ("compfeat.cli", "init_marginal")}
+
+
+def test_tracer_targets_resolve_to_their_defining_objects():
+    """Every function that ``perfbench/tracer.py`` wraps, but the known
+    absences, is bound where it patches it, and is the object its
+    defining module binds, so that a patch observes every call there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = set()
+    for target, attr, _ in tracer.TARGETS:
+        module, _, cls = target.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+            assert defined_where_found(owner, cls), target
+        found = vars(owner).get(attr)
+        if found is None:
+            absent.add((target, attr))
+        elif not cls:
+            assert defined_where_found(found, attr), (target, attr)
+    assert absent == ABSENT_TARGETS
 
 
 # Four instance vectors, their 2-NN graph, one CF of 3 codes with uniform
@@ -183,4 +246,68 @@ def test_array_holders_compare_by_identity(holder):
     instance hashes, sits in a set and equals itself, and no copy of it."""
     assert hash(holder) == hash(holder) and holder in {holder}
     assert holder == holder
-    assert holder != dataclasses.replace(holder)
+    assert holder != type(holder)(**{name: getattr(holder, name) for name in holder._fields})
+
+
+RECORDS = {Column: [("name", ...), ("kind", ...), ("role", ...), ("vocabulary", ())],
+           FeatureSchema: [("columns", ...)],
+           Dataset: [("schema", ...), ("of_values", ...), ("labels", ...), ("cf_truth", None),
+                     ("cf_observed", None)],
+           WeightGraph: [("neighbors", ...), ("weights", ...)],
+           EstimationResult: [("cf_names", ...), ("sizes", ...), ("confidences", ...),
+                              ("hard_estimates", ...), ("method", ...), ("hyperparams", ...)],
+           LrModel: [("weights", ...), ("bias", ...), ("l2", ...), ("trace", ...)],
+           CfScore: [("cf_index", ...), ("name", ...), ("acc", ...), ("macro_f1", ...),
+                     ("ce", ...), ("se", ...), ("ce_clipped", 0)],
+           ExperimentConfig: [("data", ""), ("schema", ""), ("out", "out"), ("seeds", (0,)),
+                              ("method", "proposed"), ("T", 100), ("k", 20), ("gamma", 0.25),
+                              ("alpha", 0.9), ("fraction", 0.5), ("max_n", 0),
+                              ("estimate_only", ()), ("mode", "soft"), ("l2", 1e-4)]}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_constructor_takes_its_fields(cls):
+    """Each record's constructor takes its fields, in order, with their
+    defaults (``...`` for none), and an instance keeps each one."""
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, ... if p.default is p.empty else p.default) for p in params] == RECORDS[cls]
+    assert cls._fields == tuple(name for name, _ in RECORDS[cls])
+
+
+FROZEN = [Column("c", "categorical", "CF", ("a", "b", "c")), DS.schema, DS, GRAPH,
+          EstimationResult(sizes=(3,), **RESULT), MODEL, SCORE_C]
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=lambda record: type(record).__name__)
+def test_records_are_frozen_and_show_their_fields(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError, match="frozen"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match="frozen"):
+            delattr(record, name)
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._fields)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+@pytest.mark.parametrize("make, changed", [
+    (lambda: Column("c", "categorical", "CF", ("a", "b", "c")),
+     Column("c", "categorical", "CF", ("a", "b", "d"))),
+    (lambda: FeatureSchema(DS.schema.columns), FeatureSchema(DS.schema.columns[::-1])),
+    (lambda: CfScore(0, "c", 0.5, 0.5, 1.0, 1.0), CfScore(0, "c", 0.5, 0.5, 1.0, 1.0, 1)),
+], ids=["Column", "FeatureSchema", "CfScore"])
+def test_values_compare_and_hash_by_their_fields(make, changed):
+    one = make()
+    assert one == make() and hash(one) == hash(make()) and one is not make()
+    assert one != changed and one != tuple(getattr(one, name) for name in one._fields)
+    assert len({one, make(), changed}) == 2
+
+
+def test_experiment_config_compares_by_its_fields_and_is_mutable():
+    cfg = ExperimentConfig(k=5)
+    assert cfg == ExperimentConfig(k=5) and cfg != ExperimentConfig()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cfg)
+    copy = ExperimentConfig(**vars(cfg))
+    copy.k = 6
+    assert (cfg.k, copy.k) == (5, 6)
+    assert repr(ExperimentConfig()).startswith("ExperimentConfig(data='', schema='', out='out', ")

@@ -22,7 +22,8 @@ from compfeat.predictor import (
     predict,
     train,
 )
-from compfeat.propagation import init_marginal, run_comp, run_proposed
+from compfeat.propagation import init_marginal, run_proposed
+from compfeat.result import run_comp
 
 from test_propagation import observed_dataset
 

@@ -23,10 +23,10 @@ from compfeat.propagation import (
     hard_from_blocks,
     init_marginal,
     propagate_step,
-    run_comp,
     run_ipal,
     run_proposed,
 )
+from compfeat.result import run_comp
 
 from conftest import build_dataset, record_rounds
 
